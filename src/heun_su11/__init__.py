@@ -28,69 +28,23 @@ from .errors import (
 )
 from .heun_core import (
     CanonicalCoefficients,
-    DegreeDecomposition,
     HeunParameters,
-    canonical_action,
     canonical_coefficients,
-    degree_decomposition,
-    degree_decomposition_check,
-    indicial_exponents_at_infinity,
-    indicial_exponents_at_zero,
     lame_parameters,
     make_parameters,
-    parameters_from_coefficients,
 )
 from .monomials import MonomialSum
-from .representations import (
-    ExponentGrid,
-    RepresentationClass,
-    RepresentationDescriptor,
-    SubspaceSplit,
-    classify,
-    finite_dimension,
-    split_even_odd,
-)
-from .series_engine import (
-    EvaluatedSeries,
-    SeriesSolution,
-    convergence_domain,
-    evaluate_series,
-    recurrence_residual,
-    series_solution,
-)
-from .spectrum import (
-    EigenPair,
-    SpectralResult,
-    SqrtZPolynomial,
-    TridiagonalMatrix,
-    build_matrix,
-    eigen_oracle,
-    solve_spectrum,
-)
+from .representations import RepresentationClass, RepresentationDescriptor, classify
+from .series_engine import SeriesSolution, evaluate_series, series_solution
+from .spectrum import EigenPair, SpectralResult, SqrtZPolynomial, solve_spectrum
 from .su11_algebra import (
     FactorizabilityReport,
-    GeneratorParameters,
-    MonomialAction,
     Su11Decomposition,
-    algebra_identity_check,
-    apply_lowering,
-    apply_quadratic,
-    apply_raising,
-    apply_weight,
     check_factorizable,
     decompose,
-    decompose_coefficients,
-    monomial_action,
     rebuild_coefficients,
-    reconstruction_check,
 )
-from .verifier import (
-    ResidualReport,
-    chebyshev_points,
-    derivative_crosscheck,
-    ode_residual,
-    residual_for_coefficients,
-)
+from .verifier import ResidualReport, ode_residual
 
 __version__ = "0.1.0"
 
@@ -99,19 +53,14 @@ __all__ = [
     "ComplexExponents",
     "ComplexRootsDetected",
     "DegenerateSingularity",
-    "DegreeDecomposition",
     "EigenPair",
     "EigensolverNoConvergence",
-    "EvaluatedSeries",
-    "ExponentGrid",
     "FactorizabilityReport",
     "FuchsianViolation",
-    "GeneratorParameters",
     "GridTooLarge",
     "HeunParameters",
     "HeunSu11Error",
     "InconsistentCoefficients",
-    "MonomialAction",
     "MonomialSum",
     "NotFactorizable",
     "NumericalError",
@@ -124,44 +73,19 @@ __all__ = [
     "SeriesSolution",
     "SpectralResult",
     "SqrtZPolynomial",
-    "SubspaceSplit",
     "Su11Decomposition",
-    "TridiagonalMatrix",
     "UnsupportedClass",
     "UsageError",
     "ValidationError",
-    "algebra_identity_check",
-    "apply_lowering",
-    "apply_quadratic",
-    "apply_raising",
-    "apply_weight",
-    "build_matrix",
-    "canonical_action",
     "canonical_coefficients",
-    "chebyshev_points",
     "check_factorizable",
     "classify",
-    "convergence_domain",
     "decompose",
-    "decompose_coefficients",
-    "degree_decomposition",
-    "degree_decomposition_check",
-    "derivative_crosscheck",
-    "eigen_oracle",
     "evaluate_series",
-    "finite_dimension",
-    "indicial_exponents_at_infinity",
-    "indicial_exponents_at_zero",
     "lame_parameters",
     "make_parameters",
-    "monomial_action",
     "ode_residual",
-    "parameters_from_coefficients",
     "rebuild_coefficients",
-    "reconstruction_check",
-    "recurrence_residual",
-    "residual_for_coefficients",
     "series_solution",
     "solve_spectrum",
-    "split_even_odd",
 ]

@@ -134,7 +134,7 @@ def _resolve_decomposition(args) -> Su11Decomposition:
     if getattr(args, "decomposition", None):
         dec = Su11Decomposition.from_json_dict(_read_json(args.decomposition))
         expected = casimir_value(dec.mu, dec.nu)
-        if abs(dec.casimir - expected) > 1e-9:
+        if not abs(dec.casimir - expected) <= 1e-9:
             raise InconsistentCoefficients(
                 f"stored casimir {dec.casimir!r} does not match mu, nu "
                 f"(expected {expected!r})"

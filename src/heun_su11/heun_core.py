@@ -15,18 +15,17 @@ z(z-1)(z-a) gives the polynomial form
     f3 = a6 z + a7,
 
 which is what every other module consumes.  This module validates parameter
-sets, produces the a0..a7 coefficients, applies the operator to monomial
-sums, and checks the split of the operator into pieces of monomial degree
-+1, 0, -1.
+sets, produces the a0..a7 coefficients and applies the polynomial form to
+monomial sums term by term.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Mapping, Tuple
 
-from .errors import ComplexExponents, DegenerateSingularity, FuchsianViolation
+from .errors import ComplexExponents, DegenerateSingularity, FuchsianViolation, ValidationError
 from .monomials import MonomialSum
 
 FUCHSIAN_TOL = 1e-9
@@ -86,7 +85,17 @@ class CanonicalCoefficients:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping[str, float]) -> "CanonicalCoefficients":
-        return cls(*(float(doc[f"a{i}"]) for i in range(8)))
+        values = {f"a{i}": float(doc[f"a{i}"]) for i in range(8)}
+        require_finite(**values)
+        return cls(**values)
+
+
+def require_finite(**values: float) -> None:
+    """Reject NaN and infinities, which would slip through every
+    ``dev > tol`` style comparison downstream."""
+    bad = [f"{name}={value!r}" for name, value in values.items() if not math.isfinite(value)]
+    if bad:
+        raise ValidationError("non-finite input: " + ", ".join(bad))
 
 
 def make_parameters(
@@ -105,12 +114,15 @@ def make_parameters(
     FUCHSIAN_TOL.  alpha and beta are stored sorted (alpha <= beta).
     """
     gamma, delta, alpha, beta, a, q = map(float, (gamma, delta, alpha, beta, a, q))
+    require_finite(gamma=gamma, delta=delta, alpha=alpha, beta=beta, a=a, q=q)
+    if epsilon is not None:
+        require_finite(epsilon=float(epsilon))
     if a == 0.0 or a == 1.0:
         raise DegenerateSingularity(
             f"singularity location a={a} collides with a fixed singular point"
         )
     implied = alpha + beta + 1.0 - gamma - delta
-    if epsilon is not None and abs(float(epsilon) - implied) > FUCHSIAN_TOL:
+    if epsilon is not None and not abs(float(epsilon) - implied) <= FUCHSIAN_TOL:
         raise FuchsianViolation(
             "gamma+delta+epsilon - (alpha+beta+1) = "
             f"{gamma + delta + float(epsilon) - alpha - beta - 1.0:.3e} "
@@ -128,6 +140,7 @@ def lame_parameters(rho: float, a: float, q: float) -> HeunParameters:
     for rho(rho+1) <= 1/4.
     """
     rho = float(rho)
+    require_finite(rho=rho)
     product = rho * (rho + 1.0) / 4.0
     disc = 0.25 - 4.0 * product
     if disc < 0.0:
@@ -161,117 +174,6 @@ def canonical_coefficients(params: HeunParameters) -> CanonicalCoefficients:
         a6=al * be,
         a7=-q,
     )
-
-
-def parameters_from_coefficients(coeffs: CanonicalCoefficients) -> HeunParameters:
-    """Invert canonical_coefficients (up to the alpha<=beta ordering)."""
-    a = coeffs.a2
-    if a == 0.0 or a == 1.0:
-        raise DegenerateSingularity(f"coefficient a2={a} implies a degenerate location")
-    gamma = coeffs.a5 / a
-    exps_sum = coeffs.a3 - 1.0
-    disc = exps_sum * exps_sum - 4.0 * coeffs.a6
-    if disc < 0.0:
-        raise ComplexExponents(
-            f"exponents at infinity are complex (discriminant {disc:.3e})"
-        )
-    root = math.sqrt(disc)
-    alpha = (exps_sum - root) / 2.0
-    beta = (exps_sum + root) / 2.0
-    delta = (-coeffs.a4 - a * gamma - exps_sum - 1.0) / (a - 1.0)
-    return make_parameters(gamma, delta, alpha, beta, a, -coeffs.a7)
-
-
-def canonical_action(coeffs: CanonicalCoefficients, y: MonomialSum) -> MonomialSum:
-    """Apply f1 y'' + f2 y' + f3 y to a monomial sum.
-
-    On z^p the operator contributes to exactly three exponents:
-      z^(p+1): a0 p(p-1) + a3 p + a6
-      z^p:     a1 p(p-1) + a4 p + a7
-      z^(p-1): a2 p(p-1) + a5 p
-    """
-    c = coeffs
-    raised = y.map_terms(2, lambda p: c.a0 * p * (p - 1.0) + c.a3 * p + c.a6)
-    kept = y.map_terms(0, lambda p: c.a1 * p * (p - 1.0) + c.a4 * p + c.a7)
-    lowered = y.map_terms(-2, lambda p: c.a2 * p * (p - 1.0) + c.a5 * p)
-    return raised + kept + lowered
-
-
-def indicial_exponents_at_zero(coeffs: CanonicalCoefficients) -> Tuple[float, float]:
-    """Roots of the indicial polynomial a2 r(r-1) + a5 r at z = 0."""
-    return (0.0, 1.0 - coeffs.a5 / coeffs.a2)
-
-
-def indicial_exponents_at_infinity(
-    coeffs: CanonicalCoefficients,
-) -> Tuple[float, float]:
-    """Decay exponents s (y ~ z^-s) at infinity: roots of s^2-(a3-1)s+a6."""
-    exps_sum = coeffs.a3 - 1.0
-    disc = exps_sum * exps_sum - 4.0 * coeffs.a6
-    if disc < 0.0:
-        raise ComplexExponents(
-            f"exponents at infinity are complex (discriminant {disc:.3e})"
-        )
-    root = math.sqrt(disc)
-    return ((exps_sum - root) / 2.0, (exps_sum + root) / 2.0)
-
-
-@dataclass(frozen=True)
-class DegreeDecomposition:
-    """Split of the canonical operator by monomial degree.
-
-    raising_part holds (a0, a3, a6) for the degree +1 piece
-    z^3 y'' -> a0, z^2 y' -> a3, z y -> a6; lowering_part holds (a2, a5, 0)
-    for the degree -1 piece; diagonal_quadratic holds (f2, f1, f0) such that
-    the degree 0 piece acts on z^p as f2 (p-j)^2 + f1 (p-j) + f0.
-    """
-
-    j: float
-    raising_part: Tuple[float, float, float]
-    diagonal_quadratic: Tuple[float, float, float]
-    lowering_part: Tuple[float, float, float]
-
-    def apply(self, y: MonomialSum) -> MonomialSum:
-        r0, r1, r2 = self.raising_part
-        f2, f1, f0 = self.diagonal_quadratic
-        l0, l1, l2 = self.lowering_part
-        j = self.j
-        raised = y.map_terms(2, lambda p: r0 * p * (p - 1.0) + r1 * p + r2)
-        kept = y.map_terms(0, lambda p: f2 * (p - j) ** 2 + f1 * (p - j) + f0)
-        lowered = y.map_terms(-2, lambda p: l0 * p * (p - 1.0) + l1 * p + l2)
-        return raised + kept + lowered
-
-
-def degree_decomposition(
-    params: HeunParameters, j: float = 0.0
-) -> DegreeDecomposition:
-    """Degree split with the diagonal written as a quadratic in (z d/dz - j)."""
-    c = canonical_coefficients(params)
-    j = float(j)
-    return DegreeDecomposition(
-        j=j,
-        raising_part=(c.a0, c.a3, c.a6),
-        diagonal_quadratic=(
-            c.a1,
-            (2.0 * j - 1.0) * c.a1 + c.a4,
-            j * (j - 1.0) * c.a1 + j * c.a4 + c.a7,
-        ),
-        lowering_part=(c.a2, c.a5, 0.0),
-    )
-
-
-def degree_decomposition_check(
-    params: HeunParameters, j: float, test_exponents: Iterable[float]
-) -> float:
-    """Max coefficient deviation between the degree split and the canonical
-    operator over test monomials; the split is exact for every real j."""
-    coeffs = canonical_coefficients(params)
-    split = degree_decomposition(params, j)
-    worst = 0.0
-    for p in test_exponents:
-        y = MonomialSum.monomial(float(p))
-        worst = max(worst, split.apply(y).max_abs_diff(canonical_action(coeffs, y)))
-    return worst
 
 
 def second_order_action(

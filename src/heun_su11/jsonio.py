@@ -2,7 +2,9 @@
 
 Documents are emitted with sorted keys and floats printed to 17 significant
 digits (enough to round-trip IEEE doubles exactly), so byte-identical output
-is a meaningful regression check.  Non-finite floats become null; complex
+is a meaningful regression check.  Negative zero is printed as 0, because
+``json.load`` reads ``-0`` back as the integer 0 and a re-emitted document
+would otherwise differ.  Non-finite floats become null; complex
 numbers become {"im": ..., "re": ...} objects.  Reading uses the standard
 json module plus a small helper to turn those objects back into numbers.
 """
@@ -17,7 +19,7 @@ from typing import Any
 def _format_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         return "null"
-    return format(x, ".17g")
+    return format(x + 0.0, ".17g")
 
 
 def _write(obj: Any, pieces: list, indent: int, level: int) -> None:

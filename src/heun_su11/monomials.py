@@ -116,11 +116,6 @@ class MonomialSum:
     def max_abs_diff(self, other: "MonomialSum") -> float:
         return (self - other).max_abs()
 
-    def trimmed(self, eps: float = 0.0) -> "MonomialSum":
-        return MonomialSum(
-            self.base, {k: c for k, c in self.coeffs.items() if abs(c) > eps}
-        )
-
     def evaluate(self, z: float) -> complex | float:
         """Value at z > 0 (fractional exponents need the positive axis)."""
         if z <= 0.0:

@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Mapping, NamedTuple, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Tuple
+
+import numpy as np
 
 from .errors import OutOfDomain, RecurrenceBreakdown, UnsupportedClass
+from .heun_core import require_finite
 from .monomials import MonomialSum, fsum_values
 from .representations import (
     RepresentationClass,
@@ -90,6 +93,24 @@ class EvaluatedSeries(NamedTuple):
     tail_estimate: float
 
 
+def _recurrence_coefficients(
+    action: MonomialAction, p0: float, direction: str, count: int
+) -> Tuple[List[float], List[float], List[float], float]:
+    """Coefficients of the three-term relation at p_m = p0 +/- m, m < count.
+
+    At step m, b_(m-1) enters with inward[m], b_m with diag[m] - q and
+    b_(m+1) with outward[m].  edge is the coefficient that carries z^p0 off
+    the ladder; it vanishes when the ladder really starts at p0.
+    """
+    ascending = direction == ASCENDING
+    p = p0 + (1.0 if ascending else -1.0) * np.arange(count)
+    up, down = action.up(p - 1.0).tolist(), action.down(p + 1.0).tolist()
+    diag = action.diag_base(p).tolist()
+    if ascending:
+        return up, diag, down, action.down(p0)
+    return down, diag, up, action.up(p0)
+
+
 def _direction_for(rep: RepresentationDescriptor) -> str:
     if rep.rep_class is RepresentationClass.POSITIVE_DISCRETE:
         return ASCENDING
@@ -141,17 +162,17 @@ def series_solution(
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
     q = float(q)
+    require_finite(q=q)
     split = split_even_odd(rep)
     grid = split.even if parity == "even" else split.odd
     p0 = grid.base
     action = monomial_action(dec)
-    sign = 1.0 if direction == ASCENDING else -1.0
-    into_ladder = action.down if direction == ASCENDING else action.up
+    inward, diag, outward, edge = _recurrence_coefficients(action, p0, direction, truncation)
 
     # The base must be annihilated in the outward direction, else the ladder
     # does not start here and the ansatz is wrong for this decomposition.
     scale = max(1.0, abs(action.up(p0)), abs(action.down(p0)), abs(action.diag_base(p0)))
-    if abs(into_ladder(p0)) > BOUNDARY_TOL * scale:
+    if abs(edge) > BOUNDARY_TOL * scale:
         raise ValueError(
             f"ladder base p0={p0} is not annihilated by the operator "
             "(grid and decomposition disagree)"
@@ -161,13 +182,7 @@ def series_solution(
     b_prev = 0.0
     b_here = 1.0
     for m in range(truncation):
-        p = p0 + sign * m
-        if direction == ASCENDING:
-            inward = action.up(p - 1.0)
-            divisor = action.down(p + 1.0)
-        else:
-            inward = action.down(p + 1.0)
-            divisor = action.up(p - 1.0)
+        divisor = outward[m]
         if divisor == 0.0:
             err = RecurrenceBreakdown(
                 f"leading divisor vanished at step {m + 1}; the ladder "
@@ -175,7 +190,7 @@ def series_solution(
             )
             err.step = m + 1
             raise err
-        b_next = -(inward * b_prev + (action.diag_base(p) - q) * b_here) / divisor
+        b_next = -(inward[m] * b_prev + (diag[m] - q) * b_here) / divisor
         coeffs.append(b_next)
         b_prev, b_here = b_here, b_next
     return SeriesSolution(
@@ -190,30 +205,19 @@ def series_solution(
 
 def recurrence_residual(dec: Su11Decomposition, sol: SeriesSolution) -> float:
     """Max relative defect of the three-term relation on re-substitution."""
-    action = monomial_action(dec)
-    sign = 1.0 if sol.direction == ASCENDING else -1.0
     b = sol.coefficients
+    inward, diag, outward, _ = _recurrence_coefficients(
+        monomial_action(dec), sol.p0, sol.direction, len(b) - 1
+    )
     worst = 0.0
     for m in range(len(b) - 1):
-        p = sol.p0 + sign * m
-        if sol.direction == ASCENDING:
-            inward, outward = action.up(p - 1.0), action.down(p + 1.0)
-        else:
-            inward, outward = action.down(p + 1.0), action.up(p - 1.0)
-        t_in = inward * (b[m - 1] if m >= 1 else 0.0)
-        t_mid = (action.diag_base(p) - sol.q) * b[m]
-        t_out = outward * b[m + 1]
+        t_in = inward[m] * (b[m - 1] if m >= 1 else 0.0)
+        t_mid = (diag[m] - sol.q) * b[m]
+        t_out = outward[m] * b[m + 1]
         scale = max(abs(t_in), abs(t_mid), abs(t_out))
         defect = abs(t_in + t_mid + t_out)
         worst = max(worst, defect / scale if scale > 0.0 else 0.0)
     return worst
-
-
-def reference_scaled_coefficients(sol: SeriesSolution, a: float) -> Tuple[float, ...]:
-    """Coefficients rescaled to the (z/a)^m (ascending) or (a/z)^m
-    (descending) convention used by hand-written fixtures."""
-    sign = 1 if sol.direction == ASCENDING else -1
-    return tuple(b * a ** (sign * m) for m, b in enumerate(sol.coefficients))
 
 
 def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:

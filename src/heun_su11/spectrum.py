@@ -19,7 +19,7 @@ brackets its real roots directly.  Tests require the two to agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -126,11 +126,13 @@ def build_matrix(
     if abs(abs(subgrid.step) - 1.0) > 1e-12:
         raise ValueError("parity sub-grids must step by whole units")
     exponents = sorted(subgrid.exponents())
-    diagonal = tuple(action.diag_base(p) for p in exponents)
-    lower = tuple(action.up(p) for p in exponents[:-1])
-    upper = tuple(action.down(p) for p in exponents[1:])
+    grid = np.array(exponents)
+    diagonal = tuple(action.diag_base(grid).tolist())
+    up = action.up(grid).tolist()
+    down = action.down(grid).tolist()
+    lower, upper = tuple(up[:-1]), tuple(down[1:])
     scale = max([1.0, *map(abs, diagonal), *map(abs, lower), *map(abs, upper)])
-    leak = max(abs(action.up(exponents[-1])), abs(action.down(exponents[0])))
+    leak = max(abs(up[-1]), abs(down[0]))
     if leak > 1e-8 * scale:
         raise ValueError(
             f"sub-grid is not closed under the operator (leak {leak:.3e}); "

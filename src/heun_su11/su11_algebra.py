@@ -18,16 +18,16 @@ and gamma is 1/2 or 3/2 (making nu 0 or 1/2).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Tuple
 
 from .errors import InconsistentCoefficients, NotFactorizable
 from .heun_core import (
     CanonicalCoefficients,
     HeunParameters,
-    canonical_action,
     canonical_coefficients,
+    require_finite,
+    second_order_action,
 )
 from .monomials import MonomialSum
 
@@ -53,14 +53,6 @@ def apply_weight(mu: float, nu: float, y: MonomialSum) -> MonomialSum:
 
 def casimir_value(mu: float, nu: float) -> float:
     return -(mu - nu) * (mu - nu - 1.0)
-
-
-@dataclass(frozen=True)
-class GeneratorParameters:
-    """The (mu, nu) pair fixing one realization of the generators."""
-
-    mu: float
-    nu: float
 
 
 @dataclass(frozen=True)
@@ -114,9 +106,9 @@ def check_factorizable(
     gap_dev = abs(gap - 0.5)
     gamma_dev = min(abs(params.gamma - g) for g in NU_BY_GAMMA)
     failures = []
-    if gap_dev > tol:
+    if not gap_dev <= tol:
         failures.append("exponent_gap")
-    if gamma_dev > tol:
+    if not gamma_dev <= tol:
         failures.append("gamma")
     return FactorizabilityReport(
         accepted=not failures,
@@ -155,16 +147,9 @@ class Su11Decomposition:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping[str, float]) -> "Su11Decomposition":
-        return cls(
-            mu=float(doc["mu"]),
-            nu=float(doc["nu"]),
-            c_plus=float(doc["c_plus"]),
-            c_minus=float(doc["c_minus"]),
-            c2=float(doc["c2"]),
-            c1=float(doc["c1"]),
-            c0=float(doc["c0"]),
-            casimir=float(doc["casimir"]),
-        )
+        values = {f.name: float(doc[f.name]) for f in fields(cls)}
+        require_finite(**values)
+        return cls(**values)
 
 
 def decompose_coefficients(
@@ -189,7 +174,7 @@ def decompose_coefficients(
     mu = (2.0 * coeffs.a3 / coeffs.a0 - 3.0) / 4.0
     forced_a6 = (coeffs.a0 / 2.0) * mu * (1.0 + 2.0 * mu)
     deviation = abs(coeffs.a6 - forced_a6)
-    if deviation > tol:
+    if not deviation <= tol:
         err = InconsistentCoefficients(
             f"a6={coeffs.a6:.12g} differs from the value {forced_a6:.12g} forced "
             f"by a0, a3 (deviation {deviation:.3e}); the exponent gap at "
@@ -244,8 +229,10 @@ class MonomialAction:
     """Tridiagonal action of the factorized operator on z^p.
 
     Applying the operator to z^p yields
-    up(p) z^(p+1) + diag(p) z^p + down(p) z^(p-1); diag_base is the
-    accessory-free diagonal A(p) with diag(p) = A(p) - q.
+    up(p) z^(p+1) + (diag_base(p) - q) z^p + down(p) z^(p-1), where q is
+    accessory_q.  This is the one closed-form statement of the action:
+    matrix builds and recurrences evaluate it, on a float or elementwise on
+    a numpy array of exponents.
     """
 
     mu: float
@@ -264,10 +251,6 @@ class MonomialAction:
             self.c_minus * (2.0 * p + 2.0 * self.nu) * (2.0 * p - 1.0 + 2.0 * self.nu)
         )
 
-    def diag(self, p: float) -> float:
-        h = 2.0 * p + self.mu + self.nu
-        return self.c2 * h * h + self.c1 * h + self.c0
-
     def diag_base(self, p: float) -> float:
         s = self.mu + self.nu
         h = 2.0 * p + s
@@ -275,7 +258,7 @@ class MonomialAction:
 
     @property
     def accessory_q(self) -> float:
-        """The q baked into diag via c0 (diag(p) = diag_base(p) - q)."""
+        """The q baked into c0: the full diagonal is diag_base(p) - q."""
         s = self.mu + self.nu
         return -(self.c0 + s * (self.c1 + self.c2 * s))
 
@@ -346,7 +329,7 @@ def reconstruction_check(
 ) -> float:
     """Max coefficient difference between the canonical operator and the
     factorized quadratic applied to the same monomial sum."""
-    coeffs = canonical_coefficients(params)
-    direct = canonical_action(coeffs, test_poly)
+    f1_part, f2_part, f3_part = second_order_action(canonical_coefficients(params), test_poly)
+    direct = f1_part + f2_part + f3_part
     factored = apply_quadratic(dec, test_poly)
     return direct.max_abs_diff(factored)

@@ -5,8 +5,7 @@ f1 y'' + f2 y' + f3 y, which is zero for exact solutions.  Working with the
 polynomial form avoids dividing by z(z-1)(z-a) near the finite singular
 points.  The residual at each sample point is relativized by the largest of
 the three term magnitudes so that exact solutions score ~1e-16 regardless of
-overall scale.  A finite-difference cross-check of the analytic derivatives
-guards against exponent-shift bugs in the term-wise differentiation.
+overall scale.
 """
 
 from __future__ import annotations
@@ -128,22 +127,3 @@ def ode_residual(
         z_samples = default_sample_points(params.a, domain)
     return residual_for_coefficients(coeffs, solution, z_samples)
 
-
-def derivative_crosscheck(
-    solution: MonomialSum, z: float, h_steps: Sequence[float]
-) -> float:
-    """Max deviation of analytic y', y'' from central differences at the
-    smallest step; second-order accurate, so it shrinks ~h^2."""
-    if z <= 0.0:
-        raise ValueError("crosscheck point must satisfy z > 0")
-    d1 = solution.derivative()
-    d2 = d1.derivative()
-    h = min(h_steps)
-    if z - h <= 0.0:
-        raise ValueError(f"step {h} reaches past the origin from z={z}")
-    y_minus = solution.evaluate(z - h)
-    y_plus = solution.evaluate(z + h)
-    y_mid = solution.evaluate(z)
-    fd1 = (y_plus - y_minus) / (2.0 * h)
-    fd2 = (y_plus - 2.0 * y_mid + y_minus) / (h * h)
-    return max(abs(fd1 - d1.evaluate(z)), abs(fd2 - d2.evaluate(z)))

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -42,13 +43,15 @@ def test_spectrum_preset_example1_eigenvalues(capsys):
     assert all(pair["residual"] <= 1e-12 for pair in doc["eigenpairs"])
 
 
-def test_spectrum_roundtrip_is_byte_identical(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["spectrum", "classify", "series"])
+@pytest.mark.parametrize("preset", ["example1", "example2", "lame"])
+def test_spectrum_roundtrip_is_byte_identical(tmp_path, capsys, preset, command):
     dec_path = tmp_path / "dec.json"
     direct = tmp_path / "direct.json"
     piped = tmp_path / "piped.json"
-    assert main(["decompose", "--preset", "example1", "--json", str(dec_path)]) == 0
-    assert main(["spectrum", "--preset", "example1", "--json", str(direct)]) == 0
-    assert main(["spectrum", "--decomposition", str(dec_path), "--json", str(piped)]) == 0
+    assert main(["decompose", "--preset", preset, "--json", str(dec_path)]) == 0
+    assert main([command, "--preset", preset, "--json", str(direct)]) == 0
+    assert main([command, "--decomposition", str(dec_path), "--json", str(piped)]) == 0
     capsys.readouterr()
     assert direct.read_bytes() == piped.read_bytes()
 
@@ -158,6 +161,37 @@ def test_validation_errors_exit_1(capsys):
     assert main(["decompose", "--preset", "example1", "--a", "0"]) == 1
     assert main(["decompose", "--preset", "example1", "--gamma", "0.8"]) == 1
     capsys.readouterr()
+
+
+EXAMPLE1_DECOMPOSITION = {
+    "c0": 0.75, "c1": 0.0, "c2": -0.75, "c_minus": 0.5, "c_plus": 0.25,
+    "casimir": -2.0, "mu": -1.0, "nu": 0.0,
+}
+EXAMPLE1_FLAGS = ["--gamma", "0.5", "--delta", "-0.5", "--alpha", "-1", "--beta", "-0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["decompose", "--gamma", "0.5", "--delta", "nan", "--alpha", "-1",
+          "--beta", "-0.5", "--a", "2"], None),
+        (["decompose", "--gamma", "0.5", "--delta", "-0.5", "--alpha", "nan",
+          "--beta", "-0.5", "--a", "2"], None),
+        (["decompose", *EXAMPLE1_FLAGS, "--a", "inf"], None),
+        (["decompose", "--rho", "nan", "--a", "2"], None),
+        (["series", *EXAMPLE1_FLAGS, "--a", "2", "--q", "nan"], None),
+        (["series", "--decomposition", "-", "--q", "nan"], EXAMPLE1_DECOMPOSITION),
+        (["spectrum", "--decomposition", "-"], {**EXAMPLE1_DECOMPOSITION, "c1": math.nan}),
+    ],
+    ids=["delta", "alpha", "a", "rho", "q", "decomposition-q", "decomposition-c1"],
+)
+def test_non_finite_input_exits_1(argv, stdin, capsys, monkeypatch):
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite input" in captured.err
 
 
 def test_spectrum_without_finite_ladder_exits_1(capsys):

@@ -6,15 +6,9 @@ import pytest
 from heun_su11.errors import ComplexExponents, DegenerateSingularity, FuchsianViolation
 from heun_su11.heun_core import (
     CanonicalCoefficients,
-    canonical_action,
     canonical_coefficients,
-    degree_decomposition,
-    degree_decomposition_check,
-    indicial_exponents_at_infinity,
-    indicial_exponents_at_zero,
     lame_parameters,
     make_parameters,
-    parameters_from_coefficients,
     second_order_action,
 )
 from heun_su11.monomials import MonomialSum
@@ -115,24 +109,9 @@ def test_lame_parameters_complex_roots_rejected():
         lame_parameters(1.0, 2.0, 0.0)
 
 
-def test_indicial_exponents_at_zero():
-    p = make_parameters(**EXAMPLE1)
-    roots = indicial_exponents_at_zero(canonical_coefficients(p))
-    assert roots == (0.0, 1.0 - p.gamma)
-
-
-def test_indicial_exponents_at_infinity():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        p = random_parameters(rng)
-        lo, hi = indicial_exponents_at_infinity(canonical_coefficients(p))
-        assert lo == pytest.approx(p.alpha, abs=1e-10)
-        assert hi == pytest.approx(p.beta, abs=1e-10)
-
-
 def test_canonical_action_against_pointwise_evaluation():
-    # Oracle: evaluate f1 y'' + f2 y' + f3 y numerically from the parameter
-    # definition and compare with the exponent-shift action.
+    # Oracle: evaluate f1 y'', f2 y' and f3 y numerically from the parameter
+    # definition and compare each with its exponent-shift part.
     rng = np.random.default_rng(99)
     for _ in range(30):
         p = random_parameters(rng)
@@ -145,67 +124,34 @@ def test_canonical_action_against_pointwise_evaluation():
         f2 = c.a3 * z**2 + c.a4 * z + c.a5
         f3 = c.a6 * z + c.a7
         direct = (
-            f1 * y.derivative().derivative().evaluate(z)
-            + f2 * y.derivative().evaluate(z)
-            + f3 * y.evaluate(z)
+            f1 * y.derivative().derivative().evaluate(z),
+            f2 * y.derivative().evaluate(z),
+            f3 * y.evaluate(z),
         )
-        via_action = canonical_action(c, y).evaluate(z)
-        assert math.isclose(direct, via_action, rel_tol=1e-11, abs_tol=1e-11)
+        for expected, part in zip(direct, second_order_action(c, y)):
+            assert math.isclose(expected, part.evaluate(z), rel_tol=1e-11, abs_tol=1e-11)
 
 
 def test_second_order_action_parts_sum_to_action():
+    # Oracle: on z^p the polynomial form contributes a0 p(p-1) + a3 p + a6 to
+    # z^(p+1), a1 p(p-1) + a4 p + a7 to z^p and a2 p(p-1) + a5 p to z^(p-1).
     p = make_parameters(**EXAMPLE2)
     c = canonical_coefficients(p)
     y = MonomialSum.from_terms([(-0.5, 1.0), (0.5, -2.0), (1.0, 0.3)])
+    expected = MonomialSum.zero(y.base)
+    for exp, coef in y.terms():
+        pp = exp * (exp - 1.0)
+        expected = expected + MonomialSum.from_terms(
+            [
+                (exp + 1.0, coef * (c.a0 * pp + c.a3 * exp + c.a6)),
+                (exp, coef * (c.a1 * pp + c.a4 * exp + c.a7)),
+                (exp - 1.0, coef * (c.a2 * pp + c.a5 * exp)),
+            ],
+            base=y.base,
+        )
     parts = second_order_action(c, y)
     total = parts[0] + parts[1] + parts[2]
-    assert total.max_abs_diff(canonical_action(c, y)) <= 1e-13
-
-
-def test_degree_decomposition_check_example1():
-    p = make_parameters(**EXAMPLE1)
-    assert degree_decomposition_check(p, 0.0, [0.0, 1.0, 2.0]) <= 1e-12
-
-
-def test_degree_decomposition_check_lame_large_j():
-    p = lame_parameters(0.0, 2.0, 1.0)
-    assert degree_decomposition_check(p, 5.5, [-2.0, -1.0, 0.0, 1.0, 2.0]) <= 1e-12
-
-
-def test_degree_decomposition_j_independence():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        p = random_parameters(rng)
-        j = float(rng.uniform(-4.0, 4.0))
-        exps = [float(x) for x in rng.integers(-4, 5, size=5) * 0.5]
-        assert degree_decomposition_check(p, j, exps) <= 1e-12
-
-
-def test_degree_decomposition_diagonal_shape():
-    p = make_parameters(**EXAMPLE1)
-    split = degree_decomposition(p, 1.0)
-    c = canonical_coefficients(p)
-    assert split.raising_part == (c.a0, c.a3, c.a6)
-    assert split.lowering_part == (c.a2, c.a5, 0.0)
-    f2, f1, f0 = split.diagonal_quadratic
-    assert f2 == c.a1
-    assert f1 == c.a1 + c.a4
-    assert f0 == c.a4 + c.a7
-
-
-def test_parameters_from_coefficients_roundtrip():
-    rng = np.random.default_rng(13)
-    for _ in range(25):
-        p = random_parameters(rng)
-        back = parameters_from_coefficients(canonical_coefficients(p))
-        for field in ("gamma", "delta", "epsilon", "alpha", "beta", "a", "q"):
-            assert getattr(back, field) == pytest.approx(getattr(p, field), abs=1e-9)
-
-
-def test_parameters_from_coefficients_rejects_degenerate():
-    c = CanonicalCoefficients(1.0, -1.0, 0.0, 1.0, -1.0, 0.0, 0.0, 0.0)
-    with pytest.raises(DegenerateSingularity):
-        parameters_from_coefficients(c)
+    assert total.max_abs_diff(expected) <= 1e-13
 
 
 def test_coefficients_json_roundtrip():

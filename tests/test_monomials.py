@@ -66,11 +66,6 @@ def test_evaluate_positive_axis_only():
         y.evaluate(-1.0)
 
 
-def test_trimmed_removes_small_terms():
-    y = MonomialSum.from_terms([(0.0, 1.0), (1.0, 1e-18)])
-    assert y.trimmed(1e-15).terms() == ((0.0, 1.0),)
-
-
 def test_complex_coefficients_evaluate():
     y = MonomialSum.from_terms([(0.0, 1.0 + 2.0j), (1.0, -1.0j)])
     value = y.evaluate(2.0)

@@ -19,7 +19,6 @@ from heun_su11.series_engine import (
     convergence_domain,
     evaluate_series,
     recurrence_residual,
-    reference_scaled_coefficients,
     series_solution,
 )
 from heun_su11.su11_algebra import Su11Decomposition, casimir_value, decompose
@@ -277,13 +276,12 @@ def test_reference_scaled_coefficients():
     dec, by_class = lame_setup(2.0, 1.0)
     asc = series_solution(dec, by_class[RepresentationClass.POSITIVE_DISCRETE], "even", 1.0)
     desc = series_solution(dec, by_class[RepresentationClass.NEGATIVE_DISCRETE], "even", 1.0)
-    scaled = reference_scaled_coefficients(asc, 2.0)
+    # (z/a)^m scaling for ascending, (a/z)^m for descending
+    scaled = [b * 2.0**m for m, b in enumerate(asc.coefficients)]
     assert scaled[0] == 1.0
     assert scaled[1] == pytest.approx(2.0, rel=1e-14)  # 2q in ladder units
     for m in range(5):
-        assert reference_scaled_coefficients(desc, 2.0)[m] == pytest.approx(
-            asc.coefficients[m], rel=1e-13
-        )
+        assert desc.coefficients[m] * 2.0**-m == pytest.approx(asc.coefficients[m], rel=1e-13)
 
 
 def test_exponents_and_monomial_view():

@@ -6,10 +6,10 @@ import pytest
 
 from heun_su11.errors import ComplexRootsDetected, EigensolverNoConvergence, GridTooLarge
 from heun_su11.heun_core import (
-    canonical_action,
     canonical_coefficients,
     lame_parameters,
     make_parameters,
+    second_order_action,
 )
 from heun_su11.monomials import MonomialSum
 from heun_su11.representations import (
@@ -75,8 +75,8 @@ def test_build_matrix_example1_even_against_operator_readoff():
     # the basis monomials (q=0 so the diagonal shift vanishes).
     coeffs = canonical_coefficients(example1(a))
     for col, p in enumerate(matrix.exponents):
-        image = canonical_action(coeffs, MonomialSum.monomial(p))
-        got = dict(image.terms())
+        f1_part, f2_part, f3_part = second_order_action(coeffs, MonomialSum.monomial(p))
+        got = dict((f1_part + f2_part + f3_part).terms())
         for row, p_row in enumerate(matrix.exponents):
             entry = matrix.to_dense()[row][col]
             assert got.get(p_row, 0.0) == pytest.approx(entry, abs=1e-14)

@@ -5,14 +5,13 @@ import pytest
 
 from heun_su11.errors import InconsistentCoefficients, NotFactorizable
 from heun_su11.heun_core import (
-    canonical_action,
     canonical_coefficients,
     lame_parameters,
     make_parameters,
+    second_order_action,
 )
 from heun_su11.monomials import MonomialSum
 from heun_su11.su11_algebra import (
-    GeneratorParameters,
     algebra_identity_check,
     apply_lowering,
     apply_quadratic,
@@ -217,7 +216,11 @@ def test_monomial_action_matches_quadratic_application():
         p = float(rng.integers(-4, 5) * 0.5)
         y = MonomialSum.monomial(p)
         expected = MonomialSum.from_terms(
-            [(p + 1.0, action.up(p)), (p, action.diag(p)), (p - 1.0, action.down(p))],
+            [
+                (p + 1.0, action.up(p)),
+                (p, action.diag_base(p) - action.accessory_q),
+                (p - 1.0, action.down(p)),
+            ],
             base=p,
         )
         assert apply_quadratic(dec, y).max_abs_diff(expected) <= 1e-12
@@ -238,13 +241,8 @@ def test_monomial_action_lame_singlet():
     action = monomial_action(dec)
     assert action.up(0.0) == 0.0
     assert action.down(0.0) == 0.0
-    assert action.diag(0.0) == -1.5
+    assert action.diag_base(0.0) - action.accessory_q == -1.5
     assert action.accessory_q == pytest.approx(1.5, abs=1e-14)
-
-
-def test_generator_parameters_container():
-    gen = GeneratorParameters(mu=-1.0, nu=0.5)
-    assert (gen.mu, gen.nu) == (-1.0, 0.5)
 
 
 def test_reconstruction_check_example_solutions():
@@ -254,7 +252,8 @@ def test_reconstruction_check_example_solutions():
     y = MonomialSum.from_terms([(1.0, 1.0), (0.0, math.sqrt(a))])
     dec = decompose(p1)
     assert reconstruction_check(p1, dec, y) <= 1e-12
-    assert canonical_action(canonical_coefficients(p1), y).max_abs() <= 1e-12
+    f1_part, f2_part, f3_part = second_order_action(canonical_coefficients(p1), y)
+    assert (f1_part + f2_part + f3_part).max_abs() <= 1e-12
 
 
 def test_reconstruction_check_random_polynomials():

@@ -12,10 +12,29 @@ from heun_su11.verifier import (
     chebyshev_points,
     check_sample_points,
     default_sample_points,
-    derivative_crosscheck,
     ode_residual,
     residual_for_coefficients,
 )
+
+
+def derivative_crosscheck(solution, z, h_steps):
+    """Oracle for MonomialSum.derivative: max deviation of the analytic y',
+    y'' from central differences at the smallest step; second-order
+    accurate, so it shrinks ~h^2."""
+    if z <= 0.0:
+        raise ValueError("crosscheck point must satisfy z > 0")
+    d1 = solution.derivative()
+    d2 = d1.derivative()
+    h = min(h_steps)
+    if z - h <= 0.0:
+        raise ValueError(f"step {h} reaches past the origin from z={z}")
+    y_minus = solution.evaluate(z - h)
+    y_plus = solution.evaluate(z + h)
+    y_mid = solution.evaluate(z)
+    fd1 = (y_plus - y_minus) / (2.0 * h)
+    fd2 = (y_plus - 2.0 * y_mid + y_minus) / (h * h)
+    return max(abs(fd1 - d1.evaluate(z)), abs(fd2 - d2.evaluate(z)))
+
 
 EXAMPLE1 = dict(gamma=0.5, delta=-0.5, alpha=-1.0, beta=-0.5, q=0.0)
 EXAMPLE2 = dict(gamma=1.5, delta=-0.5, alpha=-0.5, beta=0.0, q=0.0)

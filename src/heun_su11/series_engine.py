@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import OutOfDomain, RecurrenceBreakdown, UnsupportedClass
 from .heun_core import require_finite
-from .monomials import MonomialSum, fsum_values
+from .monomials import MonomialSum, fsum_values, powers
 from .representations import (
     RepresentationClass,
     RepresentationDescriptor,
@@ -203,41 +203,25 @@ def series_solution(
     )
 
 
-def recurrence_residual(dec: Su11Decomposition, sol: SeriesSolution) -> float:
-    """Max relative defect of the three-term relation on re-substitution."""
-    b = sol.coefficients
-    inward, diag, outward, _ = _recurrence_coefficients(
-        monomial_action(dec), sol.p0, sol.direction, len(b) - 1
-    )
-    worst = 0.0
-    for m in range(len(b) - 1):
-        t_in = inward[m] * (b[m - 1] if m >= 1 else 0.0)
-        t_mid = (diag[m] - sol.q) * b[m]
-        t_out = outward[m] * b[m + 1]
-        scale = max(abs(t_in), abs(t_mid), abs(t_out))
-        defect = abs(t_in + t_mid + t_out)
-        worst = max(worst, defect / scale if scale > 0.0 else 0.0)
-    return worst
-
-
 def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
     """Compensated-sum value plus a geometric tail bound from the last few
     term ratios; the bound is infinite when the terms are not decaying."""
     lo, hi = sol.domain
     if not (lo < z < hi):
         raise OutOfDomain(f"z={z} is outside the open domain ({lo:g}, {hi:g})")
-    value = fsum_values(
-        b * z ** sol.exponent(m) for m, b in enumerate(sol.coefficients)
-    )
-    magnitudes = [abs(b) * z ** sol.exponent(m) for m, b in enumerate(sol.coefficients)]
-    last = magnitudes[-1]
+    m = np.arange(len(sol.coefficients))
+    exponents = sol.p0 + (m if sol.direction == ASCENDING else -m)
+    coefficients = np.array(sol.coefficients, dtype=float)
+    zp = powers(z, exponents)
+    with np.errstate(all="ignore"):  # overflowed coefficients give inf and nan
+        terms = coefficients * zp
+        # The ratios of the last six term magnitudes give the tail bound.
+        tail = (np.abs(coefficients[-6:]) * zp[-6:]).tolist()
+    value = fsum_values(terms)
+    last = tail[-1]
     if last == 0.0:
         return EvaluatedSeries(value=value, tail_estimate=0.0)
-    ratios = [
-        magnitudes[m] / magnitudes[m - 1]
-        for m in range(max(1, len(magnitudes) - 5), len(magnitudes))
-        if magnitudes[m - 1] > 0.0
-    ]
+    ratios = [after / before for before, after in zip(tail, tail[1:]) if before > 0.0]
     rho = max(ratios, default=1.0)
     if rho >= 1.0:
         return EvaluatedSeries(value=value, tail_estimate=math.inf)

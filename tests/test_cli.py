@@ -104,6 +104,23 @@ def test_verify_flags_tampered_eigenvalue(tmp_path, capsys):
     assert report["max_relative_residual"] > 1e-8
 
 
+def test_verify_fails_nan_eigenpair(tmp_path, capsys):
+    # A NaN q makes every sample's sum and scale NaN; that must fail, not
+    # fold away as a residual of 0.
+    sol = tmp_path / "spectrum.json"
+    assert main(["spectrum", "--preset", "example1", "--json", str(sol)]) == 0
+    doc = json.loads(sol.read_text())
+    doc["eigenpairs"][0]["q"] = math.nan
+    sol.write_text(json.dumps(doc))
+    assert '"q": NaN' in sol.read_text()
+    rc, report = run_json(capsys, ["verify", "--solution", str(sol)])
+    assert rc == 1
+    assert report["passed"] is False
+    assert report["max_relative_residual"] is None
+    assert report["results"][0]["max_relative_residual"] is None
+    assert all(r["max_relative_residual"] <= 1e-12 for r in report["results"][1:])
+
+
 def test_verify_series_document(tmp_path, capsys):
     sol = tmp_path / "series.json"
     assert main(["series", "--preset", "lame", "--q", "0.3", "--json", str(sol)]) == 0

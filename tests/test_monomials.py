@@ -72,6 +72,21 @@ def test_complex_coefficients_evaluate():
     assert value == (1.0 + 2.0j) + 2.0 * (-1.0j)
 
 
+def test_evaluate_equals_term_by_term_fsum():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        offsets = rng.integers(-80, 81, size=30).tolist()
+        values = (rng.standard_normal(30) * 10.0 ** rng.integers(-20, 21, size=30)).tolist()
+        y = MonomialSum(0.25, dict(zip(offsets, values)))
+        z = float(rng.uniform(0.05, 3.0))
+        terms = [c * z ** y.exponent(k) for k, c in y.coeffs.items()]
+        assert y.evaluate(z) == math.fsum(terms)
+        w = y.scaled(1.0 - 0.5j)
+        terms = [c * z ** w.exponent(k) for k, c in w.coeffs.items()]
+        expected = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+        assert w.evaluate(z) == expected
+
+
 def test_fsum_values_stays_real_for_real_input():
     total = fsum_values([0.1] * 10)
     assert isinstance(total, float)

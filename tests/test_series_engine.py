@@ -16,15 +16,33 @@ from heun_su11.series_engine import (
     ASCENDING,
     DESCENDING,
     SeriesSolution,
+    _recurrence_coefficients,
     convergence_domain,
     evaluate_series,
-    recurrence_residual,
     series_solution,
 )
-from heun_su11.su11_algebra import Su11Decomposition, casimir_value, decompose
+from heun_su11.su11_algebra import Su11Decomposition, casimir_value, decompose, monomial_action
 from heun_su11.verifier import ode_residual
 
 POINT_PAIRS = [(2.0, 1.0), (0.5, -0.3)]
+
+
+def recurrence_residual(dec, sol):
+    """Max relative defect of the three-term relation on re-substitution,
+    relative to the largest of its three terms."""
+    b = sol.coefficients
+    inward, diag, outward, _ = _recurrence_coefficients(
+        monomial_action(dec), sol.p0, sol.direction, len(b) - 1
+    )
+    worst = 0.0
+    for m in range(len(b) - 1):
+        t_in = inward[m] * (b[m - 1] if m >= 1 else 0.0)
+        t_mid = (diag[m] - sol.q) * b[m]
+        t_out = outward[m] * b[m + 1]
+        scale = max(abs(t_in), abs(t_mid), abs(t_out))
+        defect = abs(t_in + t_mid + t_out)
+        worst = max(worst, defect / scale if scale > 0.0 else 0.0)
+    return worst
 
 
 def lame_setup(a, q):
@@ -217,6 +235,47 @@ def test_tail_estimate_infinite_for_growing_terms():
     )
     assert evaluate_series(sol, 0.6).tail_estimate == math.inf
     assert math.isfinite(evaluate_series(sol, 0.25).tail_estimate)
+
+
+def evaluate_series_by_terms(sol, z):
+    """Term-by-term reference for evaluate_series: (value, tail estimate)."""
+    value = math.fsum(b * z ** sol.exponent(m) for m, b in enumerate(sol.coefficients))
+    magnitudes = [abs(b) * z ** sol.exponent(m) for m, b in enumerate(sol.coefficients)]
+    if magnitudes[-1] == 0.0:
+        return value, 0.0
+    ratios = [
+        magnitudes[m] / magnitudes[m - 1]
+        for m in range(max(1, len(magnitudes) - 5), len(magnitudes))
+        if magnitudes[m - 1] > 0.0
+    ]
+    rho = max(ratios, default=1.0)
+    return value, math.inf if rho >= 1.0 else magnitudes[-1] * rho / (1.0 - rho)
+
+
+def _outcome(function, *args):
+    try:
+        return repr(tuple(function(*args)))
+    except ValueError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("a", [2.0, 4.0, -3.0])
+def test_evaluate_series_equals_term_by_term_reference(a):
+    # The same products and the same compensated sum: equal to the last bit,
+    # including the overflowed K=1000 descending series (inf, nan or the
+    # ValueError math.fsum raises on inf - inf).
+    dec, by_class = lame_setup(a, 0.7)
+    for cls in (RepresentationClass.POSITIVE_DISCRETE, RepresentationClass.NEGATIVE_DISCRETE):
+        for parity in ("even", "odd"):
+            for K in (1, 5, 60, 1000):
+                sol = series_solution(dec, by_class[cls], parity, 0.7, truncation=K)
+                lo, hi = sol.domain
+                top = hi if math.isfinite(hi) else 4.0 * lo
+                for f in (0.01, 0.3, 0.7, 0.99):
+                    z = lo + f * (top - lo)
+                    assert _outcome(evaluate_series, sol, z) == _outcome(
+                        evaluate_series_by_terms, sol, z
+                    )
 
 
 def test_recurrence_breakdown_on_vanishing_divisor():

@@ -69,6 +69,37 @@ def test_zero_candidate_scores_zero():
     assert report.max_relative_residual == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_input_scores_inf(bad):
+    # A non-finite q or coefficient gives a non-finite sum and scale at every
+    # sample, and the sample scores inf, never 0.
+    params = make_parameters(a=4.0, **{**EXAMPLE1, "q": 1.0})
+    coeffs = canonical_coefficients(params)
+    y = MonomialSum.from_terms([(0.0, 2.0), (1.0, 1.0)])
+    for c, candidate in (
+        (coeffs.with_accessory(bad), y),
+        (coeffs, MonomialSum.from_terms([(0.0, 2.0), (1.0, bad)])),
+    ):
+        report = residual_for_coefficients(c, candidate, default_sample_points(4.0))
+        assert report.max_relative_residual == math.inf
+        assert all(r == math.inf for r in report.residuals)
+        assert not any(math.isfinite(s) for s in report.scales)
+    report = residual_for_coefficients(coeffs, y, default_sample_points(4.0))
+    assert all(math.isfinite(s) and s > 0.0 for s in report.scales)
+
+
+def test_scale_sums_every_term():
+    # y = z at a=4, q=1: f1 y'' = 0, f2 y' = a3 z^2 + a4 z + a5 and
+    # f3 y = a6 z^2 + a7 z, so the scale is the sum of those five |terms|.
+    params = make_parameters(a=4.0, **{**EXAMPLE1, "q": 1.0})
+    c = canonical_coefficients(params)
+    report = residual_for_coefficients(c, MonomialSum.monomial(1.0), [0.5])
+    z = 0.5
+    terms = [c.a3 * z**2, c.a4 * z, c.a5, c.a6 * z**2, c.a7 * z]
+    assert report.scales[0] == pytest.approx(sum(map(abs, terms)), rel=1e-15)
+    assert report.residuals[0] == pytest.approx(abs(sum(terms)) / sum(map(abs, terms)), rel=1e-14)
+
+
 def test_chebyshev_points_properties():
     pts = chebyshev_points(0.0, 1.0, 25)
     assert len(pts) == 25

@@ -7,8 +7,8 @@ spectrum/classify/series can instead start from a saved decomposition
 from the decomposition alone, so piping `decompose` into them reproduces the
 direct output byte for byte.  JSON goes to stdout or --json FILE; --csv FILE
 adds sampled (z, value) plot data.  Exit codes: 0 success, 1 validation
-failure (including a verify run over threshold), 2 numerical failure,
-64 usage error.
+failure (including a spectrum or verify document with a residual over the
+threshold, which is still emitted), 2 numerical failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .series_engine import (
     SeriesSolution,
     series_solution,
 )
-from .spectrum import SpectralResult, solve_spectrum
+from .spectrum import solve_spectrum
 from .su11_algebra import (
     CONDITION_TOL,
     Su11Decomposition,
@@ -62,6 +62,8 @@ PRESETS = {
 PARAM_KEYS = ("gamma", "delta", "epsilon", "alpha", "beta", "a", "q", "rho")
 
 COMMUTATOR_THRESHOLD = 1e-12
+# Largest relative residual of an eigenpair or series that spectrum and verify accept.
+RESIDUAL_THRESHOLD = 1e-8
 RECONSTRUCTION_THRESHOLD = 1e-10
 
 
@@ -140,19 +142,7 @@ def _resolve_decomposition(args) -> Su11Decomposition:
                 f"(expected {expected!r})"
             )
         return dec
-    tol = getattr(args, "tolerance", None)
-    return decompose(_resolve_parameters(args), tol if tol is not None else CONDITION_TOL)
-
-
-def _spectrum_result(args) -> Tuple[Su11Decomposition, SpectralResult]:
-    dec = _resolve_decomposition(args)
-    for rep in classify(dec):
-        if rep.rep_class is RepresentationClass.FINITE_DIMENSIONAL:
-            return dec, solve_spectrum(dec, rep)
-    raise UnsupportedClass(
-        "no finite-dimensional ladder exists here: 2(nu-mu) is not a "
-        "nonnegative integer"
-    )
+    return decompose(_resolve_parameters(args), args.tolerance)
 
 
 def _write_csv_blocks(path: str, blocks) -> None:
@@ -167,8 +157,7 @@ def _write_csv_blocks(path: str, blocks) -> None:
 
 
 def _cmd_decompose(args) -> int:
-    tol = args.tolerance if args.tolerance is not None else CONDITION_TOL
-    dec = decompose(_resolve_parameters(args), tol)
+    dec = decompose(_resolve_parameters(args), args.tolerance)
     _emit_json(dec.to_json_dict(), args)
     return 0
 
@@ -180,7 +169,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    dec, result = _spectrum_result(args)
+    dec = _resolve_decomposition(args)
+    finite = [r for r in classify(dec) if r.rep_class is RepresentationClass.FINITE_DIMENSIONAL]
+    if not finite:
+        raise UnsupportedClass(
+            "no finite-dimensional ladder exists here: 2(nu-mu) is not a nonnegative integer"
+        )
+    result = solve_spectrum(dec, finite[0])
     doc = {
         "decomposition": dec.to_json_dict(),
         "ode_coefficients": rebuild_coefficients(dec).to_json_dict(),
@@ -200,7 +195,11 @@ def _cmd_spectrum(args) -> int:
                 for pair in result.pairs
             ),
         )
-    return 0
+    failed = sum(not pair.residual <= RESIDUAL_THRESHOLD for pair in result.pairs)
+    if failed:
+        print(f"heun-su11: {failed} of {len(result.pairs)} eigenpairs have a residual "
+              f"over {RESIDUAL_THRESHOLD:g}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_series(args) -> int:
@@ -209,8 +208,7 @@ def _cmd_series(args) -> int:
         q = args.q if args.q is not None else monomial_action(dec).accessory_q
     else:
         params = _resolve_parameters(args)
-        tol = args.tolerance if args.tolerance is not None else CONDITION_TOL
-        dec = decompose(params, tol)
+        dec = decompose(params, args.tolerance)
         q = params.q
     wanted = (
         RepresentationClass.POSITIVE_DISCRETE
@@ -319,8 +317,7 @@ def _cmd_check_algebra(args) -> int:
         mu, nu = args.mu, args.nu
     else:
         params = _resolve_parameters(args)
-        tol = args.tolerance if args.tolerance is not None else CONDITION_TOL
-        dec = decompose(params, tol)
+        dec = decompose(params, args.tolerance)
         mu, nu = dec.mu, dec.nu
         poly = MonomialSum.from_terms((p, 1.0) for p in exponents)
         recon = reconstruction_check(params, dec, poly)
@@ -355,6 +352,7 @@ def _build_parser() -> _Parser:
     group.add_argument(
         "--tolerance",
         type=float,
+        default=CONDITION_TOL,
         help=f"factorization-condition tolerance (default {CONDITION_TOL:g})",
     )
 
@@ -411,8 +409,8 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--solution", metavar="FILE", required=True,
                    help="JSON from the spectrum or series subcommand (- for stdin)")
-    p.add_argument("--threshold", type=float, default=1e-8,
-                   help="pass/fail residual threshold (default 1e-8)")
+    p.add_argument("--threshold", type=float, default=RESIDUAL_THRESHOLD,
+                   help=f"pass/fail residual threshold (default {RESIDUAL_THRESHOLD:g})")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser(

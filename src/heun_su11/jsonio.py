@@ -22,9 +22,9 @@ def _format_float(x: float) -> str:
     return format(x + 0.0, ".17g")
 
 
-def _write(obj: Any, pieces: list, indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _write(obj: Any, pieces: list, level: int) -> None:
+    pad = "  " * level
+    inner = "  " * (level + 1)
     if isinstance(obj, dict):
         if not obj:
             pieces.append("{}")
@@ -35,7 +35,7 @@ def _write(obj: Any, pieces: list, indent: int, level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             pieces.append(inner + json.dumps(key) + ": ")
-            _write(obj[key], pieces, indent, level + 1)
+            _write(obj[key], pieces, level + 1)
             pieces.append(",\n" if i < len(keys) - 1 else "\n")
         pieces.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -45,7 +45,7 @@ def _write(obj: Any, pieces: list, indent: int, level: int) -> None:
         pieces.append("[\n")
         for i, item in enumerate(obj):
             pieces.append(inner)
-            _write(item, pieces, indent, level + 1)
+            _write(item, pieces, level + 1)
             pieces.append(",\n" if i < len(obj) - 1 else "\n")
         pieces.append(pad + "]")
     elif isinstance(obj, bool):
@@ -55,7 +55,7 @@ def _write(obj: Any, pieces: list, indent: int, level: int) -> None:
     elif isinstance(obj, float):
         pieces.append(_format_float(obj))
     elif isinstance(obj, complex):
-        _write({"im": obj.imag, "re": obj.real}, pieces, indent, level)
+        _write({"im": obj.imag, "re": obj.real}, pieces, level)
     elif isinstance(obj, str):
         pieces.append(json.dumps(obj))
     elif obj is None:
@@ -64,9 +64,9 @@ def _write(obj: Any, pieces: list, indent: int, level: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def canonical_dumps(obj: Any, indent: int = 2) -> str:
+def canonical_dumps(obj: Any) -> str:
     pieces: list = []
-    _write(obj, pieces, indent, 0)
+    _write(obj, pieces, 0)
     return "".join(pieces)
 
 

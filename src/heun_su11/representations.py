@@ -89,18 +89,16 @@ class SubspaceSplit:
     odd: ExponentGrid
 
 
-def finite_dimension(mu: float, nu: float, tol: float = INTEGRALITY_TOL) -> int | None:
+def finite_dimension(mu: float, nu: float) -> int | None:
     """Ladder length n = 2(nu-mu)+1 when 2(nu-mu) is a nonnegative integer."""
     doubled_gap = 2.0 * (nu - mu)
     rounded = round(doubled_gap)
-    if rounded >= 0 and abs(doubled_gap - rounded) <= tol:
+    if rounded >= 0 and abs(doubled_gap - rounded) <= INTEGRALITY_TOL:
         return int(rounded) + 1
     return None
 
 
-def classify(
-    dec: Su11Decomposition, tol: float = INTEGRALITY_TOL
-) -> List[RepresentationDescriptor]:
+def classify(dec: Su11Decomposition) -> List[RepresentationDescriptor]:
     """All representation classes admissible for the decomposition.
 
     The discrete ladders are always available (the Casimir -x(x-1) never
@@ -113,7 +111,7 @@ def classify(
     # +0.0 turns a negative zero from -mu/-nu back into plain 0.0.
     pd_base = -dec.nu + 0.0
     nd_base = -dec.mu + 0.0
-    n = finite_dimension(dec.mu, dec.nu, tol)
+    n = finite_dimension(dec.mu, dec.nu)
     if n is not None:
         out.append(
             RepresentationDescriptor(

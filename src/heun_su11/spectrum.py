@@ -8,12 +8,12 @@ diagonal.  Admissible accessory values are then the eigenvalues of
 T b = q b, and each eigenvector gives a finite polynomial in powers of
 sqrt(z) solving the equation with that q.
 
-Two solver routes are kept deliberately separate: solve_spectrum uses
-library eigensolvers (a symmetrizing similarity plus a bisection-based
-symmetric tridiagonal solver when the off-diagonal products allow it,
-dense Hessenberg QR otherwise), while eigen_oracle evaluates the
-characteristic polynomial by the three-term determinant recurrence and
-brackets its real roots directly.  Tests require the two to agree.
+Two solver routes are kept deliberately separate: solve_spectrum takes the
+eigenvalues from numpy (symmetric or dense, by the sign of the off-diagonal
+products) and every eigenvector from one twisted factorization of T - q,
+while eigen_oracle evaluates the characteristic polynomial by the
+three-term determinant recurrence and brackets its real roots directly.
+Tests require the two to agree.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     ComplexRootsDetected,
@@ -62,9 +61,8 @@ class TridiagonalMatrix:
         n = self.dimension
         dense = np.zeros((n, n))
         dense[np.arange(n), np.arange(n)] = self.diagonal
-        if n > 1:
-            dense[np.arange(1, n), np.arange(n - 1)] = self.lower
-            dense[np.arange(n - 1), np.arange(1, n)] = self.upper
+        dense[np.arange(1, n), np.arange(n - 1)] = self.lower
+        dense[np.arange(n - 1), np.arange(1, n)] = self.upper
         return dense
 
 
@@ -115,14 +113,12 @@ class SpectralResult:
         return [pair.to_json_dict() for pair in self.pairs]
 
 
-def build_matrix(
-    action: MonomialAction, subgrid: ExponentGrid, cap: int = MATRIX_CAP
-) -> TridiagonalMatrix:
+def build_matrix(action: MonomialAction, subgrid: ExponentGrid) -> TridiagonalMatrix:
     """Matrix of the accessory-free operator on a finite parity sub-grid."""
     if subgrid.size is None:
         raise GridTooLarge("sub-grid is infinite; only finite ladders build matrices")
-    if subgrid.size > cap:
-        raise GridTooLarge(f"sub-grid size {subgrid.size} exceeds the cap {cap}")
+    if subgrid.size > MATRIX_CAP:
+        raise GridTooLarge(f"sub-grid size {subgrid.size} exceeds the cap {MATRIX_CAP}")
     if abs(abs(subgrid.step) - 1.0) > 1e-12:
         raise ValueError("parity sub-grids must step by whole units")
     exponents = sorted(subgrid.exponents())
@@ -145,10 +141,7 @@ def build_matrix(
 
 def _normalize_vector(vec: np.ndarray) -> np.ndarray:
     """Largest-|coefficient| magnitude 1; first nonzero entry positive real."""
-    out = np.array(vec, copy=True)
-    peak = np.max(np.abs(out))
-    if peak > 0.0:
-        out = out / peak
+    out = vec / np.max(np.abs(vec))
     for x in out:
         if abs(x) > SIGN_TOL:
             if np.iscomplexobj(out):
@@ -159,39 +152,62 @@ def _normalize_vector(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eigensolve(matrix: TridiagonalMatrix) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and column eigenvectors of the tridiagonal matrix."""
+def _twisted_eigenvectors(matrix: TridiagonalMatrix, values: np.ndarray) -> np.ndarray:
+    """Column eigenvectors of T by twisted factorization of T - q, for each q.
+
+    With top-down pivots D+ and bottom-up pivots D-, the twist r minimizes
+    |D+_r + D-_r - (T_rr - q)| and z_r = 1; above r each step multiplies by
+    -upper_i / D+_i, below it by -lower_(i-1) / D-_i (Dhillon and Parlett,
+    SIAM J. Matrix Anal. Appl. 25, 2004).  Each ratio is accurate to a few
+    ulps, so tiny components stay accurate relative to their size.  A zero
+    pivot is moved to eps * max(1, max|T_ij|).
+    """
     n = matrix.dimension
-    if n == 1:
-        return np.array([matrix.diagonal[0]]), np.eye(1)
-    lower = np.asarray(matrix.lower)
-    upper = np.asarray(matrix.upper)
+    shifted = np.asarray(matrix.diagonal)[:, None] - values
+    lower = np.asarray(matrix.lower)[:, None]
+    upper = np.asarray(matrix.upper)[:, None]
     products = lower * upper
+    entries = (1.0, *matrix.diagonal, *matrix.lower, *matrix.upper)
+    tiny = np.finfo(float).eps * max(map(abs, entries))
+    plus, minus = shifted.copy(), shifted.copy()
+    for i, j in zip(range(n - 1), range(n - 1, 0, -1)):
+        plus[i] = np.where(plus[i] == 0.0, tiny, plus[i])
+        plus[i + 1] -= products[i] / plus[i]
+        minus[j] = np.where(minus[j] == 0.0, tiny, minus[j])
+        minus[j - 1] -= products[j - 1] / minus[j]
+    twist = np.argmin(np.abs(plus + minus - shifted), axis=0)
+    rows = np.arange(n - 1)[:, None]
+    above = np.where(rows < twist, -upper / plus[:-1], 1.0)
+    below = np.where(rows >= twist, -lower / minus[1:], 1.0)
+    ones = np.ones_like(shifted[:1])
+    above_twist = np.cumprod(np.vstack((ones, above[::-1])), axis=0)[::-1]
+    return above_twist * np.cumprod(np.vstack((ones, below)), axis=0)
+
+
+def _eigensolve(matrix: TridiagonalMatrix) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and column eigenvectors of the tridiagonal matrix T.
+
+    With every off-diagonal product positive, T is similar to a symmetric
+    matrix with off-diagonal sqrt(lower * upper); otherwise dense QR is used.
+    """
+    n = matrix.dimension
+    dense = matrix.to_dense()
+    products = np.asarray(matrix.lower) * np.asarray(matrix.upper)
     try:
         if np.all(products > 0.0):
-            # Similarity D^-1 T D with d_(m+1)/d_m = sqrt(lower_m/upper_m)
-            # makes T symmetric; bisection then gives guaranteed-real values.
-            ratios = np.sqrt(lower / upper)
-            d = np.concatenate(([1.0], np.cumprod(ratios)))
-            sym_off = np.sqrt(products)
-            values, vectors = eigh_tridiagonal(
-                np.asarray(matrix.diagonal), sym_off, lapack_driver="stebz"
-            )
-            return values, d[:, None] * vectors
-        values, vectors = np.linalg.eig(matrix.to_dense())
-        if np.all(values.imag == 0.0):
-            values = values.real
-            vectors = vectors.real
-        return values, vectors
+            # eigvalsh reads only the lower triangle.
+            dense[np.arange(1, n), np.arange(n - 1)] = np.sqrt(products)
+            values = np.linalg.eigvalsh(dense)
+        else:
+            values = np.linalg.eigvals(dense)
+            if np.all(values.imag == 0.0):
+                values = values.real
     except np.linalg.LinAlgError as exc:
         raise EigensolverNoConvergence(str(exc)) from exc
+    return values, _twisted_eigenvectors(matrix, values)
 
 
-def solve_spectrum(
-    dec: Su11Decomposition,
-    rep: RepresentationDescriptor,
-    cap: int = MATRIX_CAP,
-) -> SpectralResult:
+def solve_spectrum(dec: Su11Decomposition, rep: RepresentationDescriptor) -> SpectralResult:
     """All eigenpairs of the finite ladder, even sub-grid first.
 
     Eigenvalues within a parity are sorted by (real, imag); eigenvectors are
@@ -213,7 +229,7 @@ def solve_spectrum(
     for parity, grid in (("even", split.even), ("odd", split.odd)):
         if grid.size == 0:
             continue
-        matrix = build_matrix(action, grid, cap)
+        matrix = build_matrix(action, grid)
         values, vectors = _eigensolve(matrix)
         order = np.lexsort((values.imag, values.real))
         for idx in order:
@@ -274,7 +290,7 @@ def _bisect_root(matrix: TridiagonalMatrix, lo: float, hi: float, tol: float) ->
     return 0.5 * (lo + hi)
 
 
-def eigen_oracle(matrix: TridiagonalMatrix, scan_per_dim: int = 2048) -> List[float]:
+def eigen_oracle(matrix: TridiagonalMatrix) -> List[float]:
     """Real eigenvalues by dense sign-change scanning plus bisection.
 
     Independent of any library eigensolver; intended as a test oracle for
@@ -295,7 +311,7 @@ def eigen_oracle(matrix: TridiagonalMatrix, scan_per_dim: int = 2048) -> List[fl
     pad = 1e-6 * scale
     lo -= pad
     hi += pad
-    count = scan_per_dim * n
+    count = 2048 * n
     xs = np.linspace(lo, hi, count + 1)
     fs = np.asarray(characteristic_polynomial(matrix, xs))
     tol = 1e-15 * scale

@@ -43,18 +43,16 @@ def chebyshev_points(lo: float, hi: float, count: int = DEFAULT_SAMPLE_COUNT) ->
     return tuple(sorted(nodes))
 
 
-def check_sample_points(
-    z_samples: Sequence[float], a: float, radius: float = SINGULARITY_RADIUS
-) -> None:
+def check_sample_points(z_samples: Sequence[float], a: float) -> None:
     """Reject sample points at or too near the singular points 0, 1, a."""
     for z in z_samples:
         if z <= 0.0:
             raise SamplePointAtSingularity(
                 f"sample z={z} is not on the positive axis"
             )
-        if abs(z - 1.0) < radius or abs(z - a) < radius:
+        if abs(z - 1.0) < SINGULARITY_RADIUS or abs(z - a) < SINGULARITY_RADIUS:
             raise SamplePointAtSingularity(
-                f"sample z={z} is within {radius:g} of a singular point"
+                f"sample z={z} is within {SINGULARITY_RADIUS:g} of a singular point"
             )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -219,6 +220,22 @@ def test_spectrum_without_finite_ladder_exits_1(capsys):
     ])
     assert rc == 1
     assert "finite-dimensional" in capsys.readouterr().err
+
+
+def test_spectrum_with_failing_pair_still_prints_and_exits_1(capsys, monkeypatch):
+    solve = cli.solve_spectrum
+
+    def one_bad_pair(dec, rep):
+        result = solve(dec, rep)
+        bad = dataclasses.replace(result.pairs[0], residual=1e-3)
+        return dataclasses.replace(result, pairs=(bad, *result.pairs[1:]))
+
+    monkeypatch.setattr(cli, "solve_spectrum", one_bad_pair)
+    assert main(["spectrum", "--preset", "example1"]) == 1
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert [pair["residual"] for pair in doc["eigenpairs"]][0] == 1e-3
+    assert "1 of 3 eigenpairs" in captured.err
 
 
 def test_tolerance_flag_controls_acceptance(capsys):

@@ -36,6 +36,7 @@ def _cases():
     ):
         cases[name] = (("spectrum", *LADDER, "--alpha", alpha, "--beta", beta, "--a", a),
                        None, code)
+        cases[name.replace("spectrum", "verify")] = (("verify", "--solution", "-"), name, 0)
     for rep in ("pd", "nd"):
         cases[f"series-{rep}-k1000"] = (
             ("series", "--preset", "example1", "--q", "0.3", "--rep", rep, "--kmax", "1000"),

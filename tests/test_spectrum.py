@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,15 +277,43 @@ def test_solver_agrees_with_oracle(a, gamma, n):
         assert solved == pytest.approx(oracle, abs=1e-10)
 
 
-def test_eigensolver_failure_is_wrapped(monkeypatch):
+@pytest.mark.parametrize("solver,upper", [("eigvalsh", 2.0), ("eigvals", -2.0)],
+                         ids=["eigvalsh", "eigvals"])
+def test_eigensolver_failure_is_wrapped(monkeypatch, solver, upper):
     def boom(_):
         raise np.linalg.LinAlgError("did not converge")
 
-    monkeypatch.setattr(spectrum_module.np.linalg, "eig", boom)
-    # force the general path with a matrix whose off-diagonal product is negative
-    matrix = TridiagonalMatrix((0.0, 1.0), (0.0, 0.0), (0.5,), (-2.0,))
+    monkeypatch.setattr(spectrum_module.np.linalg, solver, boom)
+    # a positive off-diagonal product takes the symmetric route, a negative
+    # one the dense route
+    matrix = TridiagonalMatrix((0.0, 1.0), (0.0, 0.0), (0.5,), (upper,))
     with pytest.raises(EigensolverNoConvergence):
         spectrum_module._eigensolve(matrix)
+
+
+EIGEN_CASES = {
+    "n=1": TridiagonalMatrix((0.5,), (0.75,), (), ()),
+    # lower[0] = 0 splits off the eigenvalue 1.0, whose leading pivot is 0
+    "zero-off-diagonal": TridiagonalMatrix((0.0, 1.0, 2.0), (1.0, 3.0, 5.0), (0.0, 1.0), (2.0, 1.0)),
+    "complex": matrices_for(ladder_params(32, 0.5, -3.0, delta=-0.5))[0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EIGEN_CASES))
+def test_eigenvectors_satisfy_t_v_equals_q_v(case):
+    matrix = EIGEN_CASES[case]
+    values, vectors = spectrum_module._eigensolve(matrix)
+    assert np.iscomplexobj(values) == (case == "complex")
+    assert np.all(np.isfinite(vectors))
+    dense = matrix.to_dense()
+    lhs, rhs = dense @ vectors, vectors * values
+    assert np.all(np.abs(lhs - rhs) <= 1e-12 * (np.abs(dense) @ np.abs(vectors) + np.abs(rhs)))
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, heun_su11; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(spectrum_module.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_sqrt_z_polynomial_evaluation():

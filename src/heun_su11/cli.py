@@ -7,8 +7,9 @@ spectrum/classify/series can instead start from a saved decomposition
 from the decomposition alone, so piping `decompose` into them reproduces the
 direct output byte for byte.  JSON goes to stdout or --json FILE; --csv FILE
 adds sampled (z, value) plot data.  Exit codes: 0 success, 1 validation
-failure (including a spectrum or verify document with a residual over the
-threshold, which is still emitted), 2 numerical failure, 64 usage error.
+failure (including a spectrum, series or verify document with a residual
+over the threshold, which is still emitted), 2 numerical failure, 64 usage
+error.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ PRESETS = {
 PARAM_KEYS = ("gamma", "delta", "epsilon", "alpha", "beta", "a", "q", "rho")
 
 COMMUTATOR_THRESHOLD = 1e-12
-# Largest relative residual of an eigenpair or series that spectrum and verify accept.
+# Largest relative residual that spectrum, series and verify accept.
 RESIDUAL_THRESHOLD = 1e-8
 RECONSTRUCTION_THRESHOLD = 1e-10
 
@@ -217,9 +218,10 @@ def _cmd_series(args) -> int:
     )
     rep = next(r for r in classify(dec) if r.rep_class is wanted)
     sol = series_solution(dec, rep, args.parity, q, truncation=args.kmax)
+    coeffs = rebuild_coefficients(dec).with_accessory(q)
     doc = {
         "decomposition": dec.to_json_dict(),
-        "ode_coefficients": rebuild_coefficients(dec).with_accessory(q).to_json_dict(),
+        "ode_coefficients": coeffs.to_json_dict(),
         "series": sol.to_json_dict(),
     }
     _emit_json(doc, args)
@@ -239,6 +241,13 @@ def _cmd_series(args) -> int:
                 )
             ],
         )
+    # The residual verify computes by default; non-finite coefficients score inf.
+    samples = default_sample_points(coeffs.a2, domain=_series_sample_domain(doc["series"]))
+    residual = residual_for_coefficients(coeffs, sol.as_monomial_sum(), samples)
+    if not residual.max_relative_residual <= RESIDUAL_THRESHOLD:
+        print(f"heun-su11: the series residual {residual.max_relative_residual:.3g} is over "
+              f"{RESIDUAL_THRESHOLD:g}", file=sys.stderr)
+        return 1
     return 0
 
 

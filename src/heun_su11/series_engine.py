@@ -83,7 +83,7 @@ class SeriesSolution:
             direction=str(doc["direction"]),
             parity=str(doc["parity"]),
             q=float(doc["q"]),
-            coefficients=tuple(float(b) for b in doc["coefficients"]),
+            coefficients=tuple(math.nan if b is None else float(b) for b in doc["coefficients"]),
             domain=(float(lo), math.inf if hi is None else float(hi)),
         )
 

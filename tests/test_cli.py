@@ -238,6 +238,53 @@ def test_spectrum_with_failing_pair_still_prints_and_exits_1(capsys, monkeypatch
     assert "1 of 3 eigenpairs" in captured.err
 
 
+OVERFLOWING_SERIES = ["series", "--preset", "example1", "--a", "4", "--q", "0.3", "--rep", "nd",
+                      "--kmax", "1000"]
+
+
+def test_series_with_overflowed_coefficients_still_prints_and_exits_1(capsys):
+    assert main(OVERFLOWING_SERIES) == 1
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert None in doc["series"]["coefficients"]
+    assert "series residual inf is over 1e-08" in captured.err
+
+
+def test_series_with_residual_over_threshold_still_prints_and_exits_1(capsys, monkeypatch):
+    solve = cli.series_solution
+
+    def one_bad_coefficient(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        b = sol.coefficients
+        return dataclasses.replace(sol, coefficients=(b[0], b[1] * (1 + 1e-3), *b[2:]))
+
+    monkeypatch.setattr(cli, "series_solution", one_bad_coefficient)
+    assert main(["series", "--preset", "lame", "--q", "0.3"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["series"]["K"] == 60
+    assert "series residual" in captured.err
+
+
+def test_verify_reads_null_as_nan(capsys, monkeypatch):
+    # The writer prints non-finite numbers as null; verify must score them,
+    # not fail to parse them.
+    main(OVERFLOWING_SERIES)
+    text = capsys.readouterr().out
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    rc, report = run_json(capsys, ["verify", "--solution", "-"])
+    assert rc == 1
+    assert report["passed"] is False
+    assert report["results"][0]["max_relative_residual"] is None
+    # Null ode coefficients still meet the non-finite gate.
+    doc = json.loads(text)
+    doc["ode_coefficients"]["a0"] = None
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(["verify", "--solution", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite input" in captured.err
+
+
 def test_tolerance_flag_controls_acceptance(capsys):
     near = ["decompose", "--preset", "example1", "--gamma", "0.5000000001"]
     assert main(near) == 0

@@ -1,0 +1,231 @@
+"""canonical_dumps against the plain recursive writer it replaced.
+
+``reference_dumps`` is that writer, kept unchanged: one piece per token,
+each float through ``format(x, ".17g")``.  The emitter must print the same
+bytes on every document and raise the same TypeError on every document it
+cannot print.
+"""
+
+import json
+import math
+import random
+from typing import Any
+
+import pytest
+
+from heun_su11 import jsonio
+from heun_su11.jsonio import as_number, canonical_dumps
+
+
+def _format_float(x: float) -> str:
+    if math.isnan(x) or math.isinf(x):
+        return "null"
+    return format(x + 0.0, ".17g")
+
+
+def _write(obj: Any, pieces: list, level: int) -> None:
+    pad = "  " * level
+    inner = "  " * (level + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            pieces.append("{}")
+            return
+        pieces.append("{\n")
+        keys = sorted(obj)
+        for i, key in enumerate(keys):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            pieces.append(inner + json.dumps(key) + ": ")
+            _write(obj[key], pieces, level + 1)
+            pieces.append(",\n" if i < len(keys) - 1 else "\n")
+        pieces.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            pieces.append("[]")
+            return
+        pieces.append("[\n")
+        for i, item in enumerate(obj):
+            pieces.append(inner)
+            _write(item, pieces, level + 1)
+            pieces.append(",\n" if i < len(obj) - 1 else "\n")
+        pieces.append(pad + "]")
+    elif isinstance(obj, bool):
+        pieces.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        pieces.append(repr(obj))
+    elif isinstance(obj, float):
+        pieces.append(_format_float(obj))
+    elif isinstance(obj, complex):
+        _write({"im": obj.imag, "re": obj.real}, pieces, level)
+    elif isinstance(obj, str):
+        pieces.append(json.dumps(obj))
+    elif obj is None:
+        pieces.append("null")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def reference_dumps(obj: Any) -> str:
+    pieces: list = []
+    _write(obj, pieces, 0)
+    return "".join(pieces)
+
+
+class Real(float):
+    """A float subclass, which the templates leave to the recursive writer."""
+
+
+FLOATS = (0.0, -0.0, 1.0, -1.5, 0.1, 1 / 3, 1e16, 1e17, -2.5e-17, 5e-324,
+          2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308)
+NON_FINITE = (math.nan, math.inf, -math.inf)
+KEYS = ("a", "b", "exponent", "value", "im", "re", "q", "-0", "x-0,y", "100%", "%.17g", "%s",
+        'quote"', "tab\t", "é", "")
+
+
+def _float(rng):
+    r = rng.random()
+    if r < 0.03:
+        return rng.choice(NON_FINITE)
+    if r < 0.35:
+        return rng.choice(FLOATS)
+    return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-40, 40)
+
+
+def _complex(rng):
+    return complex(_float(rng), _float(rng))
+
+
+def _scalar(rng):
+    r = rng.random()
+    if r < 0.02:
+        return rng.choice((set(), object(), b"x"))
+    if r < 0.04:
+        return {rng.randint(0, 3): 1.0}
+    return rng.choice((
+        _float, _float, _complex, lambda r: Real(_float(r)),
+        lambda r: r.randint(-5, 5), lambda r: 10 ** 20, lambda r: -(10 ** 17),
+        lambda r: r.random() < 0.5, lambda r: r.choice(KEYS), lambda r: None, lambda r: {},
+    ))(rng)
+
+
+def _leaf(kind, rng):
+    return _float(rng) if kind is float else _complex(rng)
+
+
+def _break(items, rng):
+    """Spoil the shape of one item of a homogeneous list, or leave it."""
+    i = rng.randrange(len(items))
+    item = items[i]
+    how = rng.choice(("missing key", "extra key", "int", "bool", "subclass", "nan",
+                      "non-str key", "nested list", "none", "item"))
+    if isinstance(item, dict):
+        key = rng.choice(sorted(item))
+        if how == "missing key":
+            del item[key]
+        elif how == "extra key":
+            item["extra"] = 1.0
+        elif how == "non-str key":
+            items[i] = {rng.randint(0, 3): 1.0}
+        elif how == "nested list":
+            item[key] = [1.0, 2.0]
+        else:
+            item[key] = {"int": 3, "bool": True, "subclass": Real(0.5), "nan": math.nan,
+                         "none": None, "item": "x"}[how]
+    else:
+        items[i] = {"missing key": 1, "extra key": -0.0j, "int": 3, "bool": False,
+                    "subclass": Real(-0.0), "nan": math.nan, "non-str key": {1.5: 2.0},
+                    "nested list": [0.25], "none": None, "item": {"a": 1.0}}[how]
+
+
+def _homogeneous(rng):
+    n = rng.randint(1, 6)
+    shape = rng.choice(("float", "complex", "dict"))
+    if shape == "dict":
+        kinds = {key: rng.choice((float, complex)) for key in rng.sample(KEYS, rng.randint(1, 3))}
+        items = [{key: _leaf(kind, rng) for key, kind in kinds.items()} for _ in range(n)]
+    else:
+        kind = float if shape == "float" else complex
+        items = [_leaf(kind, rng) for _ in range(n)]
+    if rng.random() < 0.5:
+        _break(items, rng)
+    return tuple(items) if rng.random() < 0.2 else items
+
+
+def random_document(rng, depth=0):
+    r = rng.random()
+    if depth >= 4 or r < 0.25:
+        return _scalar(rng)
+    if r < 0.55:
+        return _homogeneous(rng)
+    children = [random_document(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if r < 0.8:
+        return {rng.choice(KEYS): child for child in children}
+    return tuple(children) if r < 0.85 else children
+
+
+def _outcome(dumps, doc):
+    try:
+        return dumps(doc)
+    except TypeError as exc:
+        return ("TypeError", str(exc))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_canonical_dumps_matches_reference_on_random_documents(seed, monkeypatch):
+    filled = []
+    fill = jsonio._filled_list
+
+    def counted_fill(items, pad):
+        text = fill(items, pad)
+        filled.append(text is not None)
+        return text
+
+    monkeypatch.setattr(jsonio, "_filled_list", counted_fill)
+    rng = random.Random(seed)
+    errors = 0
+    for _ in range(500):
+        doc = random_document(rng)
+        expected = _outcome(reference_dumps, doc)
+        assert _outcome(canonical_dumps, doc) == expected, doc
+        errors += isinstance(expected, tuple)
+    # Both paths and the errors are exercised, not only one of them.
+    assert 20 <= errors <= 250, errors
+    assert sum(filled) >= 100
+    assert len(filled) - sum(filled) >= 200
+
+
+EDGE_CASES = {
+    "negative-zero": [-0.0, 0.0, complex(-0.0, -0.0)],
+    "complex-list": [1j, complex(-0.0, 2.5), complex(1e300, -1e-300)],
+    "pair-list": [{"exponent": 0.0, "value": 1j}, {"exponent": 1.0, "value": -0.5 + 0j}],
+    "missing-key": [{"a": 1.0, "b": 2.0}, {"a": 1.0, "c": 2.0}],
+    "extra-key": [{"a": 1.0}, {"a": 1.0, "b": 2.0}],
+    "int-among-floats": [1.0, 10 ** 20, 2.0],
+    "bool-among-floats": [1.0, True],
+    "nan-in-column": [{"a": 1.0, "b": 2.0}, {"a": math.nan, "b": 2.0}],
+    "inf-in-complex": [1j, complex(math.inf, 0.0)],
+    "overflowing-sum": [1.7976931348623157e308, 1.7976931348623157e308],
+    "non-str-key": [{"a": 1.0}, {1: 1.0}],
+    "mixed-keys": [{"a": 1.0}, {"a": 1.0, 1: 2.0}],
+    "nested-list-in-value": [{"a": 1.0}, {"a": [1.0]}],
+    "percent-in-key": [{"%s": 1.0, "100%": 2.0}, {"%s": 3.0, "100%": 4.0}],
+    "float-subclass": [1.0, Real(-0.0)],
+    "unserializable": [1.0, {1.0}],
+    "nested-lists": [[1.0, 2.0], (3.0,), []],
+    "empty-dicts": [{}, {}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_canonical_dumps_matches_reference_on_edge_cases(name):
+    doc = {"list": EDGE_CASES[name], "nested": [EDGE_CASES[name]]}
+    assert _outcome(canonical_dumps, doc) == _outcome(reference_dumps, doc)
+
+
+def test_as_number_reads_null_as_nan():
+    assert math.isnan(as_number(None))
+    value = as_number({"im": None, "re": 1.0})
+    assert value.real == 1.0 and math.isnan(value.imag)
+    assert as_number({"im": 0, "re": -2}) == -2.0
+    with pytest.raises(TypeError):
+        as_number(True)

@@ -10,7 +10,6 @@ by direct substitution into the equation.
 
 from .errors import (
     ComplexExponents,
-    ComplexRootsDetected,
     DegenerateSingularity,
     EigensolverNoConvergence,
     FuchsianViolation,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CanonicalCoefficients",
     "ComplexExponents",
-    "ComplexRootsDetected",
     "DegenerateSingularity",
     "EigenPair",
     "EigensolverNoConvergence",

@@ -66,14 +66,6 @@ class EigensolverNoConvergence(NumericalError):
     """Underlying eigensolver hit its iteration cap."""
 
 
-class ComplexRootsDetected(NumericalError):
-    """Fewer real roots than the matrix dimension were found."""
-
-    def __init__(self, message, real_roots_found=None):
-        super().__init__(message)
-        self.real_roots_found = real_roots_found
-
-
 class RecurrenceBreakdown(NumericalError):
     """Leading divisor of the three-term recurrence vanished."""
 

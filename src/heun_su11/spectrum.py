@@ -8,12 +8,10 @@ diagonal.  Admissible accessory values are then the eigenvalues of
 T b = q b, and each eigenvector gives a finite polynomial in powers of
 sqrt(z) solving the equation with that q.
 
-Two solver routes are kept deliberately separate: solve_spectrum takes the
-eigenvalues from numpy (symmetric or dense, by the sign of the off-diagonal
-products) and every eigenvector from one twisted factorization of T - q,
-while eigen_oracle evaluates the characteristic polynomial by the
-three-term determinant recurrence and brackets its real roots directly.
-Tests require the two to agree.
+solve_spectrum takes the eigenvalues from numpy (symmetric or dense, by the
+sign of the off-diagonal products) and every eigenvector from one twisted
+factorization of T - q.  The tests hold an independent oracle, a bisection
+on the characteristic polynomial, and require the two to agree.
 """
 
 from __future__ import annotations
@@ -23,12 +21,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import (
-    ComplexRootsDetected,
-    EigensolverNoConvergence,
-    GridTooLarge,
-    UnsupportedClass,
-)
+from .errors import EigensolverNoConvergence, GridTooLarge, UnsupportedClass
 from .monomials import MonomialSum
 from .representations import (
     ExponentGrid,
@@ -37,10 +30,9 @@ from .representations import (
     split_even_odd,
 )
 from .su11_algebra import MonomialAction, Su11Decomposition, monomial_action, rebuild_coefficients
-from .verifier import default_sample_points, residual_for_coefficients
+from .verifier import default_sample_points, residual_block
 
 MATRIX_CAP = 64
-ORACLE_CAP = 8
 SIGN_TOL = 1e-12
 
 
@@ -139,17 +131,17 @@ def build_matrix(action: MonomialAction, subgrid: ExponentGrid) -> TridiagonalMa
     )
 
 
-def _normalize_vector(vec: np.ndarray) -> np.ndarray:
-    """Largest-|coefficient| magnitude 1; first nonzero entry positive real."""
-    out = vec / np.max(np.abs(vec))
-    for x in out:
-        if abs(x) > SIGN_TOL:
-            if np.iscomplexobj(out):
-                out = out * (np.conj(x) / abs(x))
-            elif x < 0.0:
-                out = -out
-            break
-    return out
+def _normalize_rows(vectors: np.ndarray) -> np.ndarray:
+    """Each row (one eigenvector) scaled to peak magnitude 1 with its first
+    entry above SIGN_TOL made positive real.  A complex phase is formed one
+    row at a time, because numpy's scalar division differs from its array
+    division in the last bit; each row then meets its phase as a broadcast
+    scalar, as a single vector would."""
+    out = vectors / np.max(np.abs(vectors), axis=1, keepdims=True)
+    first = out[np.arange(len(out)), np.argmax(np.abs(out) > SIGN_TOL, axis=1)]
+    if np.iscomplexobj(out):
+        return out * np.array([np.conj(x) / abs(x) for x in first])[:, None]
+    return np.where(first[:, None] < 0.0, -out, out)
 
 
 def _twisted_eigenvectors(matrix: TridiagonalMatrix, values: np.ndarray) -> np.ndarray:
@@ -214,6 +206,10 @@ def solve_spectrum(dec: Su11Decomposition, rep: RepresentationDescriptor) -> Spe
     normalized to peak magnitude 1 with the first nonzero coefficient made
     positive.  Each pair carries the relative residual of its eigenfunction
     in the original equation with the accessory set to that eigenvalue.
+    Every eigenfunction of a parity lives on the same exponents, so one
+    residual_block call scores them all: it builds the power matrix of the
+    shared exponents once and reduces every column with one stacked product,
+    each column scoring exactly as residual_for_coefficients scores it.
     """
     if rep.rep_class is not RepresentationClass.FINITE_DIMENSIONAL:
         raise UnsupportedClass(
@@ -232,24 +228,22 @@ def solve_spectrum(dec: Su11Decomposition, rep: RepresentationDescriptor) -> Spe
         matrix = build_matrix(action, grid)
         values, vectors = _eigensolve(matrix)
         order = np.lexsort((values.imag, values.real))
-        for idx in order:
-            q = values[idx]
-            vec = _normalize_vector(vectors[:, idx])
-            poly = SqrtZPolynomial(
-                base_exponent=matrix.exponents[0],
-                coefficients=tuple(vec.tolist()),
-            )
-            coeffs_q = base_coeffs.with_accessory(q)
-            report = residual_for_coefficients(
-                coeffs_q, poly.as_monomial_sum(), samples
-            )
-            q_out = complex(q) if np.iscomplexobj(values) else float(q)
+        values = values[order]
+        rows = _normalize_rows(vectors.T[order])
+        base = matrix.exponents[0]
+        # a7 = -q, kept real for a real q as with_accessory keeps it.
+        a7 = np.where(values.imag != 0.0, -values, -values.real)
+        residuals, _ = residual_block(
+            base_coeffs, base + np.arange(len(values)), rows.T, a7, samples
+        )
+        worst = residuals.max(axis=1, initial=0.0)
+        for q, row, residual in zip(values.tolist(), rows.tolist(), worst.tolist()):
             pairs.append(
                 EigenPair(
-                    q=q_out,
-                    eigenfunction=poly,
+                    q=q,
+                    eigenfunction=SqrtZPolynomial(base, tuple(row)),
                     parity=parity,
-                    residual=report.max_relative_residual,
+                    residual=residual,
                 )
             )
         if np.iscomplexobj(values):
@@ -259,78 +253,3 @@ def solve_spectrum(dec: Su11Decomposition, rep: RepresentationDescriptor) -> Spe
                 "otherwise non-symmetrizable"
             )
     return SpectralResult(pairs=tuple(pairs), warnings=tuple(warnings))
-
-
-def characteristic_polynomial(matrix: TridiagonalMatrix, x):
-    """det(T - x I) by the three-term determinant recurrence.
-
-    x may be a scalar or a numpy array (evaluated elementwise)."""
-    prev2 = 1.0
-    prev1 = matrix.diagonal[0] - x
-    for k in range(1, matrix.dimension):
-        off = matrix.lower[k - 1] * matrix.upper[k - 1]
-        current = (matrix.diagonal[k] - x) * prev1 - off * prev2
-        prev2, prev1 = prev1, current
-    return prev1
-
-
-def _bisect_root(matrix: TridiagonalMatrix, lo: float, hi: float, tol: float) -> float:
-    f_lo = characteristic_polynomial(matrix, lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        f_mid = characteristic_polynomial(matrix, mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
-def eigen_oracle(matrix: TridiagonalMatrix) -> List[float]:
-    """Real eigenvalues by dense sign-change scanning plus bisection.
-
-    Independent of any library eigensolver; intended as a test oracle for
-    small matrices (dimension <= 8) whose eigenvalues are simple, which
-    holds whenever the off-diagonal products are nonzero.  Roots of even
-    multiplicity produce no sign change and would be missed.
-    """
-    n = matrix.dimension
-    if n > ORACLE_CAP:
-        raise ValueError(f"oracle accepts dimension <= {ORACLE_CAP}, got {n}")
-    radius = [0.0] * n
-    for m in range(n - 1):
-        radius[m] += abs(matrix.upper[m])
-        radius[m + 1] += abs(matrix.lower[m])
-    lo = min(d - r for d, r in zip(matrix.diagonal, radius))
-    hi = max(d + r for d, r in zip(matrix.diagonal, radius))
-    scale = max(1.0, abs(lo), abs(hi))
-    pad = 1e-6 * scale
-    lo -= pad
-    hi += pad
-    count = 2048 * n
-    xs = np.linspace(lo, hi, count + 1)
-    fs = np.asarray(characteristic_polynomial(matrix, xs))
-    tol = 1e-15 * scale
-    roots: List[float] = []
-    for i in range(count):
-        if fs[i] == 0.0:
-            if not roots or abs(xs[i] - roots[-1]) > tol:
-                roots.append(float(xs[i]))
-        elif (fs[i] < 0.0) != (fs[i + 1] < 0.0):
-            root = _bisect_root(matrix, float(xs[i]), float(xs[i + 1]), tol)
-            if not roots or abs(root - roots[-1]) > tol:
-                roots.append(root)
-    if fs[-1] == 0.0 and (not roots or abs(xs[-1] - roots[-1]) > tol):
-        roots.append(float(xs[-1]))
-    if len(roots) < n:
-        err = ComplexRootsDetected(
-            f"found {len(roots)} real eigenvalues out of {n}; the rest form "
-            "complex-conjugate pairs"
-        )
-        err.real_roots_found = len(roots)
-        raise err
-    return roots

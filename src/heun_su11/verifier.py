@@ -14,6 +14,14 @@ scale, so exact solutions score near machine epsilon whatever cancellation
 occurs between f1 y'', f2 y' and f3 y, and no compensated summation is
 needed.  A sample whose terms all vanish scores 0; a non-finite sum or scale
 scores inf.
+
+residual_block scores P candidates that share one exponent set (the
+eigenfunctions of one parity sub-grid) at once: it builds the power matrix
+z^p once and reduces the P term stacks with one stacked matrix product,
+which numpy runs as one gemm per candidate, so each candidate's residual is
+bit-identical to scoring it alone.  residual_for_coefficients, the
+single-solution form that verify and the series gate use, is its
+one-column case.
 """
 
 from __future__ import annotations
@@ -74,36 +82,61 @@ class ResidualReport:
         }
 
 
+def residual_block(
+    coeffs: CanonicalCoefficients,
+    exponents: np.ndarray,
+    block: np.ndarray,
+    a7: Sequence[complex],
+    z_samples: Sequence[float],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Componentwise relative residuals of P candidates on one exponent set.
+
+    Column j of the block (n x P) holds the coefficients of y_j on z^p for
+    the n exponents p, and a7[j] replaces coeffs.a7 for it.  Returns the
+    residuals and the scales, P x S each for the S samples.  Each slice
+    of the stacked products is its own gemm, so column j scores exactly as
+    it would alone.  A zero coefficient is kept as a zero term; the
+    one-column call drops it, which may change the gemm's order of summation
+    and so the last bits.
+    """
+    check_sample_points(z_samples, coeffs.a2)
+    z = np.array(z_samples, dtype=float)
+    p = np.asarray(exponents, dtype=float)
+    a = coeffs.as_tuple()
+    # Rows: the terms that land on z^(p+1), z^p and z^(p-1); columns: the
+    # factors p(p-1), p and 1 that y'', y' and y put on c z^p.
+    by_shift = np.array(
+        [[[a[0], a[3], a[6]], [a[1], a[4], x], [a[2], a[5], 0.0]] for x in a7]
+    )
+    factors = np.stack([p * (p - 1.0), p, np.ones_like(p)])
+    columns = np.asarray(block).T[:, None, :]
+    with np.errstate(all="ignore"):  # overflow surfaces as a residual of inf
+        terms = (by_shift @ factors) * columns
+        magnitudes = (np.abs(by_shift) @ np.abs(factors)) * np.abs(columns)
+        power = z[:, None] ** p[None, :]
+        up, same, down = (power @ terms.transpose(0, 2, 1)).transpose(2, 0, 1)
+        num = np.abs(z * up + same + down / z)
+        up, same, down = (power @ magnitudes.transpose(0, 2, 1)).transpose(2, 0, 1)
+        scale = z * up + same + down / z
+        residuals = np.where(scale > 0.0, num / scale, 0.0)
+    residuals[~(np.isfinite(num) & np.isfinite(scale))] = math.inf
+    return residuals, scale
+
+
 def residual_for_coefficients(
     coeffs: CanonicalCoefficients,
     solution: MonomialSum,
     z_samples: Sequence[float],
 ) -> ResidualReport:
     """Componentwise relative residual of f1 y'' + f2 y' + f3 y at the given
-    points; the scale of each sample is the sum of |term| over its terms."""
-    check_sample_points(z_samples, coeffs.a2)
-    z = np.array(z_samples, dtype=float)
+    points: the one-column case of residual_block."""
     p, c = solution.as_arrays()
-    a = coeffs.as_tuple()
-    # Rows: the terms that land on z^(p+1), z^p and z^(p-1); columns: the
-    # factors p(p-1), p and 1 that y'', y' and y put on c z^p.
-    by_shift = np.array([[a[0], a[3], a[6]], [a[1], a[4], a[7]], [a[2], a[5], 0.0]])
-    factors = np.stack([p * (p - 1.0), p, np.ones_like(p)])
-    with np.errstate(all="ignore"):  # overflow surfaces as a residual of inf
-        terms = (by_shift @ factors) * c
-        magnitudes = (np.abs(by_shift) @ np.abs(factors)) * np.abs(c)
-        power = z[:, None] ** p[None, :]
-        up, same, down = (power @ terms.T).T
-        num = np.abs(z * up + same + down / z)
-        up, same, down = (power @ magnitudes.T).T
-        scale = z * up + same + down / z
-        residuals = np.where(scale > 0.0, num / scale, 0.0)
-    residuals[~(np.isfinite(num) & np.isfinite(scale))] = math.inf
+    residuals, scales = residual_block(coeffs, p, c[:, None], [coeffs.a7], z_samples)
     return ResidualReport(
-        max_relative_residual=max(residuals.tolist(), default=0.0),
-        sample_points=tuple(z.tolist()),
-        residuals=tuple(residuals.tolist()),
-        scales=tuple(scale.tolist()),
+        max_relative_residual=max(residuals[0].tolist(), default=0.0),
+        sample_points=tuple(map(float, z_samples)),
+        residuals=tuple(residuals[0].tolist()),
+        scales=tuple(scales[0].tolist()),
     )
 
 

@@ -16,7 +16,7 @@ from heun_su11.heun_core import canonical_coefficients, lame_parameters, make_pa
 from heun_su11.monomials import MonomialSum
 from heun_su11.representations import RepresentationClass, classify, split_even_odd
 from heun_su11.series_engine import DESCENDING, series_solution
-from heun_su11.spectrum import build_matrix, eigen_oracle, solve_spectrum
+from heun_su11.spectrum import build_matrix, solve_spectrum
 from heun_su11.su11_algebra import (
     algebra_identity_check,
     check_factorizable,
@@ -26,6 +26,7 @@ from heun_su11.su11_algebra import (
     reconstruction_check,
 )
 from heun_su11.verifier import default_sample_points, residual_for_coefficients
+from oracle import eigen_oracle
 
 A_SET = (0.25, 2.0, 4.0)
 SERIES_POINTS = ((2.0, 1.0), (0.5, -0.3))

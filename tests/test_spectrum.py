@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heun_su11.errors import ComplexRootsDetected, EigensolverNoConvergence, GridTooLarge
+from heun_su11.errors import EigensolverNoConvergence, GridTooLarge
 from heun_su11.heun_core import (
     canonical_coefficients,
     lame_parameters,
@@ -23,14 +24,10 @@ from heun_su11.representations import (
     split_even_odd,
 )
 from heun_su11 import spectrum as spectrum_module
-from heun_su11.spectrum import (
-    TridiagonalMatrix,
-    build_matrix,
-    characteristic_polynomial,
-    eigen_oracle,
-    solve_spectrum,
-)
-from heun_su11.su11_algebra import decompose, monomial_action
+from heun_su11.spectrum import TridiagonalMatrix, build_matrix, solve_spectrum
+from heun_su11.su11_algebra import decompose, monomial_action, rebuild_coefficients
+from heun_su11.verifier import default_sample_points, residual_block, residual_for_coefficients
+from oracle import ComplexRootsDetected, characteristic_polynomial, eigen_oracle
 
 
 def example1(a, q=0.0):
@@ -321,3 +318,130 @@ def test_sqrt_z_polynomial_evaluation():
     pair = solve_spectrum(dec, finite_rep(dec)).pairs[-1]
     y = pair.eigenfunction
     assert y.evaluate(0.49) == pytest.approx(math.sqrt(0.49), abs=1e-14)
+
+
+def normalize_vector_reference(vec):
+    """The one-column normalization the block form replaced: peak magnitude
+    1, then the first entry above SIGN_TOL made positive real."""
+    out = vec / np.max(np.abs(vec))
+    for x in out:
+        if abs(x) > spectrum_module.SIGN_TOL:
+            if np.iscomplexobj(out):
+                out = out * (np.conj(x) / abs(x))
+            elif x < 0.0:
+                out = -out
+            break
+    return out
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_normalize_rows_matches_one_vector_reference(dtype):
+    rng = random.Random(7)
+    for _ in range(250):
+        n, count = rng.randint(1, 64), rng.randint(1, 64)
+        draw = (lambda: rng.uniform(-1, 1)) if dtype is float else (
+            lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+        # Columns as the eigensolver returns them, with magnitudes far apart.
+        block = np.array([[draw() * 10.0 ** rng.randint(-60, 3) for _ in range(count)]
+                          for _ in range(n)])
+        block[: rng.randint(0, n - 1), rng.randrange(count)] = 0.0  # leading zeros
+        got = spectrum_module._normalize_rows(block.T)
+        for j in range(count):
+            want = normalize_vector_reference(block[:, j])
+            assert got[j].tobytes() == want.tobytes()
+
+
+def bits(values):
+    return [float(x).hex() for x in values]
+
+
+def parity_blocks(a, n, delta, gamma=0.5):
+    """(coefficients, exponents, block, a7 per column, samples, pairs) for each
+    non-empty parity sub-grid of a solved ladder."""
+    dec = decompose(ladder_params(n, gamma, a, delta=delta))
+    pairs = solve_spectrum(dec, finite_rep(dec)).pairs
+    coeffs = rebuild_coefficients(dec)
+    samples = default_sample_points(4.0 * dec.c_minus)
+    for parity in ("even", "odd"):
+        own = [pair for pair in pairs if pair.parity == parity]
+        if own:
+            poly = own[0].eigenfunction
+            exponents = poly.base_exponent + np.arange(len(poly.coefficients))
+            block = np.array([pair.eigenfunction.coefficients for pair in own]).T
+            a7 = [coeffs.with_accessory(pair.q).a7 for pair in own]
+            yield coeffs, exponents, block, a7, samples, own
+
+
+def sweep_cases(count, seed):
+    """Seeded ladders plus fixed ones: complex pairs at a<0, n=2 with its
+    q=0 constant eigenfunction, and n=128."""
+    rng = random.Random(seed)
+    cases = [(-3.0, 32, -0.5), (-0.5, 128, -0.5), (2.0, 2, -0.5), (4.0, 128, -0.5)]
+    for _ in range(count):
+        cases.append((rng.choice((0.25, 1.01, 2.0, 4.0, -3.0, -0.5)), rng.randint(2, 128),
+                      rng.uniform(-0.55, -0.45)))
+    return cases
+
+
+def test_block_residual_equals_one_column_call():
+    seen_complex = seen_zero_q = 0
+    for a, n, delta in sweep_cases(12, seed=2024):
+        for coeffs, exponents, block, a7, samples, own in parity_blocks(a, n, delta):
+            residuals, scales = residual_block(coeffs, exponents, block, a7, samples)
+            for j, pair in enumerate(own):
+                y = pair.eigenfunction.as_monomial_sum()
+                report = residual_for_coefficients(coeffs.with_accessory(pair.q), y, samples)
+                assert bits(residuals[j]) == bits(report.residuals)
+                assert bits(scales[j]) == bits(report.scales)
+                assert pair.residual == report.max_relative_residual
+                seen_complex += isinstance(pair.q, complex)
+                seen_zero_q += pair.q == 0.0 and pair.residual == 0.0
+    assert seen_complex and seen_zero_q
+
+
+def test_block_columns_score_as_they_would_alone():
+    """Also with an exact zero coefficient, which the block keeps.  The
+    one-column call drops it, so on a larger sub-grid its gemm may sum in
+    another order.  The eigenvectors of these ladders have no zero entry."""
+    for a, n, delta in sweep_cases(6, seed=7):
+        for coeffs, exponents, block, a7, samples, _own in parity_blocks(a, n, delta):
+            planted = block.copy()
+            planted[np.argmin(np.abs(planted[:, 0])), 0] = 0.0
+            residuals, scales = residual_block(coeffs, exponents, planted, a7, samples)
+            for j in range(planted.shape[1]):
+                alone, alone_scales = residual_block(
+                    coeffs, exponents, planted[:, j:j + 1], a7[j:j + 1], samples)
+                assert bits(residuals[j]) == bits(alone[0])
+                assert bits(scales[j]) == bits(alone_scales[0])
+
+
+def test_solve_spectrum_scores_each_parity_with_one_call(monkeypatch):
+    calls = []
+
+    def counting(coeffs, exponents, block, a7, z_samples):
+        calls.append(block.shape)
+        return residual_block(coeffs, exponents, block, a7, z_samples)
+
+    monkeypatch.setattr(spectrum_module, "residual_block", counting)
+    for n, parities in ((1, 1), (2, 2), (33, 2), (128, 2)):
+        calls.clear()
+        dec = decompose(ladder_params(n, 0.5, 2.0, delta=-0.5))
+        result = solve_spectrum(dec, finite_rep(dec))
+        assert len(calls) == parities
+        assert sum(cols for _, cols in calls) == len(result.pairs) == n
+
+
+def test_planted_coefficient_fails_its_column_alone():
+    rng = random.Random(11)
+    for _ in range(8):
+        a, n = rng.choice((2.0, 4.0, -3.0)), rng.randint(4, 16)
+        for coeffs, exponents, block, a7, samples, _own in parity_blocks(a, n, rng.uniform(-0.55, -0.45)):
+            multi_term = [j for j in range(block.shape[1]) if np.count_nonzero(block[:, j]) > 1]
+            j = rng.choice(multi_term)
+            planted = block.copy()
+            planted[np.argmax(np.abs(planted[:, j])), j] *= 1.0 + 1e-6
+            before, _ = residual_block(coeffs, exponents, block, a7, samples)
+            after, _ = residual_block(coeffs, exponents, planted, a7, samples)
+            assert before[j].max() <= 1e-10 < 1e-8 < after[j].max()
+            others = [k for k in range(block.shape[1]) if k != j]
+            assert bits(after[others].ravel()) == bits(before[others].ravel())

@@ -5,11 +5,13 @@ Parameters come from flags, a JSON file (--params), or a named preset;
 spectrum/classify/series can instead start from a saved decomposition
 (--decomposition FILE, or - for stdin), and everything they emit is derived
 from the decomposition alone, so piping `decompose` into them reproduces the
-direct output byte for byte.  JSON goes to stdout or --json FILE; --csv FILE
-adds sampled (z, value) plot data.  Exit codes: 0 success, 1 validation
-failure (including a spectrum, series or verify document with a residual
-over the threshold, which is still emitted), 2 numerical failure, 64 usage
-error.
+direct output byte for byte.  JSON goes to stdout or --json FILE; spectrum
+and series also take --csv FILE for sampled (z, value) plot data.  verify
+re-scores a document through the call that scored it when it was emitted,
+so it reproduces the emitted residuals bit for bit.  Exit codes: 0 success,
+1 validation failure (including a spectrum, series or verify document with
+a residual over the threshold, which is still emitted), 2 numerical
+failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ import argparse
 import csv
 import json
 import sys
-from typing import Sequence, Tuple
+from itertools import chain
+from typing import Sequence
+
+import numpy as np
 
 from . import jsonio
 from .errors import (
@@ -33,6 +38,7 @@ from .heun_core import (
     HeunParameters,
     lame_parameters,
     make_parameters,
+    require_finite,
 )
 from .monomials import MonomialSum
 from .representations import RepresentationClass, classify
@@ -52,7 +58,7 @@ from .su11_algebra import (
     rebuild_coefficients,
     reconstruction_check,
 )
-from .verifier import chebyshev_points, default_sample_points, residual_for_coefficients
+from .verifier import chebyshev_points, default_sample_points, worst_residuals
 
 PRESETS = {
     "example1": {"gamma": 0.5, "delta": -0.5, "alpha": -1.0, "beta": -0.5, "a": 2.0, "q": 0.0},
@@ -147,14 +153,13 @@ def _resolve_decomposition(args) -> Su11Decomposition:
 
 
 def _write_csv_blocks(path: str, blocks) -> None:
-    """blocks: iterable of (comment, [(z, value), ...])."""
+    """blocks: iterable of (comment, function, points); one (z, f(z)) row per point."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        for comment, rows in blocks:
+        for comment, function, points in blocks:
             fh.write(f"# {comment}\n")
             writer.writerow(["z", "value"])
-            for z, value in rows:
-                writer.writerow([_num_str(z), _num_str(value)])
+            writer.writerows([_num_str(z), _num_str(function(z))] for z in points)
 
 
 def _cmd_decompose(args) -> int:
@@ -186,16 +191,10 @@ def _cmd_spectrum(args) -> int:
     _emit_json(doc, args)
     if args.csv:
         points = default_sample_points(4.0 * dec.c_minus, count=args.samples)
-        _write_csv_blocks(
-            args.csv,
-            (
-                (
-                    f"q={_num_str(pair.q)} parity={pair.parity}",
-                    [(z, pair.eigenfunction.evaluate(z)) for z in points],
-                )
-                for pair in result.pairs
-            ),
-        )
+        _write_csv_blocks(args.csv, (
+            (f"q={_num_str(pair.q)} parity={pair.parity}", pair.eigenfunction.evaluate, points)
+            for pair in result.pairs
+        ))
     failed = sum(not pair.residual <= RESIDUAL_THRESHOLD for pair in result.pairs)
     if failed:
         print(f"heun-su11: {failed} of {len(result.pairs)} eigenpairs have a residual "
@@ -227,86 +226,79 @@ def _cmd_series(args) -> int:
     _emit_json(doc, args)
     if args.csv:
         lo, hi = sol.domain
-        if sol.direction == ASCENDING:
-            points = chebyshev_points(lo, hi, args.samples)
-        else:
-            points = chebyshev_points(lo, 4.0 * lo, args.samples)
-        y = sol.as_monomial_sum()
-        _write_csv_blocks(
-            args.csv,
-            [
-                (
-                    f"q={_num_str(sol.q)} direction={sol.direction} parity={sol.parity}",
-                    [(z, y.evaluate(z)) for z in points],
-                )
-            ],
-        )
-    # The residual verify computes by default; non-finite coefficients score inf.
-    samples = default_sample_points(coeffs.a2, domain=_series_sample_domain(doc["series"]))
-    residual = residual_for_coefficients(coeffs, sol.as_monomial_sum(), samples)
-    if not residual.max_relative_residual <= RESIDUAL_THRESHOLD:
-        print(f"heun-su11: the series residual {residual.max_relative_residual:.3g} is over "
+        points = chebyshev_points(lo, hi if sol.direction == ASCENDING else 4.0 * lo, args.samples)
+        comment = f"q={_num_str(sol.q)} direction={sol.direction} parity={sol.parity}"
+        _write_csv_blocks(args.csv, [(comment, sol.as_monomial_sum().evaluate, points)])
+    residual = _series_residual(coeffs, sol)
+    if not residual <= RESIDUAL_THRESHOLD:
+        print(f"heun-su11: the series residual {residual:.3g} is over "
               f"{RESIDUAL_THRESHOLD:g}", file=sys.stderr)
         return 1
     return 0
 
 
-def _series_sample_domain(sol_doc: dict) -> Tuple[float, float]:
-    lo, hi = sol_doc["domain"]
-    if sol_doc["direction"] == ASCENDING:
-        return (0.0, 0.5 * float(hi))
-    return (2.0 * float(lo), 4.0 * float(lo))
+def _series_residual(coeffs: CanonicalCoefficients, sol: SeriesSolution) -> float:
+    """The residual the series gate and verify compute, on samples in (0, R/2)
+    ascending or (2R, 4R) descending; non-finite coefficients score inf."""
+    lo, hi = sol.domain
+    domain = (0.0, 0.5 * hi) if sol.direction == ASCENDING else (2.0 * lo, 4.0 * lo)
+    p = np.array([sol.exponent(m) for m in range(len(sol.coefficients))])
+    samples = default_sample_points(coeffs.a2, domain=domain)
+    return worst_residuals(coeffs, p, np.array(sol.coefficients)[:, None], [sol.q], samples).item()
+
+
+def _eigenpair_residuals(coeffs: CanonicalCoefficients, pairs: list) -> list:
+    """The residual of each pair, scored as solve_spectrum scored it: one call
+    per exponent set (one per parity sub-grid), on a block holding every
+    listed coefficient, complex when any q or coefficient of the set is."""
+    if not pairs:
+        raise ValidationError("solution document lists no eigenpairs")
+    groups: dict = {}
+    for i, pair in enumerate(pairs):
+        groups.setdefault(tuple(float(t["exponent"]) for t in pair["coefficients"]), []).append(i)
+    samples = default_sample_points(coeffs.a2)
+    worst = [0.0] * len(pairs)
+    for exponents, members in groups.items():
+        q = [jsonio.as_number(pairs[i]["q"]) for i in members]
+        rows = [[jsonio.as_number(t["value"]) for t in pairs[i]["coefficients"]]
+                for i in members]
+        dtype = complex if any(isinstance(v, complex) for v in chain(q, *rows)) else float
+        block = np.array(rows, dtype=dtype).T
+        scored = worst_residuals(coeffs, np.array(exponents), block, np.array(q, dtype), samples)
+        for i, residual in zip(members, scored.tolist()):
+            worst[i] = residual
+    return worst
 
 
 def _cmd_verify(args) -> int:
+    require_finite(threshold=args.threshold)
     doc = _read_json(args.solution)
     if "ode_coefficients" not in doc:
         raise ValidationError("solution document lacks ode_coefficients")
     coeffs = CanonicalCoefficients.from_json_dict(
         {k: jsonio.as_number(v) for k, v in doc["ode_coefficients"].items()}
     )
-    results = []
     if "eigenpairs" in doc:
-        samples = default_sample_points(coeffs.a2, count=args.samples)
-        for pair in doc["eigenpairs"]:
-            q = jsonio.as_number(pair["q"])
-            y = MonomialSum.from_terms(
-                (float(t["exponent"]), jsonio.as_number(t["value"]))
-                for t in pair["coefficients"]
-            )
-            report = residual_for_coefficients(coeffs.with_accessory(q), y, samples)
-            results.append(
-                {
-                    "q": q,
-                    "parity": pair.get("parity"),
-                    "max_relative_residual": report.max_relative_residual,
-                }
-            )
+        pairs = doc["eigenpairs"]
+        results = [
+            {"q": jsonio.as_number(pair["q"]), "parity": pair.get("parity"),
+             "max_relative_residual": residual}
+            for pair, residual in zip(pairs, _eigenpair_residuals(coeffs, pairs))
+        ]
     elif "series" in doc:
         sol = SeriesSolution.from_json_dict(doc["series"])
-        samples = default_sample_points(
-            coeffs.a2, domain=_series_sample_domain(doc["series"]), count=args.samples
-        )
-        report = residual_for_coefficients(
-            coeffs.with_accessory(sol.q), sol.as_monomial_sum(), samples
-        )
-        results.append(
-            {
-                "direction": sol.direction,
-                "parity": sol.parity,
-                "q": sol.q,
-                "max_relative_residual": report.max_relative_residual,
-            }
-        )
+        results = [
+            {"direction": sol.direction, "parity": sol.parity, "q": sol.q,
+             "max_relative_residual": _series_residual(coeffs, sol)}
+        ]
     else:
         raise ValidationError("solution document has neither eigenpairs nor series")
     residuals = [r["max_relative_residual"] for r in results]
-    worst = max(residuals, default=0.0)
     # Written so that a NaN residual would fail too; non-finite input scores inf.
     passed = all(r <= args.threshold for r in residuals)
     _emit_json(
         {
-            "max_relative_residual": worst,
+            "max_relative_residual": max(residuals),
             "passed": passed,
             "results": results,
             "threshold": args.threshold,
@@ -371,66 +363,42 @@ def _build_parser() -> _Parser:
     )
 
     output_parent = _Parser(add_help=False)
-    out = output_parent.add_argument_group("output")
-    out.add_argument("--json", metavar="FILE", help="write JSON here instead of stdout")
-    out.add_argument("--csv", metavar="FILE", help="write sampled (z,value) plot data")
-    out.add_argument("--samples", type=int, default=25, help="sample count (default 25)")
+    output_parent.add_argument("--json", metavar="FILE", help="write JSON here instead of stdout")
+    csv_parent = _Parser(add_help=False)
+    csv_parent.add_argument("--csv", metavar="FILE", help="write sampled (z,value) plot data")
+    csv_parent.add_argument("--samples", type=int, default=25,
+                            help="CSV points per block (default 25)")
 
     parser = _Parser(prog="heun-su11", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "decompose",
-        parents=[params_parent, output_parent],
-        help="quadratic generator decomposition of the operator",
-    )
-    p.set_defaults(handler=_cmd_decompose)
+    def command(name, handler, parents, help_text):
+        p = sub.add_parser(name, parents=parents, help=help_text)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser(
-        "classify",
-        parents=[params_parent, dec_parent, output_parent],
-        help="admissible representation classes",
-    )
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser(
-        "spectrum",
-        parents=[params_parent, dec_parent, output_parent],
-        help="finite-ladder eigenvalues and sqrt(z)-polynomial eigenfunctions",
-    )
-    p.set_defaults(handler=_cmd_spectrum)
-
-    p = sub.add_parser(
-        "series",
-        parents=[params_parent, dec_parent, output_parent],
-        help="truncated series solution on a discrete ladder",
-    )
+    solving = [params_parent, dec_parent, output_parent]
+    command("decompose", _cmd_decompose, [params_parent, output_parent],
+            "quadratic generator decomposition of the operator")
+    command("classify", _cmd_classify, solving, "admissible representation classes")
+    command("spectrum", _cmd_spectrum, solving + [csv_parent],
+            "finite-ladder eigenvalues and sqrt(z)-polynomial eigenfunctions")
+    p = command("series", _cmd_series, solving + [csv_parent],
+                "truncated series solution on a discrete ladder")
     p.add_argument("--rep", choices=("pd", "nd"), default="pd",
                    help="ascending (pd) or descending (nd) ladder")
     p.add_argument("--parity", choices=("even", "odd"), default="even")
     p.add_argument("--kmax", type=int, default=60, help="truncation order (default 60)")
-    p.set_defaults(handler=_cmd_series)
-
-    p = sub.add_parser(
-        "verify",
-        parents=[output_parent],
-        help="residual check of a saved spectrum/series document",
-    )
+    p = command("verify", _cmd_verify, [output_parent],
+                "residual check of a saved spectrum/series document")
     p.add_argument("--solution", metavar="FILE", required=True,
                    help="JSON from the spectrum or series subcommand (- for stdin)")
     p.add_argument("--threshold", type=float, default=RESIDUAL_THRESHOLD,
                    help=f"pass/fail residual threshold (default {RESIDUAL_THRESHOLD:g})")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser(
-        "check-algebra",
-        parents=[params_parent, output_parent],
-        help="commutator/Casimir identities (and reconstruction, given parameters)",
-    )
+    p = command("check-algebra", _cmd_check_algebra, [params_parent, output_parent],
+                "commutator/Casimir identities (and reconstruction, given parameters)")
     p.add_argument("--mu", type=float, help="check bare generators at this mu")
     p.add_argument("--nu", type=float, help="check bare generators at this nu")
-    p.set_defaults(handler=_cmd_check_algebra)
-
     return parser
 
 

@@ -122,9 +122,7 @@ def _direction_for(rep: RepresentationDescriptor) -> str:
 
 
 def convergence_domain(
-    dec: Su11Decomposition,
-    rep: RepresentationDescriptor | None = None,
-    direction: str | None = None,
+    dec: Su11Decomposition, rep: RepresentationDescriptor
 ) -> Tuple[float, float]:
     """Open interval of convergence: up to the nearest other singularity.
 
@@ -132,20 +130,10 @@ def convergence_domain(
     (max(1,|a|), inf); |a| covers singularity locations off the positive
     axis (a < 0), where the radius is still the distance to the origin.
     """
-    if rep is not None:
-        rep_direction = _direction_for(rep)
-        if direction is None:
-            direction = rep_direction
-        elif direction != rep_direction:
-            raise ValueError(
-                f"direction {direction!r} contradicts the {rep.rep_class.value} ladder"
-            )
     a = 4.0 * dec.c_minus
-    if direction == ASCENDING:
+    if _direction_for(rep) == ASCENDING:
         return (0.0, min(1.0, abs(a)))
-    if direction == DESCENDING:
-        return (max(1.0, abs(a)), math.inf)
-    raise ValueError(f"unknown direction {direction!r}")
+    return (max(1.0, abs(a)), math.inf)
 
 
 def series_solution(

@@ -30,7 +30,7 @@ from .representations import (
     split_even_odd,
 )
 from .su11_algebra import MonomialAction, Su11Decomposition, monomial_action, rebuild_coefficients
-from .verifier import default_sample_points, residual_block
+from .verifier import default_sample_points, worst_residuals
 
 MATRIX_CAP = 64
 SIGN_TOL = 1e-12
@@ -207,9 +207,8 @@ def solve_spectrum(dec: Su11Decomposition, rep: RepresentationDescriptor) -> Spe
     positive.  Each pair carries the relative residual of its eigenfunction
     in the original equation with the accessory set to that eigenvalue.
     Every eigenfunction of a parity lives on the same exponents, so one
-    residual_block call scores them all: it builds the power matrix of the
-    shared exponents once and reduces every column with one stacked product,
-    each column scoring exactly as residual_for_coefficients scores it.
+    worst_residuals call scores them all, the call verify repeats on the
+    printed document.
     """
     if rep.rep_class is not RepresentationClass.FINITE_DIMENSIONAL:
         raise UnsupportedClass(
@@ -231,12 +230,7 @@ def solve_spectrum(dec: Su11Decomposition, rep: RepresentationDescriptor) -> Spe
         values = values[order]
         rows = _normalize_rows(vectors.T[order])
         base = matrix.exponents[0]
-        # a7 = -q, kept real for a real q as with_accessory keeps it.
-        a7 = np.where(values.imag != 0.0, -values, -values.real)
-        residuals, _ = residual_block(
-            base_coeffs, base + np.arange(len(values)), rows.T, a7, samples
-        )
-        worst = residuals.max(axis=1, initial=0.0)
+        worst = worst_residuals(base_coeffs, base + np.arange(len(values)), rows.T, values, samples)
         for q, row, residual in zip(values.tolist(), rows.tolist(), worst.tolist()):
             pairs.append(
                 EigenPair(

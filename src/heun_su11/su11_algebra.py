@@ -102,6 +102,7 @@ def check_factorizable(
     params: HeunParameters, tol: float = CONDITION_TOL
 ) -> FactorizabilityReport:
     """Test |alpha-beta| = 1/2 and gamma in {1/2, 3/2}, each within tol."""
+    require_finite(tol=tol)
     gap = abs(params.alpha - params.beta)
     gap_dev = abs(gap - 0.5)
     gamma_dev = min(abs(params.gamma - g) for g in NU_BY_GAMMA)

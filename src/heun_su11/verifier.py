@@ -18,10 +18,14 @@ scores inf.
 residual_block scores P candidates that share one exponent set (the
 eigenfunctions of one parity sub-grid) at once: it builds the power matrix
 z^p once and reduces the P term stacks with one stacked matrix product,
-which numpy runs as one gemm per candidate, so each candidate's residual is
-bit-identical to scoring it alone.  residual_for_coefficients, the
-single-solution form that verify and the series gate use, is its
-one-column case.
+which numpy runs as one gemm per candidate.  A column's bits depend on the
+block's dtype: a real column in a complex block is summed in complex
+arithmetic and may differ in the last bits from the same column scored as
+a float.  worst_residuals is the one scorer of spectra and series:
+spectrum and series score their output through it, and verify re-scores a
+document through the same call on the same block, so verify reproduces the
+emitter's residuals bit for bit.  residual_for_coefficients, the
+single-solution report, is the one-column case of residual_block.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ def residual_block(
     the n exponents p, and a7[j] replaces coeffs.a7 for it.  Returns the
     residuals and the scales, P x S each for the S samples.  Each slice
     of the stacked products is its own gemm, so column j scores exactly as
-    it would alone.  A zero coefficient is kept as a zero term; the
+    it would alone in a block of the same dtype.  A zero coefficient is kept as a zero term; the
     one-column call drops it, which may change the gemm's order of summation
     and so the last bits.
     """
@@ -121,6 +125,25 @@ def residual_block(
         residuals = np.where(scale > 0.0, num / scale, 0.0)
     residuals[~(np.isfinite(num) & np.isfinite(scale))] = math.inf
     return residuals, scale
+
+
+def worst_residuals(
+    coeffs: CanonicalCoefficients,
+    exponents: np.ndarray,
+    block: np.ndarray,
+    q: np.ndarray,
+    z_samples: Sequence[float],
+) -> np.ndarray:
+    """Worst residual over the samples of each column of the block, scored
+    with the accessory q[j]: a7 = -q, kept real for a real q as with_accessory
+    keeps it.  A column with no nonzero coefficient is the zero function,
+    which solves every equation and so proves nothing; it scores inf."""
+    q = np.asarray(q)
+    a7 = np.where(q.imag != 0.0, -q, -q.real)
+    residuals, _ = residual_block(coeffs, exponents, block, a7, z_samples)
+    worst = residuals.max(axis=1, initial=0.0)
+    worst[~np.any(np.asarray(block) != 0.0, axis=0)] = math.inf
+    return worst
 
 
 def residual_for_coefficients(

@@ -2,12 +2,15 @@ import dataclasses
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 
 import pytest
 
 from heun_su11 import cli
+from heun_su11 import spectrum as spectrum_module
+from heun_su11 import verifier as verifier_module
 from heun_su11.cli import main
 
 
@@ -186,6 +189,13 @@ EXAMPLE1_DECOMPOSITION = {
     "casimir": -2.0, "mu": -1.0, "nu": 0.0,
 }
 EXAMPLE1_FLAGS = ["--gamma", "0.5", "--delta", "-0.5", "--alpha", "-1", "--beta", "-0.5"]
+# A series document with an overflowed (null) coefficient, which scores inf.
+OVERFLOWED_SERIES_DOC = {
+    "ode_coefficients": {"a0": 1.0, "a1": -6.0, "a2": 4.0, "a3": -0.5, "a4": 2.5, "a5": 2.0,
+                         "a6": 0.0, "a7": -0.3},
+    "series": {"K": 1, "coefficients": [1.0, None], "direction": "descending",
+               "domain": [4.0, None], "p0": 0.0, "parity": "even", "q": 0.3},
+}
 
 
 @pytest.mark.parametrize(
@@ -200,8 +210,12 @@ EXAMPLE1_FLAGS = ["--gamma", "0.5", "--delta", "-0.5", "--alpha", "-1", "--beta"
         (["series", *EXAMPLE1_FLAGS, "--a", "2", "--q", "nan"], None),
         (["series", "--decomposition", "-", "--q", "nan"], EXAMPLE1_DECOMPOSITION),
         (["spectrum", "--decomposition", "-"], {**EXAMPLE1_DECOMPOSITION, "c1": math.nan}),
+        (["decompose", "--gamma", "0.9", "--delta", "-0.5", "--alpha", "-1", "--beta", "-0.3",
+          "--a", "2", "--tolerance", "inf"], None),
+        (["verify", "--solution", "-", "--threshold", "inf"], OVERFLOWED_SERIES_DOC),
     ],
-    ids=["delta", "alpha", "a", "rho", "q", "decomposition-q", "decomposition-c1"],
+    ids=["delta", "alpha", "a", "rho", "q", "decomposition-q", "decomposition-c1", "tolerance",
+         "threshold"],
 )
 def test_non_finite_input_exits_1(argv, stdin, capsys, monkeypatch):
     if stdin is not None:
@@ -367,3 +381,123 @@ def test_module_invocation_smoke():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert len(doc["eigenpairs"]) == 3
+
+
+def ladder_argv(n, gamma, a):
+    """spectrum flags for the finite ladder of length n at delta = -1/2."""
+    mu = {0.5: 0.0, 1.5: 0.5}[gamma] - (n - 1) / 2.0
+    return ["spectrum", "--gamma", repr(gamma), "--delta", "-0.5", "--alpha", repr(mu),
+            "--beta", repr(mu + 0.5), "--a", repr(a)]
+
+
+def spectrum_then_verify(argv, capsys, monkeypatch):
+    """(spectrum exit code, its document, verify exit code, its report) of one pipe."""
+    spectrum_rc = main(argv)
+    text = capsys.readouterr().out
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    rc = main(["verify", "--solution", "-"])
+    return spectrum_rc, json.loads(text), rc, json.loads(capsys.readouterr().out)
+
+
+def test_verify_reproduces_every_emitted_residual(capsys, monkeypatch):
+    """verify re-scores each sub-grid through the emitter's own call, so every
+    result equals the printed residual, also for the real pairs of a sub-grid
+    with complex eigenvalues, which the emitter scores in complex arithmetic.
+    Both commands gate at the same threshold, so they exit alike."""
+    rng = random.Random(8)
+    cases = [(-3.0, 32, 0.5), (2.0, 2, 0.5), (-0.5, 128, 1.5)]
+    for _ in range(10):
+        cases.append((rng.choice((0.25, 1.01, 2.0, 4.0, -3.0, -0.5)), rng.randint(2, 128),
+                      rng.choice((0.5, 1.5))))
+    seen_mixed = seen_zero_q = 0
+    for a, n, gamma in cases:
+        spectrum_rc, doc, rc, report = spectrum_then_verify(
+            ladder_argv(n, gamma, a), capsys, monkeypatch)
+        pairs = doc["eigenpairs"]
+        assert len(pairs) == n and rc == spectrum_rc and report["passed"] is (rc == 0)
+        assert [r["max_relative_residual"] for r in report["results"]] == [
+            pair["residual"] for pair in pairs]
+        for parity in ("even", "odd"):
+            real = {pair["q"]["im"] == 0.0 for pair in pairs
+                    if pair["parity"] == parity and isinstance(pair["q"], dict)}
+            seen_mixed += real == {True, False}
+        seen_zero_q += any(pair["q"] == 0.0 and pair["residual"] == 0.0 for pair in pairs)
+    assert seen_mixed and seen_zero_q
+
+
+def test_planted_zero_coefficient_scores_alike_in_spectrum_and_verify(capsys, monkeypatch):
+    """An exact zero in an eigenvector is a zero term for both commands; with
+    31 or more exponents, dropping it changes the gemm's order of summation."""
+    normalize = spectrum_module._normalize_rows
+
+    def plant_zero(rows):
+        rows = normalize(rows)
+        rows[0, abs(rows[0]).argmin()] = 0.0
+        return rows
+
+    monkeypatch.setattr(spectrum_module, "_normalize_rows", plant_zero)
+    _, doc, _, report = spectrum_then_verify(ladder_argv(96, 0.5, 2.0), capsys, monkeypatch)
+    pairs = doc["eigenpairs"]
+    planted = [i for i, pair in enumerate(pairs)
+               if 0.0 in [t["value"] for t in pair["coefficients"]]]
+    assert len(planted) == 2 and len(pairs[planted[0]]["coefficients"]) >= 31
+    assert [r["max_relative_residual"] for r in report["results"]] == [
+        pair["residual"] for pair in pairs]
+
+
+def test_verify_scores_each_parity_with_one_call(capsys, monkeypatch):
+    main(ladder_argv(128, 0.5, 4.0))
+    text = capsys.readouterr().out
+    kernel = verifier_module.residual_block
+    columns = []
+
+    def counting(coeffs, exponents, block, a7, z_samples):
+        columns.append(block.shape[1])
+        return kernel(coeffs, exponents, block, a7, z_samples)
+
+    monkeypatch.setattr(verifier_module, "residual_block", counting)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main(["verify", "--solution", "-"]) == 0
+    capsys.readouterr()
+    assert columns == [64, 64]
+
+
+def vacuous(doc):
+    """Three documents that carry no solution to check."""
+    no_terms = json.loads(json.dumps(doc))
+    for pair in no_terms["eigenpairs"]:
+        pair.update(coefficients=[], q=123.0)
+    zeros = json.loads(json.dumps(doc))
+    for pair in zeros["eigenpairs"]:
+        for term in pair["coefficients"]:
+            term["value"] = 0.0
+    return {"no-terms": no_terms, "zero-coefficients": zeros, "no-pairs": {**doc, "eigenpairs": []}}
+
+
+@pytest.mark.parametrize("case", ["no-terms", "zero-coefficients", "no-pairs"])
+def test_verify_fails_documents_without_a_solution(case, capsys, monkeypatch):
+    main(["spectrum", "--preset", "example1"])
+    doc = vacuous(json.loads(capsys.readouterr().out))[case]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(["verify", "--solution", "-"]) == 1
+    out = capsys.readouterr().out
+    if out:
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert all(r["max_relative_residual"] is None for r in report["results"])
+
+
+@pytest.mark.parametrize("option", [["--csv", "plot.csv"], ["--samples", "5"]],
+                         ids=["csv", "samples"])
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--preset", "example1"],
+    ["classify", "--preset", "example1"],
+    ["check-algebra", "--preset", "example1"],
+    ["verify", "--solution", "spectrum.json"],
+], ids=["decompose", "classify", "check-algebra", "verify"])
+def test_options_a_subcommand_ignores_are_usage_errors(argv, option, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["spectrum", "--preset", "example1", "--json", "spectrum.json"]) == 0
+    assert main(argv + option) == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "plot.csv").exists()

@@ -14,7 +14,6 @@ from heun_su11.representations import (
 )
 from heun_su11.series_engine import (
     ASCENDING,
-    DESCENDING,
     SeriesSolution,
     _recurrence_coefficients,
     convergence_domain,
@@ -144,19 +143,21 @@ def test_series_bases_follow_parity_grids():
     assert series_solution(dec, nd, "odd", 1.0).p0 == -0.5
 
 
+def discrete_rep(rep_class):
+    return RepresentationDescriptor(rep_class=rep_class, casimir=0.0, grid=None)
+
+
 def test_convergence_domain_cases():
+    pd = discrete_rep(RepresentationClass.POSITIVE_DISCRETE)
+    nd = discrete_rep(RepresentationClass.NEGATIVE_DISCRETE)
+    assert convergence_domain(synthetic_decomposition(0.0, 0.0, c_minus=0.5), pd) == (0.0, 1.0)
     assert convergence_domain(
-        synthetic_decomposition(0.0, 0.0, c_minus=0.5), direction=ASCENDING
-    ) == (0.0, 1.0)
-    assert convergence_domain(
-        synthetic_decomposition(0.0, 0.0, c_minus=0.125), direction=DESCENDING
+        synthetic_decomposition(0.0, 0.0, c_minus=0.125), nd
     ) == (1.0, math.inf)
     dec_neg = synthetic_decomposition(0.0, 0.0, c_minus=-0.75)
-    assert convergence_domain(dec_neg, direction=ASCENDING) == (0.0, 1.0)
-    assert convergence_domain(dec_neg, direction=DESCENDING) == (3.0, math.inf)
-    assert convergence_domain(
-        synthetic_decomposition(0.0, 0.0, c_minus=0.125), direction=ASCENDING
-    ) == (0.0, 0.5)
+    assert convergence_domain(dec_neg, pd) == (0.0, 1.0)
+    assert convergence_domain(dec_neg, nd) == (3.0, math.inf)
+    assert convergence_domain(synthetic_decomposition(0.0, 0.0, c_minus=0.125), pd) == (0.0, 0.5)
 
 
 def test_convergence_domain_rep_consistency():
@@ -165,11 +166,6 @@ def test_convergence_domain_rep_consistency():
     nd = by_class[RepresentationClass.NEGATIVE_DISCRETE]
     assert convergence_domain(dec, rep=pd) == (0.0, 1.0)
     assert convergence_domain(dec, rep=nd) == (2.0, math.inf)
-    assert convergence_domain(dec, rep=pd, direction=ASCENDING) == (0.0, 1.0)
-    with pytest.raises(ValueError):
-        convergence_domain(dec, rep=pd, direction=DESCENDING)
-    with pytest.raises(ValueError):
-        convergence_domain(dec, direction="sideways")
     with pytest.raises(UnsupportedClass):
         convergence_domain(dec, rep=by_class[RepresentationClass.FINITE_DIMENSIONAL])
 

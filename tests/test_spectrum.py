@@ -24,6 +24,7 @@ from heun_su11.representations import (
     split_even_odd,
 )
 from heun_su11 import spectrum as spectrum_module
+from heun_su11 import verifier as verifier_module
 from heun_su11.spectrum import TridiagonalMatrix, build_matrix, solve_spectrum
 from heun_su11.su11_algebra import decompose, monomial_action, rebuild_coefficients
 from heun_su11.verifier import default_sample_points, residual_block, residual_for_coefficients
@@ -422,7 +423,7 @@ def test_solve_spectrum_scores_each_parity_with_one_call(monkeypatch):
         calls.append(block.shape)
         return residual_block(coeffs, exponents, block, a7, z_samples)
 
-    monkeypatch.setattr(spectrum_module, "residual_block", counting)
+    monkeypatch.setattr(verifier_module, "residual_block", counting)
     for n, parities in ((1, 1), (2, 2), (33, 2), (128, 2)):
         calls.clear()
         dec = decompose(ladder_params(n, 0.5, 2.0, delta=-0.5))

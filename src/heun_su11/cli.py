@@ -54,7 +54,6 @@ from .su11_algebra import (
     algebra_identity_check,
     casimir_value,
     decompose,
-    monomial_action,
     rebuild_coefficients,
     reconstruction_check,
 )
@@ -79,11 +78,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_json(path: str):
+def _require_object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    return doc
+
+
+def _read_json(path: str, option: str) -> dict:
     if path == "-":
-        return json.load(sys.stdin)
+        return _require_object(json.load(sys.stdin), option)
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _require_object(json.load(fh), option)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _num_str(value) -> str:
@@ -107,7 +122,7 @@ def _emit_json(doc, args) -> None:
 def _resolve_parameters(args) -> HeunParameters:
     source: dict = {}
     if getattr(args, "params", None):
-        doc = _read_json(args.params)
+        doc = _read_json(args.params, "--params")
         unknown = sorted(set(doc) - set(PARAM_KEYS))
         if unknown:
             raise ValidationError(f"unknown parameter keys in --params: {unknown}")
@@ -141,7 +156,7 @@ def _resolve_parameters(args) -> HeunParameters:
 
 def _resolve_decomposition(args) -> Su11Decomposition:
     if getattr(args, "decomposition", None):
-        dec = Su11Decomposition.from_json_dict(_read_json(args.decomposition))
+        dec = Su11Decomposition.from_json_dict(_read_json(args.decomposition, "--decomposition"))
         expected = casimir_value(dec.mu, dec.nu)
         if not abs(dec.casimir - expected) <= 1e-9:
             raise InconsistentCoefficients(
@@ -205,7 +220,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_series(args) -> int:
     if getattr(args, "decomposition", None):
         dec = _resolve_decomposition(args)
-        q = args.q if args.q is not None else monomial_action(dec).accessory_q
+        q = args.q if args.q is not None else dec.accessory_q
     else:
         params = _resolve_parameters(args)
         dec = decompose(params, args.tolerance)
@@ -272,11 +287,12 @@ def _eigenpair_residuals(coeffs: CanonicalCoefficients, pairs: list) -> list:
 
 def _cmd_verify(args) -> int:
     require_finite(threshold=args.threshold)
-    doc = _read_json(args.solution)
+    doc = _read_json(args.solution, "--solution")
     if "ode_coefficients" not in doc:
         raise ValidationError("solution document lacks ode_coefficients")
     coeffs = CanonicalCoefficients.from_json_dict(
-        {k: jsonio.as_number(v) for k, v in doc["ode_coefficients"].items()}
+        {k: jsonio.as_number(v)
+         for k, v in _require_object(doc["ode_coefficients"], "ode_coefficients").items()}
     )
     if "eigenpairs" in doc:
         pairs = doc["eigenpairs"]
@@ -366,7 +382,7 @@ def _build_parser() -> _Parser:
     output_parent.add_argument("--json", metavar="FILE", help="write JSON here instead of stdout")
     csv_parent = _Parser(add_help=False)
     csv_parent.add_argument("--csv", metavar="FILE", help="write sampled (z,value) plot data")
-    csv_parent.add_argument("--samples", type=int, default=25,
+    csv_parent.add_argument("--samples", type=_positive_int, default=25,
                             help="CSV points per block (default 25)")
 
     parser = _Parser(prog="heun-su11", description=__doc__.splitlines()[0])

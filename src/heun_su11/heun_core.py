@@ -46,17 +46,6 @@ class HeunParameters:
     def with_accessory(self, q: float) -> "HeunParameters":
         return replace(self, q=float(q))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "a": self.a,
-            "q": self.q,
-        }
-
 
 @dataclass(frozen=True)
 class CanonicalCoefficients:

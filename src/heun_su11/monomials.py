@@ -118,9 +118,6 @@ class MonomialSum:
     def __sub__(self, other: "MonomialSum") -> "MonomialSum":
         return self + other.scaled(-1.0)
 
-    def __neg__(self) -> "MonomialSum":
-        return self.scaled(-1.0)
-
     def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Exponents and coefficients of the nonzero terms, as numpy arrays."""
         nonzero = {k: c for k, c in self.coeffs.items() if c != 0.0}

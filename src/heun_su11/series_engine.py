@@ -3,7 +3,7 @@
 On the ascending ladder (base annihilated by the lowering generator) a
 solution for a chosen accessory value q is y = sum_m b_m z^(p0+m); on the
 descending ladder it is a series in 1/z.  Matching coefficients of the
-operator image gives the three-term recurrence
+decomposition's own action (up, A = diag_base, down) gives the recurrence
 
     up(p0+m-1) b_(m-1) + [A(p0+m) - q] b_m + down(p0+m+1) b_(m+1) = 0
 
@@ -21,7 +21,7 @@ from typing import List, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import OutOfDomain, RecurrenceBreakdown, UnsupportedClass
+from .errors import OutOfDomain, RecurrenceBreakdown, UnsupportedClass, ValidationError
 from .heun_core import require_finite
 from .monomials import MonomialSum, fsum_values, powers
 from .representations import (
@@ -29,7 +29,7 @@ from .representations import (
     RepresentationDescriptor,
     split_even_odd,
 )
-from .su11_algebra import MonomialAction, Su11Decomposition, monomial_action
+from .su11_algebra import Su11Decomposition
 
 DEFAULT_TRUNCATION = 60
 BOUNDARY_TOL = 1e-9
@@ -78,9 +78,12 @@ class SeriesSolution:
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SeriesSolution":
         lo, hi = doc["domain"]
+        if doc["direction"] not in (ASCENDING, DESCENDING):
+            raise ValidationError(f"series direction {doc['direction']!r} is neither "
+                                  f"{ASCENDING!r} nor {DESCENDING!r}")
         return cls(
             p0=float(doc["p0"]),
-            direction=str(doc["direction"]),
+            direction=doc["direction"],
             parity=str(doc["parity"]),
             q=float(doc["q"]),
             coefficients=tuple(math.nan if b is None else float(b) for b in doc["coefficients"]),
@@ -94,7 +97,7 @@ class EvaluatedSeries(NamedTuple):
 
 
 def _recurrence_coefficients(
-    action: MonomialAction, p0: float, direction: str, count: int
+    dec: Su11Decomposition, p0: float, direction: str, count: int
 ) -> Tuple[List[float], List[float], List[float], float]:
     """Coefficients of the three-term relation at p_m = p0 +/- m, m < count.
 
@@ -104,11 +107,11 @@ def _recurrence_coefficients(
     """
     ascending = direction == ASCENDING
     p = p0 + (1.0 if ascending else -1.0) * np.arange(count)
-    up, down = action.up(p - 1.0).tolist(), action.down(p + 1.0).tolist()
-    diag = action.diag_base(p).tolist()
+    up, down = dec.up(p - 1.0).tolist(), dec.down(p + 1.0).tolist()
+    diag = dec.diag_base(p).tolist()
     if ascending:
-        return up, diag, down, action.down(p0)
-    return down, diag, up, action.up(p0)
+        return up, diag, down, dec.down(p0)
+    return down, diag, up, dec.up(p0)
 
 
 def _direction_for(rep: RepresentationDescriptor) -> str:
@@ -154,12 +157,11 @@ def series_solution(
     split = split_even_odd(rep)
     grid = split.even if parity == "even" else split.odd
     p0 = grid.base
-    action = monomial_action(dec)
-    inward, diag, outward, edge = _recurrence_coefficients(action, p0, direction, truncation)
+    inward, diag, outward, edge = _recurrence_coefficients(dec, p0, direction, truncation)
 
     # The base must be annihilated in the outward direction, else the ladder
     # does not start here and the ansatz is wrong for this decomposition.
-    scale = max(1.0, abs(action.up(p0)), abs(action.down(p0)), abs(action.diag_base(p0)))
+    scale = max(1.0, abs(dec.up(p0)), abs(dec.down(p0)), abs(dec.diag_base(p0)))
     if abs(edge) > BOUNDARY_TOL * scale:
         raise ValueError(
             f"ladder base p0={p0} is not annihilated by the operator "
@@ -172,12 +174,11 @@ def series_solution(
     for m in range(truncation):
         divisor = outward[m]
         if divisor == 0.0:
-            err = RecurrenceBreakdown(
+            raise RecurrenceBreakdown(
                 f"leading divisor vanished at step {m + 1}; the ladder "
-                "truncates and the forward recurrence cannot continue"
+                "truncates and the forward recurrence cannot continue",
+                step=m + 1,
             )
-            err.step = m + 1
-            raise err
         b_next = -(inward[m] * b_prev + (diag[m] - q) * b_here) / divisor
         coeffs.append(b_next)
         b_prev, b_here = b_here, b_next

@@ -29,7 +29,7 @@ from .representations import (
     RepresentationDescriptor,
     split_even_odd,
 )
-from .su11_algebra import MonomialAction, Su11Decomposition, monomial_action, rebuild_coefficients
+from .su11_algebra import Su11Decomposition, rebuild_coefficients
 from .verifier import default_sample_points, worst_residuals
 
 MATRIX_CAP = 64
@@ -105,8 +105,9 @@ class SpectralResult:
         return [pair.to_json_dict() for pair in self.pairs]
 
 
-def build_matrix(action: MonomialAction, subgrid: ExponentGrid) -> TridiagonalMatrix:
-    """Matrix of the accessory-free operator on a finite parity sub-grid."""
+def build_matrix(dec: Su11Decomposition, subgrid: ExponentGrid) -> TridiagonalMatrix:
+    """Matrix of the accessory-free operator on a finite parity sub-grid,
+    from the decomposition's up, diag_base and down."""
     if subgrid.size is None:
         raise GridTooLarge("sub-grid is infinite; only finite ladders build matrices")
     if subgrid.size > MATRIX_CAP:
@@ -115,9 +116,9 @@ def build_matrix(action: MonomialAction, subgrid: ExponentGrid) -> TridiagonalMa
         raise ValueError("parity sub-grids must step by whole units")
     exponents = sorted(subgrid.exponents())
     grid = np.array(exponents)
-    diagonal = tuple(action.diag_base(grid).tolist())
-    up = action.up(grid).tolist()
-    down = action.down(grid).tolist()
+    diagonal = tuple(dec.diag_base(grid).tolist())
+    up = dec.up(grid).tolist()
+    down = dec.down(grid).tolist()
     lower, upper = tuple(up[:-1]), tuple(down[1:])
     scale = max([1.0, *map(abs, diagonal), *map(abs, lower), *map(abs, upper)])
     leak = max(abs(up[-1]), abs(down[0]))
@@ -214,7 +215,6 @@ def solve_spectrum(dec: Su11Decomposition, rep: RepresentationDescriptor) -> Spe
         raise UnsupportedClass(
             f"spectra are only computed on finite ladders, not {rep.rep_class.value}"
         )
-    action = monomial_action(dec)
     base_coeffs = rebuild_coefficients(dec)
     a = 4.0 * dec.c_minus
     samples = default_sample_points(a)
@@ -224,7 +224,7 @@ def solve_spectrum(dec: Su11Decomposition, rep: RepresentationDescriptor) -> Spe
     for parity, grid in (("even", split.even), ("odd", split.odd)):
         if grid.size == 0:
             continue
-        matrix = build_matrix(action, grid)
+        matrix = build_matrix(dec, grid)
         values, vectors = _eigensolve(matrix)
         order = np.lexsort((values.imag, values.real))
         values = values[order]

@@ -87,16 +87,6 @@ class FactorizabilityReport:
             )
         return "not factorizable: " + "; ".join(parts)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "failures": list(self.failures),
-            "exponent_gap": self.exponent_gap,
-            "gamma": self.gamma,
-            "gap_deviation": self.gap_deviation,
-            "gamma_deviation": self.gamma_deviation,
-        }
-
 
 def check_factorizable(
     params: HeunParameters, tol: float = CONDITION_TOL
@@ -123,7 +113,12 @@ def check_factorizable(
 
 @dataclass(frozen=True)
 class Su11Decomposition:
-    """Quadratic combination coefficients plus the generator parameters."""
+    """c_plus E+E+ + c_minus E-E- + c2 H^2 + c1 H + c0 on the generators at
+    mu, nu (with their Casimir), which is the action on z^p:
+    up(p) z^(p+1) + (diag_base(p) - q) z^p + down(p) z^(p-1), q = accessory_q.
+    This is the one closed-form statement of that action; matrix builds and
+    recurrences evaluate it on a float or elementwise on a numpy array.
+    """
 
     mu: float
     nu: float
@@ -145,6 +140,25 @@ class Su11Decomposition:
             "c0": self.c0,
             "casimir": self.casimir,
         }
+
+    def up(self, p: float) -> float:
+        return self.c_plus * (2.0 * p + 2.0 * self.mu) * (2.0 * p + 1.0 + 2.0 * self.mu)
+
+    def down(self, p: float) -> float:
+        return (
+            self.c_minus * (2.0 * p + 2.0 * self.nu) * (2.0 * p - 1.0 + 2.0 * self.nu)
+        )
+
+    def diag_base(self, p: float) -> float:
+        s = self.mu + self.nu
+        h = 2.0 * p + s
+        return self.c2 * h * h + self.c1 * h - s * (self.c1 + self.c2 * s)
+
+    @property
+    def accessory_q(self) -> float:
+        """The q baked into c0: the full diagonal is diag_base(p) - q."""
+        s = self.mu + self.nu
+        return -(self.c0 + s * (self.c1 + self.c2 * s))
 
     @classmethod
     def from_json_dict(cls, doc: Mapping[str, float]) -> "Su11Decomposition":
@@ -176,13 +190,12 @@ def decompose_coefficients(
     forced_a6 = (coeffs.a0 / 2.0) * mu * (1.0 + 2.0 * mu)
     deviation = abs(coeffs.a6 - forced_a6)
     if not deviation <= tol:
-        err = InconsistentCoefficients(
+        raise InconsistentCoefficients(
             f"a6={coeffs.a6:.12g} differs from the value {forced_a6:.12g} forced "
             f"by a0, a3 (deviation {deviation:.3e}); the exponent gap at "
-            "infinity is not 1/2"
+            "infinity is not 1/2",
+            deviation=deviation,
         )
-        err.deviation = deviation
-        raise err
     c_plus = coeffs.a0 / 4.0
     c_minus = coeffs.a2 / 4.0
     c2 = coeffs.a1 / 4.0
@@ -204,9 +217,7 @@ def decompose(params: HeunParameters, tol: float = CONDITION_TOL) -> Su11Decompo
     """Decompose a validated parameter set; rejects non-factorizable input."""
     report = check_factorizable(params, tol)
     if not report.accepted:
-        err = NotFactorizable(report.describe())
-        err.report = report
-        raise err
+        raise NotFactorizable(report.describe(), report=report)
     return decompose_coefficients(canonical_coefficients(params), tol)
 
 
@@ -225,55 +236,10 @@ def rebuild_coefficients(dec: Su11Decomposition) -> CanonicalCoefficients:
     )
 
 
-@dataclass(frozen=True)
-class MonomialAction:
-    """Tridiagonal action of the factorized operator on z^p.
-
-    Applying the operator to z^p yields
-    up(p) z^(p+1) + (diag_base(p) - q) z^p + down(p) z^(p-1), where q is
-    accessory_q.  This is the one closed-form statement of the action:
-    matrix builds and recurrences evaluate it, on a float or elementwise on
-    a numpy array of exponents.
-    """
-
-    mu: float
-    nu: float
-    c_plus: float
-    c_minus: float
-    c2: float
-    c1: float
-    c0: float
-
-    def up(self, p: float) -> float:
-        return self.c_plus * (2.0 * p + 2.0 * self.mu) * (2.0 * p + 1.0 + 2.0 * self.mu)
-
-    def down(self, p: float) -> float:
-        return (
-            self.c_minus * (2.0 * p + 2.0 * self.nu) * (2.0 * p - 1.0 + 2.0 * self.nu)
-        )
-
-    def diag_base(self, p: float) -> float:
-        s = self.mu + self.nu
-        h = 2.0 * p + s
-        return self.c2 * h * h + self.c1 * h - s * (self.c1 + self.c2 * s)
-
-    @property
-    def accessory_q(self) -> float:
-        """The q baked into c0: the full diagonal is diag_base(p) - q."""
-        s = self.mu + self.nu
-        return -(self.c0 + s * (self.c1 + self.c2 * s))
-
-
-def monomial_action(dec: Su11Decomposition) -> MonomialAction:
-    return MonomialAction(
-        mu=dec.mu,
-        nu=dec.nu,
-        c_plus=dec.c_plus,
-        c_minus=dec.c_minus,
-        c2=dec.c2,
-        c1=dec.c1,
-        c0=dec.c0,
-    )
+def monomial_action(dec: Su11Decomposition) -> Su11Decomposition:
+    """The decomposition itself; bench/workloads.py still imports this alias,
+    which goes with the next change to the benchmark."""
+    return dec
 
 
 def apply_quadratic(dec: Su11Decomposition, y: MonomialSum) -> MonomialSum:

@@ -13,7 +13,7 @@ of the terms errs by at most a small multiple of (term count) * 2^-53 of that
 scale, so exact solutions score near machine epsilon whatever cancellation
 occurs between f1 y'', f2 y' and f3 y, and no compensated summation is
 needed.  A sample whose terms all vanish scores 0; a non-finite sum or scale
-scores inf.
+scores inf, and worst_residuals scores an empty sample set inf.
 
 residual_block scores P candidates that share one exponent set (the
 eigenfunctions of one parity sub-grid) at once: it builds the power matrix
@@ -137,12 +137,13 @@ def worst_residuals(
     """Worst residual over the samples of each column of the block, scored
     with the accessory q[j]: a7 = -q, kept real for a real q as with_accessory
     keeps it.  A column with no nonzero coefficient is the zero function,
-    which solves every equation and so proves nothing; it scores inf."""
+    which solves every equation and so proves nothing; it scores inf, and so
+    does every column when no sample is left to test it on."""
     q = np.asarray(q)
     a7 = np.where(q.imag != 0.0, -q, -q.real)
     residuals, _ = residual_block(coeffs, exponents, block, a7, z_samples)
     worst = residuals.max(axis=1, initial=0.0)
-    worst[~np.any(np.asarray(block) != 0.0, axis=0)] = math.inf
+    worst[~np.any(np.asarray(block) != 0.0, axis=0) | (len(z_samples) == 0)] = math.inf
     return worst
 
 

@@ -21,7 +21,6 @@ from heun_su11.su11_algebra import (
     algebra_identity_check,
     check_factorizable,
     decompose,
-    monomial_action,
     rebuild_coefficients,
     reconstruction_check,
 )
@@ -314,12 +313,11 @@ def test_criterion_8_oracle_equivalence():
             r for r in classify(dec) if r.rep_class is RepresentationClass.FINITE_DIMENSIONAL
         )
         result = solve_spectrum(dec, rep)
-        action = monomial_action(dec)
         split = split_even_odd(rep)
         for subgrid, parity in ((split.even, "even"), (split.odd, "odd")):
             if subgrid.size == 0 or subgrid.size > 8:
                 continue
-            roots = eigen_oracle(build_matrix(action, subgrid))
+            roots = eigen_oracle(build_matrix(dec, subgrid))
             solver = sorted(pair.q for pair in result.pairs if pair.parity == parity)
             assert len(roots) == len(solver)
             for got, want in zip(solver, roots):

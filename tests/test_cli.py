@@ -11,6 +11,7 @@ import pytest
 from heun_su11 import cli
 from heun_su11 import spectrum as spectrum_module
 from heun_su11 import verifier as verifier_module
+from heun_su11 import RepresentationClass, classify, decompose, make_parameters, solve_spectrum
 from heun_su11.cli import main
 
 
@@ -463,7 +464,9 @@ def test_verify_scores_each_parity_with_one_call(capsys, monkeypatch):
 
 
 def vacuous(doc):
-    """Three documents that carry no solution to check."""
+    """Documents that carry no solution to check, or no sample point to check
+    it on: with a = a2 in [0, 1e-6] every default sample of (0, a) lies at 0
+    or within 1e-6 of a."""
     no_terms = json.loads(json.dumps(doc))
     for pair in no_terms["eigenpairs"]:
         pair.update(coefficients=[], q=123.0)
@@ -471,10 +474,18 @@ def vacuous(doc):
     for pair in zeros["eigenpairs"]:
         for term in pair["coefficients"]:
             term["value"] = 0.0
-    return {"no-terms": no_terms, "zero-coefficients": zeros, "no-pairs": {**doc, "eigenpairs": []}}
+    cases = {"no-terms": no_terms, "zero-coefficients": zeros,
+             "no-pairs": {**doc, "eigenpairs": []}}
+    for a2 in (0.0, 1e-300, 1e-7):
+        cases[f"no-samples-{a2:g}"] = unsampled = json.loads(json.dumps(doc))
+        unsampled["ode_coefficients"]["a2"] = a2
+        for pair in unsampled["eigenpairs"]:
+            pair["q"] = 123.0
+    return cases
 
 
-@pytest.mark.parametrize("case", ["no-terms", "zero-coefficients", "no-pairs"])
+@pytest.mark.parametrize("case", ["no-terms", "zero-coefficients", "no-pairs", "no-samples-0",
+                                  "no-samples-1e-300", "no-samples-1e-07"])
 def test_verify_fails_documents_without_a_solution(case, capsys, monkeypatch):
     main(["spectrum", "--preset", "example1"])
     doc = vacuous(json.loads(capsys.readouterr().out))[case]
@@ -501,3 +512,75 @@ def test_options_a_subcommand_ignores_are_usage_errors(argv, option, tmp_path, m
     assert main(argv + option) == 64
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "plot.csv").exists()
+
+
+def test_spectrum_with_no_surviving_sample_exits_1(capsys):
+    # Every Chebyshev node of (0, 1e-7) lies within the singularity radius of a.
+    rc, doc = run_json(capsys, ["spectrum", "--preset", "example1", "--a", "1e-7"])
+    assert rc == 1
+    assert [pair["residual"] for pair in doc["eigenpairs"]] == [None, None, None]
+
+
+@pytest.mark.parametrize("direction, domain", [
+    ("ascending", [0.0, 0.0]),
+    ("descending", [0.0, None]),
+    ("sideways", [0.0, 1.0]),
+], ids=["ascending-empty", "descending-empty", "sideways"])
+def test_verify_fails_series_when_no_sample_survives(direction, domain, capsys, monkeypatch):
+    main(["series", "--preset", "example1", "--q", "0.3"])
+    doc = json.loads(capsys.readouterr().out)
+    doc["series"].update(coefficients=[1.0, 123.0, -7.0], direction=direction, domain=domain)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(["verify", "--solution", "-"]) == 1
+    out = capsys.readouterr().out
+    if direction == "sideways":
+        assert out == ""
+    else:
+        assert json.loads(out)["results"][0]["max_relative_residual"] is None
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["decompose", "--params", "-"], ["gamma"]),
+    (["spectrum", "--decomposition", "-"], [1.0]),
+    (["verify", "--solution", "-"], "spectrum"),
+    (["verify", "--solution", "-"], {"ode_coefficients": [], "eigenpairs": []}),
+], ids=["params", "decomposition", "solution", "ode-coefficients"])
+def test_json_that_is_not_an_object_exits_1(argv, stdin, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("heun-su11: ") and captured.err.count("\n") == 1
+    assert "must be a JSON object" in captured.err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("command", [["spectrum", "--preset", "example1"],
+                                     ["series", "--preset", "example1", "--q", "0.3"]],
+                         ids=["spectrum", "series"])
+def test_samples_below_1_are_usage_errors(command, samples, tmp_path, capsys):
+    csv_path = tmp_path / "plot.csv"
+    assert main(command + ["--csv", str(csv_path), "--samples", samples]) == 64
+    assert "--samples" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
+def test_spectrum_csv_writes_complex_values(tmp_path, capsys):
+    argv = ["--gamma", "0.5", "--delta", "-0.5", "--alpha", "-1.5", "--beta", "-1", "--a", "-3"]
+    csv_path = tmp_path / "plot.csv"
+    assert main(["spectrum", *argv, "--csv", str(csv_path), "--samples", "2"]) == 0
+    capsys.readouterr()
+    dec = decompose(make_parameters(0.5, -0.5, -1.5, -1.0, -3.0, 0.0))
+    finite = next(r for r in classify(dec) if r.rep_class is RepresentationClass.FINITE_DIMENSIONAL)
+    pairs = solve_spectrum(dec, finite).pairs
+    blocks = csv_path.read_text().split("# q=")[1:]
+    assert len(blocks) == len(pairs) == 4
+    seen_complex = 0
+    for pair, block in zip(pairs, blocks):
+        rows = [line.split(",") for line in block.splitlines()[2:]]
+        assert len(rows) == 2
+        for z_cell, value_cell in rows:
+            value = complex(value_cell) if value_cell.startswith("(") else float(value_cell)
+            seen_complex += isinstance(value, complex)
+            assert value == pair.eigenfunction.evaluate(float(z_cell))
+    assert seen_complex == 4

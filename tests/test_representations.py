@@ -11,7 +11,6 @@ from heun_su11.representations import (
     split_even_odd,
 )
 from heun_su11.su11_algebra import (
-    MonomialAction,
     Su11Decomposition,
     casimir_value,
     decompose,
@@ -181,17 +180,14 @@ def test_closure_of_parity_subgrids():
         nu = float(rng.choice([0.0, 0.5]))
         mu = nu - 0.5 * k
         dec = synthetic_decomposition(mu=mu, nu=nu)
-        action = MonomialAction(
-            mu=mu, nu=nu, c_plus=0.25, c_minus=0.6, c2=-1.1, c1=0.3, c0=-0.2
-        )
         fd = classify(dec)[0]
         split = split_even_odd(fd)
         for grid in (split.even, split.odd):
             if grid.size == 0:
                 continue
             exps = grid.exponents()
-            assert abs(action.down(min(exps))) <= 1e-12
-            assert abs(action.up(max(exps))) <= 1e-12
+            assert abs(dec.down(min(exps))) <= 1e-12
+            assert abs(dec.up(max(exps))) <= 1e-12
 
 
 def test_exponent_grid_guards():

@@ -22,7 +22,7 @@ from heun_su11.monomials import MonomialSum
 from heun_su11.representations import RepresentationClass, classify, split_even_odd
 from heun_su11.series_engine import series_solution
 from heun_su11.spectrum import build_matrix, solve_spectrum
-from heun_su11.su11_algebra import decompose, monomial_action, rebuild_coefficients
+from heun_su11.su11_algebra import decompose, rebuild_coefficients
 from heun_su11.verifier import default_sample_points, residual_for_coefficients
 
 THRESHOLD = 1e-8
@@ -106,7 +106,7 @@ def test_eigenvector_components_match_high_precision_reference():
     mu = -(n - 1) / 2.0
     dec = decompose(make_parameters(0.5, -0.5, mu, mu + 0.5, a, 0.0))
     rep = next(r for r in classify(dec) if r.rep_class is RepresentationClass.FINITE_DIMENSIONAL)
-    matrix = build_matrix(monomial_action(dec), split_even_odd(rep).even)
+    matrix = build_matrix(dec, split_even_odd(rep).even)
     pairs = [pair for pair in solve_spectrum(dec, rep).pairs if pair.parity == "even"]
     assert len(pairs) == matrix.dimension
     qs = [pair.q for pair in pairs]

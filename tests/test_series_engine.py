@@ -20,7 +20,7 @@ from heun_su11.series_engine import (
     evaluate_series,
     series_solution,
 )
-from heun_su11.su11_algebra import Su11Decomposition, casimir_value, decompose, monomial_action
+from heun_su11.su11_algebra import Su11Decomposition, casimir_value, decompose
 from heun_su11.verifier import ode_residual
 
 POINT_PAIRS = [(2.0, 1.0), (0.5, -0.3)]
@@ -31,7 +31,7 @@ def recurrence_residual(dec, sol):
     relative to the largest of its three terms."""
     b = sol.coefficients
     inward, diag, outward, _ = _recurrence_coefficients(
-        monomial_action(dec), sol.p0, sol.direction, len(b) - 1
+        dec, sol.p0, sol.direction, len(b) - 1
     )
     worst = 0.0
     for m in range(len(b) - 1):

@@ -26,7 +26,7 @@ from heun_su11.representations import (
 from heun_su11 import spectrum as spectrum_module
 from heun_su11 import verifier as verifier_module
 from heun_su11.spectrum import TridiagonalMatrix, build_matrix, solve_spectrum
-from heun_su11.su11_algebra import decompose, monomial_action, rebuild_coefficients
+from heun_su11.su11_algebra import decompose, rebuild_coefficients
 from heun_su11.verifier import default_sample_points, residual_block, residual_for_coefficients
 from oracle import ComplexRootsDetected, characteristic_polynomial, eigen_oracle
 
@@ -55,12 +55,11 @@ def finite_rep(dec):
 
 def matrices_for(params):
     dec = decompose(params)
-    action = monomial_action(dec)
     split = split_even_odd(finite_rep(dec))
     out = []
     for grid in (split.even, split.odd):
         if grid.size:
-            out.append(build_matrix(action, grid))
+            out.append(build_matrix(dec, grid))
     return out
 
 
@@ -68,7 +67,7 @@ def test_build_matrix_example1_even_against_operator_readoff():
     a = 2.0
     dec = decompose(example1(a))
     split = split_even_odd(finite_rep(dec))
-    matrix = build_matrix(monomial_action(dec), split.even)
+    matrix = build_matrix(dec, split.even)
     assert matrix.exponents == (0.0, 1.0)
     assert matrix.diagonal == (0.0, 0.0)
     assert matrix.lower == (0.5,)
@@ -88,7 +87,7 @@ def test_build_matrix_example1_odd():
     a = 2.0
     dec = decompose(example1(a))
     split = split_even_odd(finite_rep(dec))
-    matrix = build_matrix(monomial_action(dec), split.odd)
+    matrix = build_matrix(dec, split.odd)
     assert matrix.exponents == (0.5,)
     assert matrix.diagonal == ((a + 1.0) / 4.0,)
 
@@ -96,23 +95,22 @@ def test_build_matrix_example1_odd():
 def test_build_matrix_lame_singlet():
     dec = decompose(lame_parameters(0.0, 2.0, 1.0))
     split = split_even_odd(finite_rep(dec))
-    matrix = build_matrix(monomial_action(dec), split.even)
+    matrix = build_matrix(dec, split.even)
     assert matrix.diagonal == (0.0,)
     assert split.odd.size == 0
 
 
 def test_build_matrix_cap_and_grid_guards():
     dec = decompose(example1(2.0))
-    action = monomial_action(dec)
     with pytest.raises(GridTooLarge):
-        build_matrix(action, ExponentGrid(0.0, 1.0, 65))
+        build_matrix(dec, ExponentGrid(0.0, 1.0, 65))
     with pytest.raises(GridTooLarge):
-        build_matrix(action, ExponentGrid(0.0, 1.0, None))
+        build_matrix(dec, ExponentGrid(0.0, 1.0, None))
     with pytest.raises(ValueError):
-        build_matrix(action, ExponentGrid(0.0, 0.5, 3))
+        build_matrix(dec, ExponentGrid(0.0, 0.5, 3))
     # a grid that is not actually closed for this operator
     with pytest.raises(ValueError):
-        build_matrix(action, ExponentGrid(0.25, 1.0, 2))
+        build_matrix(dec, ExponentGrid(0.25, 1.0, 2))
 
 
 @pytest.mark.parametrize("a", [0.25, 2.0, 4.0])
@@ -264,12 +262,11 @@ def test_solver_agrees_with_oracle(a, gamma, n):
     rep = finite_rep(dec)
     assert rep.n == n
     split = split_even_odd(rep)
-    action = monomial_action(dec)
     result = solve_spectrum(dec, rep)
     for parity, grid in (("even", split.even), ("odd", split.odd)):
         if not grid.size:
             continue
-        matrix = build_matrix(action, grid)
+        matrix = build_matrix(dec, grid)
         oracle = sorted(eigen_oracle(matrix))
         solved = sorted(pair.q for pair in result.pairs if pair.parity == parity)
         assert solved == pytest.approx(oracle, abs=1e-10)

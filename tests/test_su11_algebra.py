@@ -20,7 +20,6 @@ from heun_su11.su11_algebra import (
     check_factorizable,
     decompose,
     decompose_coefficients,
-    monomial_action,
     rebuild_coefficients,
     reconstruction_check,
 )
@@ -201,48 +200,44 @@ def test_boundary_annihilation_exact():
     rng = np.random.default_rng(17)
     for _ in range(20):
         dec = decompose(random_factorizable(rng))
-        action = monomial_action(dec)
-        assert action.up(-dec.mu) == 0.0
-        assert action.down(-dec.nu) == 0.0
-        assert abs(action.up(-dec.mu - 0.5)) <= 1e-12
-        assert abs(action.down(-dec.nu + 0.5)) <= 1e-12
+        assert dec.up(-dec.mu) == 0.0
+        assert dec.down(-dec.nu) == 0.0
+        assert abs(dec.up(-dec.mu - 0.5)) <= 1e-12
+        assert abs(dec.down(-dec.nu + 0.5)) <= 1e-12
 
 
-def test_monomial_action_matches_quadratic_application():
+def test_ladder_action_matches_quadratic_application():
     rng = np.random.default_rng(23)
     for _ in range(20):
         dec = decompose(random_factorizable(rng))
-        action = monomial_action(dec)
         p = float(rng.integers(-4, 5) * 0.5)
         y = MonomialSum.monomial(p)
         expected = MonomialSum.from_terms(
             [
-                (p + 1.0, action.up(p)),
-                (p, action.diag_base(p) - action.accessory_q),
-                (p - 1.0, action.down(p)),
+                (p + 1.0, dec.up(p)),
+                (p, dec.diag_base(p) - dec.accessory_q),
+                (p - 1.0, dec.down(p)),
             ],
             base=p,
         )
         assert apply_quadratic(dec, y).max_abs_diff(expected) <= 1e-12
 
 
-def test_monomial_action_example1_odd_point():
+def test_ladder_action_example1_odd_point():
     dec = decompose(make_parameters(**EXAMPLE1))
-    action = monomial_action(dec)
     a = 4.0 * dec.c_minus
-    assert action.up(0.5) == 0.0
-    assert action.down(0.5) == 0.0
+    assert dec.up(0.5) == 0.0
+    assert dec.down(0.5) == 0.0
     # with the accessory set to (a+1)/4 the diagonal vanishes: sqrt(z) solves
-    assert action.diag_base(0.5) == pytest.approx((a + 1.0) / 4.0, abs=1e-14)
+    assert dec.diag_base(0.5) == pytest.approx((a + 1.0) / 4.0, abs=1e-14)
 
 
-def test_monomial_action_lame_singlet():
+def test_ladder_action_lame_singlet():
     dec = decompose(lame_parameters(0.0, 2.0, 1.5))
-    action = monomial_action(dec)
-    assert action.up(0.0) == 0.0
-    assert action.down(0.0) == 0.0
-    assert action.diag_base(0.0) - action.accessory_q == -1.5
-    assert action.accessory_q == pytest.approx(1.5, abs=1e-14)
+    assert dec.up(0.0) == 0.0
+    assert dec.down(0.0) == 0.0
+    assert dec.diag_base(0.0) - dec.accessory_q == -1.5
+    assert dec.accessory_q == pytest.approx(1.5, abs=1e-14)
 
 
 def test_reconstruction_check_example_solutions():

@@ -404,7 +404,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--rep", choices=("pd", "nd"), default="pd",
                    help="ascending (pd) or descending (nd) ladder")
     p.add_argument("--parity", choices=("even", "odd"), default="even")
-    p.add_argument("--kmax", type=int, default=60, help="truncation order (default 60)")
+    p.add_argument("--kmax", type=_positive_int, default=60, help="truncation order (default 60)")
     p = command("verify", _cmd_verify, [output_parent],
                 "residual check of a saved spectrum/series document")
     p.add_argument("--solution", metavar="FILE", required=True,

@@ -10,8 +10,10 @@ sqrt(z) solving the equation with that q.
 
 solve_spectrum takes the eigenvalues from numpy (symmetric or dense, by the
 sign of the off-diagonal products) and every eigenvector from one twisted
-factorization of T - q.  The tests hold an independent oracle, a bisection
-on the characteristic polynomial, and require the two to agree.
+factorization of T - q.  The tests hold an independent oracle, a 50-digit
+Sturm count of the eigenvalues of T below a point, and with it certify
+every eigenvalue the solver returns within 1e-10 on each sub-grid whose
+off-diagonal products are not negative.
 """
 
 from __future__ import annotations

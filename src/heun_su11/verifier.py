@@ -13,7 +13,8 @@ of the terms errs by at most a small multiple of (term count) * 2^-53 of that
 scale, so exact solutions score near machine epsilon whatever cancellation
 occurs between f1 y'', f2 y' and f3 y, and no compensated summation is
 needed.  A sample whose terms all vanish scores 0; a non-finite sum or scale
-scores inf, and worst_residuals scores an empty sample set inf.
+scores inf, and the worst over the samples is inf for the zero function or
+an empty sample set.
 
 residual_block scores P candidates that share one exponent set (the
 eigenfunctions of one parity sub-grid) at once: it builds the power matrix
@@ -127,6 +128,16 @@ def residual_block(
     return residuals, scale
 
 
+def _worst(residuals: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Worst of each row of residuals (P x S) for the P columns of the block.
+    A column with no nonzero coefficient is the zero function, which solves
+    every equation and so proves nothing; it scores inf, and so does every
+    column when no sample is left to test it on."""
+    worst = residuals.max(axis=1, initial=0.0)
+    worst[~np.any(np.asarray(block) != 0.0, axis=0) | (residuals.shape[1] == 0)] = math.inf
+    return worst
+
+
 def worst_residuals(
     coeffs: CanonicalCoefficients,
     exponents: np.ndarray,
@@ -136,15 +147,11 @@ def worst_residuals(
 ) -> np.ndarray:
     """Worst residual over the samples of each column of the block, scored
     with the accessory q[j]: a7 = -q, kept real for a real q as with_accessory
-    keeps it.  A column with no nonzero coefficient is the zero function,
-    which solves every equation and so proves nothing; it scores inf, and so
-    does every column when no sample is left to test it on."""
+    keeps it."""
     q = np.asarray(q)
     a7 = np.where(q.imag != 0.0, -q, -q.real)
     residuals, _ = residual_block(coeffs, exponents, block, a7, z_samples)
-    worst = residuals.max(axis=1, initial=0.0)
-    worst[~np.any(np.asarray(block) != 0.0, axis=0) | (len(z_samples) == 0)] = math.inf
-    return worst
+    return _worst(residuals, block)
 
 
 def residual_for_coefficients(
@@ -157,7 +164,7 @@ def residual_for_coefficients(
     p, c = solution.as_arrays()
     residuals, scales = residual_block(coeffs, p, c[:, None], [coeffs.a7], z_samples)
     return ResidualReport(
-        max_relative_residual=max(residuals[0].tolist(), default=0.0),
+        max_relative_residual=_worst(residuals, c[:, None]).item(),
         sample_points=tuple(map(float, z_samples)),
         residuals=tuple(residuals[0].tolist()),
         scales=tuple(scales[0].tolist()),
@@ -167,10 +174,12 @@ def residual_for_coefficients(
 def default_sample_points(
     a: float, domain: Tuple[float, float] | None = None, count: int = DEFAULT_SAMPLE_COUNT
 ) -> Tuple[float, ...]:
-    """Chebyshev samples in domain (default (0, min(1,|a|))), singularities
-
-    clipped out; Chebyshev nodes are interior so the clip only matters for
-    caller-supplied domains that straddle 1 or a."""
+    """Chebyshev samples in domain (default (0, min(1,|a|))), less every node
+    within SINGULARITY_RADIUS of 1 or a.  The clip matters for a domain that
+    straddles 1 or a, and for the default domain at small |a|: its top node
+    lies about 1e-3*|a| below |a|, so from |a| = 1e-3 down the clip removes
+    nodes near a, and at a = 1e-6 or 1e-7 it removes all 25.  On that empty
+    set the worst residual of any candidate is inf."""
     if domain is None:
         domain = (0.0, min(1.0, abs(a)))
     lo, hi = domain

@@ -1,99 +1,68 @@
 """Independent eigenvalue oracle for finite-ladder matrices, used by tests.
 
-It evaluates the characteristic polynomial of a tridiagonal matrix by the
-three-term determinant recurrence and brackets its real roots directly, with
-no library eigensolver, so the tests can require the production solver
-(numpy eigenvalues) to agree with it.
+The Sturm count of a tridiagonal T at x is the number of eigenvalues below
+x: the number of negative pivots of the LDL^T factorization of T - x, whose
+recurrence d_i = (T_ii - x) - T_(i,i-1) T_(i-1,i) / d_(i-1) needs only the
+diagonal and the off-diagonal products (Demmel, Applied Numerical Linear
+Algebra, sec. 5.3.4).  It runs in 50-digit mpmath arithmetic on the float
+entries, with no library eigensolver.  By Sylvester's law of inertia the
+count holds when T is similar to a symmetric matrix, that is when no
+off-diagonal product is negative; any other matrix is refused with
+ValueError.
+
+check_eigenvalues certifies a solver's eigenvalues with two counts each:
+the k-th sorted value q_k must have exactly k eigenvalues below q_k - tol
+and k + 1 below q_k + tol.  That puts an eigenvalue within tol of every
+q_k, and fails on a missed or doubled eigenvalue as well.
 """
 
-from typing import List
+from typing import Callable, Sequence
 
-import numpy as np
+import mpmath
 
-from heun_su11.errors import NumericalError
 from heun_su11.spectrum import TridiagonalMatrix
 
-ORACLE_CAP = 8
+DIGITS = 50
 
 
-class ComplexRootsDetected(NumericalError):
-    """Fewer real roots than the matrix dimension were found."""
+def sturm_counter(matrix: TridiagonalMatrix) -> Callable[[object], int]:
+    """count(x): the number of eigenvalues of matrix below x (a float or an
+    mpf)."""
+    with mpmath.workdps(DIGITS):
+        diagonal = [mpmath.mpf(d) for d in matrix.diagonal]
+        # A product of two doubles is exact at 50 digits; the leading 0
+        # makes the first pivot d_0 - x.
+        products = [mpmath.mpf(0)] + [
+            mpmath.mpf(lo) * mpmath.mpf(up) for lo, up in zip(matrix.lower, matrix.upper)
+        ]
+    if any(b < 0 for b in products):
+        raise ValueError("a negative off-diagonal product: the eigenvalues need not be real")
 
-    def __init__(self, message, real_roots_found=None):
-        super().__init__(message)
-        self.real_roots_found = real_roots_found
+    def count(x) -> int:
+        with mpmath.workdps(DIGITS):
+            x = mpmath.mpf(x)
+            negatives, pivot = 0, mpmath.mpf(1)
+            for d, b in zip(diagonal, products):
+                pivot = d - x - b / pivot
+                if pivot == 0:
+                    # x is an eigenvalue of a leading block; a negligible
+                    # shift of x down keeps counting eigenvalues below x.
+                    pivot = mpmath.eps
+                negatives += pivot < 0
+            return negatives
 
-
-def characteristic_polynomial(matrix: TridiagonalMatrix, x):
-    """det(T - x I) by the three-term determinant recurrence.
-
-    x may be a scalar or a numpy array (evaluated elementwise)."""
-    prev2 = 1.0
-    prev1 = matrix.diagonal[0] - x
-    for k in range(1, matrix.dimension):
-        off = matrix.lower[k - 1] * matrix.upper[k - 1]
-        current = (matrix.diagonal[k] - x) * prev1 - off * prev2
-        prev2, prev1 = prev1, current
-    return prev1
-
-
-def _bisect_root(matrix: TridiagonalMatrix, lo: float, hi: float, tol: float) -> float:
-    f_lo = characteristic_polynomial(matrix, lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        f_mid = characteristic_polynomial(matrix, mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    return count
 
 
-def eigen_oracle(matrix: TridiagonalMatrix) -> List[float]:
-    """Real eigenvalues by dense sign-change scanning plus bisection.
-
-    Independent of any library eigensolver; intended as a test oracle for
-    small matrices (dimension <= 8) whose eigenvalues are simple, which
-    holds whenever the off-diagonal products are nonzero.  Roots of even
-    multiplicity produce no sign change and would be missed.
-    """
-    n = matrix.dimension
-    if n > ORACLE_CAP:
-        raise ValueError(f"oracle accepts dimension <= {ORACLE_CAP}, got {n}")
-    radius = [0.0] * n
-    for m in range(n - 1):
-        radius[m] += abs(matrix.upper[m])
-        radius[m + 1] += abs(matrix.lower[m])
-    lo = min(d - r for d, r in zip(matrix.diagonal, radius))
-    hi = max(d + r for d, r in zip(matrix.diagonal, radius))
-    scale = max(1.0, abs(lo), abs(hi))
-    pad = 1e-6 * scale
-    lo -= pad
-    hi += pad
-    count = 2048 * n
-    xs = np.linspace(lo, hi, count + 1)
-    fs = np.asarray(characteristic_polynomial(matrix, xs))
-    tol = 1e-15 * scale
-    roots: List[float] = []
-    for i in range(count):
-        if fs[i] == 0.0:
-            if not roots or abs(xs[i] - roots[-1]) > tol:
-                roots.append(float(xs[i]))
-        elif (fs[i] < 0.0) != (fs[i + 1] < 0.0):
-            root = _bisect_root(matrix, float(xs[i]), float(xs[i + 1]), tol)
-            if not roots or abs(root - roots[-1]) > tol:
-                roots.append(root)
-    if fs[-1] == 0.0 and (not roots or abs(xs[-1] - roots[-1]) > tol):
-        roots.append(float(xs[-1]))
-    if len(roots) < n:
-        err = ComplexRootsDetected(
-            f"found {len(roots)} real eigenvalues out of {n}; the rest form "
-            "complex-conjugate pairs"
-        )
-        err.real_roots_found = len(roots)
-        raise err
-    return roots
+def check_eigenvalues(matrix: TridiagonalMatrix, qs: Sequence[float], tol: float = 1e-10) -> None:
+    """Assert that qs are the eigenvalues of matrix, each within tol."""
+    count = sturm_counter(matrix)
+    qs = sorted(qs)
+    assert len(qs) == matrix.dimension, f"{len(qs)} values for dimension {matrix.dimension}"
+    with mpmath.workdps(DIGITS):
+        for k, q in enumerate(qs):
+            below, above = count(mpmath.mpf(q) - tol), count(mpmath.mpf(q) + tol)
+            assert (below, above) == (k, k + 1), (
+                f"q_{k} = {q!r}: {below} eigenvalues below q - {tol:g} and {above} "
+                f"below q + {tol:g}, expected {k} and {k + 1}"
+            )

@@ -565,6 +565,12 @@ def test_samples_below_1_are_usage_errors(command, samples, tmp_path, capsys):
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("kmax", ["0", "-2"])
+def test_kmax_below_1_is_a_usage_error(kmax, capsys):
+    assert main(["series", "--preset", "example1", "--q", "0.3", "--kmax", kmax]) == 64
+    assert "--kmax" in capsys.readouterr().err
+
+
 def test_spectrum_csv_writes_complex_values(tmp_path, capsys):
     argv = ["--gamma", "0.5", "--delta", "-0.5", "--alpha", "-1.5", "--beta", "-1", "--a", "-3"]
     csv_path = tmp_path / "plot.csv"

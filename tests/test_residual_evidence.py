@@ -24,6 +24,7 @@ from heun_su11.series_engine import series_solution
 from heun_su11.spectrum import build_matrix, solve_spectrum
 from heun_su11.su11_algebra import decompose, rebuild_coefficients
 from heun_su11.verifier import default_sample_points, residual_for_coefficients
+from oracle import sturm_counter
 
 THRESHOLD = 1e-8
 UNIT_ROUNDOFF = 2.0**-53
@@ -59,33 +60,26 @@ def test_correct_complex_pairs_score_near_epsilon(n):
 
 def reference_eigenvector(matrix, q_float, width, k):
     """The eigenvector of the float matrix at the eigenvalue within width of
-    q_float, in 50-digit arithmetic: q by bisection on the characteristic
-    polynomial, then one inverse-iteration solve (T - q) x = e_k by Gaussian
-    elimination.  k is the peak of the float eigenvector.  A start vector of
-    all ones would leave the other eigenvectors in x at about 1e-50 of the
-    peak, which swamps the smallest components (1e-57 at a=4, n=128); from
-    e_k the result matched a 90-digit run."""
+    q_float, in 50-digit arithmetic: q by bisection on the Sturm count, then
+    one inverse-iteration solve (T - q) x = e_k by Gaussian elimination.  k
+    is the peak of the float eigenvector.  A start vector of all ones would
+    leave the other eigenvectors in x at about 1e-50 of the peak, which
+    swamps the smallest components (1e-57 at a=4, n=128); from e_k the
+    result matched a 90-digit run."""
+    count = sturm_counter(matrix)
     with mpmath.workdps(50):
         diag = [mpmath.mpf(d) for d in matrix.diagonal]
         lower = [mpmath.mpf(x) for x in matrix.lower]
         upper = [mpmath.mpf(x) for x in matrix.upper]
-
-        def charpoly(x):
-            prev2, prev1 = 1, diag[0] - x
-            for i in range(1, len(diag)):
-                prev2, prev1 = prev1, (diag[i] - x) * prev1 - lower[i - 1] * upper[i - 1] * prev2
-            return prev1
-
-        lo, hi = mpmath.mpf(q_float - width), mpmath.mpf(q_float + width)
-        f_lo = charpoly(lo)
-        assert (f_lo < 0) != (charpoly(hi) < 0)
+        lo, hi = mpmath.mpf(q_float) - width, mpmath.mpf(q_float) + width
+        below = count(lo)
+        assert count(hi) == below + 1
         while hi - lo > mpmath.mpf(10) ** -48 * max(1, abs(lo)):
             mid = (lo + hi) / 2
-            f_mid = charpoly(mid)
-            if (f_mid < 0) == (f_lo < 0):
-                lo, f_lo = mid, f_mid
-            else:
+            if count(mid) > below:
                 hi = mid
+            else:
+                lo = mid
         q = (lo + hi) / 2
         pivots = [d - q for d in diag]
         rhs = [mpmath.mpf(int(i == k)) for i in range(len(diag))]

@@ -28,7 +28,7 @@ from heun_su11 import verifier as verifier_module
 from heun_su11.spectrum import TridiagonalMatrix, build_matrix, solve_spectrum
 from heun_su11.su11_algebra import decompose, rebuild_coefficients
 from heun_su11.verifier import default_sample_points, residual_block, residual_for_coefficients
-from oracle import ComplexRootsDetected, characteristic_polynomial, eigen_oracle
+from oracle import check_eigenvalues, sturm_counter
 
 
 def example1(a, q=0.0):
@@ -204,58 +204,29 @@ def test_negative_a_complex_pairs_flagged():
         assert pair.residual <= 1e-10
 
 
-def test_eigen_oracle_simple_matrices():
+def test_sturm_count_simple_matrices():
     two = TridiagonalMatrix((0.0, 1.0), (0.0, 0.0), (0.5,), (2.0,))
-    assert eigen_oracle(two) == pytest.approx([-1.0, 1.0], abs=1e-12)
+    count = sturm_counter(two)
+    assert [count(x) for x in (-1.5, -1.0, 0.0, 1.0, 1.5)] == [0, 0, 1, 1, 2]
+    check_eigenvalues(two, [-1.0, 1.0], tol=1e-12)
     one = TridiagonalMatrix((0.5,), (0.75,), (), ())
-    assert eigen_oracle(one) == pytest.approx([0.75], abs=1e-14)
+    check_eigenvalues(one, [0.75], tol=1e-14)
 
 
-def test_eigen_oracle_example1_quarter():
+def test_sturm_count_example1_quarter():
     matrices = matrices_for(example1(0.25))
-    even = matrices[0]
-    assert eigen_oracle(even) == pytest.approx([-0.25, 0.25], abs=1e-10)
+    check_eigenvalues(matrices[0], [-0.25, 0.25])
 
 
-def test_eigen_oracle_detects_complex_pairs():
+def test_sturm_count_refuses_negative_products():
     matrices = matrices_for(example1(-2.0))
-    with pytest.raises(ComplexRootsDetected) as info:
-        eigen_oracle(matrices[0])
-    assert info.value.real_roots_found == 0
-
-
-def test_eigen_oracle_rejects_large_matrices():
-    n = 9
-    matrix = TridiagonalMatrix(
-        tuple(float(i) for i in range(n)),
-        tuple(float(i) for i in range(n)),
-        (1.0,) * (n - 1),
-        (1.0,) * (n - 1),
-    )
     with pytest.raises(ValueError):
-        eigen_oracle(matrix)
-
-
-def test_characteristic_polynomial_matches_numpy_det():
-    rng = np.random.default_rng(91)
-    for _ in range(10):
-        n = int(rng.integers(1, 7))
-        matrix = TridiagonalMatrix(
-            tuple(float(i) for i in range(n)),
-            tuple(rng.standard_normal(n)),
-            tuple(rng.standard_normal(max(n - 1, 0))),
-            tuple(rng.standard_normal(max(n - 1, 0))),
-        )
-        x = float(rng.standard_normal())
-        direct = np.linalg.det(matrix.to_dense() - x * np.eye(n))
-        assert characteristic_polynomial(matrix, x) == pytest.approx(
-            direct, rel=1e-9, abs=1e-9
-        )
+        sturm_counter(matrices[0])
 
 
 @pytest.mark.parametrize("a", [0.25, 2.0, 4.0])
 @pytest.mark.parametrize("gamma", [0.5, 1.5])
-@pytest.mark.parametrize("n", [2, 3, 6, 11, 16])
+@pytest.mark.parametrize("n", [2, 3, 6, 11, 16, 32, 64, 128])
 def test_solver_agrees_with_oracle(a, gamma, n):
     params = ladder_params(n, gamma, a, q=0.0)
     dec = decompose(params)
@@ -266,10 +237,29 @@ def test_solver_agrees_with_oracle(a, gamma, n):
     for parity, grid in (("even", split.even), ("odd", split.odd)):
         if not grid.size:
             continue
-        matrix = build_matrix(dec, grid)
-        oracle = sorted(eigen_oracle(matrix))
-        solved = sorted(pair.q for pair in result.pairs if pair.parity == parity)
-        assert solved == pytest.approx(oracle, abs=1e-10)
+        solved = [pair.q for pair in result.pairs if pair.parity == parity]
+        check_eigenvalues(build_matrix(dec, grid), solved, tol=1e-10)
+
+
+@pytest.mark.parametrize("plant", ["moved-1e-9", "dropped", "duplicated", "over-neighbour"])
+@pytest.mark.parametrize("n", [4, 128])
+def test_oracle_check_rejects_planted_answers(n, plant):
+    """On the even sub-grid of the a=4 ladder the check passes the solver's
+    values and fails each planted wrong answer."""
+    dec = decompose(ladder_params(n, 0.5, 4.0, delta=-0.5))
+    rep = finite_rep(dec)
+    matrix = build_matrix(dec, split_even_odd(rep).even)
+    qs = sorted(pair.q for pair in solve_spectrum(dec, rep).pairs if pair.parity == "even")
+    check_eigenvalues(matrix, qs)
+    k = (len(qs) - 1) // 2
+    wrong = {
+        "moved-1e-9": qs[:k] + [qs[k] + 1e-9] + qs[k + 1:],
+        "dropped": qs[:k] + qs[k + 1:],
+        "duplicated": qs[:k + 1] + qs[k:],
+        "over-neighbour": qs[:k + 1] + qs[k:k + 1] + qs[k + 2:],
+    }[plant]
+    with pytest.raises(AssertionError):
+        check_eigenvalues(matrix, wrong)
 
 
 @pytest.mark.parametrize("solver,upper", [("eigvalsh", 2.0), ("eigvals", -2.0)],

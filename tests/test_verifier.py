@@ -64,9 +64,22 @@ def test_constant_solution_scores_zero():
 
 
 def test_zero_candidate_scores_zero():
+    # The zero function solves every equation and so proves nothing: its
+    # worst residual is inf, as in worst_residuals.
     params = make_parameters(a=2.0, **EXAMPLE1)
     report = ode_residual(params, MonomialSum.zero())
-    assert report.max_relative_residual == 0.0
+    assert report.max_relative_residual == math.inf
+
+
+def test_empty_sample_set_scores_inf():
+    # At a=1e-7 every default node lies within 1e-6 of a, so a wrong answer
+    # has no sample left to fail on; it must not pass with a residual of 0.
+    wrong = MonomialSum.from_terms([(0.0, 1.0), (1.0, 5.0)])
+    report = ode_residual(make_parameters(a=1e-7, **{**EXAMPLE1, "q": 123.0}), wrong)
+    assert report.sample_points == () and report.residuals == ()
+    assert report.max_relative_residual == math.inf
+    report = ode_residual(make_parameters(a=2.0, **EXAMPLE1), wrong, z_samples=[])
+    assert report.max_relative_residual == math.inf
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -34,8 +34,6 @@ from .heun_core import (
 )
 from .monomials import MonomialSum
 from .representations import RepresentationClass, RepresentationDescriptor, classify
-from .series_engine import SeriesSolution, evaluate_series, series_solution
-from .spectrum import EigenPair, SpectralResult, SqrtZPolynomial, solve_spectrum
 from .su11_algebra import (
     FactorizabilityReport,
     Su11Decomposition,
@@ -43,9 +41,19 @@ from .su11_algebra import (
     decompose,
     rebuild_coefficients,
 )
-from .verifier import ResidualReport, ode_residual
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The names of __all__ not imported above come from the numeric modules,
+    which load numpy; they are imported on first use (PEP 562)."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import series_engine, spectrum, verifier
+
+    return next(getattr(m, name) for m in (series_engine, spectrum, verifier) if hasattr(m, name))
+
 
 __all__ = [
     "CanonicalCoefficients",

@@ -23,8 +23,6 @@ import sys
 from itertools import chain
 from typing import Sequence
 
-import numpy as np
-
 from . import jsonio
 from .errors import (
     InconsistentCoefficients,
@@ -42,12 +40,6 @@ from .heun_core import (
 )
 from .monomials import MonomialSum
 from .representations import RepresentationClass, classify
-from .series_engine import (
-    ASCENDING,
-    SeriesSolution,
-    series_solution,
-)
-from .spectrum import solve_spectrum
 from .su11_algebra import (
     CONDITION_TOL,
     Su11Decomposition,
@@ -57,7 +49,6 @@ from .su11_algebra import (
     rebuild_coefficients,
     reconstruction_check,
 )
-from .verifier import chebyshev_points, default_sample_points, worst_residuals
 
 PRESETS = {
     "example1": {"gamma": 0.5, "delta": -0.5, "alpha": -1.0, "beta": -0.5, "a": 2.0, "q": 0.0},
@@ -154,8 +145,19 @@ def _resolve_parameters(args) -> HeunParameters:
     )
 
 
-def _resolve_decomposition(args) -> Su11Decomposition:
+def _refuse_parameters(args, reason: str, keep: Sequence[str] = ()) -> None:
+    """Usage error for any parameter source that reason leaves unused."""
+    given = [f"--{k}" for k in ("preset", "params", *PARAM_KEYS)
+             if k not in keep and getattr(args, k, None) is not None]
+    if given:
+        raise UsageError(f"{reason}; remove {given}")
+
+
+def _resolve_decomposition(args, keep: Sequence[str] = ()) -> Su11Decomposition:
+    """The saved decomposition, else the decomposition of the parameters; keep
+    names the parameter flags the command still reads beside --decomposition."""
     if getattr(args, "decomposition", None):
+        _refuse_parameters(args, "--decomposition fixes the operator", keep)
         dec = Su11Decomposition.from_json_dict(_read_json(args.decomposition, "--decomposition"))
         expected = casimir_value(dec.mu, dec.nu)
         if not abs(dec.casimir - expected) <= 1e-9:
@@ -190,6 +192,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from .spectrum import solve_spectrum
+    from .verifier import default_sample_points
     dec = _resolve_decomposition(args)
     finite = [r for r in classify(dec) if r.rep_class is RepresentationClass.FINITE_DIMENSIONAL]
     if not finite:
@@ -218,8 +222,10 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from .series_engine import ASCENDING, series_solution
+    from .verifier import chebyshev_points
     if getattr(args, "decomposition", None):
-        dec = _resolve_decomposition(args)
+        dec = _resolve_decomposition(args, keep=("q",))
         q = args.q if args.q is not None else dec.accessory_q
     else:
         params = _resolve_parameters(args)
@@ -252,9 +258,12 @@ def _cmd_series(args) -> int:
     return 0
 
 
-def _series_residual(coeffs: CanonicalCoefficients, sol: SeriesSolution) -> float:
-    """The residual the series gate and verify compute, on samples in (0, R/2)
-    ascending or (2R, 4R) descending; non-finite coefficients score inf."""
+def _series_residual(coeffs: CanonicalCoefficients, sol) -> float:
+    """The residual of a SeriesSolution that the series gate and verify compute, on
+    samples in (0, R/2) ascending or (2R, 4R) descending; a non-finite coefficient scores inf."""
+    import numpy as np
+    from .series_engine import ASCENDING
+    from .verifier import default_sample_points, worst_residuals
     lo, hi = sol.domain
     domain = (0.0, 0.5 * hi) if sol.direction == ASCENDING else (2.0 * lo, 4.0 * lo)
     p = np.array([sol.exponent(m) for m in range(len(sol.coefficients))])
@@ -266,6 +275,8 @@ def _eigenpair_residuals(coeffs: CanonicalCoefficients, pairs: list) -> list:
     """The residual of each pair, scored as solve_spectrum scored it: one call
     per exponent set (one per parity sub-grid), on a block holding every
     listed coefficient, complex when any q or coefficient of the set is."""
+    import numpy as np
+    from .verifier import default_sample_points, worst_residuals
     if not pairs:
         raise ValidationError("solution document lists no eigenpairs")
     groups: dict = {}
@@ -302,6 +313,7 @@ def _cmd_verify(args) -> int:
             for pair, residual in zip(pairs, _eigenpair_residuals(coeffs, pairs))
         ]
     elif "series" in doc:
+        from .series_engine import SeriesSolution
         sol = SeriesSolution.from_json_dict(doc["series"])
         results = [
             {"direction": sol.direction, "parity": sol.parity, "q": sol.q,
@@ -331,6 +343,7 @@ def _cmd_check_algebra(args) -> int:
     if (args.mu is None) != (args.nu is None):
         raise UsageError("--mu and --nu must be given together")
     if args.mu is not None:
+        _refuse_parameters(args, "--mu and --nu check the bare generators")
         mu, nu = args.mu, args.nu
     else:
         params = _resolve_parameters(args)

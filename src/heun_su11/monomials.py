@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Tuple
 
-import numpy as np
-
 LATTICE_TOL = 1e-9
 
 
@@ -26,25 +24,6 @@ def _lattice_offset(exponent: float, base: float) -> int:
             f"exponent {exponent!r} is not on the half-step lattice of base {base!r}"
         )
     return int(k)
-
-
-def fsum_values(values: Iterable[complex]) -> complex | float:
-    """Compensated sum of a sequence or array; stays real if every input is
-    real."""
-    vals = np.asarray(values)
-    if np.iscomplexobj(vals):
-        return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
-    return math.fsum(vals.tolist())
-
-
-def powers(z: float, exponents: np.ndarray) -> np.ndarray:
-    """z**p for each exponent, by Python's float power.
-
-    numpy's vectorized power can differ from the C library's pow in the last
-    bit, so values that are reported to the user take their powers from
-    here and stay identical to a term-by-term evaluation.
-    """
-    return np.fromiter(map(float(z).__pow__, exponents.tolist()), float, len(exponents))
 
 
 @dataclass(frozen=True)
@@ -118,12 +97,6 @@ class MonomialSum:
     def __sub__(self, other: "MonomialSum") -> "MonomialSum":
         return self + other.scaled(-1.0)
 
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Exponents and coefficients of the nonzero terms, as numpy arrays."""
-        nonzero = {k: c for k, c in self.coeffs.items() if c != 0.0}
-        offsets = np.fromiter(nonzero, float, len(nonzero))
-        return self.base + 0.5 * offsets, np.array(list(nonzero.values()))
-
     def max_abs(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
@@ -134,7 +107,8 @@ class MonomialSum:
         """Value at z > 0 (fractional exponents need the positive axis)."""
         if z <= 0.0:
             raise ValueError("monomial sums are only evaluated for z > 0")
-        exponents, coefficients = self.as_arrays()
-        with np.errstate(all="ignore"):
-            terms = coefficients * powers(z, exponents)
-        return fsum_values(terms)
+        z = float(z)
+        terms = [c * z ** self.exponent(k) for k, c in self.coeffs.items() if c != 0.0]
+        if any(isinstance(t, complex) for t in terms):
+            return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+        return math.fsum(terms)

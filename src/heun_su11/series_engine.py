@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Mapping, NamedTuple, Tuple
+from typing import Iterable, List, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
 from .errors import OutOfDomain, RecurrenceBreakdown, UnsupportedClass, ValidationError
 from .heun_core import require_finite
-from .monomials import MonomialSum, fsum_values, powers
+from .monomials import MonomialSum
 from .representations import (
     RepresentationClass,
     RepresentationDescriptor,
@@ -36,6 +36,24 @@ BOUNDARY_TOL = 1e-9
 
 ASCENDING = "ascending"
 DESCENDING = "descending"
+
+
+def fsum_values(values: Iterable[complex]) -> complex | float:
+    """Compensated sum of a sequence or array; stays real if every input is real."""
+    vals = np.asarray(values)
+    if np.iscomplexobj(vals):
+        return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
+    return math.fsum(vals.tolist())
+
+
+def powers(z: float, exponents: np.ndarray) -> np.ndarray:
+    """z**p for each exponent, by Python's float power.
+
+    numpy's vectorized power can differ from the C library's pow in the last
+    bit, so values that are reported to the user take their powers from
+    here and stay identical to a term-by-term evaluation.
+    """
+    return np.fromiter(map(float(z).__pow__, exponents.tolist()), float, len(exponents))
 
 
 @dataclass(frozen=True)

@@ -51,14 +51,6 @@ class TridiagonalMatrix:
     def dimension(self) -> int:
         return len(self.diagonal)
 
-    def to_dense(self) -> np.ndarray:
-        n = self.dimension
-        dense = np.zeros((n, n))
-        dense[np.arange(n), np.arange(n)] = self.diagonal
-        dense[np.arange(1, n), np.arange(n - 1)] = self.lower
-        dense[np.arange(n - 1), np.arange(1, n)] = self.upper
-        return dense
-
 
 @dataclass(frozen=True)
 class SqrtZPolynomial:
@@ -186,7 +178,7 @@ def _eigensolve(matrix: TridiagonalMatrix) -> Tuple[np.ndarray, np.ndarray]:
     matrix with off-diagonal sqrt(lower * upper); otherwise dense QR is used.
     """
     n = matrix.dimension
-    dense = matrix.to_dense()
+    dense = np.diag(matrix.diagonal)
     products = np.asarray(matrix.lower) * np.asarray(matrix.upper)
     try:
         if np.all(products > 0.0):
@@ -194,6 +186,8 @@ def _eigensolve(matrix: TridiagonalMatrix) -> Tuple[np.ndarray, np.ndarray]:
             dense[np.arange(1, n), np.arange(n - 1)] = np.sqrt(products)
             values = np.linalg.eigvalsh(dense)
         else:
+            dense[np.arange(1, n), np.arange(n - 1)] = matrix.lower
+            dense[np.arange(n - 1), np.arange(1, n)] = matrix.upper
             values = np.linalg.eigvals(dense)
             if np.all(values.imag == 0.0):
                 values = values.real

@@ -161,7 +161,9 @@ def residual_for_coefficients(
 ) -> ResidualReport:
     """Componentwise relative residual of f1 y'' + f2 y' + f3 y at the given
     points: the one-column case of residual_block."""
-    p, c = solution.as_arrays()
+    nonzero = {k: c for k, c in solution.coeffs.items() if c != 0.0}
+    p = solution.base + 0.5 * np.fromiter(nonzero, float, len(nonzero))
+    c = np.array(list(nonzero.values()))
     residuals, scales = residual_block(coeffs, p, c[:, None], [coeffs.a7], z_samples)
     return ResidualReport(
         max_relative_residual=_worst(residuals, c[:, None]).item(),

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from heun_su11 import cli
+from heun_su11 import series_engine as series_module
 from heun_su11 import spectrum as spectrum_module
 from heun_su11 import verifier as verifier_module
 from heun_su11 import RepresentationClass, classify, decompose, make_parameters, solve_spectrum
@@ -59,6 +60,32 @@ def test_spectrum_roundtrip_is_byte_identical(tmp_path, capsys, preset, command)
     assert main([command, "--decomposition", str(dec_path), "--json", str(piped)]) == 0
     capsys.readouterr()
     assert direct.read_bytes() == piped.read_bytes()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--preset", "example2"],
+    ["--params", "params.json"],
+    ["--gamma", "9"],
+    ["--a", "3"],
+    ["--rho", "0"],
+    ["--q", "3"],
+], ids=lambda extra: extra[0][2:])
+@pytest.mark.parametrize("command", ["classify", "spectrum", "series"])
+def test_parameters_beside_decomposition_are_usage_errors(command, extra, tmp_path, monkeypatch,
+                                                          capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "params.json").write_text(json.dumps(cli.PRESETS["example2"]))
+    assert main(["decompose", "--preset", "example1", "--json", "dec.json"]) == 0
+    rc = main([command, "--decomposition", "dec.json", *extra])
+    captured = capsys.readouterr()
+    if command == "series" and extra[0] == "--q":
+        # series reads its own accessory value beside a decomposition.
+        assert rc == 0
+        assert json.loads(captured.out)["series"]["q"] == 3.0
+    else:
+        assert rc == 64
+        assert captured.out == ""
+        assert f"remove ['{extra[0]}']" in captured.err
 
 
 def test_classify_lists_representations(capsys):
@@ -157,6 +184,19 @@ def test_check_algebra_with_parameters(capsys):
     assert doc["mu"] == -1.0
 
 
+@pytest.mark.parametrize("extra", [
+    ["--gamma", "7", "--a", "3"],
+    ["--preset", "example1"],
+    ["--params", "-"],
+    ["--q", "1"],
+], ids=["gamma-a", "preset", "params", "q"])
+def test_check_algebra_bare_generators_refuse_parameters(extra, capsys):
+    assert main(["check-algebra", "--mu", "0.37", "--nu", "-2.2", *extra]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err
+
+
 def test_check_algebra_requires_mu_nu_pair(capsys):
     assert main(["check-algebra", "--mu", "0.5"]) == 64
     assert "usage error" in capsys.readouterr().err
@@ -238,14 +278,14 @@ def test_spectrum_without_finite_ladder_exits_1(capsys):
 
 
 def test_spectrum_with_failing_pair_still_prints_and_exits_1(capsys, monkeypatch):
-    solve = cli.solve_spectrum
+    solve = spectrum_module.solve_spectrum
 
     def one_bad_pair(dec, rep):
         result = solve(dec, rep)
         bad = dataclasses.replace(result.pairs[0], residual=1e-3)
         return dataclasses.replace(result, pairs=(bad, *result.pairs[1:]))
 
-    monkeypatch.setattr(cli, "solve_spectrum", one_bad_pair)
+    monkeypatch.setattr(spectrum_module, "solve_spectrum", one_bad_pair)
     assert main(["spectrum", "--preset", "example1"]) == 1
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
@@ -266,14 +306,14 @@ def test_series_with_overflowed_coefficients_still_prints_and_exits_1(capsys):
 
 
 def test_series_with_residual_over_threshold_still_prints_and_exits_1(capsys, monkeypatch):
-    solve = cli.series_solution
+    solve = series_module.series_solution
 
     def one_bad_coefficient(*args, **kwargs):
         sol = solve(*args, **kwargs)
         b = sol.coefficients
         return dataclasses.replace(sol, coefficients=(b[0], b[1] * (1 + 1e-3), *b[2:]))
 
-    monkeypatch.setattr(cli, "series_solution", one_bad_coefficient)
+    monkeypatch.setattr(series_module, "series_solution", one_bad_coefficient)
     assert main(["series", "--preset", "lame", "--q", "0.3"]) == 1
     captured = capsys.readouterr()
     assert json.loads(captured.out)["series"]["K"] == 60

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from heun_su11.monomials import LATTICE_TOL, MonomialSum, fsum_values
+from heun_su11.monomials import LATTICE_TOL, MonomialSum
+from heun_su11.series_engine import fsum_values
 
 
 def test_monomial_roundtrip_terms():

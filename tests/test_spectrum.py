@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import random
@@ -49,6 +50,11 @@ def ladder_params(n, gamma, a, delta=0.3, q=0.0):
     return make_parameters(gamma, delta, alpha, beta, a, q)
 
 
+def dense_of(matrix):
+    """T as a dense array, from its three diagonals."""
+    return np.diag(matrix.diagonal) + np.diag(matrix.lower, -1) + np.diag(matrix.upper, 1)
+
+
 def finite_rep(dec):
     return [r for r in classify(dec) if r.rep_class is RepresentationClass.FINITE_DIMENSIONAL][0]
 
@@ -79,7 +85,7 @@ def test_build_matrix_example1_even_against_operator_readoff():
         f1_part, f2_part, f3_part = second_order_action(coeffs, MonomialSum.monomial(p))
         got = dict((f1_part + f2_part + f3_part).terms())
         for row, p_row in enumerate(matrix.exponents):
-            entry = matrix.to_dense()[row][col]
+            entry = dense_of(matrix)[row][col]
             assert got.get(p_row, 0.0) == pytest.approx(entry, abs=1e-14)
 
 
@@ -290,15 +296,74 @@ def test_eigenvectors_satisfy_t_v_equals_q_v(case):
     values, vectors = spectrum_module._eigensolve(matrix)
     assert np.iscomplexobj(values) == (case == "complex")
     assert np.all(np.isfinite(vectors))
-    dense = matrix.to_dense()
+    dense = dense_of(matrix)
     lhs, rhs = dense @ vectors, vectors * values
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * (np.abs(dense) @ np.abs(vectors) + np.abs(rhs)))
 
 
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(spectrum_module.__file__).parents[1])}
+
+
 def test_import_leaves_scipy_out():
     code = "import sys, heun_su11; sys.exit('scipy' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(Path(spectrum_module.__file__).parents[1])}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=SRC_ENV).returncode == 0
+
+
+REJECTED = ["decompose", "--gamma", "0.7", "--delta", "-0.5", "--alpha", "-1", "--beta", "-0.5",
+            "--a", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "--preset", preset]
+      for preset in ("example1", "example2", "lame")
+      for command in ("decompose", "classify", "check-algebra")),
+    REJECTED,
+], ids=lambda argv: "rejected-decompose" if argv is REJECTED else "-".join(argv[::2]))
+def test_scalar_commands_leave_numpy_out(argv):
+    # -X importtime lists every module the command imports, on stderr.
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "heun_su11", *argv],
+                          env=SRC_ENV, capture_output=True, text=True)
+    assert proc.returncode == (1 if argv is REJECTED else 0)
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "heun_su11.cli" in imported
+    assert "numpy" not in imported
+
+
+def test_namespace_serves_every_exported_name():
+    import heun_su11
+
+    assert len(heun_su11.__all__) == 38
+    for name in heun_su11.__all__:
+        obj = getattr(heun_su11, name)
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+    namespace: dict = {}
+    exec("from heun_su11 import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(heun_su11.__all__)
+
+
+def test_namespace_refuses_unknown_names():
+    import heun_su11
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        heun_su11.no_such_name
+    assert not hasattr(heun_su11, "build_matrix")
+
+
+def test_fresh_import_loads_numpy_with_the_first_numeric_name():
+    code = (
+        "import sys, heun_su11 as h\n"
+        "dec = h.decompose(h.make_parameters(0.5, -0.5, -1.0, -0.5, 4.0, 0.0))\n"
+        "reps = h.classify(dec)\n"
+        "assert 'numpy' not in sys.modules\n"
+        "result = h.solve_spectrum(dec, reps[0])\n"
+        "assert 'numpy' in sys.modules\n"
+        "print(*(pair.q for pair in result.pairs))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert [float(q) for q in proc.stdout.split()] == pytest.approx([-1.0, 1.0, 1.25], abs=1e-10)
 
 
 def test_sqrt_z_polynomial_evaluation():

@@ -146,8 +146,8 @@ def _resolve_parameters(args) -> HeunParameters:
 
 
 def _refuse_parameters(args, reason: str, keep: Sequence[str] = ()) -> None:
-    """Usage error for any parameter source that reason leaves unused."""
-    given = [f"--{k}" for k in ("preset", "params", *PARAM_KEYS)
+    """Usage error for any parameter source or --tolerance that reason leaves unused."""
+    given = [f"--{k}" for k in ("preset", "params", *PARAM_KEYS, "tolerance")
              if k not in keep and getattr(args, k, None) is not None]
     if given:
         raise UsageError(f"{reason}; remove {given}")
@@ -166,7 +166,12 @@ def _resolve_decomposition(args, keep: Sequence[str] = ()) -> Su11Decomposition:
                 f"(expected {expected!r})"
             )
         return dec
-    return decompose(_resolve_parameters(args), args.tolerance)
+    return _decompose(args, _resolve_parameters(args))
+
+
+def _decompose(args, params: HeunParameters) -> Su11Decomposition:
+    """decompose at --tolerance, CONDITION_TOL when it is not given."""
+    return decompose(params, CONDITION_TOL if args.tolerance is None else args.tolerance)
 
 
 def _write_csv_blocks(path: str, blocks) -> None:
@@ -180,7 +185,7 @@ def _write_csv_blocks(path: str, blocks) -> None:
 
 
 def _cmd_decompose(args) -> int:
-    dec = decompose(_resolve_parameters(args), args.tolerance)
+    dec = _decompose(args, _resolve_parameters(args))
     _emit_json(dec.to_json_dict(), args)
     return 0
 
@@ -229,7 +234,7 @@ def _cmd_series(args) -> int:
         q = args.q if args.q is not None else dec.accessory_q
     else:
         params = _resolve_parameters(args)
-        dec = decompose(params, args.tolerance)
+        dec = _decompose(args, params)
         q = params.q
     wanted = (
         RepresentationClass.POSITIVE_DISCRETE
@@ -347,7 +352,7 @@ def _cmd_check_algebra(args) -> int:
         mu, nu = args.mu, args.nu
     else:
         params = _resolve_parameters(args)
-        dec = decompose(params, args.tolerance)
+        dec = _decompose(args, params)
         mu, nu = dec.mu, dec.nu
         poly = MonomialSum.from_terms((p, 1.0) for p in exponents)
         recon = reconstruction_check(params, dec, poly)
@@ -382,7 +387,6 @@ def _build_parser() -> _Parser:
     group.add_argument(
         "--tolerance",
         type=float,
-        default=CONDITION_TOL,
         help=f"factorization-condition tolerance (default {CONDITION_TOL:g})",
     )
 

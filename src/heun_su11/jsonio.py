@@ -8,66 +8,87 @@ would otherwise differ.  Non-finite floats become null; complex
 numbers become {"im": ..., "re": ...} objects.
 
 A list whose items share one shape (all floats, all complex numbers, or all
-dicts with the same keys and float or complex values) is written from one
-``%.17g`` item template, filled from a flat column of its leaves in a single
-``%`` call; other lists, and columns holding a NaN or inf, go through the
-recursive writer.  Reading uses the standard json module plus a small helper
-that turns those objects back into numbers and null into NaN.
+dicts with the same keys and float or complex values) is written from a
+``%.17g`` template filled from a flat column of its leaves in a single ``%``
+call; other lists, and lists holding a NaN or inf, go through the recursive
+writer.  Each ``canonical_dumps`` call keeps the templates it builds, keyed
+by shape and, for dicts, by the values of the first float column, which the
+template holds as text: the eigenfunctions of one parity sub-grid share
+their exponents, so each formats only its values.  Reading uses the standard
+json module plus a small helper that turns those objects back into numbers
+and null into NaN.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Any
 
 _ZERO = (0.0).__add__  # 0.0 + x is x, except that -0.0 becomes 0.0
+_FLOAT, _COMPLEX = frozenset({float}), frozenset({complex})
+_IMAG, _REAL = attrgetter("imag"), attrgetter("real")
 
 
-def _filled_list(items, pad: str) -> str | None:
+def _filled_list(items, pad: str, templates: dict) -> str | None:
     """Text of a list whose items share one shape of float leaves, or None:
     all floats, all complex numbers, or all dicts with the same str keys and,
-    key by key, one leaf type, float or complex."""
+    key by key, one leaf type, float or complex.  The list's template comes
+    from templates, keyed by the shape and, for dicts, by the values of the
+    first float column, whose text it holds; the other leaves fill it."""
     inner = pad + "  "
     first = items[0]
     if type(first) is dict and first and all(type(key) is str for key in first):
         if set(map(type, items)) != {dict} or set(map(len, items)) != {len(first)}:
             return None
-        keys = sorted(first)
-        columns = [list(map(dict.get, items, repeat(key))) for key in keys]
+        keys = tuple(sorted(first))
+        try:
+            columns = [tuple(map(itemgetter(key), items)) for key in keys]
+        except KeyError:
+            return None
         leaf_pad = inner + "  "
     else:
-        keys, columns, leaf_pad = None, [items], inner
-    slots, leaves = [], []
-    for values in columns:
-        kinds = set(map(type, values))
-        if kinds == {float}:
-            slots.append("%.17g")
-            leaves.append(map(_ZERO, values))
-        elif kinds == {complex}:
-            part = leaf_pad + "  "
-            slots.append("{\n" + part + '"im": %.17g,\n' + part + '"re": %.17g\n' + leaf_pad + "}")
-            leaves += [map(_ZERO, map(attrgetter(name), values)) for name in ("imag", "real")]
-        else:
-            return None
-    column = tuple(chain.from_iterable(zip(*leaves)))
+        keys, columns, leaf_pad = None, [tuple(items)], inner
+    kinds = tuple(frozenset(map(type, column)) for column in columns)
     # A NaN or inf anywhere makes the sum non-finite; the recursive writer nulls it.
-    if not math.isfinite(sum(column)):
+    if not set(kinds) <= {_FLOAT, _COMPLEX} or not cmath.isfinite(sum(map(sum, columns))):
         return None
-    if keys is None:
-        template = slots[0]
-    else:
-        template = "{\n" + ",\n".join(
-            leaf_pad + _quote(key).replace("%", "%%") + ": " + slot
-            for key, slot in zip(keys, slots)
+    baked = kinds.index(_FLOAT) if keys and _FLOAT in kinds else None
+    key = (pad, keys, kinds, len(items) if baked is None else columns[baked])
+    template = templates.get(key)
+    if template is None:
+        part = leaf_pad + "  "
+        slots = ["%.17g" if kind == _FLOAT else
+                 "{\n" + part + '"im": %.17g,\n' + part + '"re": %.17g\n' + leaf_pad + "}"
+                 for kind in kinds]
+        if baked is None:
+            texts = repeat("", len(items))
+        else:
+            slots[baked] = "\0"  # never in a quoted key: it is written \u0000
+            texts = map("%.17g".__mod__, map(_ZERO, columns[baked]))
+        item = slots[0] if keys is None else "{\n" + ",\n".join(
+            leaf_pad + _quote(name).replace("%", "%%") + ": " + slot
+            for name, slot in zip(keys, slots)
         ) + "\n" + inner + "}"
-    body = (",\n" + inner).join([template] * len(items)) % column
-    return "[\n" + inner + body + "\n" + pad + "]"
+        head, _, tail = item.partition("\0")
+        template = templates[key] = (
+            "[\n" + inner + head + (tail + ",\n" + inner + head).join(texts) + tail
+            + "\n" + pad + "]"
+        )
+    fill = []
+    for k, column in enumerate(columns):
+        if k != baked:
+            fill += (column,) if kinds[k] == _FLOAT else (map(_IMAG, column), map(_REAL, column))
+    values = fill[0] if len(fill) == 1 else tuple(chain.from_iterable(zip(*fill)))
+    if 0.0 in values:
+        values = tuple(map(_ZERO, values))
+    return template % values
 
 
-def _write(obj: Any, out, pad: str) -> None:
+def _write(obj: Any, out, pad: str, templates: dict) -> None:
     # No object is two of these types but bool and int, so floats can go first.
     inner = pad + "  "
     if isinstance(obj, float):
@@ -80,15 +101,15 @@ def _write(obj: Any, out, pad: str) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             out((",\n" if i else "\n") + inner + _quote(key) + ": ")
-            _write(obj[key], out, inner)
+            _write(obj[key], out, inner, templates)
         if obj:
             out("\n" + pad + "}")
     elif isinstance(obj, (list, tuple)):
-        text = _filled_list(obj, pad) if obj else "[]"
+        text = _filled_list(obj, pad, templates) if obj else "[]"
         if text is None:
             for i, item in enumerate(obj):
                 out((",\n" if i else "[\n") + inner)
-                _write(item, out, inner)
+                _write(item, out, inner, templates)
             text = "\n" + pad + "]"
         out(text)
     elif isinstance(obj, bool):
@@ -105,7 +126,7 @@ def _write(obj: Any, out, pad: str) -> None:
 
 def canonical_dumps(obj: Any) -> str:
     pieces: list = []
-    _write(obj, pieces.append, "")
+    _write(obj, pieces.append, "", {})
     return "".join(pieces)
 
 

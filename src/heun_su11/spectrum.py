@@ -156,12 +156,14 @@ def _twisted_eigenvectors(matrix: TridiagonalMatrix, values: np.ndarray) -> np.n
     products = lower * upper
     entries = (1.0, *matrix.diagonal, *matrix.lower, *matrix.upper)
     tiny = np.finfo(float).eps * max(map(abs, entries))
-    plus, minus = shifted.copy(), shifted.copy()
-    for i, j in zip(range(n - 1), range(n - 1, 0, -1)):
-        plus[i] = np.where(plus[i] == 0.0, tiny, plus[i])
-        plus[i + 1] -= products[i] / plus[i]
-        minus[j] = np.where(minus[j] == 0.0, tiny, minus[j])
-        minus[j - 1] -= products[j - 1] / minus[j]
+    # D+ top-down and D- bottom-up, the latter stored reversed: one row step for both.
+    pivots = np.stack((shifted, shifted[::-1]))
+    steps = np.stack((products, products[::-1]))
+    for i in range(n - 1):
+        row = pivots[:, i]
+        row[row == 0.0] = tiny
+        pivots[:, i + 1] -= steps[:, i] / row
+    plus, minus = pivots[0], pivots[1, ::-1]
     twist = np.argmin(np.abs(plus + minus - shifted), axis=0)
     rows = np.arange(n - 1)[:, None]
     above = np.where(rows < twist, -upper / plus[:-1], 1.0)

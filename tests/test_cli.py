@@ -88,6 +88,23 @@ def test_parameters_beside_decomposition_are_usage_errors(command, extra, tmp_pa
         assert f"remove ['{extra[0]}']" in captured.err
 
 
+@pytest.mark.parametrize("value", ["1e-3", "nan"])
+@pytest.mark.parametrize("command", ["classify", "spectrum", "series"])
+def test_tolerance_beside_decomposition_is_a_usage_error(command, value, tmp_path, capsys):
+    dec_path = str(tmp_path / "dec.json")
+    assert main(["decompose", "--preset", "example1", "--json", dec_path]) == 0
+    assert main([command, "--decomposition", dec_path, "--tolerance", value]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "remove ['--tolerance']" in captured.err
+
+
+def test_tolerance_beside_parameters_is_accepted(capsys):
+    rc, doc = run_json(capsys, ["spectrum", "--preset", "example1", "--tolerance", "1e-3"])
+    assert rc == 0
+    assert doc == run_json(capsys, ["spectrum", "--preset", "example1"])[1]
+
+
 def test_classify_lists_representations(capsys):
     rc, doc = run_json(capsys, ["classify", "--preset", "example2"])
     assert rc == 0
@@ -189,7 +206,8 @@ def test_check_algebra_with_parameters(capsys):
     ["--preset", "example1"],
     ["--params", "-"],
     ["--q", "1"],
-], ids=["gamma-a", "preset", "params", "q"])
+    ["--tolerance", "1e-3"],
+], ids=["gamma-a", "preset", "params", "q", "tolerance"])
 def test_check_algebra_bare_generators_refuse_parameters(extra, capsys):
     assert main(["check-algebra", "--mu", "0.37", "--nu", "-2.2", *extra]) == 64
     captured = capsys.readouterr()

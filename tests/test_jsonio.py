@@ -175,8 +175,8 @@ def test_canonical_dumps_matches_reference_on_random_documents(seed, monkeypatch
     filled = []
     fill = jsonio._filled_list
 
-    def counted_fill(items, pad):
-        text = fill(items, pad)
+    def counted_fill(*args):
+        text = fill(*args)
         filled.append(text is not None)
         return text
 
@@ -220,6 +220,77 @@ EDGE_CASES = {
 def test_canonical_dumps_matches_reference_on_edge_cases(name):
     doc = {"list": EDGE_CASES[name], "nested": [EDGE_CASES[name]]}
     assert _outcome(canonical_dumps, doc) == _outcome(reference_dumps, doc)
+
+
+def shared_column_document(rng):
+    """Record lists sharing one column, as the eigenfunctions of a parity
+    sub-grid share their exponents, with values that differ, at two pads."""
+    n = rng.randint(1, 8)
+    shared, other = rng.sample(KEYS, 2)
+    column = [_float(rng) for _ in range(n)]
+    kind = rng.choice((float, complex))
+    lists = [[{shared: x, other: _leaf(kind, rng)} for x in column]
+             for _ in range(rng.randint(2, 5))]
+    if rng.random() < 0.3:
+        _break(lists[-1], rng)
+    return {"lists": lists, "nested": {"deeper": lists[::-1]}}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_canonical_dumps_matches_reference_on_shared_columns(seed, monkeypatch):
+    calls = []
+    fill = jsonio._filled_list
+
+    def counted_fill(items, pad, templates):
+        before = len(templates)
+        text = fill(items, pad, templates)
+        calls.append((text is not None, len(templates) > before))
+        return text
+
+    monkeypatch.setattr(jsonio, "_filled_list", counted_fill)
+    rng = random.Random(100 + seed)
+    for _ in range(200):
+        doc = shared_column_document(rng)
+        assert _outcome(canonical_dumps, doc) == _outcome(reference_dumps, doc), doc
+    # Lists reuse templates that earlier lists of the same document built.
+    assert sum(filled and not built for filled, built in calls) >= 200
+
+
+def _pairs(exponents, values):
+    return [{"exponent": e, "value": v} for e, v in zip(exponents, values)]
+
+
+SHARED_CASES = {
+    "key-differs-in-one-entry": [_pairs((0.0, 1.0, 2.0), (1.0, 2.0, 3.0)),
+                                 _pairs((0.0, 1.5, 2.0), (4.0, 5.0, 6.0))],
+    "negative-zero-key": [_pairs((-0.0, 1.0), (1.0, -0.0)), _pairs((0.0, 1.0), (2.0, 3.0)),
+                          _pairs((-0.0, 1.0), (0.0, 4.0))],
+    "complex-values": [_pairs((0.5, 1.5), (1j, complex(-0.0, 2.5))),
+                       _pairs((0.5, 1.5), (complex(3.0, -0.0), 0.25 + 0j))],
+    "int-or-bool-key-equal-to-float": [_pairs((1.0, 0.0), (1.0, 2.0)), _pairs((1, 0.0), (3.0, 4.0)),
+                                       _pairs((True, 0.0), (5.0, 6.0))],
+    "big-int-key-equal-to-float": [_pairs((1e20,), (1.0,)), _pairs((10 ** 20,), (2.0,))],
+    "non-finite-after-hit": [_pairs((1.0, 2.0), (1.0, 2.0)), _pairs((1.0, 2.0), (math.nan, 2.0)),
+                             _pairs((1.0, math.inf), (1.0, 2.0))],
+    "float-values-then-complex": [_pairs((1.0, 2.0), (1.0, 2.0)), _pairs((1.0, 2.0), (1j, 2j))],
+    "complex-key-column": [[{"a": 1j, "b": 2.0}], [{"a": 1j, "b": 3.0}]],
+    "single-column": [[{"a": 1.0}, {"a": 2.0}], [{"a": 1.0}, {"a": 2.0}], [{"a": 1.0}, {"a": 3.0}]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_CASES))
+def test_canonical_dumps_matches_reference_on_shared_columns_edge_cases(name):
+    lists = SHARED_CASES[name]
+    doc = {"lists": lists, "two-pads": {"deeper": lists}, "reversed": lists[::-1]}
+    assert _outcome(canonical_dumps, doc) == _outcome(reference_dumps, doc)
+
+
+def test_consecutive_documents_differing_in_the_key_column():
+    values = (0.5, -0.25, 1j)
+    first = {"eigenpairs": [{"coefficients": _pairs((0.0, 1.0, 2.0), values)}]}
+    second = {"eigenpairs": [{"coefficients": _pairs((0.5, 1.5, 2.5), values)}]}
+    for doc in (first, second, first):
+        assert canonical_dumps(doc) == reference_dumps(doc)
 
 
 def test_as_number_reads_null_as_nan():

@@ -301,6 +301,58 @@ def test_eigenvectors_satisfy_t_v_equals_q_v(case):
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * (np.abs(dense) @ np.abs(vectors) + np.abs(rhs)))
 
 
+def twisted_eigenvectors_reference(matrix, values):
+    """The twisted factorization as two arrays, D+ top-down and D- bottom-up,
+    each stepped on its own; the solver steps both in one stacked array."""
+    n = matrix.dimension
+    shifted = np.asarray(matrix.diagonal)[:, None] - values
+    lower = np.asarray(matrix.lower)[:, None]
+    upper = np.asarray(matrix.upper)[:, None]
+    products = lower * upper
+    entries = (1.0, *matrix.diagonal, *matrix.lower, *matrix.upper)
+    tiny = np.finfo(float).eps * max(map(abs, entries))
+    plus, minus = shifted.copy(), shifted.copy()
+    for i, j in zip(range(n - 1), range(n - 1, 0, -1)):
+        plus[i] = np.where(plus[i] == 0.0, tiny, plus[i])
+        plus[i + 1] -= products[i] / plus[i]
+        minus[j] = np.where(minus[j] == 0.0, tiny, minus[j])
+        minus[j - 1] -= products[j - 1] / minus[j]
+    twist = np.argmin(np.abs(plus + minus - shifted), axis=0)
+    rows = np.arange(n - 1)[:, None]
+    above = np.where(rows < twist, -upper / plus[:-1], 1.0)
+    below = np.where(rows >= twist, -lower / minus[1:], 1.0)
+    ones = np.ones_like(shifted[:1])
+    above_twist = np.cumprod(np.vstack((ones, above[::-1])), axis=0)[::-1]
+    return above_twist * np.cumprod(np.vstack((ones, below)), axis=0)
+
+
+def _solver_values(matrix):
+    return matrix, spectrum_module._eigensolve(matrix)[0]
+
+
+TWISTED_CASES = {
+    # q = 1 zeroes the first D+ pivot and q = 2 the first D- pivot.
+    "zero-pivot": (TridiagonalMatrix((0.0, 1.0), (1.0, 2.0), (0.0,), (0.0,)), np.array([1.0, 2.0])),
+    # q = 1 zeroes both outer pivots, and the eigenvector's middle entry is
+    # of the size of the pivot put in their place.
+    "zero-pivots-coupled": (
+        TridiagonalMatrix((0.0, 1.0, 2.0), (1.0, 5.0, 1.0), (1.0, 1.0), (1.0, 1.0)), np.array([1.0])),
+    "symmetrizable-n64-a4": _solver_values(matrices_for(ladder_params(64, 0.5, 4.0, delta=-0.5))[0]),
+    "complex-a-3": _solver_values(matrices_for(ladder_params(32, 0.5, -3.0, delta=-0.5))[0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWISTED_CASES))
+def test_twisted_eigenvectors_match_two_array_reference(case):
+    matrix, values = TWISTED_CASES[case]
+    got = spectrum_module._twisted_eigenvectors(matrix, values)
+    want = twisted_eigenvectors_reference(matrix, values)
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+    if case == "complex-a-3":
+        assert np.iscomplexobj(values)
+
+
 SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(spectrum_module.__file__).parents[1])}
 
 

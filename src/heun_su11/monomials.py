@@ -15,6 +15,13 @@ from typing import Callable, Iterable, Mapping, Tuple
 
 LATTICE_TOL = 1e-9
 
+# z**p is exactly 0.0 once p*log2(z) < UNDERFLOW_LOG2: the true power is
+# below 2^-1100, far under half the smallest subnormal (2^-1075), so a pow
+# that errs by less than 0.99 ulp returns 0.0 for it (tests check numpy's
+# power and libm's pow over the series domains).  The margin of 25 covers
+# the rounding of the product p*log2(z) many times over.
+UNDERFLOW_LOG2 = -1100.0
+
 
 def _lattice_offset(exponent: float, base: float) -> int:
     doubled = (exponent - base) * 2.0

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, NamedTuple, Tuple
+from itertools import repeat
+from operator import mul
+from typing import List, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
 from .errors import OutOfDomain, RecurrenceBreakdown, UnsupportedClass, ValidationError
 from .heun_core import require_finite
-from .monomials import MonomialSum
+from .monomials import UNDERFLOW_LOG2, MonomialSum
 from .representations import (
     RepresentationClass,
     RepresentationDescriptor,
@@ -36,24 +38,6 @@ BOUNDARY_TOL = 1e-9
 
 ASCENDING = "ascending"
 DESCENDING = "descending"
-
-
-def fsum_values(values: Iterable[complex]) -> complex | float:
-    """Compensated sum of a sequence or array; stays real if every input is real."""
-    vals = np.asarray(values)
-    if np.iscomplexobj(vals):
-        return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
-    return math.fsum(vals.tolist())
-
-
-def powers(z: float, exponents: np.ndarray) -> np.ndarray:
-    """z**p for each exponent, by Python's float power.
-
-    numpy's vectorized power can differ from the C library's pow in the last
-    bit, so values that are reported to the user take their powers from
-    here and stay identical to a term-by-term evaluation.
-    """
-    return np.fromiter(map(float(z).__pow__, exponents.tolist()), float, len(exponents))
 
 
 @dataclass(frozen=True)
@@ -99,10 +83,15 @@ class SeriesSolution:
         if doc["direction"] not in (ASCENDING, DESCENDING):
             raise ValidationError(f"series direction {doc['direction']!r} is neither "
                                   f"{ASCENDING!r} nor {DESCENDING!r}")
+        if doc["parity"] not in ("even", "odd"):
+            raise ValidationError(f"series parity {doc['parity']!r} is neither 'even' nor 'odd'")
+        if doc["K"] != len(doc["coefficients"]) - 1:
+            raise ValidationError(f"series K={doc['K']!r} does not match its "
+                                  f"{len(doc['coefficients'])} coefficients")
         return cls(
             p0=float(doc["p0"]),
             direction=doc["direction"],
-            parity=str(doc["parity"]),
+            parity=doc["parity"],
             q=float(doc["q"]),
             coefficients=tuple(math.nan if b is None else float(b) for b in doc["coefficients"]),
             domain=(float(lo), math.inf if hi is None else float(hi)),
@@ -210,21 +199,50 @@ def series_solution(
     )
 
 
+def _live_terms(p0: float, step: int, z: float, count: int) -> int:
+    """How many leading terms of z^(p0 + step*m), m < count, can be nonzero.
+
+    In a convergence domain step*log2(z) < 0 (z < 1 ascending, z > 1
+    descending), so p*log2(z) falls with m, and every power from the first
+    m with p*log2(z) < UNDERFLOW_LOG2 on is exactly 0.0.  A NaN or infinite
+    p0, or a z on the other side of 1, keeps every term.
+    """
+    log2z = math.log2(z)
+    if not (math.isfinite(p0) and step * log2z < 0.0):
+        return count
+    bound = (UNDERFLOW_LOG2 - p0 * log2z) / (step * log2z)
+    if not bound < count:
+        return count
+    return max(0, math.floor(bound) + 1)
+
+
 def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
     """Compensated-sum value plus a geometric tail bound from the last few
-    term ratios; the bound is infinite when the terms are not decaying."""
+    term ratios; the bound is infinite when the terms are not decaying.
+
+    The value is math.fsum of the terms b_m * z^p in order, with z^p from
+    libm's pow (math.pow and float ** call it alike).  Powers past
+    _live_terms are exactly 0.0 and are not computed.  Such a term is a
+    signed zero for a finite b_m, which fsum ignores, or a NaN for a
+    non-finite one, which fsum folds into the NaN it returns; so only the
+    NaNs enter, in order, and the value equals the full sum bit for bit,
+    the NaN's sign included.
+    """
     lo, hi = sol.domain
     if not (lo < z < hi):
         raise OutOfDomain(f"z={z} is outside the open domain ({lo:g}, {hi:g})")
-    m = np.arange(len(sol.coefficients))
-    exponents = sol.p0 + (m if sol.direction == ASCENDING else -m)
-    coefficients = np.array(sol.coefficients, dtype=float)
-    zp = powers(z, exponents)
-    with np.errstate(all="ignore"):  # overflowed coefficients give inf and nan
-        terms = coefficients * zp
-        # The ratios of the last six term magnitudes give the tail bound.
-        tail = (np.abs(coefficients[-6:]) * zp[-6:]).tolist()
-    value = fsum_values(terms)
+    z, p0 = float(z), float(sol.p0)
+    coefficients = sol.coefficients
+    count = len(coefficients)
+    step = 1 if sol.direction == ASCENDING else -1
+    live = _live_terms(p0, step, z, count)
+    zp = [math.pow(z, p0 + step * m) for m in range(live)] + [0.0] * (count - live)
+    terms = list(map(mul, coefficients[:live], zp))
+    # filter(None, ...) drops the signed zeros and keeps the NaNs.
+    terms.extend(filter(None, map(mul, coefficients[live:], repeat(0.0))))
+    value = math.fsum(terms)
+    # The ratios of the last six term magnitudes give the tail bound.
+    tail = list(map(mul, map(abs, coefficients[-6:]), zp[-6:]))
     last = tail[-1]
     if last == 0.0:
         return EvaluatedSeries(value=value, tail_estimate=0.0)

@@ -19,7 +19,12 @@ an empty sample set.
 residual_block scores P candidates that share one exponent set (the
 eigenfunctions of one parity sub-grid) at once: it builds the power matrix
 z^p once and reduces the P term stacks with one stacked matrix product,
-which numpy runs as one gemm per candidate.  A column's bits depend on the
+which numpy runs as one gemm per candidate.  The power matrix leaves every
+z^p with p*log2(z) < UNDERFLOW_LOG2 (-1100) at 0.0 instead of computing it:
+the true power lies below 2^-1100, far under half the smallest subnormal,
+so numpy's power rounds it to 0.0 too, and the matrix and every residual
+stay the same bit for bit.  On a long series most of the matrix is such
+powers, which numpy computes on a slow path.  A column's bits depend on the
 block's dtype: a real column in a complex block is summed in complex
 arithmetic and may differ in the last bits from the same column scored as
 a float.  worst_residuals is the one scorer of spectra and series:
@@ -39,7 +44,7 @@ import numpy as np
 
 from .errors import SamplePointAtSingularity
 from .heun_core import CanonicalCoefficients, HeunParameters, canonical_coefficients
-from .monomials import MonomialSum
+from .monomials import UNDERFLOW_LOG2, MonomialSum
 
 SINGULARITY_RADIUS = 1e-6
 DEFAULT_SAMPLE_COUNT = 25
@@ -87,6 +92,14 @@ class ResidualReport:
         }
 
 
+def _power_matrix(z: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """z[:, None] ** p[None, :], bit for bit, without computing the powers
+    with p*log2(z) < UNDERFLOW_LOG2: those are exactly 0.0, and numpy takes
+    a slow path for them.  The negated test keeps a NaN product live."""
+    live = ~(p[None, :] * np.log2(z)[:, None] < UNDERFLOW_LOG2)
+    return np.power(z[:, None], p[None, :], out=np.zeros(live.shape), where=live)
+
+
 def residual_block(
     coeffs: CanonicalCoefficients,
     exponents: np.ndarray,
@@ -118,7 +131,7 @@ def residual_block(
     with np.errstate(all="ignore"):  # overflow surfaces as a residual of inf
         terms = (by_shift @ factors) * columns
         magnitudes = (np.abs(by_shift) @ np.abs(factors)) * np.abs(columns)
-        power = z[:, None] ** p[None, :]
+        power = _power_matrix(z, p)
         up, same, down = (power @ terms.transpose(0, 2, 1)).transpose(2, 0, 1)
         num = np.abs(z * up + same + down / z)
         up, same, down = (power @ magnitudes.transpose(0, 2, 1)).transpose(2, 0, 1)

@@ -587,7 +587,7 @@ def test_spectrum_with_no_surviving_sample_exits_1(capsys):
 def test_verify_fails_series_when_no_sample_survives(direction, domain, capsys, monkeypatch):
     main(["series", "--preset", "example1", "--q", "0.3"])
     doc = json.loads(capsys.readouterr().out)
-    doc["series"].update(coefficients=[1.0, 123.0, -7.0], direction=direction, domain=domain)
+    doc["series"].update(coefficients=[1.0, 123.0, -7.0], K=2, direction=direction, domain=domain)
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
     assert main(["verify", "--solution", "-"]) == 1
     out = capsys.readouterr().out
@@ -595,6 +595,31 @@ def test_verify_fails_series_when_no_sample_survives(direction, domain, capsys, 
         assert out == ""
     else:
         assert json.loads(out)["results"][0]["max_relative_residual"] is None
+
+
+@pytest.mark.parametrize("edit", [{"parity": "banana"}, {"K": 7}], ids=["parity", "K"])
+def test_verify_rejects_an_inconsistent_series_document(edit, capsys, tmp_path):
+    main(["series", "--preset", "example1", "--q", "0.3"])
+    doc = json.loads(capsys.readouterr().out)
+    doc["series"].update(edit)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--solution", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"series {next(iter(edit))}" in captured.err
+
+
+def test_verify_scores_a_series_with_a_nan_base_as_null(capsys, monkeypatch):
+    # A NaN exponent keeps its powers in the residual's power matrix.
+    main(["series", "--preset", "example1", "--q", "0.3"])
+    doc = json.loads(capsys.readouterr().out)
+    doc["series"]["p0"] = math.nan
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(["verify", "--solution", "-"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["max_relative_residual"] is None
+    assert report["results"][0]["max_relative_residual"] is None
 
 
 @pytest.mark.parametrize("argv, stdin", [

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from heun_su11.monomials import LATTICE_TOL, MonomialSum
-from heun_su11.series_engine import fsum_values
 
 
 def test_monomial_roundtrip_terms():
@@ -86,12 +85,6 @@ def test_evaluate_equals_term_by_term_fsum():
         terms = [c * z ** w.exponent(k) for k, c in w.coeffs.items()]
         expected = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
         assert w.evaluate(z) == expected
-
-
-def test_fsum_values_stays_real_for_real_input():
-    total = fsum_values([0.1] * 10)
-    assert isinstance(total, float)
-    assert total == pytest.approx(1.0, abs=1e-15)
 
 
 def test_random_sums_evaluate_linearly():

@@ -11,19 +11,25 @@ threshold of 1e-8 unchanged:
   threshold;
 - the plain float sum of the terms agrees with a 50-digit evaluation of the
   same float inputs to within 8 * (number of monomials) * 2^-53 of the
-  scale, so no compensated summation is needed.
+  scale, so no compensated summation is needed;
+- the powers that the residual's power matrix and evaluate_series skip as
+  underflowed are exactly 0.0, over both series sample domains and past
+  them, so skipping them changes no bit.
 """
 
+import math
+
 import mpmath
+import numpy as np
 import pytest
 
 from heun_su11.heun_core import canonical_coefficients, make_parameters
-from heun_su11.monomials import MonomialSum
+from heun_su11.monomials import UNDERFLOW_LOG2, MonomialSum
 from heun_su11.representations import RepresentationClass, classify, split_even_odd
-from heun_su11.series_engine import series_solution
+from heun_su11.series_engine import ASCENDING, DESCENDING, _live_terms, series_solution
 from heun_su11.spectrum import build_matrix, solve_spectrum
 from heun_su11.su11_algebra import decompose, rebuild_coefficients
-from heun_su11.verifier import default_sample_points, residual_for_coefficients
+from heun_su11.verifier import _power_matrix, default_sample_points, residual_for_coefficients
 from oracle import sturm_counter
 
 THRESHOLD = 1e-8
@@ -185,3 +191,53 @@ def test_plain_sum_matches_high_precision_on_long_series():
     # The sample domain verify uses for an ascending series.
     samples = default_sample_points(2.0, domain=(0.0, 0.5 * sol.domain[1]))
     assert_plain_sum_is_sound(canonical_coefficients(params), sol.as_monomial_sum(), samples)
+
+
+# Edges of the series domains: min(1, |a|) ascending, max(1, |a|) descending.
+SWEEP_EDGES = {ASCENDING: (0.25, 0.5, 1.0), DESCENDING: (1.0, 2.0, 3.0, 4.0)}
+SWEEP_BASES = (-2.5, -1.0, -0.5, 0.0, 0.5, 1.0, 3.5, 7.0)
+SWEEP_TRUNCATIONS = (60, 1000, 5000)
+
+
+def sweep_points(direction, edge, count=16):
+    """Geometric points from the edge down to 1e-3 of it ascending, or from
+    it up to 16 times it descending: both sample domains and beyond."""
+    if direction == ASCENDING:
+        return [edge * 10.0 ** (-3.0 * k / count) for k in range(1, count + 1)]
+    return [edge * 16.0 ** (k / count) for k in range(1, count + 1)]
+
+
+def sweep_cases():
+    for direction, edges in SWEEP_EDGES.items():
+        step = 1 if direction == ASCENDING else -1
+        for edge in edges:
+            for base in SWEEP_BASES:
+                for K in SWEEP_TRUNCATIONS:
+                    yield step, sweep_points(direction, edge), base, K
+
+
+def test_power_matrix_skips_only_exact_zeros():
+    skipped = 0
+    odd_exponents = [math.nan, -math.nan, math.inf, -math.inf]
+    for step, points, base, K in sweep_cases():
+        z = np.array(points)
+        p = np.concatenate([base + step * np.arange(K + 1.0), odd_exponents])
+        with np.errstate(all="ignore"):
+            full = z[:, None] ** p[None, :]
+            masked = _power_matrix(z, p)
+            left_out = p[None, :] * np.log2(z)[:, None] < UNDERFLOW_LOG2
+        assert np.all(full[left_out] == 0.0)
+        assert np.array_equal(full.view(np.uint64), masked.view(np.uint64))
+        skipped += np.count_nonzero(left_out)
+    assert skipped > 10**6
+
+
+def test_evaluate_series_skips_only_exact_zeros():
+    skipped = 0
+    for step, points, base, K in sweep_cases():
+        for z in points:
+            live = _live_terms(base, step, z, K + 1)
+            exponents = [base + step * m for m in range(live, K + 1)]
+            assert not any(map(z.__pow__, exponents))
+            skipped += len(exponents)
+    assert skipped > 10**6

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import pytest
 
@@ -14,7 +15,9 @@ from heun_su11.representations import (
 )
 from heun_su11.series_engine import (
     ASCENDING,
+    DESCENDING,
     SeriesSolution,
+    _live_terms,
     _recurrence_coefficients,
     convergence_domain,
     evaluate_series,
@@ -249,8 +252,10 @@ def evaluate_series_by_terms(sol, z):
 
 
 def _outcome(function, *args):
+    """The bit patterns of (value, tail estimate), which tell -nan from nan,
+    or the repr of the ValueError raised."""
     try:
-        return repr(tuple(function(*args)))
+        return tuple(struct.pack("d", x) for x in function(*args))
     except ValueError as exc:
         return repr(exc)
 
@@ -258,20 +263,51 @@ def _outcome(function, *args):
 @pytest.mark.parametrize("a", [2.0, 4.0, -3.0])
 def test_evaluate_series_equals_term_by_term_reference(a):
     # The same products and the same compensated sum: equal to the last bit,
-    # including the overflowed K=1000 descending series (inf, nan or the
-    # ValueError math.fsum raises on inf - inf).
+    # NaN signs included, on the overflowed descending series (inf, nan or
+    # the ValueError math.fsum raises on inf - inf) and at K=5000 and
+    # f=0.001, where most powers underflow and are skipped.
     dec, by_class = lame_setup(a, 0.7)
     for cls in (RepresentationClass.POSITIVE_DISCRETE, RepresentationClass.NEGATIVE_DISCRETE):
         for parity in ("even", "odd"):
-            for K in (1, 5, 60, 1000):
+            for K in (1, 5, 60, 1000, 5000):
                 sol = series_solution(dec, by_class[cls], parity, 0.7, truncation=K)
                 lo, hi = sol.domain
                 top = hi if math.isfinite(hi) else 4.0 * lo
-                for f in (0.01, 0.3, 0.7, 0.99):
+                for f in (0.001, 0.01, 0.3, 0.7, 0.99):
                     z = lo + f * (top - lo)
                     assert _outcome(evaluate_series, sol, z) == _outcome(
                         evaluate_series_by_terms, sol, z
                     )
+
+
+@pytest.mark.parametrize("p0", [math.nan, -math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("direction, z", [(ASCENDING, 0.3), (DESCENDING, 3.0)])
+def test_non_finite_base_keeps_every_term(p0, direction, z):
+    sol = SeriesSolution(
+        p0=p0,
+        direction=direction,
+        parity="even",
+        q=0.0,
+        coefficients=(1.0, -2.0, 0.5),
+        domain=(0.0, 1.0) if direction == ASCENDING else (1.0, math.inf),
+    )
+    assert _live_terms(p0, 1 if direction == ASCENDING else -1, z, 3) == 3
+    assert _outcome(evaluate_series, sol, z) == _outcome(evaluate_series_by_terms, sol, z)
+
+
+@pytest.mark.parametrize("z", [0.5, 1.0, 1.5])
+def test_evaluation_past_one_in_a_wider_domain(z):
+    # A hand-built domain that reaches past z = 1 gets no skip there, where
+    # the powers of an ascending series grow.
+    sol = SeriesSolution(
+        p0=-2.0,
+        direction=ASCENDING,
+        parity="even",
+        q=0.0,
+        coefficients=tuple(0.5**m for m in range(1500)),
+        domain=(0.0, 2.0),
+    )
+    assert _outcome(evaluate_series, sol, z) == _outcome(evaluate_series_by_terms, sol, z)
 
 
 def test_recurrence_breakdown_on_vanishing_divisor():

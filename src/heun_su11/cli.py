@@ -8,7 +8,8 @@ from the decomposition alone, so piping `decompose` into them reproduces the
 direct output byte for byte.  JSON goes to stdout or --json FILE; spectrum
 and series also take --csv FILE for sampled (z, value) plot data.  verify
 re-scores a document through the call that scored it when it was emitted,
-so it reproduces the emitted residuals bit for bit.  Exit codes: 0 success,
+so it reproduces the emitted residuals bit for bit, and derives a series'
+domain from the document's a2 rather than reading it.  Exit codes: 0 success,
 1 validation failure (including a spectrum, series or verify document with
 a residual over the threshold, which is still emitted), 2 numerical
 failure, 64 usage error.
@@ -216,7 +217,8 @@ def _cmd_spectrum(args) -> int:
     if args.csv:
         points = default_sample_points(4.0 * dec.c_minus, count=args.samples)
         _write_csv_blocks(args.csv, (
-            (f"q={_num_str(pair.q)} parity={pair.parity}", pair.eigenfunction.evaluate, points)
+            (f"q={_num_str(pair.q)} parity={pair.parity}",
+             pair.eigenfunction.as_monomial_sum().evaluate, points)
             for pair in result.pairs
         ))
     failed = sum(not pair.residual <= RESIDUAL_THRESHOLD for pair in result.pairs)
@@ -318,8 +320,12 @@ def _cmd_verify(args) -> int:
             for pair, residual in zip(pairs, _eigenpair_residuals(coeffs, pairs))
         ]
     elif "series" in doc:
-        from .series_engine import SeriesSolution
+        from .series_engine import SeriesSolution, convergence_domain
         sol = SeriesSolution.from_json_dict(doc["series"])
+        domain = convergence_domain(coeffs.a2, sol.direction)
+        if sol.domain != domain:
+            raise ValidationError(f"series domain {list(sol.domain)} is not the convergence "
+                                  f"domain {list(domain)} of a={coeffs.a2!r}")
         results = [
             {"direction": sol.direction, "parity": sol.parity, "q": sol.q,
              "max_relative_residual": _series_residual(coeffs, sol)}
@@ -350,6 +356,7 @@ def _cmd_check_algebra(args) -> int:
     if args.mu is not None:
         _refuse_parameters(args, "--mu and --nu check the bare generators")
         mu, nu = args.mu, args.nu
+        require_finite(mu=mu, nu=nu)
     else:
         params = _resolve_parameters(args)
         dec = _decompose(args, params)
@@ -357,7 +364,7 @@ def _cmd_check_algebra(args) -> int:
         poly = MonomialSum.from_terms((p, 1.0) for p in exponents)
         recon = reconstruction_check(params, dec, poly)
         doc["max_reconstruction_deviation"] = recon
-        failed = failed or recon > RECONSTRUCTION_THRESHOLD
+        failed = not recon <= RECONSTRUCTION_THRESHOLD
     deviation = algebra_identity_check(mu, nu, exponents)
     doc.update(
         {
@@ -367,7 +374,8 @@ def _cmd_check_algebra(args) -> int:
             "nu": nu,
         }
     )
-    failed = failed or deviation > COMMUTATOR_THRESHOLD
+    # Written so that a NaN deviation fails, as in verify.
+    failed = failed or not deviation <= COMMUTATOR_THRESHOLD
     _emit_json(doc, args)
     if failed:
         raise NumericalError(

@@ -39,11 +39,7 @@ class NotFactorizable(ValidationError):
 
 
 class InconsistentCoefficients(ValidationError):
-    """Coefficient cross-check failed during decomposition."""
-
-    def __init__(self, message, deviation=None):
-        super().__init__(message)
-        self.deviation = deviation
+    """A saved decomposition's stored Casimir disagrees with its mu and nu."""
 
 
 class UnsupportedClass(ValidationError):

@@ -38,10 +38,6 @@ class ExponentGrid:
     step: float
     size: int | None
 
-    @property
-    def is_finite(self) -> bool:
-        return self.size is not None
-
     def exponent(self, m: int) -> float:
         return self.base + m * self.step
 
@@ -71,7 +67,7 @@ class RepresentationDescriptor:
         if self.n is not None:
             doc["n"] = self.n
         if self.grid is not None:
-            if self.grid.is_finite:
+            if self.grid.size is not None:
                 doc["p_grid"] = list(self.grid.exponents())
             else:
                 doc["p_base"] = self.grid.base

@@ -3,7 +3,8 @@
 On the ascending ladder (base annihilated by the lowering generator) a
 solution for a chosen accessory value q is y = sum_m b_m z^(p0+m); on the
 descending ladder it is a series in 1/z.  Matching coefficients of the
-decomposition's own action (up, A = diag_base, down) gives the recurrence
+decomposition's own action, read off by its three_term_rows (the rows of the
+finite matrix too), gives the recurrence
 
     up(p0+m-1) b_(m-1) + [A(p0+m) - q] b_m + down(p0+m+1) b_(m+1) = 0
 
@@ -103,24 +104,6 @@ class EvaluatedSeries(NamedTuple):
     tail_estimate: float
 
 
-def _recurrence_coefficients(
-    dec: Su11Decomposition, p0: float, direction: str, count: int
-) -> Tuple[List[float], List[float], List[float], float]:
-    """Coefficients of the three-term relation at p_m = p0 +/- m, m < count.
-
-    At step m, b_(m-1) enters with inward[m], b_m with diag[m] - q and
-    b_(m+1) with outward[m].  edge is the coefficient that carries z^p0 off
-    the ladder; it vanishes when the ladder really starts at p0.
-    """
-    ascending = direction == ASCENDING
-    p = p0 + (1.0 if ascending else -1.0) * np.arange(count)
-    up, down = dec.up(p - 1.0).tolist(), dec.down(p + 1.0).tolist()
-    diag = dec.diag_base(p).tolist()
-    if ascending:
-        return up, diag, down, dec.down(p0)
-    return down, diag, up, dec.up(p0)
-
-
 def _direction_for(rep: RepresentationDescriptor) -> str:
     if rep.rep_class is RepresentationClass.POSITIVE_DISCRETE:
         return ASCENDING
@@ -131,17 +114,16 @@ def _direction_for(rep: RepresentationDescriptor) -> str:
     )
 
 
-def convergence_domain(
-    dec: Su11Decomposition, rep: RepresentationDescriptor
-) -> Tuple[float, float]:
-    """Open interval of convergence: up to the nearest other singularity.
+def convergence_domain(a: float, direction: str) -> Tuple[float, float]:
+    """Open interval of convergence of a series with singularity location a:
+    up to the nearest other singularity.
 
     Ascending series converge on (0, min(1,|a|)), descending ones on
     (max(1,|a|), inf); |a| covers singularity locations off the positive
     axis (a < 0), where the radius is still the distance to the origin.
+    series_solution states this domain and verify re-derives it.
     """
-    a = 4.0 * dec.c_minus
-    if _direction_for(rep) == ASCENDING:
+    if direction == ASCENDING:
         return (0.0, min(1.0, abs(a)))
     return (max(1.0, abs(a)), math.inf)
 
@@ -164,12 +146,15 @@ def series_solution(
     split = split_even_odd(rep)
     grid = split.even if parity == "even" else split.odd
     p0 = grid.base
-    inward, diag, outward, edge = _recurrence_coefficients(dec, p0, direction, truncation)
+    # Row m sits at p0 + (m-1)*step: row 0, one step off the ladder, holds in
+    # its outward entry the coefficient that carries z^p0 off the ladder.
+    rows = dec.three_term_rows(p0 + grid.step * np.arange(-1, truncation), grid.step)
+    inward, diag, outward = (row.tolist() for row in rows)
 
     # The base must be annihilated in the outward direction, else the ladder
     # does not start here and the ansatz is wrong for this decomposition.
     scale = max(1.0, abs(dec.up(p0)), abs(dec.down(p0)), abs(dec.diag_base(p0)))
-    if abs(edge) > BOUNDARY_TOL * scale:
+    if abs(outward[0]) > BOUNDARY_TOL * scale:
         raise ValueError(
             f"ladder base p0={p0} is not annihilated by the operator "
             "(grid and decomposition disagree)"
@@ -178,13 +163,13 @@ def series_solution(
     coeffs: List[float] = [1.0]
     b_prev = 0.0
     b_here = 1.0
-    for m in range(truncation):
+    for m in range(1, truncation + 1):
         divisor = outward[m]
         if divisor == 0.0:
             raise RecurrenceBreakdown(
-                f"leading divisor vanished at step {m + 1}; the ladder "
+                f"leading divisor vanished at step {m}; the ladder "
                 "truncates and the forward recurrence cannot continue",
-                step=m + 1,
+                step=m,
             )
         b_next = -(inward[m] * b_prev + (diag[m] - q) * b_here) / divisor
         coeffs.append(b_next)
@@ -195,7 +180,7 @@ def series_solution(
         parity=parity,
         q=q,
         coefficients=tuple(coeffs),
-        domain=convergence_domain(dec, rep),
+        domain=convergence_domain(4.0 * dec.c_minus, direction),
     )
 
 

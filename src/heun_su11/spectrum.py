@@ -4,7 +4,8 @@ On a finite ladder the factorized operator acts on the basis
 (z^p0, z^(p0+1), ..., ordered by ascending exponent) as a tridiagonal
 matrix T with T[m][m] = A(p_m), sub-diagonal T[m+1][m] = up(p_m) and
 super-diagonal T[m][m+1] = down(p_(m+1)), where A is the accessory-free
-diagonal.  Admissible accessory values are then the eigenvalues of
+diagonal: row m is the decomposition's three-term row at p_m, the series'
+row too.  Admissible accessory values are then the eigenvalues of
 T b = q b, and each eigenvector gives a finite polynomial in powers of
 sqrt(z) solving the equation with that q.
 
@@ -65,9 +66,6 @@ class SqrtZPolynomial:
             {2 * m: c for m, c in enumerate(self.coefficients) if c != 0.0},
         )
 
-    def evaluate(self, z: float) -> complex | float:
-        return self.as_monomial_sum().evaluate(z)
-
     def to_json_dict(self) -> dict:
         return {
             "coefficients": [
@@ -101,7 +99,7 @@ class SpectralResult:
 
 def build_matrix(dec: Su11Decomposition, subgrid: ExponentGrid) -> TridiagonalMatrix:
     """Matrix of the accessory-free operator on a finite parity sub-grid,
-    from the decomposition's up, diag_base and down."""
+    from the decomposition's three-term rows."""
     if subgrid.size is None:
         raise GridTooLarge("sub-grid is infinite; only finite ladders build matrices")
     if subgrid.size > MATRIX_CAP:
@@ -109,13 +107,11 @@ def build_matrix(dec: Su11Decomposition, subgrid: ExponentGrid) -> TridiagonalMa
     if abs(abs(subgrid.step) - 1.0) > 1e-12:
         raise ValueError("parity sub-grids must step by whole units")
     exponents = sorted(subgrid.exponents())
-    grid = np.array(exponents)
-    diagonal = tuple(dec.diag_base(grid).tolist())
-    up = dec.up(grid).tolist()
-    down = dec.down(grid).tolist()
-    lower, upper = tuple(up[:-1]), tuple(down[1:])
+    inward, diag, outward = dec.three_term_rows(np.array(exponents), 1.0)
+    diagonal = tuple(diag.tolist())
+    lower, upper = tuple(inward[1:].tolist()), tuple(outward[:-1].tolist())
     scale = max([1.0, *map(abs, diagonal), *map(abs, lower), *map(abs, upper)])
-    leak = max(abs(up[-1]), abs(down[0]))
+    leak = max(abs(dec.up(exponents[-1])), abs(dec.down(exponents[0])))
     if leak > 1e-8 * scale:
         raise ValueError(
             f"sub-grid is not closed under the operator (leak {leak:.3e}); "

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Tuple
 
-from .errors import InconsistentCoefficients, NotFactorizable
+from .errors import NotFactorizable
 from .heun_core import (
     CanonicalCoefficients,
     HeunParameters,
@@ -116,8 +116,8 @@ class Su11Decomposition:
     """c_plus E+E+ + c_minus E-E- + c2 H^2 + c1 H + c0 on the generators at
     mu, nu (with their Casimir), which is the action on z^p:
     up(p) z^(p+1) + (diag_base(p) - q) z^p + down(p) z^(p-1), q = accessory_q.
-    This is the one closed-form statement of that action; matrix builds and
-    recurrences evaluate it on a float or elementwise on a numpy array.
+    This is the one closed-form statement of that action; three_term_rows
+    reads it off on a sub-grid, for the finite matrix and the series alike.
     """
 
     mu: float
@@ -154,6 +154,13 @@ class Su11Decomposition:
         h = 2.0 * p + s
         return self.c2 * h * h + self.c1 * h - s * (self.c1 + self.c2 * s)
 
+    def three_term_rows(self, p: float, step: float) -> Tuple[float, float, float]:
+        """Rows (inward, diag, outward) of the action on the sub-grid p (a float
+        or a numpy array) that steps by step = +/-1: the coefficient of z^p in
+        T applied to z^(p-step), to z^p (less q) and to z^(p+step)."""
+        into, out = (self.up, self.down) if step > 0 else (self.down, self.up)
+        return into(p - step), self.diag_base(p), out(p + step)
+
     @property
     def accessory_q(self) -> float:
         """The q baked into c0: the full diagonal is diag_base(p) - q."""
@@ -167,35 +174,19 @@ class Su11Decomposition:
         return cls(**values)
 
 
-def decompose_coefficients(
-    coeffs: CanonicalCoefficients, tol: float = CONDITION_TOL
-) -> Su11Decomposition:
-    """Decompose from the raw a0..a7 coefficients.
+def decompose(params: HeunParameters, tol: float = CONDITION_TOL) -> Su11Decomposition:
+    """Decompose a validated parameter set; rejects non-factorizable input.
 
-    mu comes from a3 = (a0/2)(3+4mu) and nu from gamma = a5/a2; the value of
-    a6 is then forced to (a0/2) mu (1+2mu), which restates |alpha-beta|=1/2.
-    A failure of that cross-check means the supplied coefficients are
-    internally inconsistent, and is reported as such rather than repaired.
+    check_factorizable is the one gate.  nu belongs to the admissible gamma
+    it matched, 3/2 when both are within tol (possible only for tol >= 1/2);
+    mu comes from a3 = (a0/2)(3+4mu), and the c's from the other a's.
     """
-    gamma = coeffs.a5 / coeffs.a2
-    nu = None
-    for g, candidate in NU_BY_GAMMA.items():
-        if abs(gamma - g) <= tol:
-            nu = candidate
-    if nu is None:
-        raise NotFactorizable(
-            f"gamma={gamma:.12g} implied by a5/a2 is not in {{1/2, 3/2}}"
-        )
+    report = check_factorizable(params, tol)
+    if not report.accepted:
+        raise NotFactorizable(report.describe(), report=report)
+    coeffs = canonical_coefficients(params)
+    nu = NU_BY_GAMMA[1.5 if abs(params.gamma - 1.5) <= tol else 0.5]
     mu = (2.0 * coeffs.a3 / coeffs.a0 - 3.0) / 4.0
-    forced_a6 = (coeffs.a0 / 2.0) * mu * (1.0 + 2.0 * mu)
-    deviation = abs(coeffs.a6 - forced_a6)
-    if not deviation <= tol:
-        raise InconsistentCoefficients(
-            f"a6={coeffs.a6:.12g} differs from the value {forced_a6:.12g} forced "
-            f"by a0, a3 (deviation {deviation:.3e}); the exponent gap at "
-            "infinity is not 1/2",
-            deviation=deviation,
-        )
     c_plus = coeffs.a0 / 4.0
     c_minus = coeffs.a2 / 4.0
     c2 = coeffs.a1 / 4.0
@@ -211,14 +202,6 @@ def decompose_coefficients(
         c0=c0,
         casimir=casimir_value(mu, nu),
     )
-
-
-def decompose(params: HeunParameters, tol: float = CONDITION_TOL) -> Su11Decomposition:
-    """Decompose a validated parameter set; rejects non-factorizable input."""
-    report = check_factorizable(params, tol)
-    if not report.accepted:
-        raise NotFactorizable(report.describe(), report=report)
-    return decompose_coefficients(canonical_coefficients(params), tol)
 
 
 def rebuild_coefficients(dec: Su11Decomposition) -> CanonicalCoefficients:

@@ -83,14 +83,6 @@ class ResidualReport:
     residuals: Tuple[float, ...]
     scales: Tuple[float, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "max_relative_residual": self.max_relative_residual,
-            "sample_points": list(self.sample_points),
-            "residuals": list(self.residuals),
-            "scales": list(self.scales),
-        }
-
 
 def _power_matrix(z: np.ndarray, p: np.ndarray) -> np.ndarray:
     """z[:, None] ** p[None, :], bit for bit, without computing the powers

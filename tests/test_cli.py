@@ -229,6 +229,16 @@ def test_check_algebra_numerical_failure_exit(monkeypatch, capsys):
     assert json.loads(captured.out)["max_commutator_deviation"] == 1.0
 
 
+@pytest.mark.parametrize("check, argv", [
+    ("algebra_identity_check", ["--mu", "0.0", "--nu", "0.0"]),
+    ("reconstruction_check", ["--preset", "example1"]),
+], ids=["commutator", "reconstruction"])
+def test_check_algebra_fails_a_nan_deviation(check, argv, monkeypatch, capsys):
+    monkeypatch.setattr(cli, check, lambda *args: math.nan)
+    assert main(["check-algebra", *argv]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_64(capsys):
     assert main(["decompose", "--bogus"]) == 64
     assert main(["decompose"]) == 64
@@ -272,9 +282,12 @@ OVERFLOWED_SERIES_DOC = {
         (["decompose", "--gamma", "0.9", "--delta", "-0.5", "--alpha", "-1", "--beta", "-0.3",
           "--a", "2", "--tolerance", "inf"], None),
         (["verify", "--solution", "-", "--threshold", "inf"], OVERFLOWED_SERIES_DOC),
+        (["check-algebra", "--mu", "nan", "--nu", "0"], None),
+        (["check-algebra", "--mu", "inf", "--nu", "0"], None),
+        (["check-algebra", "--mu", "0", "--nu=-inf"], None),
     ],
     ids=["delta", "alpha", "a", "rho", "q", "decomposition-q", "decomposition-c1", "tolerance",
-         "threshold"],
+         "threshold", "check-algebra-mu-nan", "check-algebra-mu-inf", "check-algebra-nu-inf"],
 )
 def test_non_finite_input_exits_1(argv, stdin, capsys, monkeypatch):
     if stdin is not None:
@@ -356,6 +369,17 @@ def test_verify_reads_null_as_nan(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "non-finite input" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--gamma", "1.5", "--delta", "-0.5", "--alpha", "-0.3", "--beta", "0.2", "--a", "0.1"],
+    ["--gamma", "0.5", "--delta", "-0.5", "--alpha", "-0.095", "--beta", "0.405",
+     "--a", "-3.912"],
+], ids=["gamma", "exponent-gap"])
+def test_zero_tolerance_accepts_exact_input(argv, capsys):
+    # gamma and |alpha-beta| are exact here; a5/a2 and a6, rounded, are not.
+    rc, doc = run_json(capsys, ["decompose", *argv, "--tolerance", "0"])
+    assert (rc, doc) == (0, run_json(capsys, ["decompose", *argv])[1])
 
 
 def test_tolerance_flag_controls_acceptance(capsys):
@@ -579,15 +603,18 @@ def test_spectrum_with_no_surviving_sample_exits_1(capsys):
     assert [pair["residual"] for pair in doc["eigenpairs"]] == [None, None, None]
 
 
-@pytest.mark.parametrize("direction, domain", [
-    ("ascending", [0.0, 0.0]),
-    ("descending", [0.0, None]),
-    ("sideways", [0.0, 1.0]),
+@pytest.mark.parametrize("direction, a2, domain", [
+    # Every node of (0, 5e-8) lies within the singularity radius of a = 1e-7.
+    ("ascending", 1e-7, [0.0, 1e-7]),
+    # (2R, 4R) overflows to (inf, inf), which holds no sample.
+    ("descending", 1e308, [1e308, None]),
+    ("sideways", 2.0, [0.0, 1.0]),
 ], ids=["ascending-empty", "descending-empty", "sideways"])
-def test_verify_fails_series_when_no_sample_survives(direction, domain, capsys, monkeypatch):
+def test_verify_fails_series_when_no_sample_survives(direction, a2, domain, capsys, monkeypatch):
     main(["series", "--preset", "example1", "--q", "0.3"])
     doc = json.loads(capsys.readouterr().out)
     doc["series"].update(coefficients=[1.0, 123.0, -7.0], K=2, direction=direction, domain=domain)
+    doc["ode_coefficients"]["a2"] = a2
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
     assert main(["verify", "--solution", "-"]) == 1
     out = capsys.readouterr().out
@@ -595,6 +622,24 @@ def test_verify_fails_series_when_no_sample_survives(direction, domain, capsys, 
         assert out == ""
     else:
         assert json.loads(out)["results"][0]["max_relative_residual"] is None
+
+
+def test_verify_refuses_a_forged_series_domain(capsys, monkeypatch):
+    # A domain squeezed to (0, 1e-12) would sample only where z^m hides the
+    # forged coefficients; verify derives the domain from a2 and the direction.
+    main(["series", "--preset", "example1", "--a", "2", "--q", "0.3", "--kmax", "20"])
+    doc = json.loads(capsys.readouterr().out)
+    doc["series"]["coefficients"][2:] = [123.0] * 19
+    doc["series"]["domain"] = [0.0, 1e-12]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(["verify", "--solution", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "series domain [0.0, 1e-12] is not the convergence domain [0.0, 1.0]" in captured.err
+    doc["series"]["domain"] = [0.0, 1.0]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(["verify", "--solution", "-"]) == 1
+    assert json.loads(capsys.readouterr().out)["max_relative_residual"] > 1e-8
 
 
 @pytest.mark.parametrize("edit", [{"parity": "banana"}, {"K": 7}], ids=["parity", "K"])
@@ -671,5 +716,5 @@ def test_spectrum_csv_writes_complex_values(tmp_path, capsys):
         for z_cell, value_cell in rows:
             value = complex(value_cell) if value_cell.startswith("(") else float(value_cell)
             seen_complex += isinstance(value, complex)
-            assert value == pair.eigenfunction.evaluate(float(z_cell))
+            assert value == pair.eigenfunction.as_monomial_sum().evaluate(float(z_cell))
     assert seen_complex == 4

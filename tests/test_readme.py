@@ -1,4 +1,5 @@
-"""Every `heun-su11 ...` command in README's sh blocks runs and exits 0.
+"""Every `heun-su11 ...` command in README's sh blocks runs and exits 0,
+and every python block runs without an error.
 
 The commands run in order, in one scratch directory, through ``cli.main``,
 so a later command can read a file an earlier one wrote.
@@ -13,9 +14,13 @@ from heun_su11.cli import main
 README = Path(__file__).parents[1] / "README.md"
 
 
+def readme_blocks(language):
+    return re.findall(rf"^```{language}\n(.*?)^```", README.read_text(encoding="utf-8"),
+                      re.M | re.S)
+
+
 def readme_commands():
-    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
-    return [line for block in blocks for line in block.splitlines()
+    return [line for block in readme_blocks("sh") for line in block.splitlines()
             if line.startswith("heun-su11 ")]
 
 
@@ -26,3 +31,11 @@ def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys):
     for line in commands:
         assert main(shlex.split(line)[1:]) == 0, line
         capsys.readouterr()
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = readme_blocks("python")
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out

@@ -192,7 +192,7 @@ def test_closure_of_parity_subgrids():
 
 def test_exponent_grid_guards():
     infinite = ExponentGrid(0.0, 0.5, None)
-    assert not infinite.is_finite
+    assert infinite.size is None
     with pytest.raises(ValueError):
         infinite.exponents()
 

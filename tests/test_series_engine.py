@@ -18,7 +18,6 @@ from heun_su11.series_engine import (
     DESCENDING,
     SeriesSolution,
     _live_terms,
-    _recurrence_coefficients,
     convergence_domain,
     evaluate_series,
     series_solution,
@@ -33,14 +32,13 @@ def recurrence_residual(dec, sol):
     """Max relative defect of the three-term relation on re-substitution,
     relative to the largest of its three terms."""
     b = sol.coefficients
-    inward, diag, outward, _ = _recurrence_coefficients(
-        dec, sol.p0, sol.direction, len(b) - 1
-    )
+    step = 1.0 if sol.direction == ASCENDING else -1.0
     worst = 0.0
     for m in range(len(b) - 1):
-        t_in = inward[m] * (b[m - 1] if m >= 1 else 0.0)
-        t_mid = (diag[m] - sol.q) * b[m]
-        t_out = outward[m] * b[m + 1]
+        inward, diag, outward = dec.three_term_rows(sol.exponent(m), step)
+        t_in = inward * (b[m - 1] if m >= 1 else 0.0)
+        t_mid = (diag - sol.q) * b[m]
+        t_out = outward * b[m + 1]
         scale = max(abs(t_in), abs(t_mid), abs(t_out))
         defect = abs(t_in + t_mid + t_out)
         worst = max(worst, defect / scale if scale > 0.0 else 0.0)
@@ -146,31 +144,22 @@ def test_series_bases_follow_parity_grids():
     assert series_solution(dec, nd, "odd", 1.0).p0 == -0.5
 
 
-def discrete_rep(rep_class):
-    return RepresentationDescriptor(rep_class=rep_class, casimir=0.0, grid=None)
-
-
 def test_convergence_domain_cases():
-    pd = discrete_rep(RepresentationClass.POSITIVE_DISCRETE)
-    nd = discrete_rep(RepresentationClass.NEGATIVE_DISCRETE)
-    assert convergence_domain(synthetic_decomposition(0.0, 0.0, c_minus=0.5), pd) == (0.0, 1.0)
-    assert convergence_domain(
-        synthetic_decomposition(0.0, 0.0, c_minus=0.125), nd
-    ) == (1.0, math.inf)
-    dec_neg = synthetic_decomposition(0.0, 0.0, c_minus=-0.75)
-    assert convergence_domain(dec_neg, pd) == (0.0, 1.0)
-    assert convergence_domain(dec_neg, nd) == (3.0, math.inf)
-    assert convergence_domain(synthetic_decomposition(0.0, 0.0, c_minus=0.125), pd) == (0.0, 0.5)
+    assert convergence_domain(2.0, ASCENDING) == (0.0, 1.0)
+    assert convergence_domain(0.5, DESCENDING) == (1.0, math.inf)
+    assert convergence_domain(-3.0, ASCENDING) == (0.0, 1.0)
+    assert convergence_domain(-3.0, DESCENDING) == (3.0, math.inf)
+    assert convergence_domain(0.5, ASCENDING) == (0.0, 0.5)
 
 
 def test_convergence_domain_rep_consistency():
     dec, by_class = lame_setup(2.0, 1.0)
     pd = by_class[RepresentationClass.POSITIVE_DISCRETE]
     nd = by_class[RepresentationClass.NEGATIVE_DISCRETE]
-    assert convergence_domain(dec, rep=pd) == (0.0, 1.0)
-    assert convergence_domain(dec, rep=nd) == (2.0, math.inf)
+    assert series_solution(dec, pd, "even", 1.0).domain == (0.0, 1.0)
+    assert series_solution(dec, nd, "odd", 1.0).domain == (2.0, math.inf)
     with pytest.raises(UnsupportedClass):
-        convergence_domain(dec, rep=by_class[RepresentationClass.FINITE_DIMENSIONAL])
+        series_solution(dec, by_class[RepresentationClass.FINITE_DIMENSIONAL], "even", 1.0)
 
 
 @pytest.mark.parametrize(

@@ -421,7 +421,7 @@ def test_fresh_import_loads_numpy_with_the_first_numeric_name():
 def test_sqrt_z_polynomial_evaluation():
     dec = decompose(example1(4.0))
     pair = solve_spectrum(dec, finite_rep(dec)).pairs[-1]
-    y = pair.eigenfunction
+    y = pair.eigenfunction.as_monomial_sum()
     assert y.evaluate(0.49) == pytest.approx(math.sqrt(0.49), abs=1e-14)
 
 

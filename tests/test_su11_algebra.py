@@ -1,9 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from heun_su11.errors import InconsistentCoefficients, NotFactorizable
+from heun_su11.errors import NotFactorizable
 from heun_su11.heun_core import (
     canonical_coefficients,
     lame_parameters,
@@ -19,7 +20,6 @@ from heun_su11.su11_algebra import (
     apply_weight,
     check_factorizable,
     decompose,
-    decompose_coefficients,
     rebuild_coefficients,
     reconstruction_check,
 )
@@ -141,20 +141,21 @@ def test_decompose_rejects_with_report():
     assert set(info.value.report.failures) == {"exponent_gap", "gamma"}
 
 
-def test_decompose_coefficients_rejects_tampered_a6():
-    c = canonical_coefficients(make_parameters(**EXAMPLE1))
-    bad = type(c)(c.a0, c.a1, c.a2, c.a3, c.a4, c.a5, c.a6 + 1e-3, c.a7)
-    with pytest.raises(InconsistentCoefficients) as info:
-        decompose_coefficients(bad)
-    assert info.value.deviation == pytest.approx(1e-3)
-
-
-def test_decompose_coefficients_rejects_bad_gamma():
-    c = canonical_coefficients(
-        make_parameters(gamma=1.0, delta=0.5, alpha=0.0, beta=0.5, a=2.0, q=0.0)
-    )
-    with pytest.raises(NotFactorizable):
-        decompose_coefficients(c)
+def test_zero_tolerance_accepts_every_exactly_factorizable_input():
+    # check_factorizable is the one gate: at tolerance 0 it accepts every
+    # gamma of exactly 1/2 or 3/2 with beta - alpha == 0.5 in floats, and the
+    # decomposition is the one the default tolerance gives.
+    rng = random.Random(1409)
+    for _ in range(3000):
+        alpha = rng.uniform(-3.0, 3.0)
+        beta = alpha + 0.5
+        assert beta - alpha == 0.5
+        gamma = rng.choice([0.5, 1.5])
+        a = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)
+        p = make_parameters(gamma, rng.uniform(-2.0, 2.0), alpha, beta, a, rng.uniform(-5.0, 5.0))
+        dec = decompose(p, 0.0)
+        assert dec == decompose(p)
+        assert dec.nu == (0.5 if gamma == 1.5 else 0.0)
 
 
 def test_rebuild_roundtrip_random():

@@ -18,7 +18,6 @@ failure, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from itertools import chain
@@ -177,6 +176,7 @@ def _decompose(args, params: HeunParameters) -> Su11Decomposition:
 
 def _write_csv_blocks(path: str, blocks) -> None:
     """blocks: iterable of (comment, function, points); one (z, f(z)) row per point."""
+    import csv
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         for comment, function, points in blocks:

@@ -7,92 +7,94 @@ is a meaningful regression check.  Negative zero is printed as 0, because
 would otherwise differ.  Non-finite floats become null; complex
 numbers become {"im": ..., "re": ...} objects.
 
-A list whose items share one shape (all floats, all complex numbers, or all
-dicts with the same keys and float or complex values) is written from a
-``%.17g`` template filled from a flat column of its leaves in a single ``%``
-call; other lists, and lists holding a NaN or inf, go through the recursive
-writer.  Each ``canonical_dumps`` call keeps the templates it builds, keyed
-by shape and, for dicts, by the values of the first float column, which the
-template holds as text: the eigenfunctions of one parity sub-grid share
-their exponents, so each formats only its values.  Reading uses the standard
-json module plus a small helper that turns those objects back into numbers
-and null into NaN.
+Lists of many float leaves are written from ``%.17g`` templates, each
+filled in a single ``%`` call.  A list of all floats or all complex numbers
+is one such template.  A TemplatedList is a list given as runs of items
+that share a skeleton: a JSON value in which SLOT marks each float leaf.
+The skeleton is written once, with its fixed text (keys, strings, fixed
+floats) in place, and repeated for every item of the run; a flat tuple of
+the run's leaves fills it.  The spectrum's eigenpairs are one run per
+parity sub-grid, so the exponents and the parity are formatted once per
+sub-grid and only the values, q and residuals per item.  A run holding a
+NaN or inf fills its template with each leaf's text instead, null for the
+non-finite ones, so every list prints as the recursive writer would print
+it item by item.  Reading uses the standard json module plus a small
+helper that turns those objects back into numbers and null into NaN.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from itertools import chain, repeat
+from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter, itemgetter
-from typing import Any
+from operator import attrgetter
+from typing import Any, Tuple
 
+SLOT = object()  # a float leaf of a TemplatedList skeleton
+_COMPLEX = {"im": SLOT, "re": SLOT}
 _ZERO = (0.0).__add__  # 0.0 + x is x, except that -0.0 becomes 0.0
-_FLOAT, _COMPLEX = frozenset({float}), frozenset({complex})
 _IMAG, _REAL = attrgetter("imag"), attrgetter("real")
 
 
-def _filled_list(items, pad: str, templates: dict) -> str | None:
-    """Text of a list whose items share one shape of float leaves, or None:
-    all floats, all complex numbers, or all dicts with the same str keys and,
-    key by key, one leaf type, float or complex.  The list's template comes
-    from templates, keyed by the shape and, for dicts, by the values of the
-    first float column, whose text it holds; the other leaves fill it."""
+@dataclass(frozen=True)
+class TemplatedList:
+    """A JSON list given as runs (skeleton, count, leaves).  A run stands
+    for count >= 1 items, each printed as its skeleton would be with every
+    SLOT replaced by the next of the leaves, in the order the writer meets
+    them: keys sorted, and "im" before "re" in a complex value.  leaves is
+    a flat tuple of floats, count times the SLOTs of the skeleton, and
+    holds no negative zero, which the template would print as -0."""
+
+    runs: Tuple[Tuple[Any, int, Tuple[float, ...]], ...]
+
+
+def _float_text(x: float) -> str:
+    return "%.17g" % (x + 0.0) if math.isfinite(x) else "null"
+
+
+def _run(skeleton, count: int, leaves: tuple, pad: str) -> str:
+    """Text of count items of a list at pad, printed from the skeleton with
+    its SLOTs filled from leaves by one template and one % call."""
     inner = pad + "  "
-    first = items[0]
-    if type(first) is dict and first and all(type(key) is str for key in first):
-        if set(map(type, items)) != {dict} or set(map(len, items)) != {len(first)}:
-            return None
-        keys = tuple(sorted(first))
-        try:
-            columns = [tuple(map(itemgetter(key), items)) for key in keys]
-        except KeyError:
-            return None
-        leaf_pad = inner + "  "
+    pieces: list = []
+    _write(skeleton, pieces.append, inner)
+    slot = "%.17g"
+    # A NaN or inf anywhere makes the sum non-finite.
+    if not math.isfinite(sum(leaves)):
+        slot, leaves = "%s", tuple(map(_float_text, leaves))
+    # _write quotes every string it prints, so a raw NUL is a SLOT.
+    item = "".join(pieces).replace("%", "%%").replace("\0", slot)
+    return (",\n" + inner).join([item] * count) % leaves
+
+
+def _list_text(runs, pad: str) -> str:
+    inner = pad + "  "
+    texts = [_run(skeleton, count, leaves, pad) for skeleton, count, leaves in runs]
+    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]" if texts else "[]"
+
+
+def _filled_list(items, pad: str) -> str | None:
+    """Text of a list of all floats or all complex numbers from one
+    template; None for any other list."""
+    kinds = set(map(type, items))
+    if kinds == {float}:
+        skeleton, leaves = SLOT, tuple(items)
+    elif kinds == {complex}:
+        skeleton = _COMPLEX
+        leaves = tuple(chain.from_iterable(zip(map(_IMAG, items), map(_REAL, items))))
     else:
-        keys, columns, leaf_pad = None, [tuple(items)], inner
-    kinds = tuple(frozenset(map(type, column)) for column in columns)
-    # A NaN or inf anywhere makes the sum non-finite; the recursive writer nulls it.
-    if not set(kinds) <= {_FLOAT, _COMPLEX} or not cmath.isfinite(sum(map(sum, columns))):
         return None
-    baked = kinds.index(_FLOAT) if keys and _FLOAT in kinds else None
-    key = (pad, keys, kinds, len(items) if baked is None else columns[baked])
-    template = templates.get(key)
-    if template is None:
-        part = leaf_pad + "  "
-        slots = ["%.17g" if kind == _FLOAT else
-                 "{\n" + part + '"im": %.17g,\n' + part + '"re": %.17g\n' + leaf_pad + "}"
-                 for kind in kinds]
-        if baked is None:
-            texts = repeat("", len(items))
-        else:
-            slots[baked] = "\0"  # never in a quoted key: it is written \u0000
-            texts = map("%.17g".__mod__, map(_ZERO, columns[baked]))
-        item = slots[0] if keys is None else "{\n" + ",\n".join(
-            leaf_pad + _quote(name).replace("%", "%%") + ": " + slot
-            for name, slot in zip(keys, slots)
-        ) + "\n" + inner + "}"
-        head, _, tail = item.partition("\0")
-        template = templates[key] = (
-            "[\n" + inner + head + (tail + ",\n" + inner + head).join(texts) + tail
-            + "\n" + pad + "]"
-        )
-    fill = []
-    for k, column in enumerate(columns):
-        if k != baked:
-            fill += (column,) if kinds[k] == _FLOAT else (map(_IMAG, column), map(_REAL, column))
-    values = fill[0] if len(fill) == 1 else tuple(chain.from_iterable(zip(*fill)))
-    if 0.0 in values:
-        values = tuple(map(_ZERO, values))
-    return template % values
+    if 0.0 in leaves:
+        leaves = tuple(map(_ZERO, leaves))
+    return _list_text(((skeleton, len(items), leaves),), pad)
 
 
-def _write(obj: Any, out, pad: str, templates: dict) -> None:
+def _write(obj: Any, out, pad: str) -> None:
     # No object is two of these types but bool and int, so floats can go first.
     inner = pad + "  "
     if isinstance(obj, float):
-        out("%.17g" % (obj + 0.0) if math.isfinite(obj) else "null")
+        out(_float_text(obj))
     elif isinstance(obj, (dict, complex)):
         if isinstance(obj, complex):
             obj = {"im": obj.imag, "re": obj.real}
@@ -101,15 +103,15 @@ def _write(obj: Any, out, pad: str, templates: dict) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             out((",\n" if i else "\n") + inner + _quote(key) + ": ")
-            _write(obj[key], out, inner, templates)
+            _write(obj[key], out, inner)
         if obj:
             out("\n" + pad + "}")
     elif isinstance(obj, (list, tuple)):
-        text = _filled_list(obj, pad, templates) if obj else "[]"
+        text = _filled_list(obj, pad) if obj else "[]"
         if text is None:
             for i, item in enumerate(obj):
                 out((",\n" if i else "[\n") + inner)
-                _write(item, out, inner, templates)
+                _write(item, out, inner)
             text = "\n" + pad + "]"
         out(text)
     elif isinstance(obj, bool):
@@ -120,13 +122,17 @@ def _write(obj: Any, out, pad: str, templates: dict) -> None:
         out(_quote(obj))
     elif obj is None:
         out("null")
+    elif isinstance(obj, TemplatedList):
+        out(_list_text(obj.runs, pad))
+    elif obj is SLOT:
+        out("\0")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def canonical_dumps(obj: Any) -> str:
     pieces: list = []
-    _write(obj, pieces.append, "", {})
+    _write(obj, pieces.append, "")
     return "".join(pieces)
 
 

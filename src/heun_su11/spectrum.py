@@ -15,16 +15,24 @@ factorization of T - q.  The tests hold an independent oracle, a 50-digit
 Sturm count of the eigenvalues of T below a point, and with it certify
 every eigenvalue the solver returns within 1e-10 on each sub-grid whose
 off-diagonal products are not negative.
+
+A SpectralResult holds the solver's arrays of each sub-grid; its EigenPairs
+are built from them when first read.  Its JSON form is written from the
+arrays too: each sub-grid is one run of a jsonio.TemplatedList, whose
+record skeleton holds the exponents and the parity and whose flat leaves
+are the values, q and residuals, so no per-coefficient record is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
 from .errors import EigensolverNoConvergence, GridTooLarge, UnsupportedClass
+from .jsonio import SLOT, TemplatedList
 from .monomials import MonomialSum
 from .representations import (
     ExponentGrid,
@@ -66,14 +74,6 @@ class SqrtZPolynomial:
             {2 * m: c for m, c in enumerate(self.coefficients) if c != 0.0},
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "coefficients": [
-                {"exponent": self.base_exponent + m, "value": c}
-                for m, c in enumerate(self.coefficients)
-            ]
-        }
-
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -82,19 +82,63 @@ class EigenPair:
     parity: str
     residual: float
 
-    def to_json_dict(self) -> dict:
-        doc = {"q": self.q, "parity": self.parity, "residual": self.residual}
-        doc.update(self.eigenfunction.to_json_dict())
-        return doc
+
+class SolvedSubgrid(NamedTuple):
+    """The solver's arrays for one parity sub-grid: P eigenvalues q, the
+    normalized eigenvectors as the rows of a P x n array on the exponents
+    base, base + 1, ..., and the worst residual of each."""
+
+    parity: str
+    base: float
+    q: np.ndarray
+    rows: np.ndarray
+    residuals: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralResult:
-    pairs: Tuple[EigenPair, ...]
-    warnings: Tuple[str, ...]
+    """The eigenpairs of a finite ladder as the solver's arrays, one
+    SolvedSubgrid per non-empty parity sub-grid, even first."""
 
-    def to_json_list(self) -> list:
-        return [pair.to_json_dict() for pair in self.pairs]
+    warnings: Tuple[str, ...]
+    subgrids: Tuple[SolvedSubgrid, ...] = field(repr=False)
+
+    @cached_property
+    def pairs(self) -> Tuple[EigenPair, ...]:
+        """One EigenPair per eigenvalue, in the order of the sub-grids' arrays."""
+        return tuple(
+            EigenPair(q=q, eigenfunction=SqrtZPolynomial(sub.base, tuple(row)),
+                      parity=sub.parity, residual=residual)
+            for sub in self.subgrids
+            for q, row, residual in zip(sub.q.tolist(), sub.rows.tolist(), sub.residuals.tolist())
+        )
+
+    def to_json_list(self) -> TemplatedList:
+        """The eigenpairs array of a spectrum document, the pairs in order,
+        written from the solver's arrays: one run per sub-grid, whose record
+        skeleton holds the exponents and the parity, and whose leaves are
+        each record's values, q and residual, in the document's sorted-key
+        order."""
+        runs = []
+        for parity, base, q, rows, residuals in self.subgrids:
+            block = np.column_stack((rows, q))
+            leaf = SLOT
+            if np.iscomplexobj(block):
+                leaf = {"im": SLOT, "re": SLOT}
+                # The float view holds re, im; the document writes im first.
+                block = block.view(float).reshape(len(q), -1, 2)[:, :, ::-1].reshape(len(q), -1)
+            skeleton = {
+                "coefficients": [
+                    {"exponent": base + m, "value": leaf} for m in range(rows.shape[1])
+                ],
+                "parity": parity,
+                "q": leaf,
+                "residual": SLOT,
+            }
+            # + 0.0 turns -0.0 into 0, which the template would print as -0.
+            leaves = (np.column_stack((block, residuals)) + 0.0).ravel().tolist()
+            runs.append((skeleton, len(q), tuple(leaves)))
+        return TemplatedList(tuple(runs))
 
 
 def build_matrix(dec: Su11Decomposition, subgrid: ExponentGrid) -> TridiagonalMatrix:
@@ -213,8 +257,8 @@ def solve_spectrum(dec: Su11Decomposition, rep: RepresentationDescriptor) -> Spe
     a = 4.0 * dec.c_minus
     samples = default_sample_points(a)
     split = split_even_odd(rep)
-    pairs: List[EigenPair] = []
     warnings: List[str] = []
+    subgrids: List[SolvedSubgrid] = []
     for parity, grid in (("even", split.even), ("odd", split.odd)):
         if grid.size == 0:
             continue
@@ -225,19 +269,11 @@ def solve_spectrum(dec: Su11Decomposition, rep: RepresentationDescriptor) -> Spe
         rows = _normalize_rows(vectors.T[order])
         base = matrix.exponents[0]
         worst = worst_residuals(base_coeffs, base + np.arange(len(values)), rows.T, values, samples)
-        for q, row, residual in zip(values.tolist(), rows.tolist(), worst.tolist()):
-            pairs.append(
-                EigenPair(
-                    q=q,
-                    eigenfunction=SqrtZPolynomial(base, tuple(row)),
-                    parity=parity,
-                    residual=residual,
-                )
-            )
+        subgrids.append(SolvedSubgrid(parity, base, values, rows, worst))
         if np.iscomplexobj(values):
             warnings.append(
                 f"complex eigenvalues on the {parity} sub-grid; the "
                 "singularity location a is negative or the matrix is "
                 "otherwise non-symmetrizable"
             )
-    return SpectralResult(pairs=tuple(pairs), warnings=tuple(warnings))
+    return SpectralResult(warnings=tuple(warnings), subgrids=tuple(subgrids))

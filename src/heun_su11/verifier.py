@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -166,9 +167,15 @@ def residual_for_coefficients(
 ) -> ResidualReport:
     """Componentwise relative residual of f1 y'' + f2 y' + f3 y at the given
     points: the one-column case of residual_block."""
-    nonzero = {k: c for k, c in solution.coeffs.items() if c != 0.0}
-    p = solution.base + 0.5 * np.fromiter(nonzero, float, len(nonzero))
-    c = np.array(list(nonzero.values()))
+    values = solution.coeffs.values()
+    c = np.array(list(values))
+    p = solution.base + 0.5 * np.fromiter(solution.coeffs, float, len(c))
+    live = c != 0.0
+    if not live.all():
+        # The zeros are dropped and the dtype comes from the other values:
+        # a dropped 0j must not make a real column complex.
+        c = np.array(list(compress(values, live)))
+        p = p[live]
     residuals, scales = residual_block(coeffs, p, c[:, None], [coeffs.a7], z_samples)
     return ResidualReport(
         max_relative_residual=_worst(residuals, c[:, None]).item(),

@@ -313,8 +313,8 @@ def test_spectrum_with_failing_pair_still_prints_and_exits_1(capsys, monkeypatch
 
     def one_bad_pair(dec, rep):
         result = solve(dec, rep)
-        bad = dataclasses.replace(result.pairs[0], residual=1e-3)
-        return dataclasses.replace(result, pairs=(bad, *result.pairs[1:]))
+        result.subgrids[0].residuals[0] = 1e-3
+        return result
 
     monkeypatch.setattr(spectrum_module, "solve_spectrum", one_bad_pair)
     assert main(["spectrum", "--preset", "example1"]) == 1

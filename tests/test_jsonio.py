@@ -3,7 +3,9 @@
 ``reference_dumps`` is that writer, kept unchanged: one piece per token,
 each float through ``format(x, ".17g")``.  The emitter must print the same
 bytes on every document and raise the same TypeError on every document it
-cannot print.
+cannot print.  A TemplatedList must print as the plain list of the items
+it stands for, and a spectrum's eigenpairs as the per-coefficient records
+the solver's pairs describe.
 """
 
 import json
@@ -11,10 +13,15 @@ import math
 import random
 from typing import Any
 
+import numpy as np
 import pytest
 
 from heun_su11 import jsonio
-from heun_su11.jsonio import as_number, canonical_dumps
+from heun_su11.heun_core import make_parameters
+from heun_su11.jsonio import SLOT, TemplatedList, as_number, canonical_dumps
+from heun_su11.representations import RepresentationClass, classify
+from heun_su11.spectrum import SpectralResult, solve_spectrum
+from heun_su11.su11_algebra import decompose
 
 
 def _format_float(x: float) -> str:
@@ -237,23 +244,11 @@ def shared_column_document(rng):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_canonical_dumps_matches_reference_on_shared_columns(seed, monkeypatch):
-    calls = []
-    fill = jsonio._filled_list
-
-    def counted_fill(items, pad, templates):
-        before = len(templates)
-        text = fill(items, pad, templates)
-        calls.append((text is not None, len(templates) > before))
-        return text
-
-    monkeypatch.setattr(jsonio, "_filled_list", counted_fill)
+def test_canonical_dumps_matches_reference_on_shared_columns(seed):
     rng = random.Random(100 + seed)
     for _ in range(200):
         doc = shared_column_document(rng)
         assert _outcome(canonical_dumps, doc) == _outcome(reference_dumps, doc), doc
-    # Lists reuse templates that earlier lists of the same document built.
-    assert sum(filled and not built for filled, built in calls) >= 200
 
 
 def _pairs(exponents, values):
@@ -291,6 +286,154 @@ def test_consecutive_documents_differing_in_the_key_column():
     second = {"eigenpairs": [{"coefficients": _pairs((0.5, 1.5, 2.5), values)}]}
     for doc in (first, second, first):
         assert canonical_dumps(doc) == reference_dumps(doc)
+
+
+def _slots(skeleton):
+    if skeleton is SLOT:
+        return 1
+    if isinstance(skeleton, dict):
+        return sum(map(_slots, skeleton.values()))
+    if isinstance(skeleton, list):
+        return sum(map(_slots, skeleton))
+    return 0
+
+
+def _items(skeleton, count, leaves):
+    """The plain items a run stands for: SLOTs filled in sorted-key order."""
+    leaves = iter(leaves)
+
+    def fill(node):
+        if node is SLOT:
+            return next(leaves)
+        if isinstance(node, dict):
+            return {key: fill(node[key]) for key in sorted(node)}
+        if isinstance(node, list):
+            return [fill(item) for item in node]
+        return node
+
+    return [fill(skeleton) for _ in range(count)]
+
+
+def _skeleton(rng, depth=0):
+    r = rng.random()
+    if depth >= 3 or r < 0.45:
+        return rng.choice((
+            lambda: SLOT, lambda: SLOT, lambda: {"im": SLOT, "re": SLOT},
+            lambda: rng.choice(KEYS), lambda: _float(rng), lambda: [_float(rng), -0.0],
+            lambda: rng.random() < 0.5, lambda: None, lambda: [],
+        ))()
+    if r < 0.75:
+        return {rng.choice(KEYS): _skeleton(rng, depth + 1) for _ in range(rng.randint(1, 3))}
+    return [_skeleton(rng, depth + 1) for _ in range(rng.randint(1, 3))]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_templated_list_prints_the_items_it_stands_for(seed):
+    rng = random.Random(300 + seed)
+    nulls = 0
+    for _ in range(300):
+        runs = []
+        for _ in range(rng.randint(0, 3)):
+            skeleton, count = _skeleton(rng), rng.randint(1, 4)
+            leaves = tuple(_float(rng) + 0.0 for _ in range(count * _slots(skeleton)))
+            runs.append((skeleton, count, leaves))
+        items = [item for run in runs for item in _items(*run)]
+        doc = {"list": TemplatedList(tuple(runs)), "nested": [{"deeper": TemplatedList(tuple(runs))}]}
+        plain = {"list": items, "nested": [{"deeper": items}]}
+        text = canonical_dumps(doc)
+        assert text == reference_dumps(plain), runs
+        nulls += "null" in text
+    assert nulls >= 30
+
+
+def plain_eigenpairs(result):
+    """The eigenpairs as one record per pair and per coefficient, the form
+    the writer took before it read the solver's arrays."""
+    return [
+        {
+            "coefficients": [
+                {"exponent": pair.eigenfunction.base_exponent + m, "value": c}
+                for m, c in enumerate(pair.eigenfunction.coefficients)
+            ],
+            "parity": pair.parity,
+            "q": pair.q,
+            "residual": pair.residual,
+        }
+        for pair in result.pairs
+    ]
+
+
+def spectrum_of(n, gamma, a, delta):
+    nu = {0.5: 0.0, 1.5: 0.5}[gamma]
+    alpha = nu - (n - 1) / 2.0  # alpha = mu and beta = mu + 1/2: a ladder of length n
+    dec = decompose(make_parameters(gamma, delta, alpha, alpha + 0.5, a, 0.0))
+    rep = next(r for r in classify(dec) if r.rep_class is RepresentationClass.FINITE_DIMENSIONAL)
+    return solve_spectrum(dec, rep)
+
+
+def assert_prints_as_plain(result):
+    eigenpairs = result.to_json_list()
+    doc = {"eigenpairs": eigenpairs, "nested": {"eigenpairs": eigenpairs}}
+    plain = plain_eigenpairs(result)
+    assert canonical_dumps(doc) == reference_dumps({"eigenpairs": plain, "nested": {"eigenpairs": plain}})
+
+
+def test_eigenpairs_print_as_their_per_coefficient_records():
+    rng = random.Random(15)
+    seen_complex = 0
+    for gamma in (0.5, 1.5):
+        for a in (2.0, 4.0, -3.0, 0.3):
+            for n in (1, 2, 3, 16, 64, 128):
+                result = spectrum_of(n, gamma, a, rng.uniform(-0.55, -0.45))
+                assert len(result.pairs) == n
+                assert_prints_as_plain(result)
+                seen_complex += any(isinstance(pair.q, complex) for pair in result.pairs)
+    assert seen_complex
+
+
+def with_arrays(result, edit):
+    """The result rebuilt from copies of its sub-grid arrays after
+    edit(parity, q, rows, residuals) changed them."""
+    subgrids = []
+    for sub in result.subgrids:
+        q, rows, residuals = sub.q.copy(), sub.rows.copy(), sub.residuals.copy()
+        edit(sub.parity, q, rows, residuals)
+        subgrids.append(sub._replace(q=q, rows=rows, residuals=residuals))
+    return SpectralResult(result.warnings, tuple(subgrids))
+
+
+def _negative_zeros(parity, q, rows, residuals):
+    if np.iscomplexobj(rows):
+        rows[0, 0] = complex(0.5, -0.0)
+        rows[-1, -1] = complex(-0.0, -0.0)
+        q[0] = complex(q[0].real, -0.0)
+    else:
+        rows[0, 0] = rows[-1, -1] = -0.0
+        q[0] = -0.0
+    residuals[-1] = -0.0
+
+
+def _nan_q(parity, q, rows, residuals):
+    q[len(q) // 2] = math.nan
+
+
+def _inf_residual(parity, q, rows, residuals):
+    residuals[0] = math.inf
+
+
+def _nan_coefficient(parity, q, rows, residuals):
+    if parity == "even":
+        rows[-1, len(rows[0]) // 2] = complex(math.nan, 1.0) if np.iscomplexobj(rows) else math.nan
+
+
+@pytest.mark.parametrize("a", [2.0, -3.0])
+@pytest.mark.parametrize("edit", [_negative_zeros, _nan_q, _inf_residual, _nan_coefficient])
+def test_eigenpairs_print_negative_zeros_and_non_finite_leaves_as_before(a, edit):
+    result = with_arrays(spectrum_of(16, 0.5, a, -0.5), edit)
+    assert any(isinstance(pair.q, complex) for pair in result.pairs) == (a < 0.0)
+    assert_prints_as_plain(result)
+    text = canonical_dumps({"eigenpairs": result.to_json_list()})
+    assert ("null" in text) is (edit is not _negative_zeros)
 
 
 def test_as_number_reads_null_as_nan():

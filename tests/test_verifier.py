@@ -1,10 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
 from heun_su11.errors import SamplePointAtSingularity
 from heun_su11.heun_core import canonical_coefficients, make_parameters
 from heun_su11.monomials import MonomialSum
+from heun_su11.representations import RepresentationClass, classify
+from heun_su11.spectrum import solve_spectrum
+from heun_su11.su11_algebra import decompose, rebuild_coefficients
 from heun_su11.verifier import (
     DEFAULT_SAMPLE_COUNT,
     SINGULARITY_RADIUS,
@@ -13,6 +17,7 @@ from heun_su11.verifier import (
     check_sample_points,
     default_sample_points,
     ode_residual,
+    residual_block,
     residual_for_coefficients,
 )
 
@@ -188,3 +193,30 @@ def test_explicit_sample_points_are_used():
     y = MonomialSum.from_terms([(0.0, 2.0), (1.0, 1.0)])
     report = ode_residual(params, y, z_samples=[0.25, 0.5])
     assert report.sample_points == (0.25, 0.5)
+
+
+def test_dropped_zeros_keep_a_real_column_real():
+    """A float sum with explicit 0j and 0.0 entries scores bit for bit as
+    the float column of its nonzero coefficients alone.  Scored as a complex
+    column, the same coefficients move in the last bits on this ladder, so
+    a dropped 0j that made the column complex would show."""
+    dec = decompose(make_parameters(0.5, -0.5, -3.5, -3.0, 2.0, 0.0))
+    finite = [r for r in classify(dec) if r.rep_class is RepresentationClass.FINITE_DIMENSIONAL]
+    coeffs = rebuild_coefficients(dec)
+    samples = default_sample_points(2.0)
+    moved = 0
+    for pair in solve_spectrum(dec, finite[0]).pairs:
+        y = pair.eigenfunction.as_monomial_sum()
+        c = coeffs.with_accessory(pair.q)
+        p = y.base + 0.5 * np.array(list(y.coeffs), float)
+        column = np.array(list(y.coeffs.values()))
+        assert column.dtype == float and np.all(column != 0.0)
+        want, want_scales = residual_block(c, p, column[:, None], [c.a7], samples)
+        padded = MonomialSum(y.base, {1: 0j, **y.coeffs, 3: 0.0, 2 * len(column): 0j})
+        for candidate in (y, padded):
+            report = residual_for_coefficients(c, candidate, samples)
+            assert np.array(report.residuals).tobytes() == want[0].tobytes()
+            assert np.array(report.scales).tobytes() == want_scales[0].tobytes()
+        as_complex, _ = residual_block(c, p, column.astype(complex)[:, None], [c.a7], samples)
+        moved += as_complex.tobytes() != want.tobytes()
+    assert moved

@@ -78,7 +78,6 @@ __all__ = [
     "SamplePointAtSingularity",
     "SeriesSolution",
     "SpectralResult",
-    "SqrtZPolynomial",
     "Su11Decomposition",
     "UnsupportedClass",
     "UsageError",

@@ -175,14 +175,22 @@ def _decompose(args, params: HeunParameters) -> Su11Decomposition:
 
 
 def _write_csv_blocks(path: str, blocks) -> None:
-    """blocks: iterable of (comment, function, points); one (z, f(z)) row per point."""
+    """blocks: iterable of (comment, SeriesSolution, points); one (z, y(z)) row per point."""
     import csv
+    from .series_engine import evaluate_series
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        for comment, function, points in blocks:
+        for comment, sol, points in blocks:
             fh.write(f"# {comment}\n")
             writer.writerow(["z", "value"])
-            writer.writerows([_num_str(z), _num_str(function(z))] for z in points)
+            writer.writerows([_num_str(z), _num_str(evaluate_series(sol, z).value)] for z in points)
+
+
+def _no_samples(what: str) -> int:
+    from .verifier import SINGULARITY_RADIUS
+    print(f"heun-su11: no sample point is left to check {what} on: each is off the positive "
+          f"axis or within {SINGULARITY_RADIUS:g} of a singular point", file=sys.stderr)
+    return 1
 
 
 def _cmd_decompose(args) -> int:
@@ -217,13 +225,15 @@ def _cmd_spectrum(args) -> int:
     if args.csv:
         points = default_sample_points(4.0 * dec.c_minus, count=args.samples)
         _write_csv_blocks(args.csv, (
-            (f"q={_num_str(pair.q)} parity={pair.parity}",
-             pair.eigenfunction.as_monomial_sum().evaluate, points)
+            (f"q={_num_str(pair.q)} parity={pair.parity}", pair.eigenfunction, points)
             for pair in result.pairs
         ))
-    failed = sum(not pair.residual <= RESIDUAL_THRESHOLD for pair in result.pairs)
+    if not default_sample_points(4.0 * dec.c_minus):
+        return _no_samples("the eigenpairs")
+    residuals = [r for sub in result.subgrids for r in sub.residuals.tolist()]
+    failed = sum(not r <= RESIDUAL_THRESHOLD for r in residuals)
     if failed:
-        print(f"heun-su11: {failed} of {len(result.pairs)} eigenpairs have a residual "
+        print(f"heun-su11: {failed} of {len(residuals)} eigenpairs have a residual "
               f"over {RESIDUAL_THRESHOLD:g}", file=sys.stderr)
     return 1 if failed else 0
 
@@ -256,8 +266,11 @@ def _cmd_series(args) -> int:
         lo, hi = sol.domain
         points = chebyshev_points(lo, hi if sol.direction == ASCENDING else 4.0 * lo, args.samples)
         comment = f"q={_num_str(sol.q)} direction={sol.direction} parity={sol.parity}"
-        _write_csv_blocks(args.csv, [(comment, sol.as_monomial_sum().evaluate, points)])
-    residual = _series_residual(coeffs, sol)
+        _write_csv_blocks(args.csv, [(comment, sol, points)])
+    samples = _series_samples(coeffs, sol)
+    if not samples:
+        return _no_samples("the series")
+    residual = _series_residual(coeffs, sol, samples)
     if not residual <= RESIDUAL_THRESHOLD:
         print(f"heun-su11: the series residual {residual:.3g} is over "
               f"{RESIDUAL_THRESHOLD:g}", file=sys.stderr)
@@ -265,16 +278,20 @@ def _cmd_series(args) -> int:
     return 0
 
 
-def _series_residual(coeffs: CanonicalCoefficients, sol) -> float:
-    """The residual of a SeriesSolution that the series gate and verify compute, on
-    samples in (0, R/2) ascending or (2R, 4R) descending; a non-finite coefficient scores inf."""
-    import numpy as np
+def _series_samples(coeffs: CanonicalCoefficients, sol) -> tuple:
+    """The series gate's and verify's samples: in (0, R/2) ascending or (2R, 4R) descending."""
     from .series_engine import ASCENDING
-    from .verifier import default_sample_points, worst_residuals
+    from .verifier import default_sample_points
     lo, hi = sol.domain
     domain = (0.0, 0.5 * hi) if sol.direction == ASCENDING else (2.0 * lo, 4.0 * lo)
+    return default_sample_points(coeffs.a2, domain=domain)
+
+
+def _series_residual(coeffs: CanonicalCoefficients, sol, samples) -> float:
+    """A SeriesSolution's residual; a non-finite coefficient or no sample scores inf."""
+    import numpy as np
+    from .verifier import worst_residuals
     p = np.array([sol.exponent(m) for m in range(len(sol.coefficients))])
-    samples = default_sample_points(coeffs.a2, domain=domain)
     return worst_residuals(coeffs, p, np.array(sol.coefficients)[:, None], [sol.q], samples).item()
 
 
@@ -328,7 +345,7 @@ def _cmd_verify(args) -> int:
                                   f"domain {list(domain)} of a={coeffs.a2!r}")
         results = [
             {"direction": sol.direction, "parity": sol.parity, "q": sol.q,
-             "max_relative_residual": _series_residual(coeffs, sol)}
+             "max_relative_residual": _series_residual(coeffs, sol, _series_samples(coeffs, sol))}
         ]
     else:
         raise ValidationError("solution document has neither eigenpairs nor series")

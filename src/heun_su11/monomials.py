@@ -3,13 +3,12 @@
 Every operator in this package shifts a monomial exponent by a multiple of
 1/2, so a solution candidate is always a finite combination of z**p with
 p = base + k/2 for integer k.  Keeping the integer offsets (rather than raw
-float exponents) makes the operator algebra exact at the coefficient level;
-z itself only acquires a value at evaluation time, restricted to z > 0.
+float exponents) makes the operator algebra exact at the coefficient level.
+A MonomialSum is symbolic; series_engine.evaluate_series is the one evaluator.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Tuple
 
@@ -109,13 +108,3 @@ class MonomialSum:
 
     def max_abs_diff(self, other: "MonomialSum") -> float:
         return (self - other).max_abs()
-
-    def evaluate(self, z: float) -> complex | float:
-        """Value at z > 0 (fractional exponents need the positive axis)."""
-        if z <= 0.0:
-            raise ValueError("monomial sums are only evaluated for z > 0")
-        z = float(z)
-        terms = [c * z ** self.exponent(k) for k, c in self.coeffs.items() if c != 0.0]
-        if any(isinstance(t, complex) for t in terms):
-            return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-        return math.fsum(terms)

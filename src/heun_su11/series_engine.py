@@ -43,13 +43,14 @@ DESCENDING = "descending"
 
 @dataclass(frozen=True)
 class SeriesSolution:
-    """Truncated series y = sum_m coefficients[m] * z^(p0 +/- m)."""
+    """Truncated series y = sum_m coefficients[m] * z^(p0 +/- m); a finite
+    eigenfunction is a terminating ascending one on (0, inf), maybe complex."""
 
     p0: float
     direction: str
     parity: str
-    q: float
-    coefficients: Tuple[float, ...]
+    q: complex
+    coefficients: Tuple[complex, ...]
     domain: Tuple[float, float]
 
     @property
@@ -100,7 +101,7 @@ class SeriesSolution:
 
 
 class EvaluatedSeries(NamedTuple):
-    value: float
+    value: complex
     tail_estimate: float
 
 
@@ -211,7 +212,8 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
     signed zero for a finite b_m, which fsum ignores, or a NaN for a
     non-finite one, which fsum folds into the NaN it returns; so only the
     NaNs enter, in order, and the value equals the full sum bit for bit,
-    the NaN's sign included.
+    the NaN's sign included.  Complex terms, which fsum refuses, are summed
+    as their real and imaginary parts, each with fsum.
     """
     lo, hi = sol.domain
     if not (lo < z < hi):
@@ -225,7 +227,10 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
     terms = list(map(mul, coefficients[:live], zp))
     # filter(None, ...) drops the signed zeros and keeps the NaNs.
     terms.extend(filter(None, map(mul, coefficients[live:], repeat(0.0))))
-    value = math.fsum(terms)
+    try:
+        value = math.fsum(terms)
+    except TypeError:
+        value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     # The ratios of the last six term magnitudes give the tail bound.
     tail = list(map(mul, map(abs, coefficients[-6:]), zp[-6:]))
     last = tail[-1]

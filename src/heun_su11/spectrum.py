@@ -6,8 +6,8 @@ matrix T with T[m][m] = A(p_m), sub-diagonal T[m+1][m] = up(p_m) and
 super-diagonal T[m][m+1] = down(p_(m+1)), where A is the accessory-free
 diagonal: row m is the decomposition's three-term row at p_m, the series'
 row too.  Admissible accessory values are then the eigenvalues of
-T b = q b, and each eigenvector gives a finite polynomial in powers of
-sqrt(z) solving the equation with that q.
+T b = q b; each eigenvector b gives the solution for that q, the terminating
+ascending series sum_m b_m z^(p0+m): a SeriesSolution on all of z > 0.
 
 solve_spectrum takes the eigenvalues from numpy (symmetric or dense, by the
 sign of the off-diagonal products) and every eigenvector from one twisted
@@ -25,6 +25,7 @@ are the values, q and residuals, so no per-coefficient record is built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, NamedTuple, Tuple
@@ -33,13 +34,13 @@ import numpy as np
 
 from .errors import EigensolverNoConvergence, GridTooLarge, UnsupportedClass
 from .jsonio import SLOT, TemplatedList
-from .monomials import MonomialSum
 from .representations import (
     ExponentGrid,
     RepresentationClass,
     RepresentationDescriptor,
     split_even_odd,
 )
+from .series_engine import ASCENDING, SeriesSolution
 from .su11_algebra import Su11Decomposition, rebuild_coefficients
 from .verifier import default_sample_points, worst_residuals
 
@@ -62,23 +63,9 @@ class TridiagonalMatrix:
 
 
 @dataclass(frozen=True)
-class SqrtZPolynomial:
-    """y(z) = sum_m coefficients[m] * z^(base_exponent + m)."""
-
-    base_exponent: float
-    coefficients: Tuple[complex, ...]
-
-    def as_monomial_sum(self) -> MonomialSum:
-        return MonomialSum(
-            self.base_exponent,
-            {2 * m: c for m, c in enumerate(self.coefficients) if c != 0.0},
-        )
-
-
-@dataclass(frozen=True)
 class EigenPair:
     q: complex
-    eigenfunction: SqrtZPolynomial
+    eigenfunction: SeriesSolution
     parity: str
     residual: float
 
@@ -107,8 +94,8 @@ class SpectralResult:
     def pairs(self) -> Tuple[EigenPair, ...]:
         """One EigenPair per eigenvalue, in the order of the sub-grids' arrays."""
         return tuple(
-            EigenPair(q=q, eigenfunction=SqrtZPolynomial(sub.base, tuple(row)),
-                      parity=sub.parity, residual=residual)
+            EigenPair(q=q, parity=sub.parity, residual=residual, eigenfunction=SeriesSolution(
+                sub.base, ASCENDING, sub.parity, q, tuple(row), (0.0, math.inf)))
             for sub in self.subgrids
             for q, row, residual in zip(sub.q.tolist(), sub.rows.tolist(), sub.residuals.tolist())
         )

@@ -150,9 +150,8 @@ class Su11Decomposition:
         )
 
     def diag_base(self, p: float) -> float:
-        s = self.mu + self.nu
-        h = 2.0 * p + s
-        return self.c2 * h * h + self.c1 * h - s * (self.c1 + self.c2 * s)
+        """c2 h^2 + c1 h - s(c1 + c2 s), h = 2p + s, s = mu + nu, factored: exactly 0 at p = 0."""
+        return 2.0 * p * (self.c1 + 2.0 * self.c2 * (p + self.mu + self.nu))
 
     def three_term_rows(self, p: float, step: float) -> Tuple[float, float, float]:
         """Rows (inward, diag, outward) of the action on the sub-grid p (a float

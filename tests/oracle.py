@@ -1,4 +1,5 @@
-"""Independent eigenvalue oracle for finite-ladder matrices, used by tests.
+"""Independent oracles used by tests: eigenvalues of finite-ladder
+matrices, and the term-by-term value of a sum of powers of z.
 
 The Sturm count of a tridiagonal T at x is the number of eigenvalues below
 x: the number of negative pivots of the LDL^T factorization of T - x, whose
@@ -14,9 +15,17 @@ check_eigenvalues certifies a solver's eigenvalues with two counts each:
 the k-th sorted value q_k must have exactly k eigenvalues below q_k - tol
 and k + 1 below q_k + tol.  That puts an eigenvalue within tol of every
 q_k, and fails on a missed or doubled eigenvalue as well.
+
+sum_by_terms is the reference value of sum c z^p: math.fsum of every
+product c * z**p, zeros and underflowed powers included, with a complex
+sum summed as its real and imaginary parts apart.  evaluate_by_terms
+applies it to a SeriesSolution, with the tail estimate recomputed from the
+last six term magnitudes; the package's one evaluator, evaluate_series,
+must equal it bit for bit.
 """
 
-from typing import Callable, Sequence
+import math
+from typing import Callable, Iterable, Sequence, Tuple
 
 import mpmath
 
@@ -66,3 +75,33 @@ def check_eigenvalues(matrix: TridiagonalMatrix, qs: Sequence[float], tol: float
                 f"q_{k} = {q!r}: {below} eigenvalues below q - {tol:g} and {above} "
                 f"below q + {tol:g}, expected {k} and {k + 1}"
             )
+
+
+def sum_by_terms(terms: Iterable[Tuple[float, complex]], z: float):
+    """The value at z of the sum over the (exponent p, coefficient c) pairs
+    of c * z**p, term by term."""
+    products = [c * z**p for p, c in terms]
+    if any(isinstance(t, complex) for t in products):
+        return complex(math.fsum(t.real for t in products), math.fsum(t.imag for t in products))
+    return math.fsum(products)
+
+
+def series_terms(sol) -> list:
+    """The (exponent, coefficient) pairs of a SeriesSolution."""
+    return [(sol.exponent(m), b) for m, b in enumerate(sol.coefficients)]
+
+
+def evaluate_by_terms(sol, z: float):
+    """Term-by-term reference for evaluate_series: (value, tail estimate)."""
+    terms = series_terms(sol)
+    value = sum_by_terms(terms, z)
+    magnitudes = [abs(b) * z**p for p, b in terms]
+    if magnitudes[-1] == 0.0:
+        return value, 0.0
+    ratios = [
+        magnitudes[m] / magnitudes[m - 1]
+        for m in range(max(1, len(magnitudes) - 5), len(magnitudes))
+        if magnitudes[m - 1] > 0.0
+    ]
+    rho = max(ratios, default=1.0)
+    return value, math.inf if rho >= 1.0 else magnitudes[-1] * rho / (1.0 - rho)

@@ -90,14 +90,14 @@ def test_criterion_1_even_odd_spectrum_with_eigenfunctions():
             assert pair.q == pytest.approx(target, abs=1e-10)
             worst = max(worst, abs(pair.q - target))
             b = pair.eigenfunction.coefficients
-            assert pair.eigenfunction.base_exponent == 0.0 and len(b) == 2
+            assert pair.eigenfunction.p0 == 0.0 and len(b) == 2
             ratio_target = root if pair.q > 0 else -root
             assert b[0] / b[1] == pytest.approx(ratio_target, rel=1e-10)
             worst = max(worst, abs(b[0] / b[1] - ratio_target) / root)
         assert len(odd) == 1
         assert odd[0].q == pytest.approx((a + 1.0) / 4.0, abs=1e-10)
         worst = max(worst, abs(odd[0].q - (a + 1.0) / 4.0))
-        assert odd[0].eigenfunction.base_exponent == 0.5
+        assert odd[0].eigenfunction.p0 == 0.5
         assert odd[0].eigenfunction.coefficients == (1.0,)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -121,7 +121,7 @@ def test_criterion_2_shifted_spectrum_with_constant_mode():
         odd = [p for p in result.pairs if p.parity == "odd"]
         assert len(odd) == 1
         assert odd[0].q == pytest.approx(0.0, abs=1e-10)
-        assert odd[0].eigenfunction.base_exponent == 0.0
+        assert odd[0].eigenfunction.p0 == 0.0
         assert odd[0].eigenfunction.coefficients == (1.0,)
         worst = max(worst, abs(odd[0].q))
     print(f"criterion 2: PASS - worst eigenvalue error {worst:.2e} (tol 1e-10)")

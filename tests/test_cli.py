@@ -14,6 +14,7 @@ from heun_su11 import spectrum as spectrum_module
 from heun_su11 import verifier as verifier_module
 from heun_su11 import RepresentationClass, classify, decompose, make_parameters, solve_spectrum
 from heun_su11.cli import main
+from oracle import series_terms, sum_by_terms
 
 
 def run_json(capsys, argv):
@@ -598,9 +599,20 @@ def test_options_a_subcommand_ignores_are_usage_errors(argv, option, tmp_path, m
 
 def test_spectrum_with_no_surviving_sample_exits_1(capsys):
     # Every Chebyshev node of (0, 1e-7) lies within the singularity radius of a.
-    rc, doc = run_json(capsys, ["spectrum", "--preset", "example1", "--a", "1e-7"])
-    assert rc == 1
-    assert [pair["residual"] for pair in doc["eigenpairs"]] == [None, None, None]
+    assert main(["spectrum", "--preset", "example1", "--a", "1e-7"]) == 1
+    captured = capsys.readouterr()
+    assert [pair["residual"] for pair in json.loads(captured.out)["eigenpairs"]] == [None] * 3
+    assert captured.err == ("heun-su11: no sample point is left to check the eigenpairs on: "
+                            "each is off the positive axis or within 1e-06 of a singular point\n")
+
+
+def test_ascending_series_with_no_surviving_sample_exits_1(capsys):
+    # Every node of (0, 5e-8), the ascending sample domain, lies within 1e-6 of a = 1e-7.
+    assert main(["series", "--preset", "example1", "--a", "1e-7", "--q", "0.3"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["series"]["direction"] == "ascending"
+    assert captured.err == ("heun-su11: no sample point is left to check the series on: "
+                            "each is off the positive axis or within 1e-06 of a singular point\n")
 
 
 @pytest.mark.parametrize("direction, a2, domain", [
@@ -716,5 +728,5 @@ def test_spectrum_csv_writes_complex_values(tmp_path, capsys):
         for z_cell, value_cell in rows:
             value = complex(value_cell) if value_cell.startswith("(") else float(value_cell)
             seen_complex += isinstance(value, complex)
-            assert value == pair.eigenfunction.as_monomial_sum().evaluate(float(z_cell))
+            assert value == sum_by_terms(series_terms(pair.eigenfunction), float(z_cell))
     assert seen_complex == 4

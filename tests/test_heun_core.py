@@ -12,6 +12,7 @@ from heun_su11.heun_core import (
     second_order_action,
 )
 from heun_su11.monomials import MonomialSum
+from oracle import sum_by_terms
 
 EXAMPLE1 = dict(gamma=0.5, delta=-0.5, alpha=-1.0, beta=-0.5, a=2.0, q=0.0)
 EXAMPLE2 = dict(gamma=1.5, delta=-0.5, alpha=-0.5, beta=0.0, a=2.0, q=0.0)
@@ -124,12 +125,13 @@ def test_canonical_action_against_pointwise_evaluation():
         f2 = c.a3 * z**2 + c.a4 * z + c.a5
         f3 = c.a6 * z + c.a7
         direct = (
-            f1 * y.derivative().derivative().evaluate(z),
-            f2 * y.derivative().evaluate(z),
-            f3 * y.evaluate(z),
+            f1 * sum_by_terms(y.derivative().derivative().terms(), z),
+            f2 * sum_by_terms(y.derivative().terms(), z),
+            f3 * sum_by_terms(y.terms(), z),
         )
         for expected, part in zip(direct, second_order_action(c, y)):
-            assert math.isclose(expected, part.evaluate(z), rel_tol=1e-11, abs_tol=1e-11)
+            assert math.isclose(expected, sum_by_terms(part.terms(), z),
+                                rel_tol=1e-11, abs_tol=1e-11)
 
 
 def test_second_order_action_parts_sum_to_action():

@@ -352,7 +352,7 @@ def plain_eigenpairs(result):
     return [
         {
             "coefficients": [
-                {"exponent": pair.eigenfunction.base_exponent + m, "value": c}
+                {"exponent": pair.eigenfunction.p0 + m, "value": c}
                 for m, c in enumerate(pair.eigenfunction.coefficients)
             ],
             "parity": pair.parity,

@@ -2,6 +2,7 @@ import json
 import math
 import struct
 
+import numpy as np
 import pytest
 
 from heun_su11.errors import OutOfDomain, RecurrenceBreakdown, UnsupportedClass
@@ -24,6 +25,7 @@ from heun_su11.series_engine import (
 )
 from heun_su11.su11_algebra import Su11Decomposition, casimir_value, decompose
 from heun_su11.verifier import ode_residual
+from oracle import evaluate_by_terms, series_terms, sum_by_terms
 
 POINT_PAIRS = [(2.0, 1.0), (0.5, -0.3)]
 
@@ -225,21 +227,6 @@ def test_tail_estimate_infinite_for_growing_terms():
     assert math.isfinite(evaluate_series(sol, 0.25).tail_estimate)
 
 
-def evaluate_series_by_terms(sol, z):
-    """Term-by-term reference for evaluate_series: (value, tail estimate)."""
-    value = math.fsum(b * z ** sol.exponent(m) for m, b in enumerate(sol.coefficients))
-    magnitudes = [abs(b) * z ** sol.exponent(m) for m, b in enumerate(sol.coefficients)]
-    if magnitudes[-1] == 0.0:
-        return value, 0.0
-    ratios = [
-        magnitudes[m] / magnitudes[m - 1]
-        for m in range(max(1, len(magnitudes) - 5), len(magnitudes))
-        if magnitudes[m - 1] > 0.0
-    ]
-    rho = max(ratios, default=1.0)
-    return value, math.inf if rho >= 1.0 else magnitudes[-1] * rho / (1.0 - rho)
-
-
 def _outcome(function, *args):
     """The bit patterns of (value, tail estimate), which tell -nan from nan,
     or the repr of the ValueError raised."""
@@ -265,8 +252,29 @@ def test_evaluate_series_equals_term_by_term_reference(a):
                 for f in (0.001, 0.01, 0.3, 0.7, 0.99):
                     z = lo + f * (top - lo)
                     assert _outcome(evaluate_series, sol, z) == _outcome(
-                        evaluate_series_by_terms, sol, z
+                        evaluate_by_terms, sol, z
                     )
+
+
+def test_complex_coefficients_evaluate():
+    sol = SeriesSolution(p0=0.0, direction=ASCENDING, parity="even", q=0.0,
+                         coefficients=(1.0 + 2.0j, -1.0j), domain=(0.0, math.inf))
+    assert evaluate_series(sol, 2.0).value == (1.0 + 2.0j) + 2.0 * (-1.0j)
+
+
+def test_evaluate_series_equals_term_by_term_fsum():
+    # Real and complex sums, with zeros and magnitudes 1e-20 to 1e20, on
+    # both sides of z = 1 in a domain that holds them.
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        values = rng.standard_normal(161) * 10.0 ** rng.integers(-20, 21, size=161)
+        values[rng.integers(0, 161, size=20)] = 0.0
+        z = float(rng.uniform(0.05, 3.0))
+        for direction in (ASCENDING, DESCENDING):
+            for coefficients in (values.tolist(), (values * (1.0 - 0.5j)).tolist()):
+                sol = SeriesSolution(p0=0.25, direction=direction, parity="even", q=0.0,
+                                     coefficients=tuple(coefficients), domain=(0.0, math.inf))
+                assert evaluate_series(sol, z).value == sum_by_terms(series_terms(sol), z)
 
 
 @pytest.mark.parametrize("p0", [math.nan, -math.nan, math.inf, -math.inf])
@@ -281,7 +289,7 @@ def test_non_finite_base_keeps_every_term(p0, direction, z):
         domain=(0.0, 1.0) if direction == ASCENDING else (1.0, math.inf),
     )
     assert _live_terms(p0, 1 if direction == ASCENDING else -1, z, 3) == 3
-    assert _outcome(evaluate_series, sol, z) == _outcome(evaluate_series_by_terms, sol, z)
+    assert _outcome(evaluate_series, sol, z) == _outcome(evaluate_by_terms, sol, z)
 
 
 @pytest.mark.parametrize("z", [0.5, 1.0, 1.5])
@@ -296,7 +304,7 @@ def test_evaluation_past_one_in_a_wider_domain(z):
         coefficients=tuple(0.5**m for m in range(1500)),
         domain=(0.0, 2.0),
     )
-    assert _outcome(evaluate_series, sol, z) == _outcome(evaluate_series_by_terms, sol, z)
+    assert _outcome(evaluate_series, sol, z) == _outcome(evaluate_by_terms, sol, z)
 
 
 def test_recurrence_breakdown_on_vanishing_divisor():

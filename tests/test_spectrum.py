@@ -26,6 +26,7 @@ from heun_su11.representations import (
 )
 from heun_su11 import spectrum as spectrum_module
 from heun_su11 import verifier as verifier_module
+from heun_su11.series_engine import evaluate_series
 from heun_su11.spectrum import TridiagonalMatrix, build_matrix, solve_spectrum
 from heun_su11.su11_algebra import decompose, rebuild_coefficients
 from heun_su11.verifier import default_sample_points, residual_block, residual_for_coefficients
@@ -210,6 +211,24 @@ def test_negative_a_complex_pairs_flagged():
         assert pair.residual <= 1e-10
 
 
+def test_small_a_diagonal_is_exact_at_p_0():
+    # gamma=1/2, delta=-1/2, alpha=-7.5, beta=-7, n=16 at a=1e-5: the diagonal
+    # at p=0 is exactly 0; the expanded c2 h^2 + c1 h - s(c1 + c2 s) cancels
+    # there to -7.1e-15, which scores the even sub-grid 1.7e-10.
+    dec = decompose(make_parameters(0.5, -0.5, -7.5, -7.0, 1e-5, 0.0))
+    rep = finite_rep(dec)
+    assert build_matrix(dec, split_even_odd(rep).even).diagonal[0] == 0.0
+    assert all(pair.residual <= 1e-8 for pair in solve_spectrum(dec, rep).pairs)
+
+
+@pytest.mark.parametrize("a", [3e-6, 1e-5, 3e-5, 1e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("gamma, n", [(0.5, 16), (0.5, 96), (1.5, 64), (1.5, 96)])
+def test_small_non_dyadic_a_scores_near_epsilon(a, gamma, n):
+    dec = decompose(ladder_params(n, gamma, a, delta=-0.5))
+    for sub in solve_spectrum(dec, finite_rep(dec)).subgrids:
+        assert sub.residuals.max() <= 1e-14
+
+
 def test_sturm_count_simple_matrices():
     two = TridiagonalMatrix((0.0, 1.0), (0.0, 0.0), (0.5,), (2.0,))
     count = sturm_counter(two)
@@ -385,7 +404,7 @@ def test_scalar_commands_leave_numpy_out(argv):
 def test_namespace_serves_every_exported_name():
     import heun_su11
 
-    assert len(heun_su11.__all__) == 38
+    assert len(heun_su11.__all__) == 37
     for name in heun_su11.__all__:
         obj = getattr(heun_su11, name)
         assert getattr(importlib.import_module(obj.__module__), name) is obj
@@ -421,8 +440,9 @@ def test_fresh_import_loads_numpy_with_the_first_numeric_name():
 def test_sqrt_z_polynomial_evaluation():
     dec = decompose(example1(4.0))
     pair = solve_spectrum(dec, finite_rep(dec)).pairs[-1]
-    y = pair.eigenfunction.as_monomial_sum()
-    assert y.evaluate(0.49) == pytest.approx(math.sqrt(0.49), abs=1e-14)
+    assert pair.eigenfunction.domain == (0.0, math.inf)
+    assert evaluate_series(pair.eigenfunction, 0.49).value == pytest.approx(
+        math.sqrt(0.49), abs=1e-14)
 
 
 def normalize_vector_reference(vec):
@@ -471,7 +491,7 @@ def parity_blocks(a, n, delta, gamma=0.5):
         own = [pair for pair in pairs if pair.parity == parity]
         if own:
             poly = own[0].eigenfunction
-            exponents = poly.base_exponent + np.arange(len(poly.coefficients))
+            exponents = poly.p0 + np.arange(len(poly.coefficients))
             block = np.array([pair.eigenfunction.coefficients for pair in own]).T
             a7 = [coeffs.with_accessory(pair.q).a7 for pair in own]
             yield coeffs, exponents, block, a7, samples, own

@@ -20,6 +20,7 @@ from heun_su11.verifier import (
     residual_block,
     residual_for_coefficients,
 )
+from oracle import sum_by_terms
 
 
 def derivative_crosscheck(solution, z, h_steps):
@@ -33,12 +34,12 @@ def derivative_crosscheck(solution, z, h_steps):
     h = min(h_steps)
     if z - h <= 0.0:
         raise ValueError(f"step {h} reaches past the origin from z={z}")
-    y_minus = solution.evaluate(z - h)
-    y_plus = solution.evaluate(z + h)
-    y_mid = solution.evaluate(z)
+    y_minus = sum_by_terms(solution.terms(), z - h)
+    y_plus = sum_by_terms(solution.terms(), z + h)
+    y_mid = sum_by_terms(solution.terms(), z)
     fd1 = (y_plus - y_minus) / (2.0 * h)
     fd2 = (y_plus - 2.0 * y_mid + y_minus) / (h * h)
-    return max(abs(fd1 - d1.evaluate(z)), abs(fd2 - d2.evaluate(z)))
+    return max(abs(fd1 - sum_by_terms(d1.terms(), z)), abs(fd2 - sum_by_terms(d2.terms(), z)))
 
 
 EXAMPLE1 = dict(gamma=0.5, delta=-0.5, alpha=-1.0, beta=-0.5, q=0.0)

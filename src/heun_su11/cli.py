@@ -18,7 +18,9 @@ failure, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import re
 import sys
 from itertools import chain
 from typing import Sequence
@@ -65,6 +67,12 @@ RECONSTRUCTION_THRESHOLD = 1e-10
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e7" for an option, since its own pattern of a
+        # negative number has no exponent; this one has.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -175,7 +183,9 @@ def _decompose(args, params: HeunParameters) -> Su11Decomposition:
 
 
 def _write_csv_blocks(path: str, blocks) -> None:
-    """blocks: iterable of (comment, SeriesSolution, points); one (z, y(z)) row per point."""
+    """blocks: iterable of (comment, SeriesSolution, points); one (z, y(z)) row
+    per point.  A block whose sum meets inf - inf ends there, and the error
+    names the first non-finite coefficient."""
     import csv
     from .series_engine import evaluate_series
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -183,7 +193,19 @@ def _write_csv_blocks(path: str, blocks) -> None:
         for comment, sol, points in blocks:
             fh.write(f"# {comment}\n")
             writer.writerow(["z", "value"])
-            writer.writerows([_num_str(z), _num_str(evaluate_series(sol, z).value)] for z in points)
+            for z in points:
+                try:
+                    value = evaluate_series(sol, z).value
+                except ValueError as exc:
+                    first = next((k for k, b in enumerate(sol.coefficients)
+                                  if not cmath.isfinite(b)), None)
+                    if first is None:
+                        raise
+                    raise ValidationError(
+                        f"the series has non-finite coefficients from b_{first} on: the CSV stops at "
+                        f"z={_num_str(z)}, the first point where their terms meet as inf - inf"
+                    ) from exc
+                writer.writerow([_num_str(z), _num_str(value)])
 
 
 def _no_samples(what: str) -> int:

@@ -149,7 +149,10 @@ def series_solution(
     p0 = grid.base
     # Row m sits at p0 + (m-1)*step: row 0, one step off the ladder, holds in
     # its outward entry the coefficient that carries z^p0 off the ladder.
-    rows = dec.three_term_rows(p0 + grid.step * np.arange(-1, truncation), grid.step)
+    # At huge |a| the rows overflow; the non-finite coefficients that follow
+    # are reported downstream, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = dec.three_term_rows(p0 + grid.step * np.arange(-1, truncation), grid.step)
     inward, diag, outward = (row.tolist() for row in rows)
 
     # The base must be annihilated in the outward direction, else the ladder
@@ -202,18 +205,112 @@ def _live_terms(p0: float, step: int, z: float, count: int) -> int:
     return max(0, math.floor(bound) + 1)
 
 
+# evaluate_series computes a prefix of the live terms of a long real series
+# when a bound D on the dropped rest certifies the rounded sum; its
+# docstring derives D = _CUT_SLACK * (sum of the dropped magnitudes) +
+# _CUT_TINY per dropped term.  The prefix is the shortest with D below
+# _CUT_SCALE of the largest term, 28 bits under half its ulp.
+_CUT_MIN_LIVE = 64
+_CUT_SCALE = 2.0**-80
+_CUT_SLACK = 2.0 + 2.0**-17
+_CUT_TINY = 2.0**-1018
+_magnitude_cache: tuple = ((), None)
+
+
+def _log2_magnitudes(coefficients: tuple):
+    """log2|b_m| as a float64 array when every coefficient is a finite real
+    (-inf for a zero), else None; the last series' answer is kept."""
+    global _magnitude_cache
+    key, logs = _magnitude_cache
+    if key is not coefficients:
+        b = np.array(coefficients)
+        logs = None
+        if b.dtype == np.float64 and np.isfinite(b).all():
+            with np.errstate(divide="ignore"):
+                logs = np.log2(np.abs(b))
+        _magnitude_cache = (coefficients, logs)
+    return logs
+
+
+def _cut(coefficients: tuple, p0: float, step: int, z: float, live: int) -> Tuple[int, float]:
+    """(n, D): the shortest prefix n of the live terms whose rest is bounded
+    by D < _CUT_SCALE times the largest term; (live, 0.0) when there is none."""
+    logs = _log2_magnitudes(coefficients) if live > _CUT_MIN_LIVE else None
+    if logs is None or not math.isfinite(p0):
+        return live, 0.0
+    logs = logs[:live]
+    with np.errstate(all="ignore"):
+        exponents = logs + (p0 + step * np.arange(live)) * math.log2(z)
+        magnitudes = np.exp2(np.maximum(exponents, logs - 1074.0))
+    largest = float(magnitudes.max())
+    if not 0.0 < largest < math.inf:
+        return live, 0.0
+    rest = np.cumsum(magnitudes[::-1])
+    dropped = int(np.searchsorted(rest, largest * (_CUT_SCALE / _CUT_SLACK)))
+    if dropped == 0:
+        return live, 0.0
+    return live - dropped, _CUT_SLACK * float(rest[dropped - 1]) + dropped * _CUT_TINY
+
+
+def _certified_sum(terms: List[float], bound: float):
+    """The rounded sum of terms plus any rest of magnitude at most bound:
+    fsum(terms + [bound]) when it equals fsum(terms + [-bound]) and is finite
+    and non-zero, else None."""
+    try:
+        value = math.fsum([*terms, bound])
+        if value == math.fsum([*terms, -bound]) and value != 0.0 and math.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    return None
+
+
 def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
-    """Compensated-sum value plus a geometric tail bound from the last few
+    """Compensated-sum value plus a geometric tail bound from the last six
     term ratios; the bound is infinite when the terms are not decaying.
 
     The value is math.fsum of the terms b_m * z^p in order, with z^p from
-    libm's pow (math.pow and float ** call it alike).  Powers past
-    _live_terms are exactly 0.0 and are not computed.  Such a term is a
-    signed zero for a finite b_m, which fsum ignores, or a NaN for a
-    non-finite one, which fsum folds into the NaN it returns; so only the
-    NaNs enter, in order, and the value equals the full sum bit for bit,
-    the NaN's sign included.  Complex terms, which fsum refuses, are summed
-    as their real and imaginary parts, each with fsum.
+    libm's pow (math.pow and float ** call it alike): the correctly rounded
+    sum of those products.  Powers past _live_terms are exactly 0.0 and are
+    not computed.  Such a term is a signed zero for a finite b_m, which fsum
+    ignores, or a NaN for a non-finite one, which fsum folds into the NaN it
+    returns; so only the NaNs enter, in order, and the value equals the full
+    sum bit for bit, the NaN's sign included.  Complex terms, which fsum
+    refuses, are summed as their real and imaginary parts, each with fsum.
+
+    Of a long real series only the terms that can still move the rounded
+    value are computed.  When every coefficient is a finite real and more
+    than _CUT_MIN_LIVE terms are live, _cut bounds every live magnitude in
+    one numpy pass and takes the shortest prefix whose dropped rest R has
+    |R| <= D with D below 2^-80 of the largest term.  If fsum(prefix + [D])
+    and fsum(prefix + [-D]) are one finite non-zero float, the full sum
+    prefix + R, which lies between the two, rounds to that float too,
+    because correct rounding is monotone.  Otherwise (a rounding midpoint
+    within D of the prefix, cancellation, overflow or an fsum that raises)
+    the rest of the live terms is computed and everything is summed as
+    above; complex or non-finite coefficients and short sums take that
+    path from the start.  The tail bound reads the last six powers exactly.
+
+    D bounds the rest as follows, with u = 2^-53 and, for a dropped term
+    T_m = fl(b_m pow(z, p)), l = log2|b_m| and E = l + p log2(z):
+      * libm's pow errs by at most one ulp: 2u relative for a normal z^p,
+        2^-1074 absolute for a subnormal one, so the per-term slack
+        |b_m| 2^-1074 counts only where p log2(z) < -1022, and
+        |b_m pow(z, p)| <= 2 (1 + 2u) 2^G with G = max(E, l - 1074);
+      * the product's rounding adds a factor 1 + u and 2^-1075 absolute;
+      * numpy forms 2^G from log2, one product, two sums and exp2.  The
+        cut needs every 2^G finite, so G < 1024, and where G = E then
+        |p log2(z)| = |E - l| < 2100 with |l| <= 1074; with log2 and exp2
+        within 2^-48 relative (32 ulp) the computed exponent errs by under
+        2^-37 and the computed magnitude M is low by under 2^-36 relative
+        whenever 2^G >= 2^-1020.  Below that, where exp2 may return a
+        subnormal or numpy may flush it to zero, 2^G < 2^-1020 whatever M
+        is;
+      * numpy's reversed cumulative sum C of the k dropped M's is low by
+        under k u relative, under 2^-23 for fewer than 2^30 terms.
+    Together |T_m| <= 2 (1 + 2^-35) M_m + 2^-1018.9, so
+    |R| <= D = (2 + 2^-17) C + k 2^-1018.  The factor 2 costs one of the
+    28 bits between D and half an ulp of the largest term.
     """
     lo, hi = sol.domain
     if not (lo < z < hi):
@@ -223,16 +320,23 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
     count = len(coefficients)
     step = 1 if sol.direction == ASCENDING else -1
     live = _live_terms(p0, step, z, count)
-    zp = [math.pow(z, p0 + step * m) for m in range(live)] + [0.0] * (count - live)
-    terms = list(map(mul, coefficients[:live], zp))
-    # filter(None, ...) drops the signed zeros and keeps the NaNs.
-    terms.extend(filter(None, map(mul, coefficients[live:], repeat(0.0))))
-    try:
-        value = math.fsum(terms)
-    except TypeError:
-        value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    cut, bound = _cut(coefficients, p0, step, z, live)
+    zp = [math.pow(z, p0 + step * m) for m in range(cut)]
+    terms = list(map(mul, coefficients, zp))
+    value = _certified_sum(terms, bound) if cut < live else None
+    if value is None:
+        zp += [math.pow(z, p0 + step * m) for m in range(cut, live)]
+        terms += map(mul, coefficients[cut:live], zp[cut:])
+        # filter(None, ...) drops the signed zeros and keeps the NaNs.
+        terms.extend(filter(None, map(mul, coefficients[live:], repeat(0.0))))
+        try:
+            value = math.fsum(terms)
+        except TypeError:
+            value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     # The ratios of the last six term magnitudes give the tail bound.
-    tail = list(map(mul, map(abs, coefficients[-6:]), zp[-6:]))
+    powers = [zp[m] if m < len(zp) else math.pow(z, p0 + step * m) if m < live else 0.0
+              for m in range(max(0, count - 6), count)]
+    tail = list(map(mul, map(abs, coefficients[-6:]), powers))
     last = tail[-1]
     if last == 0.0:
         return EvaluatedSeries(value=value, tail_estimate=0.0)

@@ -730,3 +730,59 @@ def test_spectrum_csv_writes_complex_values(tmp_path, capsys):
             seen_complex += isinstance(value, complex)
             assert value == sum_by_terms(series_terms(pair.eigenfunction), float(z_cell))
     assert seen_complex == 4
+
+
+@pytest.mark.parametrize("text", ["-1e7", "-1E-3", "-2.5e+1"])
+@pytest.mark.parametrize("option", [["decompose", "--preset", "example1", "--a"],
+                                    ["series", "--preset", "example1", "--kmax", "3", "--q"],
+                                    ["check-algebra", "--nu", "0.5", "--mu"]],
+                         ids=["a", "q", "mu"])
+def test_negative_numbers_in_exponent_form(option, text, capsys):
+    # A separate negative argument in exponent form is a number, as the
+    # --name=value form always was.
+    joined_rc = main([*option[:-1], f"{option[-1]}={text}"])
+    joined = capsys.readouterr()
+    assert main([*option, text]) == joined_rc
+    assert capsys.readouterr() == joined
+    assert "usage error" not in joined.err
+
+
+@pytest.mark.parametrize("argv", [["--a", "-1e"], ["--a", "-x"], ["--a"], ["--a", "-1e7", "-2"]])
+def test_malformed_numbers_stay_usage_errors(argv, capsys):
+    assert main(["decompose", "--preset", "example1", *argv]) == 64
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_series_csv_names_non_finite_coefficients(tmp_path, capsys):
+    # The descending lame series at a=-3 overflows to inf of both signs from
+    # b_648 on, and its sum meets inf - inf at the first CSV point: the
+    # block stops there and the message names the coefficients.
+    csv_path = tmp_path / "f.csv"
+    argv = ["series", "--preset=lame", "--a=-3.0", "--q=0.010851", "--rep=nd",
+            "--parity=even", "--kmax=1000"]
+    assert main([*argv, "--csv", str(csv_path)]) == 1
+    err = capsys.readouterr().err
+    dec = decompose(cli.lame_parameters(0.0, -3.0, 0.010851))
+    rep = next(r for r in classify(dec) if r.rep_class is RepresentationClass.NEGATIVE_DISCRETE)
+    coefficients = series_module.series_solution(dec, rep, "even", 0.010851, 1000).coefficients
+    first = next(k for k, b in enumerate(coefficients) if not math.isfinite(b))
+    assert first == 648
+    assert err.splitlines() == [
+        f"heun-su11: the series has non-finite coefficients from b_{first} on: the CSV stops "
+        "at z=3.0088797220727779, the first point where their terms meet as inf - inf"
+    ]
+    assert csv_path.read_text().splitlines() == [
+        "# q=0.010851 direction=descending parity=even", "z,value"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--preset", "example1", "--a", "1e308", "--rep", "nd", "--q", "0.3"],
+    ["spectrum", "--preset", "example1", "--a", "1e308"],
+], ids=["series", "spectrum"])
+def test_huge_a_prints_only_the_tool_message(argv):
+    # The ladder rows overflow at |a| = 1e308; numpy must not warn about it.
+    proc = subprocess.run([sys.executable, "-m", "heun_su11", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("heun-su11: ") and "Warning" not in line

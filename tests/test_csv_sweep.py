@@ -8,7 +8,8 @@ The grid: spectra with n from 1 to 128 at a in A_VALUES and both gamma, the
 complex sub-grids at a < 0 included; series of the three presets at the
 same a, on both discrete ladders and both parities, at K in {1, 60, 1000},
 overflowed descending series with NaN values included.  The seed draws n,
-delta, the preset, q and the sample count.
+delta, the preset, q and the sample count; conftest's --sweep-seeds picks
+the seeds.
 """
 
 import random
@@ -91,7 +92,7 @@ def series_cases(seed):
                     yield preset, a, direction, parity, K, round(rng.uniform(-1.0, 1.0), 6)
 
 
-@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.sweep
 def test_spectrum_csv_cells_equal_the_reference(seed, tmp_path, capsys):
     seen_complex = 0
     for n, gamma, delta, a, samples in spectrum_cases(seed):
@@ -111,7 +112,7 @@ def test_spectrum_csv_cells_equal_the_reference(seed, tmp_path, capsys):
     assert seen_complex
 
 
-@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.sweep
 def test_series_csv_cells_equal_the_reference(seed, tmp_path, capsys):
     seen_nan = 0
     for preset, a, direction, parity, K, q in series_cases(seed):

@@ -1,11 +1,13 @@
 import json
 import math
+import random
 import struct
 
 import numpy as np
 import pytest
 
 from heun_su11.errors import OutOfDomain, RecurrenceBreakdown, UnsupportedClass
+from heun_su11.cli import PRESETS
 from heun_su11.heun_core import lame_parameters, make_parameters
 from heun_su11.jsonio import canonical_dumps
 from heun_su11.representations import (
@@ -18,6 +20,7 @@ from heun_su11.series_engine import (
     ASCENDING,
     DESCENDING,
     SeriesSolution,
+    _cut,
     _live_terms,
     convergence_domain,
     evaluate_series,
@@ -305,6 +308,110 @@ def test_evaluation_past_one_in_a_wider_domain(z):
         domain=(0.0, 2.0),
     )
     assert _outcome(evaluate_series, sol, z) == _outcome(evaluate_by_terms, sol, z)
+
+
+LONG_A = (2.0, 4.0, -3.0, 0.3, -0.5, 1e-3, 1e3)
+
+
+def preset_series(preset, a, q, cls, parity, K):
+    p = PRESETS[preset]
+    params = (lame_parameters(p["rho"], a, q) if "rho" in p else
+              make_parameters(p["gamma"], p["delta"], p["alpha"], p["beta"], a, q))
+    dec = decompose(params)
+    rep = next(r for r in classify(dec) if r.rep_class is cls)
+    return series_solution(dec, rep, parity, q, truncation=K)
+
+
+def counted_pow(monkeypatch):
+    """A list that counts math.pow calls from here on."""
+    calls = []
+    real_pow = math.pow
+
+    def counting(x, y):
+        calls.append(None)
+        return real_pow(x, y)
+
+    monkeypatch.setattr(math, "pow", counting)
+    return calls
+
+
+@pytest.mark.sweep
+def test_long_series_sweep_equals_the_reference(seed):
+    # Long series of every preset, where evaluate_series sums only a
+    # certified prefix of the live terms: the value and the tail estimate
+    # must still equal the term-by-term reference bit for bit, at points
+    # from the edge of the domain near the base to the far one.
+    rng = random.Random(f"long-series-sweep-{seed}")
+    for a in LONG_A:
+        for cls in (RepresentationClass.POSITIVE_DISCRETE, RepresentationClass.NEGATIVE_DISCRETE):
+            for parity in ("even", "odd"):
+                for K in (1000, 5000):
+                    q = round(rng.uniform(-1.0, 1.0), 6)
+                    sol = preset_series(rng.choice(sorted(PRESETS)), a, q, cls, parity, K)
+                    lo, hi = sol.domain
+                    top = hi if math.isfinite(hi) else 4.0 * lo
+                    for f in (rng.uniform(0.0, 0.05), rng.uniform(0.05, 0.95),
+                              rng.uniform(0.95, 1.0)):
+                        z = lo + f * (top - lo)
+                        if lo < z < hi:
+                            assert _outcome(evaluate_series, sol, z) == _outcome(
+                                evaluate_by_terms, sol, z
+                            ), (a, cls, parity, K, q, z)
+
+
+def planted_series(last_bit, tail_sign):
+    """A K=1000 ascending series whose first two terms at z = 1/2 sum to
+    1 + last_bit * 2^-52 + 2^-53, a rounding midpoint, and whose terms from
+    m = 150 on add up to about tail_sign * 2^-149."""
+    coefficients = [1.0 + last_bit * 2.0**-52, 2.0**-52] + [0.0] * 148 + [tail_sign] * 851
+    return SeriesSolution(p0=0.0, direction=ASCENDING, parity="even", q=0.0,
+                          coefficients=tuple(coefficients), domain=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("last_bit", [0, 1])
+@pytest.mark.parametrize("tail_sign", [1.0, -1.0])
+def test_certificate_refuses_a_prefix_on_a_rounding_midpoint(last_bit, tail_sign):
+    # The terms are exact at z = 1/2.  The cut keeps the two leading terms,
+    # whose sum is a midpoint that rounds to even; the dropped rest lies far
+    # below the cut's bound, yet it decides the last bit of the full sum, so
+    # the certificate must refuse and the full sum must be taken.
+    sol = planted_series(last_bit, tail_sign)
+    assert _cut(sol.coefficients, 0.0, 1, 0.5, 1001)[0] == 2
+    value, _ = evaluate_series(sol, 0.5)
+    assert value == 1.0 + (last_bit + (tail_sign > 0.0)) * 2.0**-52
+    assert _outcome(evaluate_series, sol, 0.5) == _outcome(evaluate_by_terms, sol, 0.5)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.95])
+@pytest.mark.parametrize("z", [2.5, 4.0, 7.9])
+def test_cut_holds_on_huge_coefficients_with_subnormal_powers(q, z, monkeypatch):
+    # example1's descending K=1000 series at a=2 has finite coefficients up
+    # to 1.7e293 whose powers of z are subnormal at the far end, where pow
+    # may err by 2^-1074 absolute: that error, times |b_m|, is covered term
+    # by term, so the cut is still certified, and exact.
+    sol = preset_series("example1", 2.0, q, RepresentationClass.NEGATIVE_DISCRETE, "even", 1000)
+    assert max(map(abs, sol.coefficients)) > 1e293
+    assert all(map(math.isfinite, sol.coefficients))
+    live = _live_terms(sol.p0, -1, z, len(sol.coefficients))
+    assert live * math.log2(z) > 1022.0
+    expected = _outcome(evaluate_by_terms, sol, z)
+    calls = counted_pow(monkeypatch)
+    assert _outcome(evaluate_series, sol, z) == expected
+    assert len(calls) < live / 2
+
+
+def test_cut_is_taken_on_a_decaying_series(monkeypatch):
+    # A K=1000 ascending series at z = 0.5 keeps every term live, yet its
+    # terms fall by half per step: the value needs fewer than a fifth of the
+    # powers, plus the six last ones of the tail estimate.
+    dec, by_class = lame_setup(2.0, 0.7)
+    sol = series_solution(dec, by_class[RepresentationClass.POSITIVE_DISCRETE], "even", 0.7,
+                          truncation=1000)
+    assert _live_terms(sol.p0, 1, 0.5, 1001) == 1001
+    expected = _outcome(evaluate_by_terms, sol, 0.5)
+    calls = counted_pow(monkeypatch)
+    assert _outcome(evaluate_series, sol, 0.5) == expected
+    assert len(calls) < 200
 
 
 def test_recurrence_breakdown_on_vanishing_divisor():

@@ -22,7 +22,6 @@ import cmath
 import json
 import re
 import sys
-from itertools import chain
 from typing import Sequence
 
 from . import jsonio
@@ -197,8 +196,7 @@ def _write_csv_blocks(path: str, blocks) -> None:
                 try:
                     value = evaluate_series(sol, z).value
                 except ValueError as exc:
-                    first = next((k for k, b in enumerate(sol.coefficients)
-                                  if not cmath.isfinite(b)), None)
+                    first = _first_nonfinite(sol.coefficients)
                     if first is None:
                         raise
                     raise ValidationError(
@@ -208,10 +206,30 @@ def _write_csv_blocks(path: str, blocks) -> None:
                 writer.writerow([_num_str(z), _num_str(value)])
 
 
-def _no_samples(what: str) -> int:
-    from .verifier import SINGULARITY_RADIUS
-    print(f"heun-su11: no sample point is left to check {what} on: each is off the positive "
-          f"axis or within {SINGULARITY_RADIUS:g} of a singular point", file=sys.stderr)
+def _first_nonfinite(coefficients):
+    """The index of the first non-finite coefficient, None when all are finite."""
+    return next((k for k, b in enumerate(coefficients) if not cmath.isfinite(b)), None)
+
+
+def _gate(residuals: list, samples, threshold: float, series=None) -> int:
+    """The exit code of spectrum, series and verify for the residuals of the
+    eigenpairs, or of the series when one is given, scored on samples: 1,
+    with the cause on stderr, when no sample is left or a residual is over
+    the threshold or NaN; else 0."""
+    failed = sum(not r <= threshold for r in residuals)
+    if not samples:
+        what = "the eigenpairs" if series is None else "the series"
+        cause = f"no sample point is left to check {what} on: {samples.cause}"
+    elif not failed:
+        return 0
+    elif series is None:
+        cause = f"{failed} of {len(residuals)} eigenpairs have a residual over {threshold:g}"
+    elif (first := _first_nonfinite(series.coefficients)) is not None:
+        cause = (f"the series has non-finite coefficients from b_{first} on, so its "
+                 f"residual {residuals[0]:.3g} is over {threshold:g}")
+    else:
+        cause = f"the series residual {residuals[0]:.3g} is over {threshold:g}"
+    print(f"heun-su11: {cause}", file=sys.stderr)
     return 1
 
 
@@ -229,7 +247,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     from .spectrum import solve_spectrum
-    from .verifier import default_sample_points
+    from .verifier import solution_samples
     dec = _resolve_decomposition(args)
     finite = [r for r in classify(dec) if r.rep_class is RepresentationClass.FINITE_DIMENSIONAL]
     if not finite:
@@ -237,27 +255,22 @@ def _cmd_spectrum(args) -> int:
             "no finite-dimensional ladder exists here: 2(nu-mu) is not a nonnegative integer"
         )
     result = solve_spectrum(dec, finite[0])
+    coeffs = rebuild_coefficients(dec)
     doc = {
         "decomposition": dec.to_json_dict(),
-        "ode_coefficients": rebuild_coefficients(dec).to_json_dict(),
+        "ode_coefficients": coeffs.to_json_dict(),
         "eigenpairs": result.to_json_list(),
         "warnings": list(result.warnings),
     }
     _emit_json(doc, args)
     if args.csv:
-        points = default_sample_points(4.0 * dec.c_minus, count=args.samples)
+        points = solution_samples(coeffs.a2, count=args.samples)
         _write_csv_blocks(args.csv, (
             (f"q={_num_str(pair.q)} parity={pair.parity}", pair.eigenfunction, points)
             for pair in result.pairs
         ))
-    if not default_sample_points(4.0 * dec.c_minus):
-        return _no_samples("the eigenpairs")
     residuals = [r for sub in result.subgrids for r in sub.residuals.tolist()]
-    failed = sum(not r <= RESIDUAL_THRESHOLD for r in residuals)
-    if failed:
-        print(f"heun-su11: {failed} of {len(residuals)} eigenpairs have a residual "
-              f"over {RESIDUAL_THRESHOLD:g}", file=sys.stderr)
-    return 1 if failed else 0
+    return _gate(residuals, solution_samples(coeffs.a2), RESIDUAL_THRESHOLD)
 
 
 def _cmd_series(args) -> int:
@@ -289,57 +302,16 @@ def _cmd_series(args) -> int:
         points = chebyshev_points(lo, hi if sol.direction == ASCENDING else 4.0 * lo, args.samples)
         comment = f"q={_num_str(sol.q)} direction={sol.direction} parity={sol.parity}"
         _write_csv_blocks(args.csv, [(comment, sol, points)])
-    samples = _series_samples(coeffs, sol)
-    if not samples:
-        return _no_samples("the series")
-    residual = _series_residual(coeffs, sol, samples)
-    if not residual <= RESIDUAL_THRESHOLD:
-        print(f"heun-su11: the series residual {residual:.3g} is over "
-              f"{RESIDUAL_THRESHOLD:g}", file=sys.stderr)
-        return 1
-    return 0
+    residuals, samples = _score_series(coeffs, sol)
+    return _gate(residuals, samples, RESIDUAL_THRESHOLD, sol)
 
 
-def _series_samples(coeffs: CanonicalCoefficients, sol) -> tuple:
-    """The series gate's and verify's samples: in (0, R/2) ascending or (2R, 4R) descending."""
-    from .series_engine import ASCENDING
-    from .verifier import default_sample_points
-    lo, hi = sol.domain
-    domain = (0.0, 0.5 * hi) if sol.direction == ASCENDING else (2.0 * lo, 4.0 * lo)
-    return default_sample_points(coeffs.a2, domain=domain)
-
-
-def _series_residual(coeffs: CanonicalCoefficients, sol, samples) -> float:
-    """A SeriesSolution's residual; a non-finite coefficient or no sample scores inf."""
-    import numpy as np
-    from .verifier import worst_residuals
-    p = np.array([sol.exponent(m) for m in range(len(sol.coefficients))])
-    return worst_residuals(coeffs, p, np.array(sol.coefficients)[:, None], [sol.q], samples).item()
-
-
-def _eigenpair_residuals(coeffs: CanonicalCoefficients, pairs: list) -> list:
-    """The residual of each pair, scored as solve_spectrum scored it: one call
-    per exponent set (one per parity sub-grid), on a block holding every
-    listed coefficient, complex when any q or coefficient of the set is."""
-    import numpy as np
-    from .verifier import default_sample_points, worst_residuals
-    if not pairs:
-        raise ValidationError("solution document lists no eigenpairs")
-    groups: dict = {}
-    for i, pair in enumerate(pairs):
-        groups.setdefault(tuple(float(t["exponent"]) for t in pair["coefficients"]), []).append(i)
-    samples = default_sample_points(coeffs.a2)
-    worst = [0.0] * len(pairs)
-    for exponents, members in groups.items():
-        q = [jsonio.as_number(pairs[i]["q"]) for i in members]
-        rows = [[jsonio.as_number(t["value"]) for t in pairs[i]["coefficients"]]
-                for i in members]
-        dtype = complex if any(isinstance(v, complex) for v in chain(q, *rows)) else float
-        block = np.array(rows, dtype=dtype).T
-        scored = worst_residuals(coeffs, np.array(exponents), block, np.array(q, dtype), samples)
-        for i, residual in zip(members, scored.tolist()):
-            worst[i] = residual
-    return worst
+def _score_series(coeffs: CanonicalCoefficients, sol) -> tuple:
+    """A SeriesSolution's residual, in a list, and the samples that scored it."""
+    from .verifier import solution_samples, worst_by_exponents
+    samples = solution_samples(coeffs.a2, sol.domain)
+    exponents = [sol.exponent(m) for m in range(len(sol.coefficients))]
+    return worst_by_exponents(coeffs, [(exponents, sol.coefficients, sol.q)], samples), samples
 
 
 def _cmd_verify(args) -> int:
@@ -351,12 +323,23 @@ def _cmd_verify(args) -> int:
         {k: jsonio.as_number(v)
          for k, v in _require_object(doc["ode_coefficients"], "ode_coefficients").items()}
     )
+    sol = None
     if "eigenpairs" in doc:
+        from .verifier import solution_samples, worst_by_exponents
         pairs = doc["eigenpairs"]
+        if not pairs:
+            raise ValidationError("solution document lists no eigenpairs")
+        candidates = [
+            (tuple(float(t["exponent"]) for t in pair["coefficients"]),
+             [jsonio.as_number(t["value"]) for t in pair["coefficients"]],
+             jsonio.as_number(pair["q"]))
+            for pair in pairs
+        ]
+        samples = solution_samples(coeffs.a2)
+        residuals = worst_by_exponents(coeffs, candidates, samples)
         results = [
-            {"q": jsonio.as_number(pair["q"]), "parity": pair.get("parity"),
-             "max_relative_residual": residual}
-            for pair, residual in zip(pairs, _eigenpair_residuals(coeffs, pairs))
+            {"q": q, "parity": pair.get("parity"), "max_relative_residual": residual}
+            for pair, (_, _, q), residual in zip(pairs, candidates, residuals)
         ]
     elif "series" in doc:
         from .series_engine import SeriesSolution, convergence_domain
@@ -365,13 +348,13 @@ def _cmd_verify(args) -> int:
         if sol.domain != domain:
             raise ValidationError(f"series domain {list(sol.domain)} is not the convergence "
                                   f"domain {list(domain)} of a={coeffs.a2!r}")
+        residuals, samples = _score_series(coeffs, sol)
         results = [
             {"direction": sol.direction, "parity": sol.parity, "q": sol.q,
-             "max_relative_residual": _series_residual(coeffs, sol, _series_samples(coeffs, sol))}
+             "max_relative_residual": residuals[0]}
         ]
     else:
         raise ValidationError("solution document has neither eigenpairs nor series")
-    residuals = [r["max_relative_residual"] for r in results]
     # Written so that a NaN residual would fail too; non-finite input scores inf.
     passed = all(r <= args.threshold for r in residuals)
     _emit_json(
@@ -383,7 +366,7 @@ def _cmd_verify(args) -> int:
         },
         args,
     )
-    return 0 if passed else 1
+    return _gate(residuals, samples, args.threshold, sol)
 
 
 def _cmd_check_algebra(args) -> int:

@@ -42,7 +42,7 @@ from .representations import (
 )
 from .series_engine import ASCENDING, SeriesSolution
 from .su11_algebra import Su11Decomposition, rebuild_coefficients
-from .verifier import default_sample_points, worst_residuals
+from .verifier import solution_samples, worst_residuals
 
 MATRIX_CAP = 64
 SIGN_TOL = 1e-12
@@ -243,8 +243,7 @@ def solve_spectrum(dec: Su11Decomposition, rep: RepresentationDescriptor) -> Spe
             f"spectra are only computed on finite ladders, not {rep.rep_class.value}"
         )
     base_coeffs = rebuild_coefficients(dec)
-    a = 4.0 * dec.c_minus
-    samples = default_sample_points(a)
+    samples = solution_samples(base_coeffs.a2)
     split = split_even_odd(rep)
     warnings: List[str] = []
     subgrids: List[SolvedSubgrid] = []

@@ -16,29 +16,26 @@ needed.  A sample whose terms all vanish scores 0; a non-finite sum or scale
 scores inf, and the worst over the samples is inf for the zero function or
 an empty sample set.
 
-residual_block scores P candidates that share one exponent set (the
-eigenfunctions of one parity sub-grid) at once: it builds the power matrix
-z^p once and reduces the P term stacks with one stacked matrix product,
-which numpy runs as one gemm per candidate.  The power matrix leaves every
-z^p with p*log2(z) < UNDERFLOW_LOG2 (-1100) at 0.0 instead of computing it:
-the true power lies below 2^-1100, far under half the smallest subnormal,
-so numpy's power rounds it to 0.0 too, and the matrix and every residual
-stay the same bit for bit.  On a long series most of the matrix is such
-powers, which numpy computes on a slow path.  A column's bits depend on the
-block's dtype: a real column in a complex block is summed in complex
-arithmetic and may differ in the last bits from the same column scored as
-a float.  worst_residuals is the one scorer of spectra and series:
-spectrum and series score their output through it, and verify re-scores a
-document through the same call on the same block, so verify reproduces the
-emitter's residuals bit for bit.  residual_for_coefficients, the
-single-solution report, is the one-column case of residual_block.
+The verifier owns the two scoring rules.  solution_samples, the one sample
+rule, maps a solution's domain to its samples.  residual_block, the one
+block scorer, scores the candidates' coefficients as given, zeros included;
+worst_residuals takes the block's dtype from the coefficients and q
+together.  P candidates that share one exponent set (the eigenfunctions of
+one parity sub-grid) share one power matrix z^p and one stacked matrix
+product, which numpy runs as one gemm per candidate.  A column's bits depend
+on the block's dtype: a real column in a complex block is summed in complex
+arithmetic and may differ in the last bits from the same column scored as a
+float.  spectrum scores its output through worst_residuals, and series and
+verify through worst_by_exponents, the same call on the same block, so
+verify reproduces the emitter's residuals bit for bit.
+residual_for_coefficients, the single-solution report, is the one-column
+case of residual_block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -53,26 +50,19 @@ DEFAULT_SAMPLE_COUNT = 25
 
 def chebyshev_points(lo: float, hi: float, count: int = DEFAULT_SAMPLE_COUNT) -> Tuple[float, ...]:
     """Chebyshev-spaced interior points of (lo, hi), ascending."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = [
-        mid + half * math.cos(math.pi * (2 * k + 1) / (2 * count))
-        for k in range(count)
-    ]
-    return tuple(sorted(nodes))
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return tuple(sorted(mid + half * math.cos(math.pi * (2 * k + 1) / (2 * count))
+                        for k in range(count)))
 
 
 def check_sample_points(z_samples: Sequence[float], a: float) -> None:
     """Reject sample points at or too near the singular points 0, 1, a."""
     for z in z_samples:
         if z <= 0.0:
-            raise SamplePointAtSingularity(
-                f"sample z={z} is not on the positive axis"
-            )
+            raise SamplePointAtSingularity(f"sample z={z} is not on the positive axis")
         if abs(z - 1.0) < SINGULARITY_RADIUS or abs(z - a) < SINGULARITY_RADIUS:
             raise SamplePointAtSingularity(
-                f"sample z={z} is within {SINGULARITY_RADIUS:g} of a singular point"
-            )
+                f"sample z={z} is within {SINGULARITY_RADIUS:g} of a singular point")
 
 
 @dataclass(frozen=True)
@@ -93,22 +83,18 @@ def _power_matrix(z: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.power(z[:, None], p[None, :], out=np.zeros(live.shape), where=live)
 
 
-def residual_block(
-    coeffs: CanonicalCoefficients,
-    exponents: np.ndarray,
-    block: np.ndarray,
-    a7: Sequence[complex],
-    z_samples: Sequence[float],
-) -> Tuple[np.ndarray, np.ndarray]:
+def residual_block(coeffs: CanonicalCoefficients, exponents: np.ndarray, block: np.ndarray,
+                   a7: Sequence[complex],
+                   z_samples: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     """Componentwise relative residuals of P candidates on one exponent set.
 
     Column j of the block (n x P) holds the coefficients of y_j on z^p for
     the n exponents p, and a7[j] replaces coeffs.a7 for it.  Returns the
     residuals and the scales, P x S each for the S samples.  Each slice
     of the stacked products is its own gemm, so column j scores exactly as
-    it would alone in a block of the same dtype.  A zero coefficient is kept as a zero term; the
-    one-column call drops it, which may change the gemm's order of summation
-    and so the last bits.
+    it would alone in a block of the same dtype.  A zero coefficient is a
+    zero term.  The power matrix skips the powers that underflow
+    (_power_matrix), bit for bit.
     """
     check_sample_points(z_samples, coeffs.a2)
     z = np.array(z_samples, dtype=float)
@@ -144,38 +130,41 @@ def _worst(residuals: np.ndarray, block: np.ndarray) -> np.ndarray:
     return worst
 
 
-def worst_residuals(
-    coeffs: CanonicalCoefficients,
-    exponents: np.ndarray,
-    block: np.ndarray,
-    q: np.ndarray,
-    z_samples: Sequence[float],
-) -> np.ndarray:
+def worst_residuals(coeffs: CanonicalCoefficients, exponents: np.ndarray, block: np.ndarray,
+                    q: np.ndarray, z_samples: Sequence[float]) -> np.ndarray:
     """Worst residual over the samples of each column of the block, scored
     with the accessory q[j]: a7 = -q, kept real for a real q as with_accessory
-    keeps it."""
-    q = np.asarray(q)
+    keeps it.  The block and q share one dtype, complex when either is."""
+    dtype = np.result_type(np.asarray(block), np.asarray(q))
+    block, q = np.asarray(block, dtype), np.asarray(q, dtype)
     a7 = np.where(q.imag != 0.0, -q, -q.real)
     residuals, _ = residual_block(coeffs, exponents, block, a7, z_samples)
     return _worst(residuals, block)
 
 
-def residual_for_coefficients(
-    coeffs: CanonicalCoefficients,
-    solution: MonomialSum,
-    z_samples: Sequence[float],
-) -> ResidualReport:
+def worst_by_exponents(coeffs: CanonicalCoefficients, candidates: list, z_samples) -> list:
+    """Worst residual of each candidate (exponents, coefficients, q), given
+    as Python numbers: one worst_residuals call per exponent set, on a block
+    of every coefficient of its candidates, so the pairs of a printed parity
+    sub-grid score as solve_spectrum scored them."""
+    groups: dict = {}
+    for i, (exponents, values, q) in enumerate(candidates):
+        groups.setdefault(tuple(exponents), []).append((i, values, q))
+    worst = [0.0] * len(candidates)
+    for exponents, members in groups.items():
+        indices, rows, q = zip(*members)
+        scored = worst_residuals(coeffs, np.array(exponents), np.array(rows).T, q, z_samples)
+        for i, residual in zip(indices, scored.tolist()):
+            worst[i] = residual
+    return worst
+
+
+def residual_for_coefficients(coeffs: CanonicalCoefficients, solution: MonomialSum,
+                              z_samples: Sequence[float]) -> ResidualReport:
     """Componentwise relative residual of f1 y'' + f2 y' + f3 y at the given
     points: the one-column case of residual_block."""
-    values = solution.coeffs.values()
-    c = np.array(list(values))
+    c = np.array(list(solution.coeffs.values()))
     p = solution.base + 0.5 * np.fromiter(solution.coeffs, float, len(c))
-    live = c != 0.0
-    if not live.all():
-        # The zeros are dropped and the dtype comes from the other values:
-        # a dropped 0j must not make a real column complex.
-        c = np.array(list(compress(values, live)))
-        p = p[live]
     residuals, scales = residual_block(coeffs, p, c[:, None], [coeffs.a7], z_samples)
     return ResidualReport(
         max_relative_residual=_worst(residuals, c[:, None]).item(),
@@ -185,24 +174,51 @@ def residual_for_coefficients(
     )
 
 
+class Samples(tuple):
+    """Sample points; when none is left, cause says why."""
+
+    cause = ""
+
+
+def solution_samples(
+    a: float, domain: Tuple[float, float] = (0.0, math.inf), count: int = DEFAULT_SAMPLE_COUNT
+) -> Samples:
+    """The samples that score a solution on its domain, the one sample rule:
+    (0, min(1,|a|)) for a terminating eigenfunction on (0, inf), (0, R/2)
+    for an ascending series on (0, R) and (2R, 4R) for a descending one on
+    (R, inf), less the nodes default_sample_points clips.  From R of about
+    4.5e307 on, 4R overflows and no sample is left."""
+    lo, hi = domain
+    if lo > 0.0:
+        lo, hi = 2.0 * lo, 4.0 * lo
+    else:
+        hi = min(1.0, abs(a)) if hi == math.inf else 0.5 * hi
+    if not math.isfinite(hi):
+        samples = Samples()
+        samples.cause = ("the sample domain (2R, 4R) lies past the largest float at "
+                         f"R={domain[0]:g}")
+        return samples
+    samples = Samples(default_sample_points(a, (lo, hi), count))
+    if not samples:
+        samples.cause = (f"each is off the positive axis or within {SINGULARITY_RADIUS:g} "
+                         "of a singular point")
+    return samples
+
+
 def default_sample_points(
     a: float, domain: Tuple[float, float] | None = None, count: int = DEFAULT_SAMPLE_COUNT
 ) -> Tuple[float, ...]:
-    """Chebyshev samples in domain (default (0, min(1,|a|))), less every node
-    within SINGULARITY_RADIUS of 1 or a.  The clip matters for a domain that
-    straddles 1 or a, and for the default domain at small |a|: its top node
-    lies about 1e-3*|a| below |a|, so from |a| = 1e-3 down the clip removes
-    nodes near a, and at a = 1e-6 or 1e-7 it removes all 25.  On that empty
-    set the worst residual of any candidate is inf."""
+    """Chebyshev samples in domain, less every node within SINGULARITY_RADIUS
+    of 1 or a; with no domain, the samples of a terminating eigenfunction.
+    The clip matters for a domain that straddles 1 or a, and for the
+    eigenfunction's domain (0, |a|) at small |a|: its top node lies about
+    1e-3*|a| below |a|, so from |a| = 1e-3 down the clip removes nodes near
+    a, and at a = 1e-6 or 1e-7 it removes all 25.  On that empty set the
+    worst residual of any candidate is inf."""
     if domain is None:
-        domain = (0.0, min(1.0, abs(a)))
-    lo, hi = domain
-    nodes = chebyshev_points(lo, hi, count)
-    return tuple(
-        z
-        for z in nodes
-        if z > 0.0 and abs(z - 1.0) >= SINGULARITY_RADIUS and abs(z - a) >= SINGULARITY_RADIUS
-    )
+        return solution_samples(a, count=count)
+    return tuple(z for z in chebyshev_points(*domain, count) if z > 0.0
+                 and abs(z - 1.0) >= SINGULARITY_RADIUS and abs(z - a) >= SINGULARITY_RADIUS)
 
 
 def ode_residual(
@@ -216,4 +232,3 @@ def ode_residual(
     if z_samples is None:
         z_samples = default_sample_points(params.a, domain)
     return residual_for_coefficients(coeffs, solution, z_samples)
-

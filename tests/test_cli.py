@@ -334,7 +334,7 @@ def test_series_with_overflowed_coefficients_still_prints_and_exits_1(capsys):
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
     assert None in doc["series"]["coefficients"]
-    assert "series residual inf is over 1e-08" in captured.err
+    assert "the series has non-finite coefficients from b_516 on" in captured.err
 
 
 def test_series_with_residual_over_threshold_still_prints_and_exits_1(capsys, monkeypatch):
@@ -634,6 +634,51 @@ def test_verify_fails_series_when_no_sample_survives(direction, a2, domain, caps
         assert out == ""
     else:
         assert json.loads(out)["results"][0]["max_relative_residual"] is None
+
+
+EMITTER_CAUSES = {
+    "eigenpairs-no-sample": ["spectrum", "--preset", "example1", "--a", "1e-7"],
+    "series-no-sample": ["series", "--preset", "example1", "--a", "1e-7", "--q", "0.3"],
+    "series-past-the-largest-float": ["series", "--preset", "example1", "--a", "1e308",
+                                      "--q", "0.3", "--rep", "nd"],
+    "series-non-finite": OVERFLOWING_SERIES,
+    "series-over-threshold": ["series", "--preset", "lame", "--q", "0.3", "--kmax", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMITTER_CAUSES))
+def test_verify_names_the_cause_the_emitter_named(case, capsys, monkeypatch):
+    assert main(EMITTER_CAUSES[case]) == 1
+    emitted = capsys.readouterr()
+    [line] = emitted.err.splitlines()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(emitted.out))
+    assert main(["verify", "--solution", "-"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["passed"] is False
+    assert captured.err == emitted.err
+
+
+def test_verify_names_failing_pairs_at_its_own_threshold(capsys, monkeypatch):
+    main(["spectrum", "--preset", "example1"])
+    doc = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(["verify", "--solution", "-", "--threshold", "1e-20"]) == 1
+    assert capsys.readouterr().err == "heun-su11: 2 of 3 eigenpairs have a residual over 1e-20\n"
+    doc["eigenpairs"][0]["q"] += 1e-6
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(["verify", "--solution", "-"]) == 1
+    assert capsys.readouterr().err == "heun-su11: 1 of 3 eigenpairs have a residual over 1e-08\n"
+
+
+def test_descending_series_past_the_largest_float_names_its_cause(capsys):
+    # (2R, 4R) = (inf, inf) at R = 1e308, and 4R = inf already at R = 5e307.
+    for a, shown in (("1e308", "1e+308"), ("5e307", "5e+307")):
+        assert main(["series", "--preset", "example1", "--a", a, "--q", "0.3", "--rep", "nd"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["series"]["direction"] == "descending"
+        assert captured.err == (
+            "heun-su11: no sample point is left to check the series on: the sample domain "
+            f"(2R, 4R) lies past the largest float at R={shown}\n")
 
 
 def test_verify_refuses_a_forged_series_domain(capsys, monkeypatch):

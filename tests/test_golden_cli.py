@@ -43,6 +43,8 @@ def _cases():
             None, 0)
     cases["series-lame-a-3"] = (("series", "--preset", "lame", "--a", "-3", "--q", "0.7"),
                                 None, 0)
+    for name in ("series-pd-k1000", "series-nd-k1000", "series-lame-a-3"):
+        cases[f"verify-{name}"] = (("verify", "--solution", "-"), name, 0)
     cases["check-algebra-bare"] = (("check-algebra", "--mu", "0.37", "--nu", "-2.2"), None, 0)
     # Ladders with a principal or complementary series, whose h_constraint is printed.
     for name, alpha, beta in (("principal", "0.5", "1"), ("complementary", "0.3", "0.8")):

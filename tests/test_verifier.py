@@ -19,7 +19,9 @@ from heun_su11.verifier import (
     ode_residual,
     residual_block,
     residual_for_coefficients,
+    solution_samples,
 )
+from heun_su11.series_engine import ASCENDING, DESCENDING, convergence_domain
 from oracle import sum_by_terms
 
 
@@ -196,28 +198,54 @@ def test_explicit_sample_points_are_used():
     assert report.sample_points == (0.25, 0.5)
 
 
-def test_dropped_zeros_keep_a_real_column_real():
-    """A float sum with explicit 0j and 0.0 entries scores bit for bit as
-    the float column of its nonzero coefficients alone.  Scored as a complex
-    column, the same coefficients move in the last bits on this ladder, so
-    a dropped 0j that made the column complex would show."""
+def test_residual_for_coefficients_is_residual_block_on_the_same_column():
+    """The one-column report is residual_block run on the sum's coefficients
+    as given: explicit 0.0 and 0j entries are zero terms, and a 0j makes
+    the column complex."""
     dec = decompose(make_parameters(0.5, -0.5, -3.5, -3.0, 2.0, 0.0))
     finite = [r for r in classify(dec) if r.rep_class is RepresentationClass.FINITE_DIMENSIONAL]
     coeffs = rebuild_coefficients(dec)
     samples = default_sample_points(2.0)
-    moved = 0
     for pair in solve_spectrum(dec, finite[0]).pairs:
         y = pair.eigenfunction.as_monomial_sum()
         c = coeffs.with_accessory(pair.q)
-        p = y.base + 0.5 * np.array(list(y.coeffs), float)
-        column = np.array(list(y.coeffs.values()))
-        assert column.dtype == float and np.all(column != 0.0)
-        want, want_scales = residual_block(c, p, column[:, None], [c.a7], samples)
-        padded = MonomialSum(y.base, {1: 0j, **y.coeffs, 3: 0.0, 2 * len(column): 0j})
-        for candidate in (y, padded):
+        padded = MonomialSum(y.base, {1: 0j, **y.coeffs, 3: 0.0, 2 * len(y.coeffs): 0j})
+        real_zeros = MonomialSum(y.base, {**y.coeffs, 3: 0.0, -2: -0.0})
+        for candidate in (y, padded, real_zeros):
+            column = np.array(list(candidate.coeffs.values()))
+            p = candidate.base + 0.5 * np.array(list(candidate.coeffs), float)
+            want, want_scales = residual_block(c, p, column[:, None], [c.a7], samples)
             report = residual_for_coefficients(c, candidate, samples)
             assert np.array(report.residuals).tobytes() == want[0].tobytes()
             assert np.array(report.scales).tobytes() == want_scales[0].tobytes()
-        as_complex, _ = residual_block(c, p, column.astype(complex)[:, None], [c.a7], samples)
-        moved += as_complex.tobytes() != want.tobytes()
-    assert moved
+        assert np.array(list(padded.coeffs.values())).dtype == complex
+
+
+OLD_SAMPLE_DOMAINS = {
+    # The three expressions that chose the sample domains before solution_samples.
+    "eigenfunction": lambda a, lo, hi: default_sample_points(a, domain=(0.0, min(1.0, abs(a)))),
+    "ascending": lambda a, lo, hi: default_sample_points(a, domain=(0.0, 0.5 * hi)),
+    "descending": lambda a, lo, hi: default_sample_points(a, domain=(2.0 * lo, 4.0 * lo)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OLD_SAMPLE_DOMAINS))
+@pytest.mark.parametrize("a", [sign * m for m in (1e-7, 1e-3, 0.3, 2.0, 3.0, 1e3, 1e7)
+                               for sign in (1, -1)])
+def test_solution_samples_equal_the_old_domains_bit_for_bit(kind, a):
+    domain = ((0.0, math.inf) if kind == "eigenfunction" else
+              convergence_domain(a, ASCENDING if kind == "ascending" else DESCENDING))
+    samples = solution_samples(a, domain)
+    old = OLD_SAMPLE_DOMAINS[kind](a, *domain)
+    assert np.array(samples).tobytes() == np.array(old).tobytes()
+    assert bool(samples.cause) == (not samples)
+
+
+def test_descending_samples_past_the_largest_float_name_their_cause():
+    # 4R overflows from R of about 4.5e307 on; 2R does from about 9e307 on.
+    for r in (5e307, 1e308):
+        samples = solution_samples(r, convergence_domain(r, DESCENDING))
+        assert samples == ()
+        assert samples.cause == (
+            f"the sample domain (2R, 4R) lies past the largest float at R={r:g}")
+    assert solution_samples(4e307, convergence_domain(4e307, DESCENDING))

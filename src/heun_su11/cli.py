@@ -26,7 +26,6 @@ from typing import Sequence
 
 from . import jsonio
 from .errors import (
-    InconsistentCoefficients,
     NumericalError,
     UnsupportedClass,
     UsageError,
@@ -45,7 +44,6 @@ from .su11_algebra import (
     CONDITION_TOL,
     Su11Decomposition,
     algebra_identity_check,
-    casimir_value,
     decompose,
     rebuild_coefficients,
     reconstruction_check,
@@ -165,14 +163,7 @@ def _resolve_decomposition(args, keep: Sequence[str] = ()) -> Su11Decomposition:
     names the parameter flags the command still reads beside --decomposition."""
     if getattr(args, "decomposition", None):
         _refuse_parameters(args, "--decomposition fixes the operator", keep)
-        dec = Su11Decomposition.from_json_dict(_read_json(args.decomposition, "--decomposition"))
-        expected = casimir_value(dec.mu, dec.nu)
-        if not abs(dec.casimir - expected) <= 1e-9:
-            raise InconsistentCoefficients(
-                f"stored casimir {dec.casimir!r} does not match mu, nu "
-                f"(expected {expected!r})"
-            )
-        return dec
+        return Su11Decomposition.from_json_dict(_read_json(args.decomposition, "--decomposition"))
     return _decompose(args, _resolve_parameters(args))
 
 
@@ -211,24 +202,37 @@ def _first_nonfinite(coefficients):
     return next((k for k, b in enumerate(coefficients) if not cmath.isfinite(b)), None)
 
 
-def _gate(residuals: list, samples, threshold: float, series=None) -> int:
+def _gate(residuals: list, candidates, samples, threshold: float, series: bool = False) -> int:
     """The exit code of spectrum, series and verify for the residuals of the
-    eigenpairs, or of the series when one is given, scored on samples: 1,
-    with the cause on stderr, when no sample is left or a residual is over
-    the threshold or NaN; else 0."""
+    eigenpairs, or of the one series, scored on samples: 1, with the cause
+    on stderr, when no sample is left or a residual is over the threshold
+    or NaN; else 0.  candidates yields each residual's (exponents,
+    coefficients, q), of which only a failure's cause reads the last two."""
     failed = sum(not r <= threshold for r in residuals)
     if not samples:
-        what = "the eigenpairs" if series is None else "the series"
+        what = "the series" if series else "the eigenpairs"
         cause = f"no sample point is left to check {what} on: {samples.cause}"
     elif not failed:
         return 0
-    elif series is None:
-        cause = f"{failed} of {len(residuals)} eigenpairs have a residual over {threshold:g}"
-    elif (first := _first_nonfinite(series.coefficients)) is not None:
-        cause = (f"the series has non-finite coefficients from b_{first} on, so its "
-                 f"residual {residuals[0]:.3g} is over {threshold:g}")
     else:
-        cause = f"the series residual {residuals[0]:.3g} is over {threshold:g}"
+        from .verifier import overflowed
+        candidates = list(candidates)
+        blown = sum(overflowed(c, q, r) for (_, c, q), r in zip(candidates, residuals))
+        overflow = "overflows the float range, although {} coefficients and q are finite"
+        if not series:
+            n, causes = len(residuals), []
+            if failed > blown:
+                causes.append(f"{failed - blown} of {n} eigenpairs have a residual over {threshold:g}")
+            if blown:
+                causes.append(f"{blown} of {n} eigenpairs have a residual that " + overflow.format("their"))
+            cause = "; ".join(causes)
+        elif (first := _first_nonfinite(candidates[0][1])) is not None:
+            cause = (f"the series has non-finite coefficients from b_{first} on, so its "
+                     f"residual {residuals[0]:.3g} is over {threshold:g}")
+        elif blown:
+            cause = "the series residual " + overflow.format("its")
+        else:
+            cause = f"the series residual {residuals[0]:.3g} is over {threshold:g}"
     print(f"heun-su11: {cause}", file=sys.stderr)
     return 1
 
@@ -270,7 +274,8 @@ def _cmd_spectrum(args) -> int:
             for pair in result.pairs
         ))
     residuals = [r for sub in result.subgrids for r in sub.residuals.tolist()]
-    return _gate(residuals, solution_samples(coeffs.a2), RESIDUAL_THRESHOLD)
+    candidates = ((None, row, q) for sub in result.subgrids for row, q in zip(sub.rows, sub.q))
+    return _gate(residuals, candidates, solution_samples(coeffs.a2), RESIDUAL_THRESHOLD)
 
 
 def _cmd_series(args) -> int:
@@ -302,16 +307,16 @@ def _cmd_series(args) -> int:
         points = chebyshev_points(lo, hi if sol.direction == ASCENDING else 4.0 * lo, args.samples)
         comment = f"q={_num_str(sol.q)} direction={sol.direction} parity={sol.parity}"
         _write_csv_blocks(args.csv, [(comment, sol, points)])
-    residuals, samples = _score_series(coeffs, sol)
-    return _gate(residuals, samples, RESIDUAL_THRESHOLD, sol)
+    return _gate(*_score_series(coeffs, sol), RESIDUAL_THRESHOLD, series=True)
 
 
 def _score_series(coeffs: CanonicalCoefficients, sol) -> tuple:
-    """A SeriesSolution's residual, in a list, and the samples that scored it."""
+    """A SeriesSolution's residual and its candidate, each in a list, and
+    the samples that scored it."""
     from .verifier import solution_samples, worst_by_exponents
     samples = solution_samples(coeffs.a2, sol.domain)
-    exponents = [sol.exponent(m) for m in range(len(sol.coefficients))]
-    return worst_by_exponents(coeffs, [(exponents, sol.coefficients, sol.q)], samples), samples
+    candidates = [([sol.exponent(m) for m in range(len(sol.coefficients))], sol.coefficients, sol.q)]
+    return worst_by_exponents(coeffs, candidates, samples), candidates, samples
 
 
 def _cmd_verify(args) -> int:
@@ -323,7 +328,6 @@ def _cmd_verify(args) -> int:
         {k: jsonio.as_number(v)
          for k, v in _require_object(doc["ode_coefficients"], "ode_coefficients").items()}
     )
-    sol = None
     if "eigenpairs" in doc:
         from .verifier import solution_samples, worst_by_exponents
         pairs = doc["eigenpairs"]
@@ -348,7 +352,7 @@ def _cmd_verify(args) -> int:
         if sol.domain != domain:
             raise ValidationError(f"series domain {list(sol.domain)} is not the convergence "
                                   f"domain {list(domain)} of a={coeffs.a2!r}")
-        residuals, samples = _score_series(coeffs, sol)
+        residuals, candidates, samples = _score_series(coeffs, sol)
         results = [
             {"direction": sol.direction, "parity": sol.parity, "q": sol.q,
              "max_relative_residual": residuals[0]}
@@ -366,7 +370,7 @@ def _cmd_verify(args) -> int:
         },
         args,
     )
-    return _gate(residuals, samples, args.threshold, sol)
+    return _gate(residuals, candidates, samples, args.threshold, series="eigenpairs" not in doc)
 
 
 def _cmd_check_algebra(args) -> int:

@@ -22,7 +22,7 @@ monomial sums term by term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Tuple
 
 from .errors import ComplexExponents, DegenerateSingularity, FuchsianViolation, ValidationError
@@ -47,8 +47,22 @@ class HeunParameters:
         return replace(self, q=float(q))
 
 
+class FloatRecord:
+    """A dataclass of floats, written as and read from a JSON object keyed
+    by its field names; the reader refuses a non-finite value."""
+
+    def to_json_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_json_dict(cls, doc: Mapping[str, float]):
+        values = {f.name: float(doc[f.name]) for f in fields(cls)}
+        require_finite(**values)
+        return cls(**values)
+
+
 @dataclass(frozen=True)
-class CanonicalCoefficients:
+class CanonicalCoefficients(FloatRecord):
     """Coefficients of f1 = a0 z^3 + a1 z^2 + a2 z, f2 = a3 z^2 + a4 z + a5,
     f3 = a6 z + a7."""
 
@@ -68,15 +82,6 @@ class CanonicalCoefficients:
         # Complex q arises for a < 0 spectra; keep a7 real when q is real.
         qc = complex(q)
         return replace(self, a7=-qc if qc.imag != 0.0 else -qc.real)
-
-    def to_json_dict(self) -> dict:
-        return {f"a{i}": v for i, v in enumerate(self.as_tuple())}
-
-    @classmethod
-    def from_json_dict(cls, doc: Mapping[str, float]) -> "CanonicalCoefficients":
-        values = {f"a{i}": float(doc[f"a{i}"]) for i in range(8)}
-        require_finite(**values)
-        return cls(**values)
 
 
 def require_finite(**values: float) -> None:

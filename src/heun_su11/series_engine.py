@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from operator import mul
 from typing import List, Mapping, NamedTuple, Tuple
@@ -57,15 +58,28 @@ class SeriesSolution:
     def truncation(self) -> int:
         return len(self.coefficients) - 1
 
+    @property
+    def step(self) -> int:
+        """+1 ascending, -1 descending: z^(p0 + step*m) is term m."""
+        return 1 if self.direction == ASCENDING else -1
+
+    @cached_property
+    def log2_magnitudes(self):
+        """log2|b_m| as a float64 array when every coefficient is a finite real
+        (-inf for a zero), else None; computed on first use."""
+        b = np.array(self.coefficients)
+        if b.dtype != np.float64 or not np.isfinite(b).all():
+            return None
+        with np.errstate(divide="ignore"):
+            return np.log2(np.abs(b))
+
     def exponent(self, m: int) -> float:
-        sign = 1.0 if self.direction == ASCENDING else -1.0
-        return self.p0 + sign * m
+        return self.p0 + self.step * m
 
     def as_monomial_sum(self) -> MonomialSum:
-        step = 2 if self.direction == ASCENDING else -2
+        step = 2 * self.step
         return MonomialSum(
-            self.p0,
-            {step * m: b for m, b in enumerate(self.coefficients) if b != 0.0},
+            self.p0, {step * m: b for m, b in enumerate(self.coefficients) if b != 0.0}
         )
 
     def to_json_dict(self) -> dict:
@@ -214,28 +228,12 @@ _CUT_MIN_LIVE = 64
 _CUT_SCALE = 2.0**-80
 _CUT_SLACK = 2.0 + 2.0**-17
 _CUT_TINY = 2.0**-1018
-_magnitude_cache: tuple = ((), None)
 
 
-def _log2_magnitudes(coefficients: tuple):
-    """log2|b_m| as a float64 array when every coefficient is a finite real
-    (-inf for a zero), else None; the last series' answer is kept."""
-    global _magnitude_cache
-    key, logs = _magnitude_cache
-    if key is not coefficients:
-        b = np.array(coefficients)
-        logs = None
-        if b.dtype == np.float64 and np.isfinite(b).all():
-            with np.errstate(divide="ignore"):
-                logs = np.log2(np.abs(b))
-        _magnitude_cache = (coefficients, logs)
-    return logs
-
-
-def _cut(coefficients: tuple, p0: float, step: int, z: float, live: int) -> Tuple[int, float]:
+def _cut(sol: SeriesSolution, p0: float, step: int, z: float, live: int) -> Tuple[int, float]:
     """(n, D): the shortest prefix n of the live terms whose rest is bounded
     by D < _CUT_SCALE times the largest term; (live, 0.0) when there is none."""
-    logs = _log2_magnitudes(coefficients) if live > _CUT_MIN_LIVE else None
+    logs = sol.log2_magnitudes if live > _CUT_MIN_LIVE else None
     if logs is None or not math.isfinite(p0):
         return live, 0.0
     logs = logs[:live]
@@ -318,9 +316,9 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
     z, p0 = float(z), float(sol.p0)
     coefficients = sol.coefficients
     count = len(coefficients)
-    step = 1 if sol.direction == ASCENDING else -1
+    step = sol.step
     live = _live_terms(p0, step, z, count)
-    cut, bound = _cut(coefficients, p0, step, z, live)
+    cut, bound = _cut(sol, p0, step, z, live)
     zp = [math.pow(z, p0 + step * m) for m in range(cut)]
     terms = list(map(mul, coefficients, zp))
     value = _certified_sum(terms, bound) if cut < live else None

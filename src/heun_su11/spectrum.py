@@ -61,6 +61,12 @@ class TridiagonalMatrix:
     def dimension(self) -> int:
         return len(self.diagonal)
 
+    @cached_property
+    def scale(self) -> float:
+        """max(1, max|T_ij|), the scale of build_matrix's leak test and of
+        the twisted factorization's zero-pivot floor."""
+        return max(map(abs, (1.0, *self.diagonal, *self.lower, *self.upper)))
+
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -141,18 +147,15 @@ def build_matrix(dec: Su11Decomposition, subgrid: ExponentGrid) -> TridiagonalMa
     # Rows that overflow at huge |a| show up as failed residuals, not warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         inward, diag, outward = dec.three_term_rows(np.array(exponents), 1.0)
-    diagonal = tuple(diag.tolist())
-    lower, upper = tuple(inward[1:].tolist()), tuple(outward[:-1].tolist())
-    scale = max([1.0, *map(abs, diagonal), *map(abs, lower), *map(abs, upper)])
+    matrix = TridiagonalMatrix(exponents=tuple(exponents), diagonal=tuple(diag.tolist()),
+                               lower=tuple(inward[1:].tolist()), upper=tuple(outward[:-1].tolist()))
     leak = max(abs(dec.up(exponents[-1])), abs(dec.down(exponents[0])))
-    if leak > 1e-8 * scale:
+    if leak > 1e-8 * matrix.scale:
         raise ValueError(
             f"sub-grid is not closed under the operator (leak {leak:.3e}); "
             "grid and decomposition disagree"
         )
-    return TridiagonalMatrix(
-        exponents=tuple(exponents), diagonal=diagonal, lower=lower, upper=upper
-    )
+    return matrix
 
 
 def _normalize_rows(vectors: np.ndarray) -> np.ndarray:
@@ -176,15 +179,14 @@ def _twisted_eigenvectors(matrix: TridiagonalMatrix, values: np.ndarray) -> np.n
     -upper_i / D+_i, below it by -lower_(i-1) / D-_i (Dhillon and Parlett,
     SIAM J. Matrix Anal. Appl. 25, 2004).  Each ratio is accurate to a few
     ulps, so tiny components stay accurate relative to their size.  A zero
-    pivot is moved to eps * max(1, max|T_ij|).
+    pivot is moved to eps * matrix.scale.
     """
     n = matrix.dimension
     shifted = np.asarray(matrix.diagonal)[:, None] - values
     lower = np.asarray(matrix.lower)[:, None]
     upper = np.asarray(matrix.upper)[:, None]
     products = lower * upper
-    entries = (1.0, *matrix.diagonal, *matrix.lower, *matrix.upper)
-    tiny = np.finfo(float).eps * max(map(abs, entries))
+    tiny = np.finfo(float).eps * matrix.scale
     # D+ top-down and D- bottom-up, the latter stored reversed: one row step for both.
     pivots = np.stack((shifted, shifted[::-1]))
     steps = np.stack((products, products[::-1]))

@@ -18,12 +18,13 @@ and gamma is 1/2 or 3/2 (making nu 0 or 1/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Tuple
 
-from .errors import NotFactorizable
+from .errors import InconsistentCoefficients, NotFactorizable
 from .heun_core import (
     CanonicalCoefficients,
+    FloatRecord,
     HeunParameters,
     canonical_coefficients,
     require_finite,
@@ -112,12 +113,13 @@ def check_factorizable(
 
 
 @dataclass(frozen=True)
-class Su11Decomposition:
+class Su11Decomposition(FloatRecord):
     """c_plus E+E+ + c_minus E-E- + c2 H^2 + c1 H + c0 on the generators at
     mu, nu (with their Casimir), which is the action on z^p:
     up(p) z^(p+1) + (diag_base(p) - q) z^p + down(p) z^(p-1), q = accessory_q.
     This is the one closed-form statement of that action; three_term_rows
     reads it off on a sub-grid, for the finite matrix and the series alike.
+    A saved one is read back only when its Casimir matches mu and nu.
     """
 
     mu: float
@@ -128,18 +130,6 @@ class Su11Decomposition:
     c1: float
     c0: float
     casimir: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "nu": self.nu,
-            "c_plus": self.c_plus,
-            "c_minus": self.c_minus,
-            "c2": self.c2,
-            "c1": self.c1,
-            "c0": self.c0,
-            "casimir": self.casimir,
-        }
 
     def up(self, p: float) -> float:
         return self.c_plus * (2.0 * p + 2.0 * self.mu) * (2.0 * p + 1.0 + 2.0 * self.mu)
@@ -168,9 +158,13 @@ class Su11Decomposition:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping[str, float]) -> "Su11Decomposition":
-        values = {f.name: float(doc[f.name]) for f in fields(cls)}
-        require_finite(**values)
-        return cls(**values)
+        dec = super().from_json_dict(doc)
+        expected = casimir_value(dec.mu, dec.nu)
+        if not abs(dec.casimir - expected) <= 1e-9:
+            raise InconsistentCoefficients(
+                f"stored casimir {dec.casimir!r} does not match mu, nu (expected {expected!r})"
+            )
+        return dec
 
 
 def decompose(params: HeunParameters, tol: float = CONDITION_TOL) -> Su11Decomposition:

@@ -55,14 +55,20 @@ def chebyshev_points(lo: float, hi: float, count: int = DEFAULT_SAMPLE_COUNT) ->
                         for k in range(count)))
 
 
+_UNCLEAR = f"off the positive axis or within {SINGULARITY_RADIUS:g} of a singular point"
+
+
+def _clear(z: float, a: float) -> bool:
+    """Whether z may be a sample: positive, and at least SINGULARITY_RADIUS
+    from 1 and from a.  A NaN is not."""
+    return z > 0.0 and abs(z - 1.0) >= SINGULARITY_RADIUS and abs(z - a) >= SINGULARITY_RADIUS
+
+
 def check_sample_points(z_samples: Sequence[float], a: float) -> None:
-    """Reject sample points at or too near the singular points 0, 1, a."""
+    """Reject the sample points that default_sample_points clips."""
     for z in z_samples:
-        if z <= 0.0:
-            raise SamplePointAtSingularity(f"sample z={z} is not on the positive axis")
-        if abs(z - 1.0) < SINGULARITY_RADIUS or abs(z - a) < SINGULARITY_RADIUS:
-            raise SamplePointAtSingularity(
-                f"sample z={z} is within {SINGULARITY_RADIUS:g} of a singular point")
+        if not _clear(z, a):
+            raise SamplePointAtSingularity(f"sample z={z} is {_UNCLEAR}")
 
 
 @dataclass(frozen=True)
@@ -130,6 +136,15 @@ def _worst(residuals: np.ndarray, block: np.ndarray) -> np.ndarray:
     return worst
 
 
+def overflowed(coefficients: Sequence[complex], q: complex, residual: float) -> bool:
+    """Whether a candidate's residual is inf because its terms passed the
+    largest float: its coefficients and q are finite and not all zero, so
+    it is neither non-finite input nor the zero function.  Asked only of a
+    failing candidate scored on at least one sample."""
+    c = np.asarray(coefficients)
+    return residual == math.inf and bool(np.isfinite(q) and np.isfinite(c).all() and c.any())
+
+
 def worst_residuals(coeffs: CanonicalCoefficients, exponents: np.ndarray, block: np.ndarray,
                     q: np.ndarray, z_samples: Sequence[float]) -> np.ndarray:
     """Worst residual over the samples of each column of the block, scored
@@ -190,35 +205,32 @@ def solution_samples(
     4.5e307 on, 4R overflows and no sample is left."""
     lo, hi = domain
     if lo > 0.0:
-        lo, hi = 2.0 * lo, 4.0 * lo
+        if 4.0 * lo == math.inf:
+            samples = Samples()
+            samples.cause = f"the sample domain (2R, 4R) lies past the largest float at R={lo:g}"
+            return samples
+        domain = (2.0 * lo, 4.0 * lo)
     else:
-        hi = min(1.0, abs(a)) if hi == math.inf else 0.5 * hi
-    if not math.isfinite(hi):
-        samples = Samples()
-        samples.cause = ("the sample domain (2R, 4R) lies past the largest float at "
-                         f"R={domain[0]:g}")
-        return samples
-    samples = Samples(default_sample_points(a, (lo, hi), count))
+        domain = None if hi == math.inf else (0.0, 0.5 * hi)
+    samples = Samples(default_sample_points(a, domain, count))
     if not samples:
-        samples.cause = (f"each is off the positive axis or within {SINGULARITY_RADIUS:g} "
-                         "of a singular point")
+        samples.cause = f"each is {_UNCLEAR}"
     return samples
 
 
 def default_sample_points(
     a: float, domain: Tuple[float, float] | None = None, count: int = DEFAULT_SAMPLE_COUNT
 ) -> Tuple[float, ...]:
-    """Chebyshev samples in domain, less every node within SINGULARITY_RADIUS
-    of 1 or a; with no domain, the samples of a terminating eigenfunction.
+    """Chebyshev samples in domain, less every node off the positive axis or
+    within SINGULARITY_RADIUS of 1 or a; with no domain, in (0, min(1,|a|)),
+    where a terminating eigenfunction is sampled.
     The clip matters for a domain that straddles 1 or a, and for the
     eigenfunction's domain (0, |a|) at small |a|: its top node lies about
     1e-3*|a| below |a|, so from |a| = 1e-3 down the clip removes nodes near
     a, and at a = 1e-6 or 1e-7 it removes all 25.  On that empty set the
     worst residual of any candidate is inf."""
-    if domain is None:
-        return solution_samples(a, count=count)
-    return tuple(z for z in chebyshev_points(*domain, count) if z > 0.0
-                 and abs(z - 1.0) >= SINGULARITY_RADIUS and abs(z - a) >= SINGULARITY_RADIUS)
+    lo, hi = (0.0, min(1.0, abs(a))) if domain is None else domain
+    return tuple(z for z in chebyshev_points(lo, hi, count) if _clear(z, a))
 
 
 def ode_residual(

@@ -16,6 +16,12 @@ the k-th sorted value q_k must have exactly k eigenvalues below q_k - tol
 and k + 1 below q_k + tol.  That puts an eigenvalue within tol of every
 q_k, and fails on a missed or doubled eigenvalue as well.
 
+m1_image is the first metamorphic map of the Heun transformation group,
+z = a w (Maier, "The 192 solutions of the Heun equation", Math. Comp. 76
+(2007) 811-843): it keeps the elementary pair {0, inf}, so it maps a
+factorizable operator to one with the same ladder and parities, and each
+accessory value q to q/a.
+
 sum_by_terms is the reference value of sum c z^p: math.fsum of every
 product c * z**p, zeros and underflowed powers included, with a complex
 sum summed as its real and imaginary parts apart.  evaluate_by_terms
@@ -29,6 +35,7 @@ from typing import Callable, Iterable, Sequence, Tuple
 
 import mpmath
 
+from heun_su11.heun_core import HeunParameters, make_parameters
 from heun_su11.spectrum import TridiagonalMatrix
 
 DIGITS = 50
@@ -75,6 +82,13 @@ def check_eigenvalues(matrix: TridiagonalMatrix, qs: Sequence[float], tol: float
                 f"q_{k} = {q!r}: {below} eigenvalues below q - {tol:g} and {above} "
                 f"below q + {tol:g}, expected {k} and {k + 1}"
             )
+
+
+def m1_image(params: HeunParameters) -> HeunParameters:
+    """The parameters of the equation in w = z/a: (a, delta, epsilon, q) ->
+    (1/a, epsilon, delta, q/a), with gamma, alpha and beta kept."""
+    return make_parameters(params.gamma, params.epsilon, params.alpha, params.beta,
+                           1.0 / params.a, params.q / params.a, epsilon=params.delta)
 
 
 def sum_by_terms(terms: Iterable[Tuple[float, complex]], z: float):

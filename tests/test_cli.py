@@ -416,7 +416,8 @@ def test_inconsistent_stored_decomposition(tmp_path, capsys):
     doc["casimir"] += 0.1
     dec_path.write_text(json.dumps(doc))
     assert main(["classify", "--decomposition", str(dec_path)]) == 1
-    capsys.readouterr()
+    assert capsys.readouterr().err == (
+        "heun-su11: stored casimir -1.9 does not match mu, nu (expected -2.0)\n")
 
 
 def test_json_file_output_leaves_stdout_empty(tmp_path, capsys):
@@ -643,6 +644,9 @@ EMITTER_CAUSES = {
                                       "--q", "0.3", "--rep", "nd"],
     "series-non-finite": OVERFLOWING_SERIES,
     "series-over-threshold": ["series", "--preset", "lame", "--q", "0.3", "--kmax", "1"],
+    "eigenpairs-overflowed": ["spectrum", "--preset", "example1", "--a", "1e308"],
+    "series-overflowed": ["series", "--preset", "example1", "--a", "1e300", "--q", "0.3",
+                          "--rep", "nd", "--kmax", "1"],
 }
 
 
@@ -668,6 +672,35 @@ def test_verify_names_failing_pairs_at_its_own_threshold(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
     assert main(["verify", "--solution", "-"]) == 1
     assert capsys.readouterr().err == "heun-su11: 1 of 3 eigenpairs have a residual over 1e-08\n"
+
+
+OVERFLOWED = "overflows the float range, although {} coefficients and q are finite"
+
+
+def test_an_overflowed_residual_names_its_cause(capsys, monkeypatch):
+    # At a = 1e308 the odd pair, z^0.5 with q = 2.5e307, is finite, but its
+    # terms in the polynomial form pass the largest float at every sample,
+    # so its residual is inf.  The document is still printed, with exit 1.
+    assert main(["spectrum", "--preset", "example1", "--a", "1e308"]) == 1
+    captured = capsys.readouterr()
+    overflowed = "1 of 3 eigenpairs have a residual that " + OVERFLOWED.format("their")
+    assert captured.err == f"heun-su11: {overflowed}\n"
+    doc = json.loads(captured.out)
+    odd = doc["eigenpairs"][2]
+    assert (odd["parity"], odd["q"], odd["residual"]) == ("odd", 2.5e307, None)
+    # A pair with a wrong q, or a null coefficient, fails for its own cause.
+    for pair, change in ((0, {"q": 0.0}), (1, {"coefficients": [{"exponent": 0, "value": None}]})):
+        forged = json.loads(captured.out)
+        forged["eigenpairs"][pair].update(change)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(forged)))
+        assert main(["verify", "--solution", "-"]) == 1
+        assert capsys.readouterr().err == (
+            f"heun-su11: 1 of 3 eigenpairs have a residual over 1e-08; {overflowed}\n")
+    assert main(["series", "--preset", "example1", "--a", "1e300", "--q", "0.3", "--rep", "nd",
+                 "--kmax", "1"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["series"]["coefficients"] == [1, 0.6]
+    assert captured.err == "heun-su11: the series residual " + OVERFLOWED.format("its") + "\n"
 
 
 def test_descending_series_past_the_largest_float_names_its_cause(capsys):

@@ -376,7 +376,7 @@ def test_certificate_refuses_a_prefix_on_a_rounding_midpoint(last_bit, tail_sign
     # below the cut's bound, yet it decides the last bit of the full sum, so
     # the certificate must refuse and the full sum must be taken.
     sol = planted_series(last_bit, tail_sign)
-    assert _cut(sol.coefficients, 0.0, 1, 0.5, 1001)[0] == 2
+    assert _cut(sol, 0.0, 1, 0.5, 1001)[0] == 2
     value, _ = evaluate_series(sol, 0.5)
     assert value == 1.0 + (last_bit + (tail_sign > 0.0)) * 2.0**-52
     assert _outcome(evaluate_series, sol, 0.5) == _outcome(evaluate_by_terms, sol, 0.5)
@@ -412,6 +412,31 @@ def test_cut_is_taken_on_a_decaying_series(monkeypatch):
     calls = counted_pow(monkeypatch)
     assert _outcome(evaluate_series, sol, 0.5) == expected
     assert len(calls) < 200
+
+
+def test_each_series_computes_its_magnitudes_once(monkeypatch):
+    # Two K=1000 series evaluated alternately, point by point: each computes
+    # its log2|b_m| once, on first use, and the values equal those of the
+    # same series evaluated one after the other, bit for bit.
+    def pair():
+        return [preset_series(preset, 2.0, q, RepresentationClass.POSITIVE_DISCRETE, "even", 1000)
+                for preset, q in (("lame", 0.7), ("example1", 0.3))]
+
+    points = [0.05 + 0.9 * k / 25 for k in range(25)]
+    sequential = [_outcome(evaluate_series, sol, z) for sol in pair() for z in points]
+    calls = []
+    real_log2 = np.log2
+
+    def counting(x, *args, **kwargs):
+        calls.append(len(x))
+        return real_log2(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "log2", counting)
+    first, second = pair()
+    alternating = [(_outcome(evaluate_series, first, z), _outcome(evaluate_series, second, z))
+                   for z in points]
+    assert calls == [1001, 1001]
+    assert [outcome for column in zip(*alternating) for outcome in column] == sequential
 
 
 def test_recurrence_breakdown_on_vanishing_divisor():

@@ -30,7 +30,7 @@ from heun_su11.series_engine import evaluate_series
 from heun_su11.spectrum import TridiagonalMatrix, build_matrix, solve_spectrum
 from heun_su11.su11_algebra import decompose, rebuild_coefficients
 from heun_su11.verifier import default_sample_points, residual_block, residual_for_coefficients
-from oracle import check_eigenvalues, sturm_counter
+from oracle import check_eigenvalues, m1_image, sturm_counter
 
 
 def example1(a, q=0.0):
@@ -570,3 +570,49 @@ def test_planted_coefficient_fails_its_column_alone():
             assert before[j].max() <= 1e-10 < 1e-8 < after[j].max()
             others = [k for k in range(block.shape[1]) if k != j]
             assert bits(after[others].ravel()) == bits(before[others].ravel())
+
+
+# M1 distances, over max(1, max|q|), at delta = -1/2: at most 6.0e-15 for
+# a in [1e-5, 3] and n up to 128, and 3.8e-10 for a in [-3, -0.5] and n up
+# to 32.  From n = 64 on, the dense solver's values at a < 0 drift from
+# 3e-7 to 9e-2 (ROADMAP item 2), so the negative cases stop at n = 32.
+M1_TOLERANCE = {True: 1e-13, False: 1e-8}
+
+
+def m1_distance(n, gamma, a):
+    """The largest distance from a q of the ladder of length n at a to the
+    nearest q of its M1 image times a, or back, on either parity sub-grid,
+    over max(1, max|q|)."""
+    params = ladder_params(n, gamma, a, delta=-0.5)
+    spectra = []
+    for p in (params, m1_image(params)):
+        dec = decompose(p)
+        spectra.append({sub.parity: sub.q for sub in solve_spectrum(dec, finite_rep(dec)).subgrids})
+    here, image = spectra
+    assert here.keys() == image.keys()
+    scale = max(1.0, *(np.abs(q).max() for q in here.values()))
+    distance = 0.0
+    for parity, q in here.items():
+        gaps = np.abs(q[:, None] - a * image[parity][None, :])
+        distance = max(distance, gaps.min(axis=1).max(), gaps.min(axis=0).max())
+    return distance / scale
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.5])
+@pytest.mark.parametrize("a", [3.0, 1.7, 0.3, 1e-5, -3.0, -0.5])
+def test_m1_maps_the_spectrum_to_its_image(a, gamma):
+    # z = a w maps the ladder at a onto the ladder at 1/a, with every
+    # eigenvalue q onto q/a, on both parity sub-grids.
+    for n in (1, 2, 8, 16, 32) + ((64, 128) if a > 0 else ()):
+        assert m1_distance(n, gamma, a) <= M1_TOLERANCE[a > 0], (n, gamma, a)
+
+
+@pytest.mark.sweep
+def test_m1_maps_the_spectrum_at_drawn_a(seed):
+    # Non-dyadic a, log-uniform in [1e-5, 3] and in [-3, -0.5].
+    rng = random.Random(f"m1-sweep-{seed}")
+    for a, top in ((math.exp(rng.uniform(math.log(1e-5), math.log(3.0))), 128),
+                   (-math.exp(rng.uniform(math.log(0.5), math.log(3.0))), 32)):
+        for gamma in (0.5, 1.5):
+            for n in (rng.randint(1, top), top):
+                assert m1_distance(n, gamma, a) <= M1_TOLERANCE[a > 0], (n, gamma, a)

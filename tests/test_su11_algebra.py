@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from heun_su11.errors import NotFactorizable
+from heun_su11.errors import InconsistentCoefficients, NotFactorizable, ValidationError
 from heun_su11.heun_core import (
     canonical_coefficients,
     lame_parameters,
@@ -13,11 +13,13 @@ from heun_su11.heun_core import (
 )
 from heun_su11.monomials import MonomialSum
 from heun_su11.su11_algebra import (
+    Su11Decomposition,
     algebra_identity_check,
     apply_lowering,
     apply_quadratic,
     apply_raising,
     apply_weight,
+    casimir_value,
     check_factorizable,
     decompose,
     rebuild_coefficients,
@@ -264,3 +266,17 @@ def test_reconstruction_check_random_polynomials():
 def test_decomposition_json_roundtrip():
     dec = decompose(make_parameters(**EXAMPLE2))
     assert type(dec).from_json_dict(dec.to_json_dict()) == dec
+
+
+def test_decomposition_reader_checks_the_casimir():
+    # The record checks its own invariant, in the library as in the CLI: a
+    # stored Casimir that disagrees with mu and nu is refused.
+    doc = dict(mu=-0.5, nu=0.0, c_plus=0.25, c_minus=0.5, c2=-0.75, c1=0.0, c0=0.0,
+               casimir=casimir_value(-0.5, 0.0))
+    assert Su11Decomposition.from_json_dict(doc).to_json_dict() == doc
+    for casimir in (123, doc["casimir"] + 2e-9):
+        with pytest.raises(InconsistentCoefficients, match=f"stored casimir {float(casimir)!r} "
+                           r"does not match mu, nu \(expected -0.75\)"):
+            Su11Decomposition.from_json_dict({**doc, "casimir": casimir})
+    with pytest.raises(ValidationError, match="non-finite input: c1=nan"):
+        Su11Decomposition.from_json_dict({**doc, "c1": "nan"})

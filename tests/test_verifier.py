@@ -149,6 +149,26 @@ def test_residual_rejects_bad_sample_points():
         residual_for_coefficients(coeffs, MonomialSum.monomial(0.0), [1.0])
 
 
+def accepted(z, a):
+    try:
+        check_sample_points([z], a)
+    except SamplePointAtSingularity:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("a", [2.0, 0.5, 2e-6, 1.0 + 3e-6])
+def test_check_sample_points_rejects_exactly_the_clipped_nodes(a):
+    # One clearance rule: check_sample_points refuses a node exactly when
+    # default_sample_points drops it.  Nodes packed around 0, 1 and a fall
+    # on both sides of it; the nodes of a domain with a NaN end are NaN.
+    for domain in [(-3e-6, 3e-6), (1.0 - 3e-6, 1.0 + 3e-6), (a - 3e-6, a + 3e-6), (0.0, math.nan)]:
+        nodes = chebyshev_points(*domain, 101)
+        kept = default_sample_points(a, domain, 101)
+        assert kept == tuple(z for z in nodes if accepted(z, a))
+        assert 0 < len(kept) < len(nodes) or math.isnan(domain[1]) and not kept
+
+
 def test_default_sample_points_domains():
     pts = default_sample_points(4.0)
     assert len(pts) == DEFAULT_SAMPLE_COUNT

@@ -220,9 +220,15 @@ def _gate(residuals: list, candidates, samples, threshold: float, series: bool =
         blown = sum(overflowed(c, q, r) for (_, c, q), r in zip(candidates, residuals))
         overflow = "overflows the float range, although {} coefficients and q are finite"
         if not series:
+            nonfinite = sum(not r <= threshold
+                            and (not cmath.isfinite(q) or _first_nonfinite(c) is not None)
+                            for (_, c, q), r in zip(candidates, residuals))
             n, causes = len(residuals), []
-            if failed > blown:
-                causes.append(f"{failed - blown} of {n} eigenpairs have a residual over {threshold:g}")
+            if nonfinite:
+                causes.append(f"{nonfinite} of {n} eigenpairs have non-finite coefficients or q")
+            if failed > blown + nonfinite:
+                causes.append(f"{failed - blown - nonfinite} of {n} eigenpairs have a residual "
+                              f"over {threshold:g}")
             if blown:
                 causes.append(f"{blown} of {n} eigenpairs have a residual that " + overflow.format("their"))
             cause = "; ".join(causes)
@@ -315,7 +321,7 @@ def _score_series(coeffs: CanonicalCoefficients, sol) -> tuple:
     the samples that scored it."""
     from .verifier import solution_samples, worst_by_exponents
     samples = solution_samples(coeffs.a2, sol.domain)
-    candidates = [([sol.exponent(m) for m in range(len(sol.coefficients))], sol.coefficients, sol.q)]
+    candidates = [(sol.exponents.tolist(), sol.coefficients, sol.q)]
     return worst_by_exponents(coeffs, candidates, samples), candidates, samples
 
 

@@ -73,8 +73,10 @@ class SeriesSolution:
         with np.errstate(divide="ignore"):
             return np.log2(np.abs(b))
 
-    def exponent(self, m: int) -> float:
-        return self.p0 + self.step * m
+    @cached_property
+    def exponents(self):
+        """p0 + step*m for every term m as a float64 array; computed on first use."""
+        return float(self.p0) + self.step * np.arange(len(self.coefficients))
 
     def as_monomial_sum(self) -> MonomialSum:
         step = 2 * self.step
@@ -178,19 +180,19 @@ def series_solution(
             "(grid and decomposition disagree)"
         )
 
+    if 0.0 in outward[1:]:
+        m = outward.index(0.0, 1)
+        raise RecurrenceBreakdown(
+            f"leading divisor vanished at step {m}; the ladder "
+            "truncates and the forward recurrence cannot continue",
+            step=m,
+        )
     coeffs: List[float] = [1.0]
-    b_prev = 0.0
-    b_here = 1.0
-    for m in range(1, truncation + 1):
-        divisor = outward[m]
-        if divisor == 0.0:
-            raise RecurrenceBreakdown(
-                f"leading divisor vanished at step {m}; the ladder "
-                "truncates and the forward recurrence cannot continue",
-                step=m,
-            )
-        b_next = -(inward[m] * b_prev + (diag[m] - q) * b_here) / divisor
-        coeffs.append(b_next)
+    append = coeffs.append
+    b_prev, b_here = 0.0, 1.0
+    for w_in, w_diag, divisor in zip(inward[1:], diag[1:], outward[1:]):
+        b_next = -(w_in * b_prev + (w_diag - q) * b_here) / divisor
+        append(b_next)
         b_prev, b_here = b_here, b_next
     return SeriesSolution(
         p0=p0,
@@ -230,7 +232,7 @@ _CUT_SLACK = 2.0 + 2.0**-17
 _CUT_TINY = 2.0**-1018
 
 
-def _cut(sol: SeriesSolution, p0: float, step: int, z: float, live: int) -> Tuple[int, float]:
+def _cut(sol: SeriesSolution, p0: float, z: float, live: int) -> Tuple[int, float]:
     """(n, D): the shortest prefix n of the live terms whose rest is bounded
     by D < _CUT_SCALE times the largest term; (live, 0.0) when there is none."""
     logs = sol.log2_magnitudes if live > _CUT_MIN_LIVE else None
@@ -238,7 +240,7 @@ def _cut(sol: SeriesSolution, p0: float, step: int, z: float, live: int) -> Tupl
         return live, 0.0
     logs = logs[:live]
     with np.errstate(all="ignore"):
-        exponents = logs + (p0 + step * np.arange(live)) * math.log2(z)
+        exponents = logs + sol.exponents[:live] * math.log2(z)
         magnitudes = np.exp2(np.maximum(exponents, logs - 1074.0))
     largest = float(magnitudes.max())
     if not 0.0 < largest < math.inf:
@@ -252,14 +254,18 @@ def _cut(sol: SeriesSolution, p0: float, step: int, z: float, live: int) -> Tupl
 
 def _certified_sum(terms: List[float], bound: float):
     """The rounded sum of terms plus any rest of magnitude at most bound:
-    fsum(terms + [bound]) when it equals fsum(terms + [-bound]) and is finite
-    and non-zero, else None."""
+    fsum(terms + [+-bound]), pushed onto terms in place and popped, when the
+    two agree and are finite and non-zero, else None."""
+    terms.append(bound)
     try:
-        value = math.fsum([*terms, bound])
-        if value == math.fsum([*terms, -bound]) and value != 0.0 and math.isfinite(value):
+        value = math.fsum(terms)
+        terms[-1] = -bound
+        if value == math.fsum(terms) and value != 0.0 and math.isfinite(value):
             return value
     except OverflowError:
         pass
+    finally:
+        terms.pop()
     return None
 
 
@@ -268,12 +274,13 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
     term ratios; the bound is infinite when the terms are not decaying.
 
     The value is math.fsum of the terms b_m * z^p in order, with z^p from
-    libm's pow (math.pow and float ** call it alike): the correctly rounded
-    sum of those products.  Powers past _live_terms are exactly 0.0 and are
-    not computed.  Such a term is a signed zero for a finite b_m, which fsum
-    ignores, or a NaN for a non-finite one, which fsum folds into the NaN it
-    returns; so only the NaNs enter, in order, and the value equals the full
-    sum bit for bit, the NaN's sign included.  Complex terms, which fsum
+    libm's pow (math.pow and float ** call it alike), mapped in C over a
+    memoryview of sol.exponents: the correctly rounded sum of those products.
+    Powers past _live_terms are exactly 0.0 and are not computed.  Such a
+    term is a signed zero for a finite b_m, which fsum ignores, or a NaN for
+    a non-finite one, which fsum folds into the NaN it returns; so only the
+    NaNs enter, in order, and the value equals the full sum bit for bit, the
+    NaN's sign included.  Complex terms, which fsum
     refuses, are summed as their real and imaginary parts, each with fsum.
 
     Of a long real series only the terms that can still move the rounded
@@ -318,12 +325,13 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
     count = len(coefficients)
     step = sol.step
     live = _live_terms(p0, step, z, count)
-    cut, bound = _cut(sol, p0, step, z, live)
-    zp = [math.pow(z, p0 + step * m) for m in range(cut)]
+    cut, bound = _cut(sol, p0, z, live)
+    exponents = memoryview(sol.exponents)
+    zp = list(map(math.pow, repeat(z, cut), exponents))
     terms = list(map(mul, coefficients, zp))
     value = _certified_sum(terms, bound) if cut < live else None
     if value is None:
-        zp += [math.pow(z, p0 + step * m) for m in range(cut, live)]
+        zp += map(math.pow, repeat(z, live - cut), exponents[cut:])
         terms += map(mul, coefficients[cut:live], zp[cut:])
         # filter(None, ...) drops the signed zeros and keeps the NaNs.
         terms.extend(filter(None, map(mul, coefficients[live:], repeat(0.0))))
@@ -332,7 +340,7 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
         except TypeError:
             value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     # The ratios of the last six term magnitudes give the tail bound.
-    powers = [zp[m] if m < len(zp) else math.pow(z, p0 + step * m) if m < live else 0.0
+    powers = [zp[m] if m < len(zp) else math.pow(z, exponents[m]) if m < live else 0.0
               for m in range(max(0, count - 6), count)]
     tail = list(map(mul, map(abs, coefficients[-6:]), powers))
     last = tail[-1]

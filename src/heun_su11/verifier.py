@@ -202,10 +202,11 @@ def solution_samples(
     (0, min(1,|a|)) for a terminating eigenfunction on (0, inf), (0, R/2)
     for an ascending series on (0, R) and (2R, 4R) for a descending one on
     (R, inf), less the nodes default_sample_points clips.  From R of about
-    4.5e307 on, 4R overflows and no sample is left."""
+    3e307 on, 2R + 4R, the sum that chebyshev_points forms, overflows and
+    no sample is left."""
     lo, hi = domain
     if lo > 0.0:
-        if 4.0 * lo == math.inf:
+        if 2.0 * lo + 4.0 * lo == math.inf:
             samples = Samples()
             samples.cause = f"the sample domain (2R, 4R) lies past the largest float at R={lo:g}"
             return samples

@@ -101,8 +101,9 @@ def sum_by_terms(terms: Iterable[Tuple[float, complex]], z: float):
 
 
 def series_terms(sol) -> list:
-    """The (exponent, coefficient) pairs of a SeriesSolution."""
-    return [(sol.exponent(m), b) for m, b in enumerate(sol.coefficients)]
+    """The (exponent, coefficient) pairs of a SeriesSolution, with each
+    exponent p0 + step*m computed here, not read from the series' cache."""
+    return [(sol.p0 + sol.step * m, b) for m, b in enumerate(sol.coefficients)]
 
 
 def evaluate_by_terms(sol, z: float):

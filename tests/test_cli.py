@@ -688,14 +688,16 @@ def test_an_overflowed_residual_names_its_cause(capsys, monkeypatch):
     doc = json.loads(captured.out)
     odd = doc["eigenpairs"][2]
     assert (odd["parity"], odd["q"], odd["residual"]) == ("odd", 2.5e307, None)
-    # A pair with a wrong q, or a null coefficient, fails for its own cause.
-    for pair, change in ((0, {"q": 0.0}), (1, {"coefficients": [{"exponent": 0, "value": None}]})):
+    # A pair with a wrong q, or a null coefficient or q, fails for its own cause.
+    null = {"coefficients": [{"exponent": 0, "value": None}]}
+    for pair, change, cause in ((0, {"q": 0.0}, "a residual over 1e-08"),
+                                (1, null, "non-finite coefficients or q"),
+                                (1, {"q": None}, "non-finite coefficients or q")):
         forged = json.loads(captured.out)
         forged["eigenpairs"][pair].update(change)
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(forged)))
         assert main(["verify", "--solution", "-"]) == 1
-        assert capsys.readouterr().err == (
-            f"heun-su11: 1 of 3 eigenpairs have a residual over 1e-08; {overflowed}\n")
+        assert capsys.readouterr().err == f"heun-su11: 1 of 3 eigenpairs have {cause}; {overflowed}\n"
     assert main(["series", "--preset", "example1", "--a", "1e300", "--q", "0.3", "--rep", "nd",
                  "--kmax", "1"]) == 1
     captured = capsys.readouterr()
@@ -704,8 +706,9 @@ def test_an_overflowed_residual_names_its_cause(capsys, monkeypatch):
 
 
 def test_descending_series_past_the_largest_float_names_its_cause(capsys):
-    # (2R, 4R) = (inf, inf) at R = 1e308, and 4R = inf already at R = 5e307.
-    for a, shown in (("1e308", "1e+308"), ("5e307", "5e+307")):
+    # (2R, 4R) = (inf, inf) at R = 1e308, 4R = inf already at R = 5e307, and
+    # at R = 4e307 the nodes' midpoint 2R + 4R overflows.
+    for a, shown in (("1e308", "1e+308"), ("5e307", "5e+307"), ("4e307", "4e+307")):
         assert main(["series", "--preset", "example1", "--a", a, "--q", "0.3", "--rep", "nd"]) == 1
         captured = capsys.readouterr()
         assert json.loads(captured.out)["series"]["direction"] == "descending"

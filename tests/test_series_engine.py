@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import random
 import struct
 
@@ -40,7 +41,7 @@ def recurrence_residual(dec, sol):
     step = 1.0 if sol.direction == ASCENDING else -1.0
     worst = 0.0
     for m in range(len(b) - 1):
-        inward, diag, outward = dec.three_term_rows(sol.exponent(m), step)
+        inward, diag, outward = dec.three_term_rows(sol.p0 + step * m, step)
         t_in = inward * (b[m - 1] if m >= 1 else 0.0)
         t_mid = (diag - sol.q) * b[m]
         t_out = outward * b[m + 1]
@@ -231,10 +232,12 @@ def test_tail_estimate_infinite_for_growing_terms():
 
 
 def _outcome(function, *args):
-    """The bit patterns of (value, tail estimate), which tell -nan from nan,
-    or the repr of the ValueError raised."""
+    """The bit patterns of (value, tail estimate), which tell -nan from nan
+    (a complex value's as its real and imaginary parts), or the repr of the
+    ValueError raised."""
     try:
-        return tuple(struct.pack("d", x) for x in function(*args))
+        return tuple(struct.pack("dd", x.real, x.imag) if isinstance(x, complex) else
+                     struct.pack("d", x) for x in function(*args))
     except ValueError as exc:
         return repr(exc)
 
@@ -359,6 +362,71 @@ def test_long_series_sweep_equals_the_reference(seed):
                             ), (a, cls, parity, K, q, z)
 
 
+@pytest.mark.sweep
+def test_cached_exponents_equal_the_reference_cold_warm_and_unpickled(seed):
+    # Each series builds its exponents array on first use and every later
+    # evaluation reads it.  Series on the cut path (long, finite, real), the
+    # full path (short, or complex) and the non-finite path (an overflowed
+    # descending series), plus two built directly with an int and a
+    # np.float64 p0, are evaluated in turn, point by point: cold, warm, and
+    # as copies pickled before and after their first use.  Every outcome
+    # must equal the term-by-term reference, whose exponents are computed
+    # apart from the cache, bit for bit.
+    rng = random.Random(f"cached-exponents-{seed}")
+    POS, NEG = RepresentationClass.POSITIVE_DISCRETE, RepresentationClass.NEGATIVE_DISCRETE
+    preset = rng.choice(sorted(PRESETS))
+    q = round(rng.uniform(-1.0, 1.0), 6)
+    long_real = preset_series(preset, 2.0, q, POS, rng.choice(("even", "odd")), 1000)
+    overflowed = preset_series(preset, 4.0, q, NEG, rng.choice(("even", "odd")), 1000)
+    assert not all(map(math.isfinite, overflowed.coefficients))
+    short = preset_series(preset, 2.0, q, NEG, "even", 60)
+    complex_ = SeriesSolution(p0=0.25, direction=ASCENDING, parity="even", q=0.0,
+                              coefficients=tuple(b * (1.0 - 0.5j) for b in long_real.coefficients),
+                              domain=(0.0, 1.0))
+    int_p0 = SeriesSolution(p0=1, direction=ASCENDING, parity="even", q=q,
+                            coefficients=long_real.coefficients, domain=long_real.domain)
+    numpy_p0 = SeriesSolution(p0=np.float64(-0.5), direction=DESCENDING, parity="odd", q=q,
+                              coefficients=short.coefficients, domain=short.domain)
+    series = [long_real, overflowed, short, complex_, int_p0, numpy_p0]
+
+    def points(sol):
+        lo, hi = sol.domain
+        top = hi if math.isfinite(hi) else 4.0 * lo
+        return [lo + rng.uniform(0.001, 0.999) * (top - lo) for _ in range(3)]
+
+    zs = [points(sol) for sol in series]
+    expected = [[_outcome(evaluate_by_terms, sol, z) for z in pts] for sol, pts in zip(series, zs)]
+    pickled_cold = [pickle.loads(pickle.dumps(sol)) for sol in series]
+    for copies in (series, series, [pickle.loads(pickle.dumps(sol)) for sol in series],
+                   pickled_cold):
+        outcomes = [[None] * 3 for _ in copies]
+        for k in range(3):
+            for i, sol in enumerate(copies):
+                outcomes[i][k] = _outcome(evaluate_series, sol, zs[i][k])
+        assert outcomes == expected
+    assert all(sol.exponents.dtype == np.float64 for sol in series)
+
+
+def test_a_zero_divisor_names_its_step():
+    # A -0.0 divisor at step 4, after a NaN one at step 2 that does not stop
+    # the recurrence, raises at step 4; the rows are forged after the base check.
+    dec, by_class = lame_setup(2.0, 0.7)
+
+    class Forged(Su11Decomposition):
+        def three_term_rows(self, p, step):
+            inward, diag, outward = super().three_term_rows(p, step)
+            outward = np.array(outward)
+            outward[[2, 4, 6]] = [math.nan, -0.0, 0.0]
+            return inward, diag, outward
+
+    forged = Forged(**{f: getattr(dec, f) for f in dec.__dataclass_fields__})
+    with pytest.raises(RecurrenceBreakdown) as excinfo:
+        series_solution(forged, by_class[RepresentationClass.POSITIVE_DISCRETE], "even", 0.7)
+    assert excinfo.value.step == 4
+    assert str(excinfo.value) == ("leading divisor vanished at step 4; the ladder truncates "
+                                  "and the forward recurrence cannot continue")
+
+
 def planted_series(last_bit, tail_sign):
     """A K=1000 ascending series whose first two terms at z = 1/2 sum to
     1 + last_bit * 2^-52 + 2^-53, a rounding midpoint, and whose terms from
@@ -376,7 +444,7 @@ def test_certificate_refuses_a_prefix_on_a_rounding_midpoint(last_bit, tail_sign
     # below the cut's bound, yet it decides the last bit of the full sum, so
     # the certificate must refuse and the full sum must be taken.
     sol = planted_series(last_bit, tail_sign)
-    assert _cut(sol, 0.0, 1, 0.5, 1001)[0] == 2
+    assert _cut(sol, 0.0, 0.5, 1001)[0] == 2
     value, _ = evaluate_series(sol, 0.5)
     assert value == 1.0 + (last_bit + (tail_sign > 0.0)) * 2.0**-52
     assert _outcome(evaluate_series, sol, 0.5) == _outcome(evaluate_by_terms, sol, 0.5)
@@ -508,8 +576,8 @@ def test_exponents_and_monomial_view():
     dec, by_class = lame_setup(2.0, 1.0)
     asc = series_solution(dec, by_class[RepresentationClass.POSITIVE_DISCRETE], "odd", 1.0)
     desc = series_solution(dec, by_class[RepresentationClass.NEGATIVE_DISCRETE], "odd", 1.0)
-    assert asc.exponent(3) == 3.5
-    assert desc.exponent(3) == -3.5
+    assert asc.exponents[3] == 3.5
+    assert desc.exponents[3] == -3.5
     terms = dict(asc.as_monomial_sum().terms())
     assert terms[0.5] == 1.0
     assert terms[1.5] == asc.coefficients[1]

@@ -262,10 +262,13 @@ def test_solution_samples_equal_the_old_domains_bit_for_bit(kind, a):
 
 
 def test_descending_samples_past_the_largest_float_name_their_cause():
-    # 4R overflows from R of about 4.5e307 on; 2R does from about 9e307 on.
-    for r in (5e307, 1e308):
+    # The nodes' midpoint sums 2R + 4R = 6R, which overflows from R of about
+    # 3e307 on (below that R every node is finite); 4R does from about
+    # 4.5e307 on, 2R from about 9e307 on.
+    for r in (3e307, 4e307, 5e307, 1e308):
         samples = solution_samples(r, convergence_domain(r, DESCENDING))
         assert samples == ()
         assert samples.cause == (
             f"the sample domain (2R, 4R) lies past the largest float at R={r:g}")
-    assert solution_samples(4e307, convergence_domain(4e307, DESCENDING))
+    samples = solution_samples(2.99e307, convergence_domain(2.99e307, DESCENDING))
+    assert len(samples) == 25 and all(map(math.isfinite, samples))

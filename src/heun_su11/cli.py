@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import re
 import sys
 from typing import Sequence
@@ -311,8 +312,11 @@ def _cmd_series(args) -> int:
     if args.csv:
         lo, hi = sol.domain
         points = chebyshev_points(lo, hi if sol.direction == ASCENDING else 4.0 * lo, args.samples)
-        comment = f"q={_num_str(sol.q)} direction={sol.direction} parity={sol.parity}"
-        _write_csv_blocks(args.csv, [(comment, sol, points)])
+        # Nodes past the largest float are inf: no CSV is written, and the
+        # gate names the cause, since the sample domain (2R, 4R) is past it too.
+        if math.isfinite(points[-1]):
+            comment = f"q={_num_str(sol.q)} direction={sol.direction} parity={sol.parity}"
+            _write_csv_blocks(args.csv, [(comment, sol, points)])
     return _gate(*_score_series(coeffs, sol), RESIDUAL_THRESHOLD, series=True)
 
 

@@ -22,8 +22,7 @@ monomial sums term by term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Mapping, Tuple
+from typing import Mapping, NamedTuple, Tuple
 
 from .errors import ComplexExponents, DegenerateSingularity, FuchsianViolation, ValidationError
 from .monomials import MonomialSum
@@ -31,8 +30,7 @@ from .monomials import MonomialSum
 FUCHSIAN_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class HeunParameters:
+class HeunParameters(NamedTuple):
     """Validated real Heun parameters; build via make_parameters."""
 
     gamma: float
@@ -44,27 +42,20 @@ class HeunParameters:
     q: float
 
     def with_accessory(self, q: float) -> "HeunParameters":
-        return replace(self, q=float(q))
+        return self._replace(q=float(q))
 
 
-class FloatRecord:
-    """A dataclass of floats, written as and read from a JSON object keyed
-    by its field names; the reader refuses a non-finite value."""
-
-    def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_json_dict(cls, doc: Mapping[str, float]):
-        values = {f.name: float(doc[f.name]) for f in fields(cls)}
-        require_finite(**values)
-        return cls(**values)
+def read_floats(cls, doc: Mapping[str, float]):
+    """The NamedTuple of floats cls from a JSON object keyed by its field
+    names (the object its _asdict writes); a non-finite value is refused."""
+    values = {name: float(doc[name]) for name in cls._fields}
+    require_finite(**values)
+    return cls(**values)
 
 
-@dataclass(frozen=True)
-class CanonicalCoefficients(FloatRecord):
+class CanonicalCoefficients(NamedTuple):
     """Coefficients of f1 = a0 z^3 + a1 z^2 + a2 z, f2 = a3 z^2 + a4 z + a5,
-    f3 = a6 z + a7."""
+    f3 = a6 z + a7, in that order."""
 
     a0: float
     a1: float
@@ -75,13 +66,15 @@ class CanonicalCoefficients(FloatRecord):
     a6: float
     a7: float
 
-    def as_tuple(self) -> Tuple[float, ...]:
-        return (self.a0, self.a1, self.a2, self.a3, self.a4, self.a5, self.a6, self.a7)
+    def to_json_dict(self) -> dict:
+        return self._asdict()
+
+    from_json_dict = classmethod(read_floats)
 
     def with_accessory(self, q: complex | float) -> "CanonicalCoefficients":
         # Complex q arises for a < 0 spectra; keep a7 real when q is real.
         qc = complex(q)
-        return replace(self, a7=-qc if qc.imag != 0.0 else -qc.real)
+        return self._replace(a7=-qc if qc.imag != 0.0 else -qc.real)
 
 
 def require_finite(**values: float) -> None:

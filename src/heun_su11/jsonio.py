@@ -25,11 +25,10 @@ helper that turns those objects back into numbers and null into NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
-from typing import Any, Tuple
+from typing import Any, NamedTuple, Tuple
 
 SLOT = object()  # a float leaf of a TemplatedList skeleton
 _COMPLEX = {"im": SLOT, "re": SLOT}
@@ -37,8 +36,7 @@ _ZERO = (0.0).__add__  # 0.0 + x is x, except that -0.0 becomes 0.0
 _IMAG, _REAL = attrgetter("imag"), attrgetter("real")
 
 
-@dataclass(frozen=True)
-class TemplatedList:
+class TemplatedList(NamedTuple):
     """A JSON list given as runs (skeleton, count, leaves).  A run stands
     for count >= 1 items, each printed as its skeleton would be with every
     SLOT replaced by the next of the leaves, in the order the writer meets
@@ -91,7 +89,8 @@ def _filled_list(items, pad: str) -> str | None:
 
 
 def _write(obj: Any, out, pad: str) -> None:
-    # No object is two of these types but bool and int, so floats can go first.
+    # Only a bool (an int too) and a TemplatedList (a tuple too) are two of
+    # these types, so floats can go first; each goes before its other type.
     inner = pad + "  "
     if isinstance(obj, float):
         out(_float_text(obj))
@@ -106,6 +105,8 @@ def _write(obj: Any, out, pad: str) -> None:
             _write(obj[key], out, inner)
         if obj:
             out("\n" + pad + "}")
+    elif isinstance(obj, TemplatedList):
+        out(_list_text(obj.runs, pad))
     elif isinstance(obj, (list, tuple)):
         text = _filled_list(obj, pad) if obj else "[]"
         if text is None:
@@ -122,8 +123,6 @@ def _write(obj: Any, out, pad: str) -> None:
         out(_quote(obj))
     elif obj is None:
         out("null")
-    elif isinstance(obj, TemplatedList):
-        out(_list_text(obj.runs, pad))
     elif obj is SLOT:
         out("\0")
     else:

@@ -9,8 +9,7 @@ A MonomialSum is symbolic; series_engine.evaluate_series is the one evaluator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Tuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Tuple
 
 LATTICE_TOL = 1e-9
 
@@ -32,8 +31,7 @@ def _lattice_offset(exponent: float, base: float) -> int:
     return int(k)
 
 
-@dataclass(frozen=True)
-class MonomialSum:
+class MonomialSum(NamedTuple):
     """sum_k coeffs[k] * z**(base + k/2).
 
     Treated as immutable: all arithmetic returns new instances.

@@ -12,9 +12,8 @@ every ladder splits into an even and an odd sub-ladder that it preserves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .errors import UnsupportedClass
 from .su11_algebra import Su11Decomposition
@@ -30,8 +29,7 @@ class RepresentationClass(Enum):
     FINITE_DIMENSIONAL = "finite_dimensional"
 
 
-@dataclass(frozen=True)
-class ExponentGrid:
+class ExponentGrid(NamedTuple):
     """Arithmetic grid of exponents base, base+step, ...; size None = infinite."""
 
     base: float
@@ -47,8 +45,7 @@ class ExponentGrid:
         return tuple(self.exponent(m) for m in range(self.size))
 
 
-@dataclass(frozen=True)
-class RepresentationDescriptor:
+class RepresentationDescriptor(NamedTuple):
     """One admissible representation class for a decomposition."""
 
     rep_class: RepresentationClass
@@ -77,8 +74,7 @@ class RepresentationDescriptor:
         return doc
 
 
-@dataclass(frozen=True)
-class SubspaceSplit:
+class SubspaceSplit(NamedTuple):
     """Even sub-grid (contains the ladder base) and odd sub-grid (offset 1/2)."""
 
     even: ExponentGrid

@@ -17,7 +17,6 @@ stated domain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import mul
@@ -42,17 +41,20 @@ ASCENDING = "ascending"
 DESCENDING = "descending"
 
 
-@dataclass(frozen=True)
-class SeriesSolution:
-    """Truncated series y = sum_m coefficients[m] * z^(p0 +/- m); a finite
-    eigenfunction is a terminating ascending one on (0, inf), maybe complex."""
-
+class _SeriesFields(NamedTuple):
     p0: float
     direction: str
     parity: str
     q: complex
     coefficients: Tuple[complex, ...]
     domain: Tuple[float, float]
+
+
+class SeriesSolution(_SeriesFields):
+    """Truncated series y = sum_m coefficients[m] * z^(p0 +/- m); a finite
+    eigenfunction is a terminating ascending one on (0, inf), maybe complex.
+    A subclass of its fields, so that it has a __dict__ to cache its arrays
+    in: equality ignores the cache, and a pickle keeps it."""
 
     @property
     def truncation(self) -> int:
@@ -270,8 +272,10 @@ def _certified_sum(terms: List[float], bound: float):
 
 
 def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
-    """Compensated-sum value plus a geometric tail bound from the last six
-    term ratios; the bound is infinite when the terms are not decaying.
+    """Compensated-sum value plus a geometric tail estimate from the last
+    six term ratios; the estimate is infinite when the terms are not
+    decaying.  It is not a bound: it can fall below the true truncation
+    error, and often does when the ratios have not settled.
 
     The value is math.fsum of the terms b_m * z^p in order, with z^p from
     libm's pow (math.pow and float ** call it alike), mapped in C over a
@@ -294,7 +298,7 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
     within D of the prefix, cancellation, overflow or an fsum that raises)
     the rest of the live terms is computed and everything is summed as
     above; complex or non-finite coefficients and short sums take that
-    path from the start.  The tail bound reads the last six powers exactly.
+    path from the start.  The tail estimate reads the last six powers exactly.
 
     D bounds the rest as follows, with u = 2^-53 and, for a dropped term
     T_m = fl(b_m pow(z, p)), l = log2|b_m| and E = l + p log2(z):
@@ -339,7 +343,7 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
             value = math.fsum(terms)
         except TypeError:
             value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-    # The ratios of the last six term magnitudes give the tail bound.
+    # The ratios of the last six term magnitudes give the tail estimate.
     powers = [zp[m] if m < len(zp) else math.pow(z, exponents[m]) if m < live else 0.0
               for m in range(max(0, count - 6), count)]
     tail = list(map(mul, map(abs, coefficients[-6:]), powers))

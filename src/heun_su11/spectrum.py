@@ -26,7 +26,6 @@ are the values, q and residuals, so no per-coefficient record is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, NamedTuple, Tuple
 
@@ -48,14 +47,16 @@ MATRIX_CAP = 64
 SIGN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class TridiagonalMatrix:
-    """Operator matrix on one parity sub-grid, basis by ascending exponent."""
-
+class _TridiagonalFields(NamedTuple):
     exponents: Tuple[float, ...]
     diagonal: Tuple[float, ...]
     lower: Tuple[float, ...]
     upper: Tuple[float, ...]
+
+
+class TridiagonalMatrix(_TridiagonalFields):
+    """Operator matrix on one parity sub-grid, basis by ascending exponent.
+    A subclass of its fields, so that it has a __dict__ to cache scale in."""
 
     @property
     def dimension(self) -> int:
@@ -68,8 +69,7 @@ class TridiagonalMatrix:
         return max(map(abs, (1.0, *self.diagonal, *self.lower, *self.upper)))
 
 
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(NamedTuple):
     q: complex
     eigenfunction: SeriesSolution
     parity: str
@@ -88,13 +88,18 @@ class SolvedSubgrid(NamedTuple):
     residuals: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralResult:
-    """The eigenpairs of a finite ladder as the solver's arrays, one
-    SolvedSubgrid per non-empty parity sub-grid, even first."""
-
+class _SpectralFields(NamedTuple):
     warnings: Tuple[str, ...]
-    subgrids: Tuple[SolvedSubgrid, ...] = field(repr=False)
+    subgrids: Tuple[SolvedSubgrid, ...]
+
+
+class SpectralResult(_SpectralFields):
+    """The eigenpairs of a finite ladder as the solver's arrays, one
+    SolvedSubgrid per non-empty parity sub-grid, even first.  A subclass
+    of its fields, so that it has a __dict__ to cache pairs in; it holds
+    arrays, so two results are equal only when they are one object."""
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @cached_property
     def pairs(self) -> Tuple[EigenPair, ...]:

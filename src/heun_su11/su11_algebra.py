@@ -18,15 +18,14 @@ and gamma is 1/2 or 3/2 (making nu 0 or 1/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Tuple
+from typing import Iterable, Mapping, NamedTuple, Tuple
 
 from .errors import InconsistentCoefficients, NotFactorizable
 from .heun_core import (
     CanonicalCoefficients,
-    FloatRecord,
     HeunParameters,
     canonical_coefficients,
+    read_floats,
     require_finite,
     second_order_action,
 )
@@ -56,8 +55,7 @@ def casimir_value(mu: float, nu: float) -> float:
     return -(mu - nu) * (mu - nu - 1.0)
 
 
-@dataclass(frozen=True)
-class FactorizabilityReport:
+class FactorizabilityReport(NamedTuple):
     """Outcome of the two factorization conditions.
 
     failures lists reason codes: "exponent_gap" when |alpha-beta| is not 1/2,
@@ -112,8 +110,7 @@ def check_factorizable(
     )
 
 
-@dataclass(frozen=True)
-class Su11Decomposition(FloatRecord):
+class Su11Decomposition(NamedTuple):
     """c_plus E+E+ + c_minus E-E- + c2 H^2 + c1 H + c0 on the generators at
     mu, nu (with their Casimir), which is the action on z^p:
     up(p) z^(p+1) + (diag_base(p) - q) z^p + down(p) z^(p-1), q = accessory_q.
@@ -130,6 +127,9 @@ class Su11Decomposition(FloatRecord):
     c1: float
     c0: float
     casimir: float
+
+    def to_json_dict(self) -> dict:
+        return self._asdict()
 
     def up(self, p: float) -> float:
         return self.c_plus * (2.0 * p + 2.0 * self.mu) * (2.0 * p + 1.0 + 2.0 * self.mu)
@@ -158,7 +158,7 @@ class Su11Decomposition(FloatRecord):
 
     @classmethod
     def from_json_dict(cls, doc: Mapping[str, float]) -> "Su11Decomposition":
-        dec = super().from_json_dict(doc)
+        dec = read_floats(cls, doc)
         expected = casimir_value(dec.mu, dec.nu)
         if not abs(dec.casimir - expected) <= 1e-9:
             raise InconsistentCoefficients(

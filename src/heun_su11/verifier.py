@@ -35,8 +35,7 @@ case of residual_block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -71,8 +70,7 @@ def check_sample_points(z_samples: Sequence[float], a: float) -> None:
             raise SamplePointAtSingularity(f"sample z={z} is {_UNCLEAR}")
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Per-point relative residuals of the polynomial form."""
 
     max_relative_residual: float
@@ -105,12 +103,10 @@ def residual_block(coeffs: CanonicalCoefficients, exponents: np.ndarray, block: 
     check_sample_points(z_samples, coeffs.a2)
     z = np.array(z_samples, dtype=float)
     p = np.asarray(exponents, dtype=float)
-    a = coeffs.as_tuple()
+    a0, a1, a2, a3, a4, a5, a6, _ = coeffs
     # Rows: the terms that land on z^(p+1), z^p and z^(p-1); columns: the
     # factors p(p-1), p and 1 that y'', y' and y put on c z^p.
-    by_shift = np.array(
-        [[[a[0], a[3], a[6]], [a[1], a[4], x], [a[2], a[5], 0.0]] for x in a7]
-    )
+    by_shift = np.array([[[a0, a3, a6], [a1, a4, x], [a2, a5, 0.0]] for x in a7])
     factors = np.stack([p * (p - 1.0), p, np.ones_like(p)])
     columns = np.asarray(block).T[:, None, :]
     with np.errstate(all="ignore"):  # overflow surfaces as a residual of inf

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import math
@@ -343,7 +342,7 @@ def test_series_with_residual_over_threshold_still_prints_and_exits_1(capsys, mo
     def one_bad_coefficient(*args, **kwargs):
         sol = solve(*args, **kwargs)
         b = sol.coefficients
-        return dataclasses.replace(sol, coefficients=(b[0], b[1] * (1 + 1e-3), *b[2:]))
+        return sol._replace(coefficients=(b[0], b[1] * (1 + 1e-3), *b[2:]))
 
     monkeypatch.setattr(series_module, "series_solution", one_bad_coefficient)
     assert main(["series", "--preset", "lame", "--q", "0.3"]) == 1
@@ -715,6 +714,28 @@ def test_descending_series_past_the_largest_float_names_its_cause(capsys):
         assert captured.err == (
             "heun-su11: no sample point is left to check the series on: the sample domain "
             f"(2R, 4R) lies past the largest float at R={shown}\n")
+
+
+def test_series_csv_past_the_largest_float_names_the_gate_cause(tmp_path, capsys):
+    # The CSV nodes of a descending series lie in (R, 4R): inf from R = 3.6e307
+    # on, where the CSV is not written and the gate names the cause.  Below,
+    # at R = 3.2e307, the nodes are finite and the rows are written as before,
+    # though (2R, 4R) already overflows.
+    for a, rows in (("1e308", None), ("4e307", None), ("3.6e307", None), ("3.2e307", 25)):
+        csv_path = tmp_path / f"{a}.csv"
+        argv = ["series", "--preset", "example1", "--a", a, "--q", "0.3", "--rep", "nd",
+                "--kmax", "2", "--csv", str(csv_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["series"]["K"] == 2
+        assert captured.err == (
+            "heun-su11: no sample point is left to check the series on: the sample domain "
+            f"(2R, 4R) lies past the largest float at R={float(a):g}\n")
+        if rows is None:
+            assert not csv_path.exists()
+        else:
+            lines = csv_path.read_text().splitlines()
+            assert len(lines) == 2 + rows and "inf" not in csv_path.read_text()
 
 
 def test_verify_refuses_a_forged_series_domain(capsys, monkeypatch):

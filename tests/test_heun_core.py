@@ -68,7 +68,7 @@ def test_degenerate_singularity_rejected():
 
 def test_canonical_coefficients_example1():
     c = canonical_coefficients(make_parameters(**EXAMPLE1))
-    assert c.as_tuple() == (1.0, -3.0, 2.0, -0.5, 0.0, 1.0, 0.5, 0.0)
+    assert tuple(c) == (1.0, -3.0, 2.0, -0.5, 0.0, 1.0, 0.5, 0.0)
 
 
 def test_canonical_coefficients_lame_preset():
@@ -81,7 +81,7 @@ def test_accessory_enters_only_a7():
     p1 = p0.with_accessory(2.5)
     c0, c1 = canonical_coefficients(p0), canonical_coefficients(p1)
     assert c1.a7 == -2.5
-    assert c0.as_tuple()[:7] == c1.as_tuple()[:7]
+    assert c0[:7] == c1[:7]
 
 
 def test_first_order_coefficients_match_expansion_oracle():

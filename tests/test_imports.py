@@ -1,4 +1,5 @@
-"""No module of the package imports a name that it neither uses nor exports.
+"""No module of the package imports a name that it neither uses nor exports,
+and none imports dataclasses.
 
 Written with the standard library's ast module alone, so it runs wherever
 the rest of the suite does.  A name counts as used when it appears as a
@@ -44,6 +45,17 @@ def unused_imports(source):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_imported_name_is_used_or_exported(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # The records are NamedTuples; dataclasses and the inspect module it
+    # pulls in cost every process about 15 ms of start-up.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "dataclasses" not in modules
 
 
 def test_the_check_sees_an_unused_import():

@@ -151,7 +151,7 @@ def exact_numerator(coeffs, y, z):
     """|f1 y'' + f2 y' + f3 y| at z in 50-digit arithmetic, from the same
     float inputs the verifier sees."""
     with mpmath.workdps(50):
-        a = [mpmath.mpf(v) for v in coeffs.as_tuple()]
+        a = [mpmath.mpf(v) for v in coeffs]
         z = mpmath.mpf(z)
         total = mpmath.mpf(0)
         for p, c in y.terms():

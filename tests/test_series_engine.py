@@ -419,7 +419,7 @@ def test_a_zero_divisor_names_its_step():
             outward[[2, 4, 6]] = [math.nan, -0.0, 0.0]
             return inward, diag, outward
 
-    forged = Forged(**{f: getattr(dec, f) for f in dec.__dataclass_fields__})
+    forged = Forged._make(dec)
     with pytest.raises(RecurrenceBreakdown) as excinfo:
         series_solution(forged, by_class[RepresentationClass.POSITIVE_DISCRETE], "even", 0.7)
     assert excinfo.value.step == 4

@@ -391,14 +391,35 @@ REJECTED = ["decompose", "--gamma", "0.7", "--delta", "-0.5", "--alpha", "-1", "
     REJECTED,
 ], ids=lambda argv: "rejected-decompose" if argv is REJECTED else "-".join(argv[::2]))
 def test_scalar_commands_leave_numpy_out(argv):
-    # -X importtime lists every module the command imports, on stderr.
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "heun_su11", *argv],
-                          env=SRC_ENV, capture_output=True, text=True)
-    assert proc.returncode == (1 if argv is REJECTED else 0)
-    imported = {line.rsplit("|", 1)[-1].strip()
-                for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    returncode, imported = imported_modules(argv)
+    assert returncode == (1 if argv is REJECTED else 0)
     assert "heun_su11.cli" in imported
     assert "numpy" not in imported
+    assert "dataclasses" not in imported
+
+
+def imported_modules(argv, stdin=""):
+    """The exit code of `heun-su11 argv` and the names of the modules it
+    imports, which -X importtime lists on stderr."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "heun_su11", *argv],
+                          env=SRC_ENV, input=stdin, capture_output=True, text=True)
+    return proc.returncode, {line.rsplit("|", 1)[-1].strip()
+                             for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
+def test_numeric_commands_leave_dataclasses_out():
+    # The records are NamedTuples, so no subcommand pays for the dataclass
+    # machinery at start-up; the scalar ones are checked above.
+    spectrum = ["spectrum", "--preset", "example1"]
+    document = subprocess.run([sys.executable, "-m", "heun_su11", *spectrum], env=SRC_ENV,
+                              capture_output=True, text=True, check=True).stdout
+    runs = [(spectrum, ""), (["series", "--preset", "lame", "--q", "0.3"], ""),
+            (["verify", "--solution", "-"], document)]
+    for argv, stdin in runs:
+        returncode, imported = imported_modules(argv, stdin)
+        assert returncode == 0, argv
+        assert "numpy" in imported
+        assert "dataclasses" not in imported, argv
 
 
 def test_namespace_serves_every_exported_name():

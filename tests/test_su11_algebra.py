@@ -166,7 +166,7 @@ def test_rebuild_roundtrip_random():
         p = random_factorizable(rng)
         c = canonical_coefficients(p)
         back = rebuild_coefficients(decompose(p))
-        for x, y in zip(c.as_tuple(), back.as_tuple()):
+        for x, y in zip(c, back):
             assert x == pytest.approx(y, abs=1e-12)
 
 

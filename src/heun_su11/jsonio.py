@@ -8,32 +8,28 @@ would otherwise differ.  Non-finite floats become null; complex
 numbers become {"im": ..., "re": ...} objects.
 
 Lists of many float leaves are written from ``%.17g`` templates, each
-filled in a single ``%`` call.  A list of all floats or all complex numbers
-is one such template.  A TemplatedList is a list given as runs of items
-that share a skeleton: a JSON value in which SLOT marks each float leaf.
-The skeleton is written once, with its fixed text (keys, strings, fixed
-floats) in place, and repeated for every item of the run; a flat tuple of
-the run's leaves fills it.  The spectrum's eigenpairs are one run per
-parity sub-grid, so the exponents and the parity are formatted once per
-sub-grid and only the values, q and residuals per item.  A run holding a
-NaN or inf fills its template with each leaf's text instead, null for the
-non-finite ones, so every list prints as the recursive writer would print
-it item by item.  Reading uses the standard json module plus a small
-helper that turns those objects back into numbers and null into NaN.
+filled in a single ``%`` call.  A list of all floats is one such template.
+A TemplatedList is a list given as runs of items that share a skeleton: a
+JSON value in which SLOT marks each float leaf.  The skeleton is written
+once, with its fixed text (keys, strings, fixed floats) in place, and
+repeated for every item of the run; a flat tuple of the run's leaves fills
+it.  The spectrum's eigenpairs are one run per parity sub-grid, so the
+exponents and the parity are formatted once per sub-grid and only the
+values, q and residuals per item.  A run holding a NaN or inf fills its
+template with each leaf's text instead, null for the non-finite ones, so
+every list prints as the recursive writer would print it item by item.
+Reading uses the standard json module plus a small helper that turns those
+objects back into numbers and null into NaN.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter
 from typing import Any, NamedTuple, Tuple
 
 SLOT = object()  # a float leaf of a TemplatedList skeleton
-_COMPLEX = {"im": SLOT, "re": SLOT}
 _ZERO = (0.0).__add__  # 0.0 + x is x, except that -0.0 becomes 0.0
-_IMAG, _REAL = attrgetter("imag"), attrgetter("real")
 
 
 class TemplatedList(NamedTuple):
@@ -73,19 +69,12 @@ def _list_text(runs, pad: str) -> str:
 
 
 def _filled_list(items, pad: str) -> str | None:
-    """Text of a list of all floats or all complex numbers from one
-    template; None for any other list."""
-    kinds = set(map(type, items))
-    if kinds == {float}:
-        skeleton, leaves = SLOT, tuple(items)
-    elif kinds == {complex}:
-        skeleton = _COMPLEX
-        leaves = tuple(chain.from_iterable(zip(map(_IMAG, items), map(_REAL, items))))
-    else:
+    """Text of a list of all floats from one template; None for any other
+    list."""
+    if set(map(type, items)) != {float}:
         return None
-    if 0.0 in leaves:
-        leaves = tuple(map(_ZERO, leaves))
-    return _list_text(((skeleton, len(items), leaves),), pad)
+    leaves = tuple(map(_ZERO, items)) if 0.0 in items else tuple(items)
+    return _list_text(((SLOT, len(items), leaves),), pad)
 
 
 def _write(obj: Any, out, pad: str) -> None:

@@ -120,7 +120,6 @@ class SeriesSolution(_SeriesFields):
 
 class EvaluatedSeries(NamedTuple):
     value: complex
-    tail_estimate: float
 
 
 def _direction_for(rep: RepresentationDescriptor) -> str:
@@ -272,20 +271,16 @@ def _certified_sum(terms: List[float], bound: float):
 
 
 def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
-    """Compensated-sum value plus a geometric tail estimate from the last
-    six term ratios; the estimate is infinite when the terms are not
-    decaying.  It is not a bound: it can fall below the true truncation
-    error, and often does when the ratios have not settled.
-
-    The value is math.fsum of the terms b_m * z^p in order, with z^p from
-    libm's pow (math.pow and float ** call it alike), mapped in C over a
-    memoryview of sol.exponents: the correctly rounded sum of those products.
-    Powers past _live_terms are exactly 0.0 and are not computed.  Such a
-    term is a signed zero for a finite b_m, which fsum ignores, or a NaN for
-    a non-finite one, which fsum folds into the NaN it returns; so only the
-    NaNs enter, in order, and the value equals the full sum bit for bit, the
-    NaN's sign included.  Complex terms, which fsum
-    refuses, are summed as their real and imaginary parts, each with fsum.
+    """The value of the truncated series at z: math.fsum of the terms
+    b_m * z^p in order, with z^p from libm's pow (math.pow and float ** call
+    it alike), mapped in C over a memoryview of sol.exponents: the correctly
+    rounded sum of those products.  Powers past _live_terms are exactly 0.0
+    and are not computed.  Such a term is a signed zero for a finite b_m,
+    which fsum ignores, or a NaN for a non-finite one, which fsum folds into
+    the NaN it returns; so only the NaNs enter, in order, and the value
+    equals the full sum bit for bit, the NaN's sign included.  Complex
+    terms, which fsum refuses, are summed as their real and imaginary parts,
+    each with fsum.
 
     Of a long real series only the terms that can still move the rounded
     value are computed.  When every coefficient is a finite real and more
@@ -298,7 +293,7 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
     within D of the prefix, cancellation, overflow or an fsum that raises)
     the rest of the live terms is computed and everything is summed as
     above; complex or non-finite coefficients and short sums take that
-    path from the start.  The tail estimate reads the last six powers exactly.
+    path from the start.
 
     D bounds the rest as follows, with u = 2^-53 and, for a dropped term
     T_m = fl(b_m pow(z, p)), l = log2|b_m| and E = l + p log2(z):
@@ -326,32 +321,18 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
         raise OutOfDomain(f"z={z} is outside the open domain ({lo:g}, {hi:g})")
     z, p0 = float(z), float(sol.p0)
     coefficients = sol.coefficients
-    count = len(coefficients)
-    step = sol.step
-    live = _live_terms(p0, step, z, count)
+    live = _live_terms(p0, sol.step, z, len(coefficients))
     cut, bound = _cut(sol, p0, z, live)
     exponents = memoryview(sol.exponents)
-    zp = list(map(math.pow, repeat(z, cut), exponents))
-    terms = list(map(mul, coefficients, zp))
+    terms = list(map(mul, coefficients, map(math.pow, repeat(z, cut), exponents)))
     value = _certified_sum(terms, bound) if cut < live else None
     if value is None:
-        zp += map(math.pow, repeat(z, live - cut), exponents[cut:])
-        terms += map(mul, coefficients[cut:live], zp[cut:])
+        powers = map(math.pow, repeat(z, live - cut), exponents[cut:])
+        terms += map(mul, coefficients[cut:live], powers)
         # filter(None, ...) drops the signed zeros and keeps the NaNs.
         terms.extend(filter(None, map(mul, coefficients[live:], repeat(0.0))))
         try:
             value = math.fsum(terms)
         except TypeError:
             value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-    # The ratios of the last six term magnitudes give the tail estimate.
-    powers = [zp[m] if m < len(zp) else math.pow(z, exponents[m]) if m < live else 0.0
-              for m in range(max(0, count - 6), count)]
-    tail = list(map(mul, map(abs, coefficients[-6:]), powers))
-    last = tail[-1]
-    if last == 0.0:
-        return EvaluatedSeries(value=value, tail_estimate=0.0)
-    ratios = [after / before for before, after in zip(tail, tail[1:]) if before > 0.0]
-    rho = max(ratios, default=1.0)
-    if rho >= 1.0:
-        return EvaluatedSeries(value=value, tail_estimate=math.inf)
-    return EvaluatedSeries(value=value, tail_estimate=last * rho / (1.0 - rho))
+    return EvaluatedSeries(value)

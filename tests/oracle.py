@@ -25,9 +25,8 @@ accessory value q to q/a.
 sum_by_terms is the reference value of sum c z^p: math.fsum of every
 product c * z**p, zeros and underflowed powers included, with a complex
 sum summed as its real and imaginary parts apart.  evaluate_by_terms
-applies it to a SeriesSolution, with the tail estimate recomputed from the
-last six term magnitudes; the package's one evaluator, evaluate_series,
-must equal it bit for bit.
+applies it to a SeriesSolution; the value of the package's one evaluator,
+evaluate_series, must equal it bit for bit.
 """
 
 import math
@@ -107,16 +106,5 @@ def series_terms(sol) -> list:
 
 
 def evaluate_by_terms(sol, z: float):
-    """Term-by-term reference for evaluate_series: (value, tail estimate)."""
-    terms = series_terms(sol)
-    value = sum_by_terms(terms, z)
-    magnitudes = [abs(b) * z**p for p, b in terms]
-    if magnitudes[-1] == 0.0:
-        return value, 0.0
-    ratios = [
-        magnitudes[m] / magnitudes[m - 1]
-        for m in range(max(1, len(magnitudes) - 5), len(magnitudes))
-        if magnitudes[m - 1] > 0.0
-    ]
-    rho = max(ratios, default=1.0)
-    return value, math.inf if rho >= 1.0 else magnitudes[-1] * rho / (1.0 - rho)
+    """Term-by-term reference for the value of evaluate_series."""
+    return sum_by_terms(series_terms(sol), z)

@@ -146,7 +146,9 @@ def _break(items, rng):
 
 def _homogeneous(rng):
     n = rng.randint(1, 6)
-    shape = rng.choice(("float", "complex", "dict"))
+    # Lists of floats, the only ones written from one template, come up as
+    # often as the other two shapes together.
+    shape = rng.choice(("float", "float", "complex", "dict"))
     if shape == "dict":
         kinds = {key: rng.choice((float, complex)) for key in rng.sample(KEYS, rng.randint(1, 3))}
         items = [{key: _leaf(kind, rng) for key, kind in kinds.items()} for _ in range(n)]

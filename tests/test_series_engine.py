@@ -20,6 +20,7 @@ from heun_su11.representations import (
 from heun_su11.series_engine import (
     ASCENDING,
     DESCENDING,
+    EvaluatedSeries,
     SeriesSolution,
     _cut,
     _live_terms,
@@ -192,9 +193,7 @@ def test_evaluate_constant_series():
     dec, by_class = lame_setup(2.0, 0.0)
     sol = series_solution(dec, by_class[RepresentationClass.POSITIVE_DISCRETE], "even", 0.0)
     assert all(b == 0.0 for b in sol.coefficients[1:])
-    value, tail = evaluate_series(sol, 0.7)
-    assert value == 1.0
-    assert tail == 0.0
+    assert evaluate_series(sol, 0.7).value == 1.0
 
 
 def test_evaluate_out_of_domain():
@@ -215,31 +214,19 @@ def test_truncation_self_consistency():
     v60 = evaluate_series(series_solution(dec, pd, "even", 1.0, truncation=60), 0.5)
     v120 = evaluate_series(series_solution(dec, pd, "even", 1.0, truncation=120), 0.5)
     assert abs(v60.value - v120.value) <= 1e-10
-    assert v60.tail_estimate <= 1e-15
-
-
-def test_tail_estimate_infinite_for_growing_terms():
-    sol = SeriesSolution(
-        p0=0.0,
-        direction=ASCENDING,
-        parity="even",
-        q=0.0,
-        coefficients=(1.0, 2.0, 4.0, 8.0, 16.0),
-        domain=(0.0, 1.0),
-    )
-    assert evaluate_series(sol, 0.6).tail_estimate == math.inf
-    assert math.isfinite(evaluate_series(sol, 0.25).tail_estimate)
 
 
 def _outcome(function, *args):
-    """The bit patterns of (value, tail estimate), which tell -nan from nan
-    (a complex value's as its real and imaginary parts), or the repr of the
-    ValueError raised."""
+    """The bit pattern of the value, which tells -nan from nan (a complex
+    value's as its real and imaginary parts), or the repr of the ValueError
+    raised."""
     try:
-        return tuple(struct.pack("dd", x.real, x.imag) if isinstance(x, complex) else
-                     struct.pack("d", x) for x in function(*args))
+        x = function(*args)
     except ValueError as exc:
         return repr(exc)
+    if isinstance(x, EvaluatedSeries):
+        x = x.value
+    return struct.pack("dd", x.real, x.imag) if isinstance(x, complex) else struct.pack("d", x)
 
 
 @pytest.mark.parametrize("a", [2.0, 4.0, -3.0])
@@ -341,9 +328,9 @@ def counted_pow(monkeypatch):
 @pytest.mark.sweep
 def test_long_series_sweep_equals_the_reference(seed):
     # Long series of every preset, where evaluate_series sums only a
-    # certified prefix of the live terms: the value and the tail estimate
-    # must still equal the term-by-term reference bit for bit, at points
-    # from the edge of the domain near the base to the far one.
+    # certified prefix of the live terms: the value must still equal the
+    # term-by-term reference bit for bit, at points from the edge of the
+    # domain near the base to the far one.
     rng = random.Random(f"long-series-sweep-{seed}")
     for a in LONG_A:
         for cls in (RepresentationClass.POSITIVE_DISCRETE, RepresentationClass.NEGATIVE_DISCRETE):
@@ -445,8 +432,7 @@ def test_certificate_refuses_a_prefix_on_a_rounding_midpoint(last_bit, tail_sign
     # the certificate must refuse and the full sum must be taken.
     sol = planted_series(last_bit, tail_sign)
     assert _cut(sol, 0.0, 0.5, 1001)[0] == 2
-    value, _ = evaluate_series(sol, 0.5)
-    assert value == 1.0 + (last_bit + (tail_sign > 0.0)) * 2.0**-52
+    assert evaluate_series(sol, 0.5).value == 1.0 + (last_bit + (tail_sign > 0.0)) * 2.0**-52
     assert _outcome(evaluate_series, sol, 0.5) == _outcome(evaluate_by_terms, sol, 0.5)
 
 
@@ -470,16 +456,18 @@ def test_cut_holds_on_huge_coefficients_with_subnormal_powers(q, z, monkeypatch)
 
 def test_cut_is_taken_on_a_decaying_series(monkeypatch):
     # A K=1000 ascending series at z = 0.5 keeps every term live, yet its
-    # terms fall by half per step: the value needs fewer than a fifth of the
-    # powers, plus the six last ones of the tail estimate.
+    # terms fall by half per step: the value needs the powers of the
+    # certified prefix alone, fewer than a tenth of them.
     dec, by_class = lame_setup(2.0, 0.7)
     sol = series_solution(dec, by_class[RepresentationClass.POSITIVE_DISCRETE], "even", 0.7,
                           truncation=1000)
     assert _live_terms(sol.p0, 1, 0.5, 1001) == 1001
+    cut = _cut(sol, sol.p0, 0.5, 1001)[0]
+    assert cut < 100
     expected = _outcome(evaluate_by_terms, sol, 0.5)
     calls = counted_pow(monkeypatch)
     assert _outcome(evaluate_series, sol, 0.5) == expected
-    assert len(calls) < 200
+    assert len(calls) == cut
 
 
 def test_each_series_computes_its_magnitudes_once(monkeypatch):

@@ -54,7 +54,8 @@ class SeriesSolution(_SeriesFields):
     """Truncated series y = sum_m coefficients[m] * z^(p0 +/- m); a finite
     eigenfunction is a terminating ascending one on (0, inf), maybe complex.
     A subclass of its fields, so that it has a __dict__ to cache its arrays
-    in: equality ignores the cache, and a pickle keeps it."""
+    and its non-finite tail in: equality ignores the cache, and a pickle
+    keeps it."""
 
     @property
     def truncation(self) -> int:
@@ -67,13 +68,24 @@ class SeriesSolution(_SeriesFields):
 
     @cached_property
     def log2_magnitudes(self):
-        """log2|b_m| as a float64 array when every coefficient is a finite real
-        (-inf for a zero), else None; computed on first use."""
+        """log2|b_m| (-inf for a zero) as a float64 array over b_0..b_(F-1),
+        the leading run of finite coefficients: all of them, unless one
+        overflowed.  None for a complex series.  Computed on first use."""
         b = np.array(self.coefficients)
-        if b.dtype != np.float64 or not np.isfinite(b).all():
+        if b.dtype != np.float64:
             return None
+        finite = np.isfinite(b)
+        if not finite.all():
+            b = b[:finite.argmin()]
         with np.errstate(divide="ignore"):
             return np.log2(np.abs(b))
+
+    @cached_property
+    def non_finite_tail(self) -> float:
+        """math.fsum of b_m * 0.0 over m >= F, past log2_magnitudes: what
+        the terms from the first non-finite coefficient on add where every
+        power is 0.0, a NaN (0.0 when there is none); computed on first use."""
+        return math.fsum(b * 0.0 for b in self.coefficients[len(self.log2_magnitudes):])
 
     @cached_property
     def exponents(self):
@@ -235,14 +247,20 @@ _CUT_TINY = 2.0**-1018
 
 def _cut(sol: SeriesSolution, p0: float, z: float, live: int) -> Tuple[int, float]:
     """(n, D): the shortest prefix n of the live terms whose rest is bounded
-    by D < _CUT_SCALE times the largest term; (live, 0.0) when there is none."""
+    by D < _CUT_SCALE times the largest term; (live, 0.0) when there is none,
+    or when a live coefficient lies past log2_magnitudes.
+
+    The magnitudes 2^(log2|b_m| + max(p log2(z), -1074)) are formed in one
+    buffer, in place.  Rounding is monotone, so that exponent equals
+    max(log2|b_m| + p log2(z), log2|b_m| - 1074) bit for bit."""
     logs = sol.log2_magnitudes if live > _CUT_MIN_LIVE else None
-    if logs is None or not math.isfinite(p0):
+    if logs is None or live > len(logs) or not math.isfinite(p0):
         return live, 0.0
-    logs = logs[:live]
     with np.errstate(all="ignore"):
-        exponents = logs + sol.exponents[:live] * math.log2(z)
-        magnitudes = np.exp2(np.maximum(exponents, logs - 1074.0))
+        magnitudes = sol.exponents[:live] * math.log2(z)
+        np.maximum(magnitudes, -1074.0, out=magnitudes)
+        magnitudes += logs[:live]
+        np.exp2(magnitudes, out=magnitudes)
     largest = float(magnitudes.max())
     if not 0.0 < largest < math.inf:
         return live, 0.0
@@ -283,17 +301,34 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
     each with fsum.
 
     Of a long real series only the terms that can still move the rounded
-    value are computed.  When every coefficient is a finite real and more
-    than _CUT_MIN_LIVE terms are live, _cut bounds every live magnitude in
-    one numpy pass and takes the shortest prefix whose dropped rest R has
+    value are computed.  When the live coefficients are finite reals, more
+    than _CUT_MIN_LIVE of them, _cut bounds every live magnitude in one
+    numpy pass and takes the shortest prefix whose dropped rest R has
     |R| <= D with D below 2^-80 of the largest term.  If fsum(prefix + [D])
     and fsum(prefix + [-D]) are one finite non-zero float, the full sum
     prefix + R, which lies between the two, rounds to that float too,
     because correct rounding is monotone.  Otherwise (a rounding midpoint
     within D of the prefix, cancellation, overflow or an fsum that raises)
     the rest of the live terms is computed and everything is summed as
-    above; complex or non-finite coefficients and short sums take that
-    path from the start.
+    above; complex coefficients, a non-finite live one and short sums take
+    that path from the start.
+
+    An overflowed recurrence leaves coefficients that are not finite from
+    some b_F on, and log2_magnitudes covers b_0..b_(F-1) alone, so the cut
+    applies where the live terms stop at or before F.  Every later term is
+    b_m * 0.0: a signed zero before F, and from b_F on zeros and NaNs, b_F's
+    among them.  CPython's fsum adds each non-finite summand to a special
+    sum of its own, apart from the finite partials, and returns that sum
+    after the last summand whatever the finite ones were, unless adding a
+    finite summand first overflowed the partials ("intermediate overflow",
+    an OverflowError); its ValueError needs infinities, which the NaNs are
+    not.  A certified prefix excludes the overflow: fsum(prefix + [D]) has
+    summed the prefix, in the same order, to a finite value, and the live
+    rest, of total magnitude at most D, keeps every later exact running sum
+    between prefix - D and prefix + D, whose fsums are finite.  So the full
+    sum is the special sum of the tail's NaNs alone, in order, which the
+    series keeps as non_finite_tail, computed once: on a certified prefix
+    of such a series that is the value, NaN sign included.
 
     D bounds the rest as follows, with u = 2^-53 and, for a dropped term
     T_m = fl(b_m pow(z, p)), l = log2|b_m| and E = l + p log2(z):
@@ -302,8 +337,9 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
         |b_m| 2^-1074 counts only where p log2(z) < -1022, and
         |b_m pow(z, p)| <= 2 (1 + 2u) 2^G with G = max(E, l - 1074);
       * the product's rounding adds a factor 1 + u and 2^-1075 absolute;
-      * numpy forms 2^G from log2, one product, two sums and exp2.  The
-        cut needs every 2^G finite, so G < 1024, and where G = E then
+      * numpy forms 2^G = 2^(l + max(p log2(z), -1074)) from log2, one
+        product, a max, one sum and exp2.  The cut needs every 2^G finite,
+        so G < 1024, and where G = E then
         |p log2(z)| = |E - l| < 2100 with |l| <= 1074; with log2 and exp2
         within 2^-48 relative (32 ulp) the computed exponent errs by under
         2^-37 and the computed magnitude M is low by under 2^-36 relative
@@ -335,4 +371,7 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
             value = math.fsum(terms)
         except TypeError:
             value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    elif len(sol.log2_magnitudes) < len(coefficients):
+        # The live terms stop before the first non-finite coefficient.
+        value = sol.non_finite_tail
     return EvaluatedSeries(value)

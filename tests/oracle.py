@@ -27,14 +27,21 @@ product c * z**p, zeros and underflowed powers included, with a complex
 sum summed as its real and imaginary parts apart.  evaluate_by_terms
 applies it to a SeriesSolution; the value of the package's one evaluator,
 evaluate_series, must equal it bit for bit.
+
+two_sum_cut is evaluate_series' cut with its magnitudes formed by the
+earlier two-sum formula, 2^max(l + p log2(z), l - 1074) with l = log2|b_m|,
+from the coefficients and exponents computed here; the package's one-buffer
+form 2^(l + max(p log2(z), -1074)) must give the same (n, D) bit for bit.
 """
 
 import math
 from typing import Callable, Iterable, Sequence, Tuple
 
 import mpmath
+import numpy as np
 
 from heun_su11.heun_core import HeunParameters, make_parameters
+from heun_su11.series_engine import _CUT_MIN_LIVE, _CUT_SCALE, _CUT_SLACK, _CUT_TINY
 from heun_su11.spectrum import TridiagonalMatrix
 
 DIGITS = 50
@@ -108,3 +115,25 @@ def series_terms(sol) -> list:
 def evaluate_by_terms(sol, z: float):
     """Term-by-term reference for the value of evaluate_series."""
     return sum_by_terms(series_terms(sol), z)
+
+
+def two_sum_cut(sol, z: float, live: int) -> Tuple[int, float]:
+    """(n, D) of the cut of a real series' live terms at z, or (live, 0.0)
+    where there is none: with at most _CUT_MIN_LIVE live terms, a complex or
+    non-finite live coefficient, or a non-finite p0."""
+    b = np.array(sol.coefficients[:live])
+    if (live <= _CUT_MIN_LIVE or b.dtype != np.float64 or not np.isfinite(b).all()
+            or not math.isfinite(sol.p0)):
+        return live, 0.0
+    with np.errstate(all="ignore"):
+        logs = np.log2(np.abs(b))
+        exponents = logs + (sol.p0 + sol.step * np.arange(live)) * math.log2(z)
+        magnitudes = np.exp2(np.maximum(exponents, logs - 1074.0))
+    largest = float(magnitudes.max())
+    if not 0.0 < largest < math.inf:
+        return live, 0.0
+    rest = np.cumsum(magnitudes[::-1])
+    dropped = int(np.searchsorted(rest, largest * (_CUT_SCALE / _CUT_SLACK)))
+    if dropped == 0:
+        return live, 0.0
+    return live - dropped, _CUT_SLACK * float(rest[dropped - 1]) + dropped * _CUT_TINY

@@ -1,7 +1,9 @@
 """The package's records are NamedTuples: immutable, rebuilt with _replace,
 and picklable, with a per-instance cache where a record keeps one."""
 
+import math
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -76,16 +78,49 @@ def test_replace_starts_a_new_cache():
     assert np.array_equal(sol.exponents, exponents)
 
 
+CACHED = ("exponents", "log2_magnitudes", "non_finite_tail")
+
+
+def overflowed_series():
+    """example1's descending K=1000 series at a = 4, whose coefficients are
+    not finite from b_516 on."""
+    dec = RECORDS["Su11Decomposition"]
+    nd = next(r for r in classify(dec) if r.rep_class is RepresentationClass.NEGATIVE_DISCRETE)
+    return series_solution(dec, nd, "even", 0.3, truncation=1000)
+
+
+def check_cache_survives_pickle(sol):
+    """Each cached value is present after first use, is pickled with the
+    record, and is ignored by equality."""
+    fresh = sol._replace()
+    for name in CACHED:
+        getattr(sol, name)
+    assert set(CACHED) <= set(vars(sol)) and not vars(fresh)
+    assert fresh == sol
+    copy = pickle.loads(pickle.dumps(sol))
+    assert type(copy) is type(sol)
+    assert np.array_equal(copy.coefficients, sol.coefficients, equal_nan=True)
+    assert copy._replace(coefficients=sol.coefficients) == sol
+    for name in CACHED:
+        assert np.array_equal(vars(copy)[name], vars(sol)[name], equal_nan=True)
+    assert struct.pack("d", vars(copy)["non_finite_tail"]) == struct.pack("d", sol.non_finite_tail)
+
+
 def test_a_series_with_its_cache_filled_survives_pickle():
     sol = RECORDS["SeriesSolution"]
-    sol.exponents, sol.log2_magnitudes
-    assert {"exponents", "log2_magnitudes"} <= set(vars(sol))
-    copy = pickle.loads(pickle.dumps(sol))
-    assert type(copy) is type(sol) and copy == sol
-    for name in ("exponents", "log2_magnitudes"):
-        assert np.array_equal(vars(copy)[name], vars(sol)[name])
+    check_cache_survives_pickle(sol)
+    assert len(sol.log2_magnitudes) == len(sol.coefficients) and sol.non_finite_tail == 0.0
     report = RECORDS["ResidualReport"]
     assert pickle.loads(pickle.dumps(report)) == report
+
+
+def test_an_overflowed_series_caches_its_finite_run_and_its_tail():
+    # Its log2|b_m| stop at its first non-finite coefficient, and its tail
+    # is a NaN; both survive pickle like the finite series' cache.
+    sol = overflowed_series()
+    finite_run = next(m for m, b in enumerate(sol.coefficients) if not math.isfinite(b))
+    check_cache_survives_pickle(sol)
+    assert len(sol.log2_magnitudes) == finite_run and math.isnan(sol.non_finite_tail)
 
 
 def test_a_spectral_result_equals_only_itself():

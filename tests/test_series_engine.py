@@ -30,7 +30,7 @@ from heun_su11.series_engine import (
 )
 from heun_su11.su11_algebra import Su11Decomposition, casimir_value, decompose
 from heun_su11.verifier import ode_residual
-from oracle import evaluate_by_terms, series_terms, sum_by_terms
+from oracle import evaluate_by_terms, series_terms, sum_by_terms, two_sum_cut
 
 POINT_PAIRS = [(2.0, 1.0), (0.5, -0.3)]
 
@@ -471,15 +471,22 @@ def test_cut_is_taken_on_a_decaying_series(monkeypatch):
 
 
 def test_each_series_computes_its_magnitudes_once(monkeypatch):
-    # Two K=1000 series evaluated alternately, point by point: each computes
-    # its log2|b_m| once, on first use, and the values equal those of the
-    # same series evaluated one after the other, bit for bit.
-    def pair():
-        return [preset_series(preset, 2.0, q, RepresentationClass.POSITIVE_DISCRETE, "even", 1000)
-                for preset, q in (("lame", 0.7), ("example1", 0.3))]
+    # Three K=1000 series evaluated alternately, point by point: each computes
+    # its log2|b_m| once, on first use, the overflowed third over its leading
+    # F finite coefficients alone, and the values equal those of the same
+    # series evaluated one after the other, bit for bit.
+    def trio():
+        return [preset_series(preset, a, q, cls, "even", 1000) for preset, a, q, cls in (
+            ("lame", 2.0, 0.7, RepresentationClass.POSITIVE_DISCRETE),
+            ("example1", 2.0, 0.3, RepresentationClass.POSITIVE_DISCRETE),
+            ("example2", 4.0, 0.3, RepresentationClass.NEGATIVE_DISCRETE))]
 
-    points = [0.05 + 0.9 * k / 25 for k in range(25)]
-    sequential = [_outcome(evaluate_series, sol, z) for sol in pair() for z in points]
+    def points(sol):
+        lo, hi = sol.domain
+        top = hi if math.isfinite(hi) else 4.0 * lo
+        return [lo + (0.05 + 0.9 * k / 25) * (top - lo) for k in range(25)]
+
+    sequential = [_outcome(evaluate_series, sol, z) for sol in trio() for z in points(sol)]
     calls = []
     real_log2 = np.log2
 
@@ -488,11 +495,96 @@ def test_each_series_computes_its_magnitudes_once(monkeypatch):
         return real_log2(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "log2", counting)
-    first, second = pair()
-    alternating = [(_outcome(evaluate_series, first, z), _outcome(evaluate_series, second, z))
-                   for z in points]
-    assert calls == [1001, 1001]
+    series = trio()
+    finite_run = next(m for m, b in enumerate(series[2].coefficients) if not math.isfinite(b))
+    alternating = [[_outcome(evaluate_series, sol, z) for sol, z in zip(series, zs)]
+                   for zs in zip(*map(points, series))]
+    assert calls == [1001, 1001, finite_run]
     assert [outcome for column in zip(*alternating) for outcome in column] == sequential
+
+
+OVERFLOWED = [("example2", 4.0), ("lame", -3.0)]
+
+
+@pytest.mark.parametrize("preset, a", OVERFLOWED)
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("factor", [2.0, 1.05])
+def test_an_overflowed_series_equals_the_reference(preset, a, parity, factor, monkeypatch):
+    # The K=1000 descending series overflows from b_F on.  At 2R its live
+    # terms stop before F: the value needs the powers of the certified
+    # prefix alone, and it is the NaN that the zero powers of the non-finite
+    # tail add.  At 1.05R they reach past F: no cut, and every live power is
+    # computed.  Either way the outcome is the reference's, NaN sign and
+    # the ValueError of inf - inf included.
+    sol = preset_series(preset, a, 0.3, RepresentationClass.NEGATIVE_DISCRETE, parity, 1000)
+    finite_run = len(sol.log2_magnitudes)
+    assert all(map(math.isfinite, sol.coefficients[:finite_run]))
+    assert not math.isfinite(sol.coefficients[finite_run])
+    z = factor * sol.domain[0]
+    live = _live_terms(sol.p0, -1, z, 1001)
+    cut = _cut(sol, sol.p0, z, live)[0]
+    assert (cut < live <= finite_run) if factor == 2.0 else (cut == live > finite_run)
+    expected = _outcome(evaluate_by_terms, sol, z)
+    calls = counted_pow(monkeypatch)
+    assert _outcome(evaluate_series, sol, z) == expected
+    assert len(calls) == cut
+
+
+@pytest.mark.parametrize("tail", [(math.inf, 2.0, math.nan, -math.inf),
+                                  (-math.nan, 2.0, math.inf, math.nan),
+                                  (math.nan, -math.inf, 0.0, -math.nan)])
+def test_a_hand_built_non_finite_tail_equals_the_reference(tail):
+    # 300 finite terms that fall by 2^-8 per step, then non-finite and finite
+    # coefficients mixed: at z = 2^-8 the live terms stop before the tail, the
+    # prefix is certified, and the NaNs of the tail decide the value.
+    sol = SeriesSolution(p0=0.0, direction=ASCENDING, parity="even", q=0.0,
+                         coefficients=(1.0,) * 300 + tail, domain=(0.0, 1.0))
+    z = 2.0**-8
+    live = _live_terms(0.0, 1, z, len(sol.coefficients))
+    assert _cut(sol, 0.0, z, live)[0] < live <= len(sol.log2_magnitudes) == 300
+    assert _outcome(evaluate_series, sol, z) == _outcome(evaluate_by_terms, sol, z)
+
+
+@pytest.mark.parametrize("z", [2.0**-8, 2.0**-16])
+def test_an_infinite_coefficient_live_at_one_point_and_dead_at_another(z):
+    # b_100 is inf.  At z = 2^-8 it is live and its term is inf, so the full
+    # path sums every live term; at z = 2^-16 its power is 0.0, and the cut
+    # and the cached tail give the reference's NaN.
+    sol = SeriesSolution(p0=0.0, direction=ASCENDING, parity="even", q=0.0,
+                         coefficients=(1.0,) * 100 + (math.inf,) + (1.0,) * 200,
+                         domain=(0.0, 1.0))
+    live = _live_terms(0.0, 1, z, len(sol.coefficients))
+    cut = _cut(sol, 0.0, z, live)[0]
+    assert (cut < live <= 100) if z == 2.0**-16 else (cut == live > 100)
+    assert _outcome(evaluate_series, sol, z) == _outcome(evaluate_by_terms, sol, z)
+
+
+@pytest.mark.sweep
+def test_cut_equals_the_two_sum_reference(seed):
+    # The cut forms its magnitudes in one buffer, 2^(l + max(p log2(z),
+    # -1074)); the reference forms 2^max(l + p log2(z), l - 1074) from its
+    # own log2|b_m| and exponents.  Over the long-series grid, overflowed
+    # series included, (n, D) must agree bit for bit.
+    rng = random.Random(f"two-sum-cut-{seed}")
+    cuts = overflowed_cuts = 0
+    for a in LONG_A:
+        for cls in (RepresentationClass.POSITIVE_DISCRETE, RepresentationClass.NEGATIVE_DISCRETE):
+            for parity in ("even", "odd"):
+                for K in (1000, 5000):
+                    q = round(rng.uniform(-1.0, 1.0), 6)
+                    sol = preset_series(rng.choice(sorted(PRESETS)), a, q, cls, parity, K)
+                    lo, hi = sol.domain
+                    top = hi if math.isfinite(hi) else 4.0 * lo
+                    for f in (rng.uniform(0.0, 0.05), rng.uniform(0.05, 0.95),
+                              rng.uniform(0.95, 1.0)):
+                        z = lo + f * (top - lo)
+                        if lo < z < hi:
+                            live = _live_terms(sol.p0, sol.step, z, K + 1)
+                            got = _cut(sol, sol.p0, z, live)
+                            assert got == two_sum_cut(sol, z, live), (a, cls, parity, K, q, z)
+                            cuts += got[0] < live
+                            overflowed_cuts += got[0] < live and len(sol.log2_magnitudes) <= K
+    assert cuts > 0 and overflowed_cuts > 0
 
 
 def test_recurrence_breakdown_on_vanishing_divisor():

@@ -39,7 +39,6 @@ from .heun_core import (
     make_parameters,
     require_finite,
 )
-from .monomials import MonomialSum
 from .representations import RepresentationClass, classify
 from .su11_algebra import (
     CONDITION_TOL,
@@ -397,8 +396,7 @@ def _cmd_check_algebra(args) -> int:
         params = _resolve_parameters(args)
         dec = _decompose(args, params)
         mu, nu = dec.mu, dec.nu
-        poly = MonomialSum.from_terms((p, 1.0) for p in exponents)
-        recon = reconstruction_check(params, dec, poly)
+        recon = reconstruction_check(params, dec, exponents)
         doc["max_reconstruction_deviation"] = recon
         failed = not recon <= RECONSTRUCTION_THRESHOLD
     deviation = algebra_identity_check(mu, nu, exponents)

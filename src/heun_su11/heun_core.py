@@ -15,8 +15,8 @@ z(z-1)(z-a) gives the polynomial form
     f3 = a6 z + a7,
 
 which is what every other module consumes.  This module validates parameter
-sets, produces the a0..a7 coefficients and applies the polynomial form to
-monomial sums term by term.
+sets, produces the a0..a7 coefficients and states the polynomial form's
+action on one monomial z^p, which lands on z^(p+1), z^p and z^(p-1).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import math
 from typing import Mapping, NamedTuple, Tuple
 
 from .errors import ComplexExponents, DegenerateSingularity, FuchsianViolation, ValidationError
-from .monomials import MonomialSum
 
 FUCHSIAN_TOL = 1e-9
 
@@ -163,22 +162,13 @@ def canonical_coefficients(params: HeunParameters) -> CanonicalCoefficients:
     )
 
 
-def second_order_action(
-    coeffs: CanonicalCoefficients, y: MonomialSum
-) -> Tuple[MonomialSum, MonomialSum, MonomialSum]:
-    """The three summands (f1 y'', f2 y', f3 y) as separate monomial sums."""
+def canonical_rows(coeffs: CanonicalCoefficients, p: float) -> Tuple[float, float, float]:
+    """f1 y'' + f2 y' + f3 y on y = z^p: the coefficients of z^(p+1), z^p and
+    z^(p-1), in that order."""
     c = coeffs
-    d1 = y.derivative()
-    d2 = d1.derivative()
-    f1_part = (
-        d2.map_terms(6, lambda p: c.a0)
-        + d2.map_terms(4, lambda p: c.a1)
-        + d2.map_terms(2, lambda p: c.a2)
+    pp = p * (p - 1.0)
+    return (
+        c.a0 * pp + c.a3 * p + c.a6,
+        c.a1 * pp + c.a4 * p + c.a7,
+        c.a2 * pp + c.a5 * p,
     )
-    f2_part = (
-        d1.map_terms(4, lambda p: c.a3)
-        + d1.map_terms(2, lambda p: c.a4)
-        + d1.map_terms(0, lambda p: c.a5)
-    )
-    f3_part = y.map_terms(2, lambda p: c.a6) + y.map_terms(0, lambda p: c.a7)
-    return f1_part, f2_part, f3_part

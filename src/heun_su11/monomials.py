@@ -2,14 +2,17 @@
 
 Every operator in this package shifts a monomial exponent by a multiple of
 1/2, so a solution candidate is always a finite combination of z**p with
-p = base + k/2 for integer k.  Keeping the integer offsets (rather than raw
-float exponents) makes the operator algebra exact at the coefficient level.
-A MonomialSum is symbolic; series_engine.evaluate_series is the one evaluator.
+p = base + k/2 for integer k.  A MonomialSum holds such a sum by its integer
+offsets k: verifier.residual_for_coefficients reads it, and
+SeriesSolution.as_monomial_sum writes it.  It has no arithmetic, since the
+operators act one monomial at a time (heun_core.canonical_rows,
+su11_algebra.quadratic_rows); series_engine.evaluate_series is the one
+evaluator.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, NamedTuple, Tuple
+from typing import Iterable, Mapping, NamedTuple, Tuple
 
 LATTICE_TOL = 1e-9
 
@@ -32,17 +35,10 @@ def _lattice_offset(exponent: float, base: float) -> int:
 
 
 class MonomialSum(NamedTuple):
-    """sum_k coeffs[k] * z**(base + k/2).
-
-    Treated as immutable: all arithmetic returns new instances.
-    """
+    """sum_k coeffs[k] * z**(base + k/2).  Treated as immutable."""
 
     base: float
     coeffs: Mapping[int, complex]
-
-    @classmethod
-    def monomial(cls, exponent: float, coefficient: complex = 1.0) -> "MonomialSum":
-        return cls(float(exponent), {0: coefficient})
 
     @classmethod
     def zero(cls, base: float = 0.0) -> "MonomialSum":
@@ -63,46 +59,3 @@ class MonomialSum(NamedTuple):
             k = _lattice_offset(float(p), base)
             coeffs[k] = coeffs.get(k, 0.0) + c
         return cls(float(base), coeffs)
-
-    def exponent(self, k: int) -> float:
-        return self.base + 0.5 * k
-
-    def terms(self) -> Tuple[Tuple[float, complex], ...]:
-        """(exponent, coefficient) pairs, ascending in exponent."""
-        return tuple((self.exponent(k), self.coeffs[k]) for k in sorted(self.coeffs))
-
-    def map_terms(
-        self, shift: int, weight: Callable[[float], complex]
-    ) -> "MonomialSum":
-        """Send each term c*z**p to weight(p)*c*z**(p + shift/2)."""
-        out: dict[int, complex] = {}
-        for k, c in self.coeffs.items():
-            w = weight(self.exponent(k)) * c
-            if w != 0.0:
-                out[k + shift] = out.get(k + shift, 0.0) + w
-        return MonomialSum(self.base, out)
-
-    def derivative(self) -> "MonomialSum":
-        return self.map_terms(-2, lambda p: p)
-
-    def scaled(self, factor: complex) -> "MonomialSum":
-        return MonomialSum(self.base, {k: factor * c for k, c in self.coeffs.items()})
-
-    def _rebased_coeffs(self, base: float) -> dict[int, complex]:
-        shift = _lattice_offset(self.base, base)
-        return {k + shift: c for k, c in self.coeffs.items()}
-
-    def __add__(self, other: "MonomialSum") -> "MonomialSum":
-        merged = dict(self.coeffs)
-        for k, c in other._rebased_coeffs(self.base).items():
-            merged[k] = merged.get(k, 0.0) + c
-        return MonomialSum(self.base, merged)
-
-    def __sub__(self, other: "MonomialSum") -> "MonomialSum":
-        return self + other.scaled(-1.0)
-
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def max_abs_diff(self, other: "MonomialSum") -> float:
-        return (self - other).max_abs()

@@ -1,14 +1,15 @@
 """su(1,1) generators and the quadratic decomposition of the Heun operator.
 
-The generators act on monomials as
+The generators act on monomials by the scalar factors raising, weight and
+lowering give:
 
     raise:  z^p -> (2p + 2 mu) z^(p+1/2)
     weight: z^p -> (2p + mu + nu) z^p
     lower:  z^p -> (2p + 2 nu) z^(p-1/2)
 
 and satisfy [H, E+/-] = +/-E+/- and [E+, E-] = -2H, with Casimir
-(E+E- + E-E+)/2 - H^2 = -(mu-nu)(mu-nu-1) on every monomial.  The Heun
-operator factorizes through them as
+(E+E- + E-E+)/2 - H^2 = -(mu-nu)(mu-nu-1); every identity is checked one
+monomial at a time.  The Heun operator factorizes through them as
 
     c_plus E+E+ + c_minus E-E- + c2 H^2 + c1 H + c0
 
@@ -18,37 +19,37 @@ and gamma is 1/2 or 3/2 (making nu 0 or 1/2).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, NamedTuple, Tuple
 
-from .errors import InconsistentCoefficients, NotFactorizable
+from .errors import InconsistentCoefficients, NotFactorizable, ValidationError
 from .heun_core import (
     CanonicalCoefficients,
     HeunParameters,
     canonical_coefficients,
+    canonical_rows,
     read_floats,
     require_finite,
-    second_order_action,
 )
-from .monomials import MonomialSum
 
 CONDITION_TOL = 1e-9
 
 NU_BY_GAMMA = {0.5: 0.0, 1.5: 0.5}
 
 
-def apply_raising(mu: float, y: MonomialSum) -> MonomialSum:
-    """Degree +1/2 generator."""
-    return y.map_terms(1, lambda p: 2.0 * p + 2.0 * mu)
+def raising(mu: float, p: float) -> float:
+    """Degree +1/2 generator: the factor of z^(p+1/2) in E+ z^p."""
+    return 2.0 * p + 2.0 * mu
 
 
-def apply_lowering(nu: float, y: MonomialSum) -> MonomialSum:
-    """Degree -1/2 generator."""
-    return y.map_terms(-1, lambda p: 2.0 * p + 2.0 * nu)
+def lowering(nu: float, p: float) -> float:
+    """Degree -1/2 generator: the factor of z^(p-1/2) in E- z^p."""
+    return 2.0 * p + 2.0 * nu
 
 
-def apply_weight(mu: float, nu: float, y: MonomialSum) -> MonomialSum:
-    """Degree 0 generator."""
-    return y.map_terms(0, lambda p: 2.0 * p + mu + nu)
+def weight(mu: float, nu: float, p: float) -> float:
+    """Degree 0 generator: the factor of z^p in H z^p."""
+    return 2.0 * p + mu + nu
 
 
 def casimir_value(mu: float, nu: float) -> float:
@@ -92,6 +93,8 @@ def check_factorizable(
 ) -> FactorizabilityReport:
     """Test |alpha-beta| = 1/2 and gamma in {1/2, 3/2}, each within tol."""
     require_finite(tol=tol)
+    if tol < 0.0:
+        raise ValidationError(f"tolerance must not be negative: tol={tol!r}")
     gap = abs(params.alpha - params.beta)
     gap_dev = abs(gap - 0.5)
     gamma_dev = min(abs(params.gamma - g) for g in NU_BY_GAMMA)
@@ -218,21 +221,22 @@ def monomial_action(dec: Su11Decomposition) -> Su11Decomposition:
     return dec
 
 
-def apply_quadratic(dec: Su11Decomposition, y: MonomialSum) -> MonomialSum:
-    """Apply c+ E+E+ + c- E-E- + c2 H H + c1 H + c0 term by term."""
+def quadratic_rows(dec: Su11Decomposition, p: float) -> Tuple[float, float, float]:
+    """c+ E+E+ + c- E-E- + c2 H H + c1 H + c0 on z^p, composed from the
+    generators: the coefficients of z^(p+1), z^p and z^(p-1), in that order."""
     mu, nu = dec.mu, dec.nu
-    hy = apply_weight(mu, nu, y)
-    parts = [
-        apply_raising(mu, apply_raising(mu, y)).scaled(dec.c_plus),
-        apply_lowering(nu, apply_lowering(nu, y)).scaled(dec.c_minus),
-        apply_weight(mu, nu, hy).scaled(dec.c2),
-        hy.scaled(dec.c1),
-        y.scaled(dec.c0),
-    ]
-    total = parts[0]
-    for part in parts[1:]:
-        total = total + part
-    return total
+    h = weight(mu, nu, p)
+    return (
+        dec.c_plus * (raising(mu, p + 0.5) * raising(mu, p)),
+        dec.c2 * (h * h) + dec.c1 * h + dec.c0,
+        dec.c_minus * (lowering(nu, p - 0.5) * lowering(nu, p)),
+    )
+
+
+def _max_abs(values: Iterable[float]) -> float:
+    """The largest |v|, or NaN when any v is NaN, which max() would drop."""
+    sizes = [abs(v) for v in values]
+    return math.nan if any(map(math.isnan, sizes)) else max(sizes, default=0.0)
 
 
 def algebra_identity_check(
@@ -241,38 +245,31 @@ def algebra_identity_check(
     """Max deviation of the commutators and the Casimir on test monomials.
 
     Checks [H,E+]-E+, [H,E-]+E-, [E+,E-]+2H, and
-    (E+E- + E-E+)/2 - H^2 + (mu-nu)(mu-nu-1) applied to z^p.
+    (E+E- + E-E+)/2 - H^2 + (mu-nu)(mu-nu-1) applied to z^p; NaN when any
+    of them is NaN.
     """
-    worst = 0.0
-    for p in exponents:
-        y = MonomialSum.monomial(float(p))
-        ey = apply_raising(mu, y)
-        fy = apply_lowering(nu, y)
-        hy = apply_weight(mu, nu, y)
-        comm_raise = apply_weight(mu, nu, ey) - apply_raising(mu, hy) - ey
-        comm_lower = apply_weight(mu, nu, fy) - apply_lowering(nu, hy) + fy
-        comm_pair = apply_raising(mu, fy) - apply_lowering(nu, ey) + hy.scaled(2.0)
-        casimir = (
-            (apply_raising(mu, fy) + apply_lowering(nu, ey)).scaled(0.5)
-            - apply_weight(mu, nu, hy)
-            - y.scaled(casimir_value(mu, nu))
+    deviations = []
+    for p in map(float, exponents):
+        e, f, h = raising(mu, p), lowering(nu, p), weight(mu, nu, p)
+        e_f = raising(mu, p - 0.5) * f
+        f_e = lowering(nu, p + 0.5) * e
+        deviations += (
+            weight(mu, nu, p + 0.5) * e - raising(mu, p) * h - e,
+            weight(mu, nu, p - 0.5) * f - lowering(nu, p) * h + f,
+            e_f - f_e + 2.0 * h,
+            0.5 * (e_f + f_e) - weight(mu, nu, p) * h - casimir_value(mu, nu),
         )
-        worst = max(
-            worst,
-            comm_raise.max_abs(),
-            comm_lower.max_abs(),
-            comm_pair.max_abs(),
-            casimir.max_abs(),
-        )
-    return worst
+    return _max_abs(deviations)
 
 
 def reconstruction_check(
-    params: HeunParameters, dec: Su11Decomposition, test_poly: MonomialSum
+    params: HeunParameters, dec: Su11Decomposition, exponents: Iterable[float]
 ) -> float:
-    """Max coefficient difference between the canonical operator and the
-    factorized quadratic applied to the same monomial sum."""
-    f1_part, f2_part, f3_part = second_order_action(canonical_coefficients(params), test_poly)
-    direct = f1_part + f2_part + f3_part
-    factored = apply_quadratic(dec, test_poly)
-    return direct.max_abs_diff(factored)
+    """Max difference between the canonical operator's and the factorized
+    quadratic's coefficients on each test monomial z^p; NaN when any is NaN."""
+    coeffs = canonical_coefficients(params)
+    return _max_abs(
+        direct - factored
+        for p in map(float, exponents)
+        for direct, factored in zip(canonical_rows(coeffs, p), quadratic_rows(dec, p))
+    )

@@ -22,6 +22,9 @@ z = a w (Maier, "The 192 solutions of the Heun equation", Math. Comp. 76
 factorizable operator to one with the same ladder and parities, and each
 accessory value q to q/a.
 
+monomial, exponent and terms build and read a MonomialSum, which keeps no
+arithmetic of its own.
+
 sum_by_terms is the reference value of sum c z^p: math.fsum of every
 product c * z**p, zeros and underflowed powers included, with a complex
 sum summed as its real and imaginary parts apart.  evaluate_by_terms
@@ -41,6 +44,7 @@ import mpmath
 import numpy as np
 
 from heun_su11.heun_core import HeunParameters, make_parameters
+from heun_su11.monomials import MonomialSum
 from heun_su11.series_engine import _CUT_MIN_LIVE, _CUT_SCALE, _CUT_SLACK, _CUT_TINY
 from heun_su11.spectrum import TridiagonalMatrix
 
@@ -95,6 +99,21 @@ def m1_image(params: HeunParameters) -> HeunParameters:
     (1/a, epsilon, delta, q/a), with gamma, alpha and beta kept."""
     return make_parameters(params.gamma, params.epsilon, params.alpha, params.beta,
                            1.0 / params.a, params.q / params.a, epsilon=params.delta)
+
+
+def monomial(exponent: float, coefficient: complex = 1.0) -> MonomialSum:
+    """coefficient * z**exponent."""
+    return MonomialSum(float(exponent), {0: coefficient})
+
+
+def exponent(y: MonomialSum, k: int) -> float:
+    """The exponent of y's term at lattice offset k."""
+    return y.base + 0.5 * k
+
+
+def terms(y: MonomialSum) -> Tuple[Tuple[float, complex], ...]:
+    """(exponent, coefficient) pairs of y, ascending in exponent."""
+    return tuple((exponent(y, k), y.coeffs[k]) for k in sorted(y.coeffs))
 
 
 def sum_by_terms(terms: Iterable[Tuple[float, complex]], z: float):

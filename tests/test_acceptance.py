@@ -1,4 +1,5 @@
-"""End-to-end checks of the advertised guarantees, one test per criterion.
+"""End-to-end checks of the advertised guarantees, one test per criterion,
+and a second for criterion 6: valid sets score far below a planted error.
 
 Every test enforces its stated tolerance with plain asserts and prints one
 PASS line with the measured worst case (visible under pytest -s; the pytest
@@ -13,7 +14,6 @@ import numpy as np
 import pytest
 
 from heun_su11.heun_core import canonical_coefficients, lame_parameters, make_parameters
-from heun_su11.monomials import MonomialSum
 from heun_su11.representations import RepresentationClass, classify, split_even_odd
 from heun_su11.series_engine import DESCENDING, series_solution
 from heun_su11.spectrum import build_matrix, solve_spectrum
@@ -244,10 +244,10 @@ def test_criterion_5_algebra_identities():
     print(f"criterion 5: PASS - worst identity deviation {worst:.2e} on 100 triples (tol 1e-12)")
 
 
-def test_criterion_6_reconstruction():
+def criterion_6_sets(count):
+    """(params, decomposition, test exponents) of count random factorizable sets."""
     rng = np.random.default_rng(20260806)
-    worst = 0.0
-    for _ in range(50):
+    for _ in range(count):
         gamma = float(rng.choice([0.5, 1.5]))
         alpha = float(rng.uniform(-2.0, 2.0))
         a = float(rng.uniform(1.2, 3.0))
@@ -259,13 +259,24 @@ def test_criterion_6_reconstruction():
             a,
             float(rng.uniform(-2.0, 2.0)),
         )
-        dec = decompose(params)
         exponents = rng.choice(np.arange(-6, 7) * 0.5, size=10, replace=False)
-        weights = rng.uniform(-2.0, 2.0, size=10)
-        poly = MonomialSum.from_terms(zip(map(float, exponents), map(float, weights)))
-        worst = max(worst, reconstruction_check(params, dec, poly))
+        rng.uniform(-2.0, 2.0, size=10)  # unused weights: drawn to keep the sets as they were
+        yield params, decompose(params), exponents
+
+
+def test_criterion_6_reconstruction():
+    worst = max(reconstruction_check(*drawn) for drawn in criterion_6_sets(50))
     assert worst <= 1e-10
     print(f"criterion 6: PASS - worst reconstruction deviation {worst:.2e} on 50 sets (tol 1e-10)")
+
+
+def test_criterion_6_valid_sets_stay_far_below_planted_errors():
+    # Scored one monomial at a time, every valid set stays at rounding level
+    # (2.13e-14 at worst over these 2000 sets), far below the 1e-9 that one
+    # planted coefficient error scores at least (test_su11_algebra).
+    worst = max(reconstruction_check(*drawn) for drawn in criterion_6_sets(2000))
+    assert worst <= 1e-13
+    print(f"criterion 6: PASS - worst valid-set deviation {worst:.2e} on 2000 sets (tol 1e-13)")
 
 
 def test_criterion_7_gating():

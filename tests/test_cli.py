@@ -239,6 +239,46 @@ def test_check_algebra_fails_a_nan_deviation(check, argv, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_check_algebra_fails_the_nan_identities_at_mu_1e308(capsys):
+    # Every identity is inf - inf there; the NaN deviation prints as null.
+    assert main(["check-algebra", "--mu", "1e308", "--nu", "-1e308"]) == 2
+    captured = capsys.readouterr()
+    assert "numerical failure" in captured.err
+    assert json.loads(captured.out)["max_commutator_deviation"] is None
+
+
+def test_check_algebra_fails_a_planted_decomposition(monkeypatch, capsys):
+    def planted(params, tol):
+        dec = decompose(params, tol)
+        return dec._replace(c1=dec.c1 + 1e-9)
+
+    monkeypatch.setattr(cli, "decompose", planted)
+    assert main(["check-algebra", "--preset", "example1"]) == 2
+    captured = capsys.readouterr()
+    assert "numerical failure" in captured.err
+    assert json.loads(captured.out)["max_reconstruction_deviation"] > cli.RECONSTRUCTION_THRESHOLD
+
+
+def test_negative_tolerance_is_refused(capsys):
+    assert main(["decompose", "--preset", "example1", "--tolerance", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tolerance must not be negative: tol=-1.0" in captured.err
+
+
+def test_literal_defaults_match_the_library_constants():
+    # cli.py writes --samples and --kmax as literals, since importing the
+    # constants would load numpy at start-up.
+    from heun_su11.series_engine import DEFAULT_TRUNCATION
+    from heun_su11.verifier import DEFAULT_SAMPLE_COUNT
+
+    parser = cli._build_parser()
+    series = parser.parse_args(["series", "--preset", "lame"])
+    spectrum = parser.parse_args(["spectrum", "--preset", "lame"])
+    assert (series.kmax, series.samples, spectrum.samples) == (
+        DEFAULT_TRUNCATION, DEFAULT_SAMPLE_COUNT, DEFAULT_SAMPLE_COUNT)
+
+
 def test_usage_errors_exit_64(capsys):
     assert main(["decompose", "--bogus"]) == 64
     assert main(["decompose"]) == 64

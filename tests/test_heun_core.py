@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,12 +8,10 @@ from heun_su11.errors import ComplexExponents, DegenerateSingularity, FuchsianVi
 from heun_su11.heun_core import (
     CanonicalCoefficients,
     canonical_coefficients,
+    canonical_rows,
     lame_parameters,
     make_parameters,
-    second_order_action,
 )
-from heun_su11.monomials import MonomialSum
-from oracle import sum_by_terms
 
 EXAMPLE1 = dict(gamma=0.5, delta=-0.5, alpha=-1.0, beta=-0.5, a=2.0, q=0.0)
 EXAMPLE2 = dict(gamma=1.5, delta=-0.5, alpha=-0.5, beta=0.0, a=2.0, q=0.0)
@@ -111,49 +110,38 @@ def test_lame_parameters_complex_roots_rejected():
 
 
 def test_canonical_action_against_pointwise_evaluation():
-    # Oracle: evaluate f1 y'', f2 y' and f3 y numerically from the parameter
-    # definition and compare each with its exponent-shift part.
+    # Oracle: f1 y'' + f2 y' + f3 y on y = z^p, evaluated numerically from
+    # the polynomial form, equals the three rows on z^(p+1), z^p, z^(p-1).
     rng = np.random.default_rng(99)
     for _ in range(30):
-        p = random_parameters(rng)
-        c = canonical_coefficients(p)
-        exps = rng.integers(-3, 4, size=4) * 0.5
-        weights = rng.standard_normal(4)
-        y = MonomialSum.from_terms(zip(exps, weights))
+        c = canonical_coefficients(random_parameters(rng))
+        p = float(rng.integers(-6, 7) * 0.5)
         z = float(rng.uniform(0.3, 2.5))
         f1 = z**3 + c.a1 * z**2 + c.a2 * z
         f2 = c.a3 * z**2 + c.a4 * z + c.a5
         f3 = c.a6 * z + c.a7
-        direct = (
-            f1 * sum_by_terms(y.derivative().derivative().terms(), z),
-            f2 * sum_by_terms(y.derivative().terms(), z),
-            f3 * sum_by_terms(y.terms(), z),
-        )
-        for expected, part in zip(direct, second_order_action(c, y)):
-            assert math.isclose(expected, sum_by_terms(part.terms(), z),
-                                rel_tol=1e-11, abs_tol=1e-11)
+        direct = f1 * p * (p - 1.0) * z ** (p - 2.0) + f2 * p * z ** (p - 1.0) + f3 * z**p
+        up, same, down = canonical_rows(c, p)
+        rows = up * z ** (p + 1.0) + same * z**p + down * z ** (p - 1.0)
+        assert math.isclose(rows, direct, rel_tol=1e-11, abs_tol=1e-11)
 
 
 def test_second_order_action_parts_sum_to_action():
-    # Oracle: on z^p the polynomial form contributes a0 p(p-1) + a3 p + a6 to
-    # z^(p+1), a1 p(p-1) + a4 p + a7 to z^p and a2 p(p-1) + a5 p to z^(p-1).
-    p = make_parameters(**EXAMPLE2)
-    c = canonical_coefficients(p)
-    y = MonomialSum.from_terms([(-0.5, 1.0), (0.5, -2.0), (1.0, 0.3)])
-    expected = MonomialSum.zero(y.base)
-    for exp, coef in y.terms():
-        pp = exp * (exp - 1.0)
-        expected = expected + MonomialSum.from_terms(
-            [
-                (exp + 1.0, coef * (c.a0 * pp + c.a3 * exp + c.a6)),
-                (exp, coef * (c.a1 * pp + c.a4 * exp + c.a7)),
-                (exp - 1.0, coef * (c.a2 * pp + c.a5 * exp)),
-            ],
-            base=y.base,
+    # Oracle: on z^p, f1 y'' gives a0 p(p-1), a1 p(p-1), a2 p(p-1) on z^(p+1),
+    # z^p, z^(p-1); f2 y' gives a3 p, a4 p, a5 p; f3 y gives a6 and a7 on the
+    # first two.  Summed in exact rationals from example2's dyadic a's, the
+    # float rows must match bit for bit.
+    c = canonical_coefficients(make_parameters(**EXAMPLE2))
+    a = [Fraction(v) for v in c]
+    for k in range(-6, 7):
+        p = Fraction(k, 2)
+        f1, f2 = p * (p - 1), p
+        expected = (
+            a[0] * f1 + a[3] * f2 + a[6],
+            a[1] * f1 + a[4] * f2 + a[7],
+            a[2] * f1 + a[5] * f2,
         )
-    parts = second_order_action(c, y)
-    total = parts[0] + parts[1] + parts[2]
-    assert total.max_abs_diff(expected) <= 1e-13
+        assert canonical_rows(c, float(p)) == tuple(map(float, expected))
 
 
 def test_coefficients_json_roundtrip():

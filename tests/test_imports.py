@@ -1,5 +1,6 @@
 """No module of the package imports a name that it neither uses nor exports,
-and none imports dataclasses.
+none imports dataclasses, and the algebra modules and the CLI import nothing
+from monomials.
 
 Written with the standard library's ast module alone, so it runs wherever
 the rest of the suite does.  A name counts as used when it appears as a
@@ -51,11 +52,21 @@ def test_every_imported_name_is_used_or_exported(path):
 def test_no_module_imports_dataclasses(path):
     # The records are NamedTuples; dataclasses and the inspect module it
     # pulls in cost every process about 15 ms of start-up.
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert "dataclasses" not in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def imported_modules(tree):
     modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                for alias in node.names]
-    modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    assert "dataclasses" not in modules
+    return modules + [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+
+
+@pytest.mark.parametrize("name", ["heun_core.py", "su11_algebra.py", "cli.py"])
+def test_algebra_and_cli_import_nothing_from_monomials(name):
+    # The generators and the a0..a7 form act on one monomial at a time, as
+    # scalars; a MonomialSum is only the residual's container.
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    assert not {"monomials", "heun_su11.monomials"} & set(imported_modules(tree))
 
 
 def test_the_check_sees_an_unused_import():

@@ -30,7 +30,7 @@ from heun_su11.series_engine import ASCENDING, DESCENDING, _live_terms, series_s
 from heun_su11.spectrum import build_matrix, solve_spectrum
 from heun_su11.su11_algebra import decompose, rebuild_coefficients
 from heun_su11.verifier import _power_matrix, default_sample_points, residual_for_coefficients
-from oracle import sturm_counter
+from oracle import sturm_counter, terms
 
 THRESHOLD = 1e-8
 UNIT_ROUNDOFF = 2.0**-53
@@ -154,7 +154,7 @@ def exact_numerator(coeffs, y, z):
         a = [mpmath.mpf(v) for v in coeffs]
         z = mpmath.mpf(z)
         total = mpmath.mpf(0)
-        for p, c in y.terms():
+        for p, c in terms(y):
             p, c = mpmath.mpf(p), mpmath.mpmathify(c)
             up = a[0] * p * (p - 1) + a[3] * p + a[6]
             same = a[1] * p * (p - 1) + a[4] * p + a[7]

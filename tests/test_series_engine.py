@@ -30,7 +30,7 @@ from heun_su11.series_engine import (
 )
 from heun_su11.su11_algebra import Su11Decomposition, casimir_value, decompose
 from heun_su11.verifier import ode_residual
-from oracle import evaluate_by_terms, series_terms, sum_by_terms, two_sum_cut
+from oracle import evaluate_by_terms, series_terms, sum_by_terms, terms, two_sum_cut
 
 POINT_PAIRS = [(2.0, 1.0), (0.5, -0.3)]
 
@@ -658,11 +658,11 @@ def test_exponents_and_monomial_view():
     desc = series_solution(dec, by_class[RepresentationClass.NEGATIVE_DISCRETE], "odd", 1.0)
     assert asc.exponents[3] == 3.5
     assert desc.exponents[3] == -3.5
-    terms = dict(asc.as_monomial_sum().terms())
-    assert terms[0.5] == 1.0
-    assert terms[1.5] == asc.coefficients[1]
-    terms = dict(desc.as_monomial_sum().terms())
-    assert terms[-1.5] == desc.coefficients[1]
+    by_exponent = dict(terms(asc.as_monomial_sum()))
+    assert by_exponent[0.5] == 1.0
+    assert by_exponent[1.5] == asc.coefficients[1]
+    by_exponent = dict(terms(desc.as_monomial_sum()))
+    assert by_exponent[-1.5] == desc.coefficients[1]
 
 
 def test_json_roundtrip_including_infinite_domain():

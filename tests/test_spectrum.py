@@ -13,11 +13,10 @@ import pytest
 from heun_su11.errors import EigensolverNoConvergence, GridTooLarge
 from heun_su11.heun_core import (
     canonical_coefficients,
+    canonical_rows,
     lame_parameters,
     make_parameters,
-    second_order_action,
 )
-from heun_su11.monomials import MonomialSum
 from heun_su11.representations import (
     ExponentGrid,
     RepresentationClass,
@@ -30,7 +29,7 @@ from heun_su11.series_engine import evaluate_series
 from heun_su11.spectrum import TridiagonalMatrix, build_matrix, solve_spectrum
 from heun_su11.su11_algebra import decompose, rebuild_coefficients
 from heun_su11.verifier import default_sample_points, residual_block, residual_for_coefficients
-from oracle import check_eigenvalues, m1_image, sturm_counter
+from oracle import check_eigenvalues, m1_image, sturm_counter, terms
 
 
 def example1(a, q=0.0):
@@ -83,8 +82,7 @@ def test_build_matrix_example1_even_against_operator_readoff():
     # the basis monomials (q=0 so the diagonal shift vanishes).
     coeffs = canonical_coefficients(example1(a))
     for col, p in enumerate(matrix.exponents):
-        f1_part, f2_part, f3_part = second_order_action(coeffs, MonomialSum.monomial(p))
-        got = dict((f1_part + f2_part + f3_part).terms())
+        got = dict(zip((p + 1.0, p, p - 1.0), canonical_rows(coeffs, p)))
         for row, p_row in enumerate(matrix.exponents):
             entry = dense_of(matrix)[row][col]
             assert got.get(p_row, 0.0) == pytest.approx(entry, abs=1e-14)
@@ -178,7 +176,7 @@ def test_eigenfunction_residuals_and_parity_separation():
         for pair in solve_spectrum(dec, rep).pairs:
             assert pair.residual <= 1e-12
             allowed = set(grids[pair.parity].exponents())
-            used = {exp for exp, _ in pair.eigenfunction.as_monomial_sum().terms()}
+            used = {exp for exp, _ in terms(pair.eigenfunction.as_monomial_sum())}
             assert used <= allowed
 
 

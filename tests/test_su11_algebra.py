@@ -5,25 +5,20 @@ import numpy as np
 import pytest
 
 from heun_su11.errors import InconsistentCoefficients, NotFactorizable, ValidationError
-from heun_su11.heun_core import (
-    canonical_coefficients,
-    lame_parameters,
-    make_parameters,
-    second_order_action,
-)
-from heun_su11.monomials import MonomialSum
+from heun_su11.cli import PRESETS, RECONSTRUCTION_THRESHOLD
+from heun_su11.heun_core import canonical_coefficients, lame_parameters, make_parameters
 from heun_su11.su11_algebra import (
     Su11Decomposition,
     algebra_identity_check,
-    apply_lowering,
-    apply_quadratic,
-    apply_raising,
-    apply_weight,
     casimir_value,
     check_factorizable,
     decompose,
+    lowering,
+    quadratic_rows,
+    raising,
     rebuild_coefficients,
     reconstruction_check,
+    weight,
 )
 
 EXAMPLE1 = dict(gamma=0.5, delta=-0.5, alpha=-1.0, beta=-0.5, a=2.0, q=0.0)
@@ -45,29 +40,25 @@ def random_factorizable(rng, a=None, q=None):
     return make_parameters(gamma, delta, alpha, beta, a, q)
 
 
-def random_half_step_poly(rng, count=10):
-    exps = rng.choice(np.arange(-6, 7) * 0.5, size=count, replace=False)
-    return MonomialSum.from_terms(zip(exps, rng.standard_normal(count)))
+def random_half_step_exponents(rng, count=10):
+    return rng.choice(np.arange(-6, 7) * 0.5, size=count, replace=False)
 
 
 def test_generators_shift_degree_by_half_steps():
+    # E+E+ z^p lands on z^(p+1) and E-E- z^p on z^(p-1), each the product of
+    # the generators' factors at p and at the half step they moved to.
     rng = np.random.default_rng(3)
     for _ in range(20):
         p = float(rng.integers(-6, 7) * 0.5)
         mu, nu = float(rng.standard_normal()), float(rng.standard_normal())
-        y = MonomialSum.monomial(p)
-        up = apply_raising(mu, y).terms()
-        down = apply_lowering(nu, y).terms()
-        level = apply_weight(mu, nu, y).terms()
-        if up:
-            assert up[0][0] == p + 0.5
-            assert abs(up[0][1] - (2 * p + 2 * mu)) <= 1e-14
-        if down:
-            assert down[0][0] == p - 0.5
-            assert abs(down[0][1] - (2 * p + 2 * nu)) <= 1e-14
-        if level:
-            assert level[0][0] == p
-            assert abs(level[0][1] - (2 * p + mu + nu)) <= 1e-14
+        assert abs(raising(mu, p) - (2 * p + 2 * mu)) <= 1e-14
+        assert abs(lowering(nu, p) - (2 * p + 2 * nu)) <= 1e-14
+        assert abs(weight(mu, nu, p) - (2 * p + mu + nu)) <= 1e-14
+        unit = Su11Decomposition(mu, nu, 1.0, 1.0, 0.0, 0.0, 0.0, casimir_value(mu, nu))
+        up, same, down = quadratic_rows(unit, p)
+        assert up == raising(mu, p + 0.5) * raising(mu, p)
+        assert down == lowering(nu, p - 0.5) * lowering(nu, p)
+        assert same == 0.0
 
 
 def test_algebra_identities_on_fixed_points():
@@ -103,6 +94,12 @@ def test_check_factorizable_reports_both_failures():
     assert report.exponent_gap == 0.0
     assert report.gamma_deviation == pytest.approx(0.5)
     assert "not factorizable" in report.describe()
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300])
+def test_check_factorizable_refuses_a_negative_tolerance(tol):
+    with pytest.raises(ValidationError, match=f"tolerance must not be negative: tol={tol!r}"):
+        check_factorizable(make_parameters(**EXAMPLE1), tol)
 
 
 def test_check_factorizable_single_failures():
@@ -214,16 +211,9 @@ def test_ladder_action_matches_quadratic_application():
     for _ in range(20):
         dec = decompose(random_factorizable(rng))
         p = float(rng.integers(-4, 5) * 0.5)
-        y = MonomialSum.monomial(p)
-        expected = MonomialSum.from_terms(
-            [
-                (p + 1.0, dec.up(p)),
-                (p, dec.diag_base(p) - dec.accessory_q),
-                (p - 1.0, dec.down(p)),
-            ],
-            base=p,
-        )
-        assert apply_quadratic(dec, y).max_abs_diff(expected) <= 1e-12
+        expected = (dec.up(p), dec.diag_base(p) - dec.accessory_q, dec.down(p))
+        for got, want in zip(quadratic_rows(dec, p), expected):
+            assert abs(got - want) <= 1e-12
 
 
 def test_ladder_action_example1_odd_point():
@@ -244,14 +234,11 @@ def test_ladder_action_lame_singlet():
 
 
 def test_reconstruction_check_example_solutions():
-    # On an actual eigenfunction the canonical operator must annihilate it.
+    # The monomials of y = z + sqrt(a), which solves the a = 4 equation at
+    # q = 1 (its annihilation is test_verifier's exact-solution test).
     a = 4.0
     p1 = make_parameters(gamma=0.5, delta=-0.5, alpha=-1.0, beta=-0.5, a=a, q=1.0)
-    y = MonomialSum.from_terms([(1.0, 1.0), (0.0, math.sqrt(a))])
-    dec = decompose(p1)
-    assert reconstruction_check(p1, dec, y) <= 1e-12
-    f1_part, f2_part, f3_part = second_order_action(canonical_coefficients(p1), y)
-    assert (f1_part + f2_part + f3_part).max_abs() <= 1e-12
+    assert reconstruction_check(p1, decompose(p1), [1.0, 0.0]) <= 1e-12
 
 
 def test_reconstruction_check_random_polynomials():
@@ -259,8 +246,43 @@ def test_reconstruction_check_random_polynomials():
     for _ in range(50):
         p = random_factorizable(rng)
         dec = decompose(p)
-        poly = random_half_step_poly(rng, count=10)
-        assert reconstruction_check(p, dec, poly) <= 1e-10
+        assert reconstruction_check(p, dec, random_half_step_exponents(rng)) <= 1e-10
+
+
+CLI_EXPONENTS = [-3.0 + 0.5 * i for i in range(13)]
+
+
+def preset_parameters(name):
+    preset = PRESETS[name]
+    if "rho" in preset:
+        return lame_parameters(preset["rho"], preset["a"], preset["q"])
+    return make_parameters(**preset)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("field", ["c_plus", "c_minus", "c2", "c1", "c0"])
+def test_reconstruction_fails_a_planted_coefficient_error(preset, field):
+    # Scored one monomial at a time, a decomposition coefficient that is off
+    # by 1e-9 still deviates beyond the threshold on check-algebra's exponents.
+    params = preset_parameters(preset)
+    dec = decompose(params)
+    assert reconstruction_check(params, dec, CLI_EXPONENTS) <= 1e-14
+    planted = dec._replace(**{field: getattr(dec, field) + 1e-9})
+    assert reconstruction_check(params, planted, CLI_EXPONENTS) > RECONSTRUCTION_THRESHOLD
+
+
+def test_algebra_identities_are_nan_at_mu_1e308():
+    # inf - inf in every identity: the NaN must reach the caller, where max()
+    # would drop a NaN that is not its first argument.
+    assert math.isnan(algebra_identity_check(1e308, -1e308, CLI_EXPONENTS))
+    assert math.isnan(algebra_identity_check(0.0, 0.0, [0.0, math.nan]))
+
+
+def test_reconstruction_check_is_nan_when_any_row_is():
+    params = make_parameters(**EXAMPLE1)
+    dec = decompose(params)._replace(c_minus=math.nan)
+    assert math.isnan(reconstruction_check(params, dec, CLI_EXPONENTS))
+    assert reconstruction_check(params, decompose(params), []) == 0.0
 
 
 def test_decomposition_json_roundtrip():

@@ -22,26 +22,7 @@ from heun_su11.verifier import (
     solution_samples,
 )
 from heun_su11.series_engine import ASCENDING, DESCENDING, convergence_domain
-from oracle import sum_by_terms
-
-
-def derivative_crosscheck(solution, z, h_steps):
-    """Oracle for MonomialSum.derivative: max deviation of the analytic y',
-    y'' from central differences at the smallest step; second-order
-    accurate, so it shrinks ~h^2."""
-    if z <= 0.0:
-        raise ValueError("crosscheck point must satisfy z > 0")
-    d1 = solution.derivative()
-    d2 = d1.derivative()
-    h = min(h_steps)
-    if z - h <= 0.0:
-        raise ValueError(f"step {h} reaches past the origin from z={z}")
-    y_minus = sum_by_terms(solution.terms(), z - h)
-    y_plus = sum_by_terms(solution.terms(), z + h)
-    y_mid = sum_by_terms(solution.terms(), z)
-    fd1 = (y_plus - y_minus) / (2.0 * h)
-    fd2 = (y_plus - 2.0 * y_mid + y_minus) / (h * h)
-    return max(abs(fd1 - sum_by_terms(d1.terms(), z)), abs(fd2 - sum_by_terms(d2.terms(), z)))
+from oracle import monomial
 
 
 EXAMPLE1 = dict(gamma=0.5, delta=-0.5, alpha=-1.0, beta=-0.5, q=0.0)
@@ -66,7 +47,7 @@ def test_wrong_accessory_value_is_flagged():
 def test_constant_solution_scores_zero():
     # alpha*beta = 0 and q = 0 make every term vanish identically for y = 1
     params = make_parameters(a=2.0, **EXAMPLE2)
-    report = ode_residual(params, MonomialSum.monomial(0.0))
+    report = ode_residual(params, monomial(0.0))
     assert report.max_relative_residual == 0.0
     assert all(s == 0.0 for s in report.scales)
 
@@ -114,7 +95,7 @@ def test_scale_sums_every_term():
     # f3 y = a6 z^2 + a7 z, so the scale is the sum of those five |terms|.
     params = make_parameters(a=4.0, **{**EXAMPLE1, "q": 1.0})
     c = canonical_coefficients(params)
-    report = residual_for_coefficients(c, MonomialSum.monomial(1.0), [0.5])
+    report = residual_for_coefficients(c, monomial(1.0), [0.5])
     z = 0.5
     terms = [c.a3 * z**2, c.a4 * z, c.a5, c.a6 * z**2, c.a7 * z]
     assert report.scales[0] == pytest.approx(sum(map(abs, terms)), rel=1e-15)
@@ -146,7 +127,7 @@ def test_residual_rejects_bad_sample_points():
     params = make_parameters(a=2.0, **EXAMPLE1)
     coeffs = canonical_coefficients(params)
     with pytest.raises(SamplePointAtSingularity):
-        residual_for_coefficients(coeffs, MonomialSum.monomial(0.0), [1.0])
+        residual_for_coefficients(coeffs, monomial(0.0), [1.0])
 
 
 def accepted(z, a):
@@ -179,28 +160,6 @@ def test_default_sample_points_domains():
     pts = default_sample_points(2.0, domain=(0.5, 1.5), count=25)
     assert len(pts) == 24
     assert all(abs(z - 1.0) >= SINGULARITY_RADIUS for z in pts)
-
-
-def test_derivative_crosscheck_accuracy():
-    rootz = MonomialSum.monomial(0.5)
-    assert derivative_crosscheck(rootz, 1.0, [1e-4]) <= 1e-7
-    linear = MonomialSum.from_terms([(0.0, 3.0), (1.0, 2.0)])
-    assert derivative_crosscheck(linear, 1.0, [1e-4]) <= 1e-9
-
-
-def test_derivative_crosscheck_is_second_order():
-    y = MonomialSum.from_terms([(0.5, 1.0), (1.5, 0.6), (2.5, -0.3), (3.5, 0.1)])
-    coarse = derivative_crosscheck(y, 0.3, [1e-2, 5e-2])
-    fine = derivative_crosscheck(y, 0.3, [5e-3])
-    assert coarse / fine == pytest.approx(4.0, rel=0.1)
-
-
-def test_derivative_crosscheck_guards():
-    y = MonomialSum.monomial(0.5)
-    with pytest.raises(ValueError):
-        derivative_crosscheck(y, 0.0, [1e-4])
-    with pytest.raises(ValueError):
-        derivative_crosscheck(y, 1e-6, [1e-4])
 
 
 def test_residual_report_json_shape():

@@ -17,6 +17,7 @@ stated domain.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import cached_property
 from itertools import repeat
 from operator import mul
@@ -67,25 +68,30 @@ class SeriesSolution(_SeriesFields):
         return 1 if self.direction == ASCENDING else -1
 
     @cached_property
-    def log2_magnitudes(self):
-        """log2|b_m| (-inf for a zero) as a float64 array over b_0..b_(F-1),
-        the leading run of finite coefficients: all of them, unless one
-        overflowed.  None for a complex series.  Computed on first use."""
+    def log2_majorant(self):
+        """S_k = max over k <= m < F of log2|b_m| + step*m*log2(R), R the
+        domain's edge, as a float64 array over b_0..b_(F-1), the leading run
+        of finite coefficients: each term from m = k on is at most
+        2^(S_k + p0 log2(z) + m step log2(z/R)).  None for a complex series
+        or an edge at 0 or inf.  Computed on first use."""
         b = np.array(self.coefficients)
-        if b.dtype != np.float64:
+        edge = _edge(self)
+        if b.dtype != np.float64 or not 0.0 < edge < math.inf:
             return None
         finite = np.isfinite(b)
         if not finite.all():
             b = b[:finite.argmin()]
         with np.errstate(divide="ignore"):
-            return np.log2(np.abs(b))
+            a = np.log2(np.abs(b))
+        a += self.step * math.log2(edge) * np.arange(len(a))
+        return np.maximum.accumulate(a[::-1])[::-1]
 
     @cached_property
     def non_finite_tail(self) -> float:
-        """math.fsum of b_m * 0.0 over m >= F, past log2_magnitudes: what
-        the terms from the first non-finite coefficient on add where every
-        power is 0.0, a NaN (0.0 when there is none); computed on first use."""
-        return math.fsum(b * 0.0 for b in self.coefficients[len(self.log2_magnitudes):])
+        """math.fsum of b_m * 0.0 over every m: what the terms add where
+        every power is 0.0, the NaN of the non-finite coefficients (fsum
+        ignores the others' signed zeros), or 0.0; computed on first use."""
+        return math.fsum(b * 0.0 for b in self.coefficients)
 
     @cached_property
     def exponents(self):
@@ -235,40 +241,50 @@ def _live_terms(p0: float, step: int, z: float, count: int) -> int:
 
 
 # evaluate_series computes a prefix of the live terms of a long real series
-# when a bound D on the dropped rest certifies the rounded sum; its
-# docstring derives D = _CUT_SLACK * (sum of the dropped magnitudes) +
-# _CUT_TINY per dropped term.  The prefix is the shortest with D below
-# _CUT_SCALE of the largest term, 28 bits under half its ulp.
+# when a bound D on the dropped rest, which its docstring derives, certifies
+# the rounded sum: the shortest with D under 2^-80 of the bound on every term.
 _CUT_MIN_LIVE = 64
-_CUT_SCALE = 2.0**-80
-_CUT_SLACK = 2.0 + 2.0**-17
+_CUT_LOG2_SCALE = -80.0
 _CUT_TINY = 2.0**-1018
 
 
-def _cut(sol: SeriesSolution, p0: float, z: float, live: int) -> Tuple[int, float]:
-    """(n, D): the shortest prefix n of the live terms whose rest is bounded
-    by D < _CUT_SCALE times the largest term; (live, 0.0) when there is none,
-    or when a live coefficient lies past log2_magnitudes.
+def _edge(sol: SeriesSolution) -> float:
+    """R, the edge of sol's domain that its terms decay away from."""
+    return sol.domain[1] if sol.step > 0 else sol.domain[0]
 
-    The magnitudes 2^(log2|b_m| + max(p log2(z), -1074)) are formed in one
-    buffer, in place.  Rounding is monotone, so that exponent equals
-    max(log2|b_m| + p log2(z), log2|b_m| - 1074) bit for bit."""
-    logs = sol.log2_magnitudes if live > _CUT_MIN_LIVE else None
-    if logs is None or live > len(logs) or not math.isfinite(p0):
+
+def _cut(sol: SeriesSolution, p0: float, z: float, live: int) -> Tuple[int, float]:
+    """(n, D): the shortest prefix n of the live terms whose rest D bounds,
+    with D under 2^_CUT_LOG2_SCALE of 2^(S_0 + p0 log2(z)), found by
+    bisection; (0, D < 2^1023) on a series with a non-finite tail; and
+    (live, 0.0) when there is none."""
+    run = sol.log2_majorant if live > _CUT_MIN_LIVE else None
+    if run is None or live > len(run) or not abs(p0) < 2.0**32:
         return live, 0.0
-    with np.errstate(all="ignore"):
-        magnitudes = sol.exponents[:live] * math.log2(z)
-        np.maximum(magnitudes, -1074.0, out=magnitudes)
-        magnitudes += logs[:live]
-        np.exp2(magnitudes, out=magnitudes)
-    largest = float(magnitudes.max())
-    if not 0.0 < largest < math.inf:
+    step, t, tau = sol.step, math.log2(z), math.log2(_edge(sol))
+    s = step * (t - tau)
+    if not (s < 0.0 and step * t < 0.0):
         return live, 0.0
-    rest = np.cumsum(magnitudes[::-1])
-    dropped = int(np.searchsorted(rest, largest * (_CUT_SCALE / _CUT_SLACK)))
-    if dropped == 0:
+    run = memoryview(run)
+    # log2(2 G 2^(p0 t)), and the log2 of twice the subnormal powers' slack.
+    lead = p0 * t + math.log2(1.0 - 1.0 / (s * math.log(2.0))) + 1.0
+    first = max(0, math.floor((-1021.0 - p0 * t) / (step * t)) + 1)
+    slack = -math.inf
+    if first < live:
+        slack = (math.log2(live - first) + run[first]
+                 + max(-step * tau, 0.0) * (live - 1) - 1073.0)
+    if len(run) < len(sol.coefficients):
+        if max(run[0] + lead, slack) < 1021.0:
+            return 0, 2.0 ** (run[0] + lead) + 2.0**slack + live * _CUT_TINY
         return live, 0.0
-    return live - dropped, _CUT_SLACK * float(rest[dropped - 1]) + dropped * _CUT_TINY
+    target = run[0] + _CUT_LOG2_SCALE + p0 * t
+    if not (-math.inf < target < 1022.0 and slack < target):
+        return live, 0.0
+    target -= lead
+    n = bisect_left(range(live), True, 1, key=lambda k: run[k] + k * s <= target)
+    if n == live:
+        return live, 0.0
+    return n, 2.0 ** (run[n] + n * s + lead) + 2.0**slack + (live - n) * _CUT_TINY
 
 
 def _certified_sum(terms: List[float], bound: float):
@@ -302,55 +318,40 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
 
     Of a long real series only the terms that can still move the rounded
     value are computed.  When the live coefficients are finite reals, more
-    than _CUT_MIN_LIVE of them, _cut bounds every live magnitude in one
-    numpy pass and takes the shortest prefix whose dropped rest R has
-    |R| <= D with D below 2^-80 of the largest term.  If fsum(prefix + [D])
-    and fsum(prefix + [-D]) are one finite non-zero float, the full sum
+    than _CUT_MIN_LIVE of them, _cut bisects the series' majorant for the
+    shortest prefix whose dropped rest R has |R| <= D.  If fsum(prefix +
+    [D]) and fsum(prefix + [-D]) are one finite non-zero float, the full sum
     prefix + R, which lies between the two, rounds to that float too,
     because correct rounding is monotone.  Otherwise (a rounding midpoint
     within D of the prefix, cancellation, overflow or an fsum that raises)
     the rest of the live terms is computed and everything is summed as
-    above; complex coefficients, a non-finite live one and short sums take
-    that path from the start.
+    above; complex coefficients, a non-finite live one, short sums and z
+    at 1 or at the domain's edge in log2 take that path from the start.
 
     An overflowed recurrence leaves coefficients that are not finite from
-    some b_F on, and log2_magnitudes covers b_0..b_(F-1) alone, so the cut
-    applies where the live terms stop at or before F.  Every later term is
-    b_m * 0.0: a signed zero before F, and from b_F on zeros and NaNs, b_F's
-    among them.  CPython's fsum adds each non-finite summand to a special
-    sum of its own, apart from the finite partials, and returns that sum
-    after the last summand whatever the finite ones were, unless adding a
-    finite summand first overflowed the partials ("intermediate overflow",
-    an OverflowError); its ValueError needs infinities, which the NaNs are
-    not.  A certified prefix excludes the overflow: fsum(prefix + [D]) has
-    summed the prefix, in the same order, to a finite value, and the live
-    rest, of total magnitude at most D, keeps every later exact running sum
-    between prefix - D and prefix + D, whose fsums are finite.  So the full
-    sum is the special sum of the tail's NaNs alone, in order, which the
-    series keeps as non_finite_tail, computed once: on a certified prefix
-    of such a series that is the value, NaN sign included.
+    some b_F on.  Where the live terms stop at or before F and D bounds all
+    of them below 2^1023, no power is computed: fsum's partials stay below
+    2^1024, and CPython's fsum returns the sum of its non-finite summands,
+    in order, whatever the finite ones are.  Those are the NaNs b_m * 0.0
+    from b_F on, which the series keeps as non_finite_tail.
 
-    D bounds the rest as follows, with u = 2^-53 and, for a dropped term
-    T_m = fl(b_m pow(z, p)), l = log2|b_m| and E = l + p log2(z):
+    D is derived with u = 2^-53, t = log2(z), tau = log2(R) for the edge R
+    and s = step (t - tau) < 0.  By log2_majorant, |b_m z^p| <= 2^(S_n +
+    p0 t + m s) for m >= n, so the exact dropped terms sum to at most
+    2^(S_n + p0 t + n s) G, G = 1 + 1/(-s ln 2) >= 1/(1 - 2^s).  Then:
       * libm's pow errs by at most one ulp: 2u relative for a normal z^p,
-        2^-1074 absolute for a subnormal one, so the per-term slack
-        |b_m| 2^-1074 counts only where p log2(z) < -1022, and
-        |b_m pow(z, p)| <= 2 (1 + 2u) 2^G with G = max(E, l - 1074);
+        2^-1074 absolute for a subnormal one, which only the live terms
+        from the first m with p t < -1021 on can have; there |b_m| <=
+        2^(S_first + m g) with g = max(0, -step tau);
       * the product's rounding adds a factor 1 + u and 2^-1075 absolute;
-      * numpy forms 2^G = 2^(l + max(p log2(z), -1074)) from log2, one
-        product, a max, one sum and exp2.  The cut needs every 2^G finite,
-        so G < 1024, and where G = E then
-        |p log2(z)| = |E - l| < 2100 with |l| <= 1074; with log2 and exp2
-        within 2^-48 relative (32 ulp) the computed exponent errs by under
-        2^-37 and the computed magnitude M is low by under 2^-36 relative
-        whenever 2^G >= 2^-1020.  Below that, where exp2 may return a
-        subnormal or numpy may flush it to zero, 2^G < 2^-1020 whatever M
-        is;
-      * numpy's reversed cumulative sum C of the k dropped M's is low by
-        under k u relative, under 2^-23 for fewer than 2^30 terms.
-    Together |T_m| <= 2 (1 + 2^-35) M_m + 2^-1018.9, so
-    |R| <= D = (2 + 2^-17) C + k 2^-1018.  The factor 2 costs one of the
-    28 bits between D and half an ulp of the largest term.
+      * with |p0| < 2^32 and fewer than 2^31 terms, every quantity in the
+        exponents (log2|b_m|, m tau, p0 t, m s) is below 2^44, so their
+        roundings, and numpy's log2 within 32 ulp, move the computed
+        exponent by under 2^-5.  The geometric factor of k dropped terms is
+        at most min(k, G); where G < 2^31, |s| > 2^-32 and the rounding of t
+        moves G by under 2^-10.
+    A factor 2 covers all of these: D = 2 (2^(S_n + p0 t + n s) G +
+    (live - first) 2^(S_first + (live - 1) g - 1074)) + k 2^-1018 >= |R|.
     """
     lo, hi = sol.domain
     if not (lo < z < hi):
@@ -359,6 +360,8 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
     coefficients = sol.coefficients
     live = _live_terms(p0, sol.step, z, len(coefficients))
     cut, bound = _cut(sol, p0, z, live)
+    if cut == 0 < bound:
+        return EvaluatedSeries(sol.non_finite_tail)
     exponents = memoryview(sol.exponents)
     terms = list(map(mul, coefficients, map(math.pow, repeat(z, cut), exponents)))
     value = _certified_sum(terms, bound) if cut < live else None
@@ -371,7 +374,4 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
             value = math.fsum(terms)
         except TypeError:
             value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-    elif len(sol.log2_magnitudes) < len(coefficients):
-        # The live terms stop before the first non-finite coefficient.
-        value = sol.non_finite_tail
     return EvaluatedSeries(value)

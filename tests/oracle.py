@@ -31,21 +31,20 @@ sum summed as its real and imaginary parts apart.  evaluate_by_terms
 applies it to a SeriesSolution; the value of the package's one evaluator,
 evaluate_series, must equal it bit for bit.
 
-two_sum_cut is evaluate_series' cut with its magnitudes formed by the
-earlier two-sum formula, 2^max(l + p log2(z), l - 1074) with l = log2|b_m|,
-from the coefficients and exponents computed here; the package's one-buffer
-form 2^(l + max(p log2(z), -1074)) must give the same (n, D) bit for bit.
+exact_magnitude is the exact sum of the magnitudes of some floats, as a
+Fraction: the soundness oracle of evaluate_series' cut, whose bound D on
+the dropped live terms must be at least the exact sum of their computed
+magnitudes |b_m * z**p|.
 """
 
 import math
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Tuple
 
 import mpmath
-import numpy as np
 
 from heun_su11.heun_core import HeunParameters, make_parameters
 from heun_su11.monomials import MonomialSum
-from heun_su11.series_engine import _CUT_MIN_LIVE, _CUT_SCALE, _CUT_SLACK, _CUT_TINY
 from heun_su11.spectrum import TridiagonalMatrix
 
 DIGITS = 50
@@ -136,23 +135,9 @@ def evaluate_by_terms(sol, z: float):
     return sum_by_terms(series_terms(sol), z)
 
 
-def two_sum_cut(sol, z: float, live: int) -> Tuple[int, float]:
-    """(n, D) of the cut of a real series' live terms at z, or (live, 0.0)
-    where there is none: with at most _CUT_MIN_LIVE live terms, a complex or
-    non-finite live coefficient, or a non-finite p0."""
-    b = np.array(sol.coefficients[:live])
-    if (live <= _CUT_MIN_LIVE or b.dtype != np.float64 or not np.isfinite(b).all()
-            or not math.isfinite(sol.p0)):
-        return live, 0.0
-    with np.errstate(all="ignore"):
-        logs = np.log2(np.abs(b))
-        exponents = logs + (sol.p0 + sol.step * np.arange(live)) * math.log2(z)
-        magnitudes = np.exp2(np.maximum(exponents, logs - 1074.0))
-    largest = float(magnitudes.max())
-    if not 0.0 < largest < math.inf:
-        return live, 0.0
-    rest = np.cumsum(magnitudes[::-1])
-    dropped = int(np.searchsorted(rest, largest * (_CUT_SCALE / _CUT_SLACK)))
-    if dropped == 0:
-        return live, 0.0
-    return live - dropped, _CUT_SLACK * float(rest[dropped - 1]) + dropped * _CUT_TINY
+def exact_magnitude(values: Iterable[float]) -> Fraction:
+    """The exact sum of |x| over the finite floats x, each a multiple of
+    2^-1074."""
+    scale = 1 << 1074
+    return Fraction(sum(abs(n) * (scale // d) for n, d in map(float.as_integer_ratio, values)),
+                    scale)

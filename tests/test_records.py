@@ -78,7 +78,7 @@ def test_replace_starts_a_new_cache():
     assert np.array_equal(sol.exponents, exponents)
 
 
-CACHED = ("exponents", "log2_magnitudes", "non_finite_tail")
+CACHED = ("exponents", "log2_majorant", "non_finite_tail")
 
 
 def overflowed_series():
@@ -109,18 +109,18 @@ def check_cache_survives_pickle(sol):
 def test_a_series_with_its_cache_filled_survives_pickle():
     sol = RECORDS["SeriesSolution"]
     check_cache_survives_pickle(sol)
-    assert len(sol.log2_magnitudes) == len(sol.coefficients) and sol.non_finite_tail == 0.0
+    assert len(sol.log2_majorant) == len(sol.coefficients) and sol.non_finite_tail == 0.0
     report = RECORDS["ResidualReport"]
     assert pickle.loads(pickle.dumps(report)) == report
 
 
 def test_an_overflowed_series_caches_its_finite_run_and_its_tail():
-    # Its log2|b_m| stop at its first non-finite coefficient, and its tail
+    # Its majorant stops at its first non-finite coefficient, and its tail
     # is a NaN; both survive pickle like the finite series' cache.
     sol = overflowed_series()
     finite_run = next(m for m, b in enumerate(sol.coefficients) if not math.isfinite(b))
     check_cache_survives_pickle(sol)
-    assert len(sol.log2_magnitudes) == finite_run and math.isnan(sol.non_finite_tail)
+    assert len(sol.log2_majorant) == finite_run and math.isnan(sol.non_finite_tail)
 
 
 def test_a_spectral_result_equals_only_itself():

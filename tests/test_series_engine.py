@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 import pickle
 import random
 import struct
@@ -30,7 +31,7 @@ from heun_su11.series_engine import (
 )
 from heun_su11.su11_algebra import Su11Decomposition, casimir_value, decompose
 from heun_su11.verifier import ode_residual
-from oracle import evaluate_by_terms, series_terms, sum_by_terms, terms, two_sum_cut
+from oracle import evaluate_by_terms, exact_magnitude, series_terms, sum_by_terms, terms
 
 POINT_PAIRS = [(2.0, 1.0), (0.5, -0.3)]
 
@@ -426,12 +427,13 @@ def planted_series(last_bit, tail_sign):
 @pytest.mark.parametrize("last_bit", [0, 1])
 @pytest.mark.parametrize("tail_sign", [1.0, -1.0])
 def test_certificate_refuses_a_prefix_on_a_rounding_midpoint(last_bit, tail_sign):
-    # The terms are exact at z = 1/2.  The cut keeps the two leading terms,
-    # whose sum is a midpoint that rounds to even; the dropped rest lies far
-    # below the cut's bound, yet it decides the last bit of the full sum, so
-    # the certificate must refuse and the full sum must be taken.
+    # The terms are exact at z = 1/2.  The cut lands in the zero run, so the
+    # prefix sums to the two leading terms, a midpoint that rounds to even;
+    # the dropped rest lies far below the cut's bound, yet it decides the
+    # last bit of the full sum, so the certificate must refuse and the full
+    # sum must be taken.
     sol = planted_series(last_bit, tail_sign)
-    assert _cut(sol, 0.0, 0.5, 1001)[0] == 2
+    assert 2 <= _cut(sol, 0.0, 0.5, 1001)[0] < 150
     assert evaluate_series(sol, 0.5).value == 1.0 + (last_bit + (tail_sign > 0.0)) * 2.0**-52
     assert _outcome(evaluate_series, sol, 0.5) == _outcome(evaluate_by_terms, sol, 0.5)
 
@@ -441,13 +443,18 @@ def test_certificate_refuses_a_prefix_on_a_rounding_midpoint(last_bit, tail_sign
 def test_cut_holds_on_huge_coefficients_with_subnormal_powers(q, z, monkeypatch):
     # example1's descending K=1000 series at a=2 has finite coefficients up
     # to 1.7e293 whose powers of z are subnormal at the far end, where pow
-    # may err by 2^-1074 absolute: that error, times |b_m|, is covered term
-    # by term, so the cut is still certified, and exact.
+    # may err by 2^-1074 absolute: D covers that error, times |b_m|, on
+    # every dropped term as well as the exact rest, so the cut is still
+    # certified, and exact.
     sol = preset_series("example1", 2.0, q, RepresentationClass.NEGATIVE_DISCRETE, "even", 1000)
     assert max(map(abs, sol.coefficients)) > 1e293
     assert all(map(math.isfinite, sol.coefficients))
     live = _live_terms(sol.p0, -1, z, len(sol.coefficients))
     assert live * math.log2(z) > 1022.0
+    n, bound = _cut(sol, sol.p0, z, live)
+    dropped = series_terms(sol)[n:live]
+    slack = exact_magnitude(b for p, b in dropped if z**p < 2.0**-1022) * Fraction(2.0**-1074)
+    assert exact_magnitude(b * z**p for p, b in dropped) + slack <= Fraction(bound)
     expected = _outcome(evaluate_by_terms, sol, z)
     calls = counted_pow(monkeypatch)
     assert _outcome(evaluate_series, sol, z) == expected
@@ -472,9 +479,10 @@ def test_cut_is_taken_on_a_decaying_series(monkeypatch):
 
 def test_each_series_computes_its_magnitudes_once(monkeypatch):
     # Three K=1000 series evaluated alternately, point by point: each computes
-    # its log2|b_m| once, on first use, the overflowed third over its leading
-    # F finite coefficients alone, and the values equal those of the same
-    # series evaluated one after the other, bit for bit.
+    # its log2|b_m|, and from them its majorant, once, on first use, the
+    # overflowed third over its leading F finite coefficients alone, and the
+    # values equal those of the same series evaluated one after the other,
+    # bit for bit.
     def trio():
         return [preset_series(preset, a, q, cls, "even", 1000) for preset, a, q, cls in (
             ("lame", 2.0, 0.7, RepresentationClass.POSITIVE_DISCRETE),
@@ -511,19 +519,20 @@ OVERFLOWED = [("example2", 4.0), ("lame", -3.0)]
 @pytest.mark.parametrize("factor", [2.0, 1.05])
 def test_an_overflowed_series_equals_the_reference(preset, a, parity, factor, monkeypatch):
     # The K=1000 descending series overflows from b_F on.  At 2R its live
-    # terms stop before F: the value needs the powers of the certified
-    # prefix alone, and it is the NaN that the zero powers of the non-finite
-    # tail add.  At 1.05R they reach past F: no cut, and every live power is
-    # computed.  Either way the outcome is the reference's, NaN sign and
-    # the ValueError of inf - inf included.
+    # terms stop before F and the majorant bounds their sum below 2^1023, so
+    # fsum cannot overflow on them: the value is the NaN that the zero
+    # powers of the non-finite tail add, and no power is computed.  At 1.05R
+    # they reach past F: no cut, and every live power is computed.  Either
+    # way the outcome is the reference's, NaN sign and the ValueError of
+    # inf - inf included.
     sol = preset_series(preset, a, 0.3, RepresentationClass.NEGATIVE_DISCRETE, parity, 1000)
-    finite_run = len(sol.log2_magnitudes)
+    finite_run = len(sol.log2_majorant)
     assert all(map(math.isfinite, sol.coefficients[:finite_run]))
     assert not math.isfinite(sol.coefficients[finite_run])
     z = factor * sol.domain[0]
     live = _live_terms(sol.p0, -1, z, 1001)
     cut = _cut(sol, sol.p0, z, live)[0]
-    assert (cut < live <= finite_run) if factor == 2.0 else (cut == live > finite_run)
+    assert (cut == 0 < live <= finite_run) if factor == 2.0 else (cut == live > finite_run)
     expected = _outcome(evaluate_by_terms, sol, z)
     calls = counted_pow(monkeypatch)
     assert _outcome(evaluate_series, sol, z) == expected
@@ -535,37 +544,38 @@ def test_an_overflowed_series_equals_the_reference(preset, a, parity, factor, mo
                                   (math.nan, -math.inf, 0.0, -math.nan)])
 def test_a_hand_built_non_finite_tail_equals_the_reference(tail):
     # 300 finite terms that fall by 2^-8 per step, then non-finite and finite
-    # coefficients mixed: at z = 2^-8 the live terms stop before the tail, the
-    # prefix is certified, and the NaNs of the tail decide the value.
+    # coefficients mixed: at z = 2^-8 the live terms stop before the tail, no
+    # power is computed, and the NaNs of the tail decide the value.
     sol = SeriesSolution(p0=0.0, direction=ASCENDING, parity="even", q=0.0,
                          coefficients=(1.0,) * 300 + tail, domain=(0.0, 1.0))
     z = 2.0**-8
     live = _live_terms(0.0, 1, z, len(sol.coefficients))
-    assert _cut(sol, 0.0, z, live)[0] < live <= len(sol.log2_magnitudes) == 300
+    assert _cut(sol, 0.0, z, live)[0] == 0 < live <= len(sol.log2_majorant) == 300
     assert _outcome(evaluate_series, sol, z) == _outcome(evaluate_by_terms, sol, z)
 
 
 @pytest.mark.parametrize("z", [2.0**-8, 2.0**-16])
 def test_an_infinite_coefficient_live_at_one_point_and_dead_at_another(z):
     # b_100 is inf.  At z = 2^-8 it is live and its term is inf, so the full
-    # path sums every live term; at z = 2^-16 its power is 0.0, and the cut
-    # and the cached tail give the reference's NaN.
+    # path sums every live term; at z = 2^-16 its power is 0.0, and the
+    # cached tail gives the reference's NaN with no power computed.
     sol = SeriesSolution(p0=0.0, direction=ASCENDING, parity="even", q=0.0,
                          coefficients=(1.0,) * 100 + (math.inf,) + (1.0,) * 200,
                          domain=(0.0, 1.0))
     live = _live_terms(0.0, 1, z, len(sol.coefficients))
     cut = _cut(sol, 0.0, z, live)[0]
-    assert (cut < live <= 100) if z == 2.0**-16 else (cut == live > 100)
+    assert (cut == 0 < live <= 100) if z == 2.0**-16 else (cut == live > 100)
     assert _outcome(evaluate_series, sol, z) == _outcome(evaluate_by_terms, sol, z)
 
 
 @pytest.mark.sweep
-def test_cut_equals_the_two_sum_reference(seed):
-    # The cut forms its magnitudes in one buffer, 2^(l + max(p log2(z),
-    # -1074)); the reference forms 2^max(l + p log2(z), l - 1074) from its
-    # own log2|b_m| and exponents.  Over the long-series grid, overflowed
-    # series included, (n, D) must agree bit for bit.
-    rng = random.Random(f"two-sum-cut-{seed}")
+def test_cut_bounds_the_exact_dropped_rest(seed):
+    # Over the long-series grid, overflowed series included, each cut's D
+    # must bound the exact sum of the computed magnitudes |b_m * z**p| of
+    # the live terms it drops, all of them where an overflowed series takes
+    # its cached tail (n = 0, with D < 2^1023), and the value must equal
+    # the term-by-term reference.
+    rng = random.Random(f"exact-cut-{seed}")
     cuts = overflowed_cuts = 0
     for a in LONG_A:
         for cls in (RepresentationClass.POSITIVE_DISCRETE, RepresentationClass.NEGATIVE_DISCRETE):
@@ -578,13 +588,47 @@ def test_cut_equals_the_two_sum_reference(seed):
                     for f in (rng.uniform(0.0, 0.05), rng.uniform(0.05, 0.95),
                               rng.uniform(0.95, 1.0)):
                         z = lo + f * (top - lo)
-                        if lo < z < hi:
-                            live = _live_terms(sol.p0, sol.step, z, K + 1)
-                            got = _cut(sol, sol.p0, z, live)
-                            assert got == two_sum_cut(sol, z, live), (a, cls, parity, K, q, z)
-                            cuts += got[0] < live
-                            overflowed_cuts += got[0] < live and len(sol.log2_magnitudes) <= K
+                        if not lo < z < hi:
+                            continue
+                        where = (a, cls, parity, K, q, z)
+                        live = _live_terms(sol.p0, sol.step, z, K + 1)
+                        n, bound = _cut(sol, sol.p0, z, live)
+                        if n < live:
+                            dropped = series_terms(sol)[n:live]
+                            rest = exact_magnitude(b * z**p for p, b in dropped)
+                            assert rest <= Fraction(bound), where
+                            assert n > 0 or bound < 2.0**1023, where
+                            cuts += 1
+                            overflowed_cuts += n == 0
+                        assert _outcome(evaluate_series, sol, z) == _outcome(
+                            evaluate_by_terms, sol, z
+                        ), where
     assert cuts > 0 and overflowed_cuts > 0
+
+
+def descending_ones(edge):
+    return SeriesSolution(p0=0.0, direction=DESCENDING, parity="even", q=0.0,
+                          coefficients=(1.0,) * 1000, domain=(edge, math.inf))
+
+
+@pytest.mark.parametrize("sol, z", [
+    # log2(z) = 0, where the powers of an ascending series do not fall.
+    (SeriesSolution(p0=0.0, direction=ASCENDING, parity="even", q=0.0,
+                    coefficients=(0.5,) * 1000, domain=(0.0, 2.0)), 1.0),
+    # R = inf: a terminating ascending eigenfunction's domain (0, inf).
+    (SeriesSolution(p0=0.0, direction=ASCENDING, parity="even", q=0.0,
+                    coefficients=(1.0,) + (0.5,) * 999, domain=(0.0, math.inf)), 0.5),
+    # R = 0 on a descending series.
+    (descending_ones(0.0), 2.0),
+    # One ulp inside R = 1000, where log2(z) rounds to log2(R) and s to 0;
+    # at z = 1000 (1 + 2^-45), where s is -4e-14, the series is cut at 13.
+    (descending_ones(1000.0), math.nextafter(1000.0, math.inf)),
+])
+def test_an_edge_case_takes_the_full_sum(sol, z):
+    live = _live_terms(sol.p0, sol.step, z, len(sol.coefficients))
+    assert live > 64
+    assert _cut(sol, sol.p0, z, live) == (live, 0.0)
+    assert _outcome(evaluate_series, sol, z) == _outcome(evaluate_by_terms, sol, z)
 
 
 def test_recurrence_breakdown_on_vanishing_divisor():

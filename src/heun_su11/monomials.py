@@ -23,6 +23,12 @@ LATTICE_TOL = 1e-9
 # the rounding of the product p*log2(z) many times over.
 UNDERFLOW_LOG2 = -1100.0
 
+# Both certified prefixes, evaluate_series' and the residual's, apply to sums
+# of more than CUT_MIN_LIVE live terms, and each term they drop adds CUT_TINY
+# to their bound on the rest, for the underflow of its roundings.
+CUT_MIN_LIVE = 64
+CUT_TINY = 2.0**-1018
+
 
 def _lattice_offset(exponent: float, base: float) -> int:
     doubled = (exponent - base) * 2.0

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import OutOfDomain, RecurrenceBreakdown, UnsupportedClass, ValidationError
 from .heun_core import require_finite
-from .monomials import UNDERFLOW_LOG2, MonomialSum
+from .monomials import CUT_MIN_LIVE, CUT_TINY, UNDERFLOW_LOG2, MonomialSum
 from .representations import (
     RepresentationClass,
     RepresentationDescriptor,
@@ -243,9 +243,7 @@ def _live_terms(p0: float, step: int, z: float, count: int) -> int:
 # evaluate_series computes a prefix of the live terms of a long real series
 # when a bound D on the dropped rest, which its docstring derives, certifies
 # the rounded sum: the shortest with D under 2^-80 of the bound on every term.
-_CUT_MIN_LIVE = 64
 _CUT_LOG2_SCALE = -80.0
-_CUT_TINY = 2.0**-1018
 
 
 def _edge(sol: SeriesSolution) -> float:
@@ -258,7 +256,7 @@ def _cut(sol: SeriesSolution, p0: float, z: float, live: int) -> Tuple[int, floa
     with D under 2^_CUT_LOG2_SCALE of 2^(S_0 + p0 log2(z)), found by
     bisection; (0, D < 2^1023) on a series with a non-finite tail; and
     (live, 0.0) when there is none."""
-    run = sol.log2_majorant if live > _CUT_MIN_LIVE else None
+    run = sol.log2_majorant if live > CUT_MIN_LIVE else None
     if run is None or live > len(run) or not abs(p0) < 2.0**32:
         return live, 0.0
     step, t, tau = sol.step, math.log2(z), math.log2(_edge(sol))
@@ -275,7 +273,7 @@ def _cut(sol: SeriesSolution, p0: float, z: float, live: int) -> Tuple[int, floa
                  + max(-step * tau, 0.0) * (live - 1) - 1073.0)
     if len(run) < len(sol.coefficients):
         if max(run[0] + lead, slack) < 1021.0:
-            return 0, 2.0 ** (run[0] + lead) + 2.0**slack + live * _CUT_TINY
+            return 0, 2.0 ** (run[0] + lead) + 2.0**slack + live * CUT_TINY
         return live, 0.0
     target = run[0] + _CUT_LOG2_SCALE + p0 * t
     if not (-math.inf < target < 1022.0 and slack < target):
@@ -284,7 +282,7 @@ def _cut(sol: SeriesSolution, p0: float, z: float, live: int) -> Tuple[int, floa
     n = bisect_left(range(live), True, 1, key=lambda k: run[k] + k * s <= target)
     if n == live:
         return live, 0.0
-    return n, 2.0 ** (run[n] + n * s + lead) + 2.0**slack + (live - n) * _CUT_TINY
+    return n, 2.0 ** (run[n] + n * s + lead) + 2.0**slack + (live - n) * CUT_TINY
 
 
 def _certified_sum(terms: List[float], bound: float):
@@ -318,7 +316,7 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
 
     Of a long real series only the terms that can still move the rounded
     value are computed.  When the live coefficients are finite reals, more
-    than _CUT_MIN_LIVE of them, _cut bisects the series' majorant for the
+    than CUT_MIN_LIVE of them, _cut bisects the series' majorant for the
     shortest prefix whose dropped rest R has |R| <= D.  If fsum(prefix +
     [D]) and fsum(prefix + [-D]) are one finite non-zero float, the full sum
     prefix + R, which lies between the two, rounds to that float too,

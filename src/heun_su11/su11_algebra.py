@@ -239,10 +239,19 @@ def _max_abs(values: Iterable[float]) -> float:
     return math.nan if any(map(math.isnan, sizes)) else max(sizes, default=0.0)
 
 
+def _scaled(deviation: float, *terms: float) -> float:
+    """deviation over the size of its identity: the sum of its terms'
+    magnitudes, as the residual is scaled, or 1 where that is smaller, so
+    that an identity of tiny terms is held to an absolute bound.  NaN stays
+    NaN."""
+    return deviation / max(1.0, sum(map(abs, terms)))
+
+
 def algebra_identity_check(
     mu: float, nu: float, exponents: Iterable[float]
 ) -> float:
-    """Max deviation of the commutators and the Casimir on test monomials.
+    """Max deviation of the commutators and the Casimir on test monomials,
+    each scaled by its own terms (_scaled).
 
     Checks [H,E+]-E+, [H,E-]+E-, [E+,E-]+2H, and
     (E+E- + E-E+)/2 - H^2 + (mu-nu)(mu-nu-1) applied to z^p; NaN when any
@@ -253,11 +262,14 @@ def algebra_identity_check(
         e, f, h = raising(mu, p), lowering(nu, p), weight(mu, nu, p)
         e_f = raising(mu, p - 0.5) * f
         f_e = lowering(nu, p + 0.5) * e
+        h_e, e_h = weight(mu, nu, p + 0.5) * e, raising(mu, p) * h
+        h_f, f_h = weight(mu, nu, p - 0.5) * f, lowering(nu, p) * h
+        h_h, casimir = weight(mu, nu, p) * h, casimir_value(mu, nu)
         deviations += (
-            weight(mu, nu, p + 0.5) * e - raising(mu, p) * h - e,
-            weight(mu, nu, p - 0.5) * f - lowering(nu, p) * h + f,
-            e_f - f_e + 2.0 * h,
-            0.5 * (e_f + f_e) - weight(mu, nu, p) * h - casimir_value(mu, nu),
+            _scaled(h_e - e_h - e, h_e, e_h, e),
+            _scaled(h_f - f_h + f, h_f, f_h, f),
+            _scaled(e_f - f_e + 2.0 * h, e_f, f_e, 2.0 * h),
+            _scaled(0.5 * (e_f + f_e) - h_h - casimir, 0.5 * e_f, 0.5 * f_e, h_h, casimir),
         )
     return _max_abs(deviations)
 
@@ -266,10 +278,18 @@ def reconstruction_check(
     params: HeunParameters, dec: Su11Decomposition, exponents: Iterable[float]
 ) -> float:
     """Max difference between the canonical operator's and the factorized
-    quadratic's coefficients on each test monomial z^p; NaN when any is NaN."""
+    quadratic's coefficients on each test monomial z^p, each row scaled by
+    the factored side's terms (_scaled): c+ E+E+, c2 H^2, c1 H and c0, and
+    c- E-E-; NaN when any is NaN."""
     coeffs = canonical_coefficients(params)
-    return _max_abs(
-        direct - factored
-        for p in map(float, exponents)
-        for direct, factored in zip(canonical_rows(coeffs, p), quadratic_rows(dec, p))
-    )
+    deviations = []
+    for p in map(float, exponents):
+        h = weight(dec.mu, dec.nu, p)
+        up, same, down = quadratic_rows(dec, p)
+        direct_up, direct_same, direct_down = canonical_rows(coeffs, p)
+        deviations += (
+            _scaled(direct_up - up, up),
+            _scaled(direct_same - same, dec.c2 * (h * h), dec.c1 * h, dec.c0),
+            _scaled(direct_down - down, down),
+        )
+    return _max_abs(deviations)

@@ -6,15 +6,16 @@ polynomial form avoids dividing by z(z-1)(z-a) near the finite singular
 points.  Each monomial c z^p of y contributes eight terms, one per
 coefficient a0..a7 (for instance a0 p(p-1) c z^(p+1)).  The residual at a
 sample point is |sum of all terms| divided by the sum of |term| over every
-individual term, taken before like powers are merged: the componentwise
-backward error of evaluating the polynomial form (Higham, Accuracy and
-Stability of Numerical Algorithms, ch. 5; Oettli-Prager).  A plain float sum
-of the terms errs by at most a small multiple of (term count) * 2^-53 of that
-scale, so exact solutions score near machine epsilon whatever cancellation
-occurs between f1 y'', f2 y' and f3 y, and no compensated summation is
-needed.  A sample whose terms all vanish scores 0; a non-finite sum or scale
-scores inf, and the worst over the samples is inf for the zero function or
-an empty sample set.
+individual term, taken before like powers are merged (for one long series,
+over a certified prefix, with a bound on the rest; see below): the
+componentwise backward error of evaluating the polynomial form (Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 5; Oettli-Prager).  A
+plain float sum of the terms errs by at most a small multiple of (term
+count) * 2^-53 of that scale, so exact solutions score near machine epsilon
+whatever cancellation occurs between f1 y'', f2 y' and f3 y, and no
+compensated summation is needed.  A sample whose terms all vanish scores 0;
+a non-finite sum or scale scores inf, and the worst over the samples is inf
+for the zero function or an empty sample set.
 
 The verifier owns the two scoring rules.  solution_samples, the one sample
 rule, maps a solution's domain to its samples.  residual_block, the one
@@ -30,18 +31,59 @@ verify through worst_by_exponents, the same call on the same block, so
 verify reproduces the emitter's residuals bit for bit.
 residual_for_coefficients, the single-solution report, is the one-column
 case of residual_block.
+
+Of one long series only the terms that can move its residual are scored.
+The rule applies to a block of a single column of finite float64
+coefficients, more than monomials.CUT_MIN_LIVE of them, whose exponents
+step by at least 1 in one direction, with every sample below 1 when they
+ascend and above 1 when they descend, so that the powers fall along the
+column.  Every spectrum sub-grid (at most 64 terms per parity up
+to n = 128, and P >= 2 columns beyond) keeps the full sum, bit for bit.
+Let W_m = |c_m| sum_i |a_i| |factor_i(p_m)|, the three rows of the scale's
+magnitudes summed; E the edge one factor of 2 beyond the sample nearest the
+domain's edge, 2 max z ascending and min z / 2 descending; tau = log2(E);
+and S_k the largest log2 W_m + p_m tau over m >= k, one reverse running max
+as in SeriesSolution.log2_majorant (after Mezzarobba and Salvy, J. Symbolic
+Comput. 45 (2010)).  At a sample z, t = log2(z), term m adds at most
+2^|t| W_m z^(p_m) <= 2^(|t| + S_k + p_m (t - tau)) to the scale; as
+|t - tau| >= 1 and the exponents step by at least 1, the terms from k on add
+at most 2^(S_k + |t| + p_k (t - tau)) G, G = 1/(1 - 2^-|t - tau|) <= 2.  A
+factor 4 covers pow's ulp, the products' roundings and those of the
+exponents, as evaluate_series' docstring derives them, and an underflowed
+sum of the three rows.  Where pow returns a subnormal (p t < -1020) it errs
+by 2^-1074 absolute; a power that is not exactly 0.0 has p t >= -1101
+(UNDERFLOW_LOG2, less a margin), so that error times 2^|t| W_m is at most
+2^(27 + |t| + S_k + p_m (t - tau)), and such terms start where
+p (t - tau) < -1020 |t - tau| / |t|.  With (n - k) 2^-1018 for the
+products' underflow, the dropped part of the scale, and of the sum, is at
+most
+
+    D = 2^(S_k + |t| + 3) (2^(p_k (t - tau))
+          + 2^(27 + min(p_k (t - tau), -1020 |t - tau| / |t|))) + (n - k) 2^-1018.
+
+One cut k per column is bisected at the sample nearest the edge: the
+shortest prefix with D there under 2^-60 of the largest term.  The prefix is
+scored by the body of the full sum, which gives num_k and scale_k.  If
+D <= 2^-50 scale_k at every sample, the residual is (num_k + D) / scale_k
+rounded up, with scale_k as the scale; otherwise the full sum is taken.  The
+full numerator is at most num_k + D and the full scale at least scale_k, so
+the reported residual is never below the full one, beyond the float
+summation error that both sums carry.  A single column with a non-finite
+coefficient scores inf at every sample, as the full sum does, with a NaN
+scale (the full sum's is NaN or inf), and computes no power.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .errors import SamplePointAtSingularity
 from .heun_core import CanonicalCoefficients, HeunParameters, canonical_coefficients
-from .monomials import UNDERFLOW_LOG2, MonomialSum
+from .monomials import CUT_MIN_LIVE, CUT_TINY, UNDERFLOW_LOG2, MonomialSum
 
 SINGULARITY_RADIUS = 1e-6
 DEFAULT_SAMPLE_COUNT = 25
@@ -87,6 +129,60 @@ def _power_matrix(z: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.power(z[:, None], p[None, :], out=np.zeros(live.shape), where=live)
 
 
+def _sums(z: np.ndarray, p: np.ndarray, terms: np.ndarray,
+          magnitudes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """|sum of the terms| and the sum of their magnitudes, P x S each, for
+    the terms (P x 3 x n, by shift) of the n exponents p at the samples z."""
+    power = _power_matrix(z, p)
+    up, same, down = (power @ terms.transpose(0, 2, 1)).transpose(2, 0, 1)
+    num = np.abs(z * up + same + down / z)
+    up, same, down = (power @ magnitudes.transpose(0, 2, 1)).transpose(2, 0, 1)
+    return num, z * up + same + down / z
+
+
+# residual_block keeps the prefix of one long real column when the bound D
+# on the rest is at most 2^_PREFIX_LOG2_SCALE of the prefix's scale at every
+# sample.  The cut aims at D under 2^_PREFIX_LOG2_AIM of the largest term at
+# the sample nearest the edge, far below the rounding of the terms' sum.
+_PREFIX_LOG2_SCALE = -50.0
+_PREFIX_LOG2_AIM = -60.0
+
+
+def _prefix(z: np.ndarray, p: np.ndarray, weights: np.ndarray):
+    """(k, D): the k leading terms that the module docstring's rule keeps
+    of one finite real column with magnitude sums weights (W_m) on the
+    exponents p, and its bound D at each sample z on the scale of the rest;
+    None where the rule does not apply or keeps every term."""
+    steps = np.diff(p)
+    if steps.min() >= 1.0 and z.max() < 1.0:
+        z_edge = z.max()
+        edge = 2.0 * z_edge
+    elif steps.max() <= -1.0 and z.min() > 1.0:
+        z_edge = z.min()
+        edge = 0.5 * z_edge
+    else:
+        return None
+    if not (edge > 2.0**-1021 and abs(p[0]) < 2.0**32 and abs(p[-1]) < 2.0**32):
+        return None
+    tau, t_edge = math.log2(edge), math.log2(z_edge)
+    log_w = np.log2(weights)
+    run = np.maximum.accumulate((log_w + p * tau)[::-1])[::-1]
+    # D at the edge sample is 2^(S_k + |t| + p_k (t - tau) + 3), and the
+    # largest term there is at least 2^(max(log2 W_m + p_m t) - |t|).
+    target = float(np.max(log_w + p * t_edge)) - 2.0 * abs(t_edge) - 3.0 + _PREFIX_LOG2_AIM
+    runs, exponents, gap = memoryview(run), memoryview(p), t_edge - tau
+    n = len(p)
+    k = bisect_left(range(n), True, 1, key=lambda k: runs[k] + exponents[k] * gap <= target)
+    if k == n:
+        return None
+    t = np.log2(z)
+    size, gap = np.abs(t), t - tau
+    main = p[k] * gap
+    subnormal = np.minimum(main, -1020.0 * np.abs(gap) / size) + 27.0
+    lead = run[k] + size + 3.0
+    return k, np.exp2(lead + main) + np.exp2(lead + subnormal) + (n - k) * CUT_TINY
+
+
 def residual_block(coeffs: CanonicalCoefficients, exponents: np.ndarray, block: np.ndarray,
                    a7: Sequence[complex],
                    z_samples: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
@@ -98,7 +194,10 @@ def residual_block(coeffs: CanonicalCoefficients, exponents: np.ndarray, block: 
     of the stacked products is its own gemm, so column j scores exactly as
     it would alone in a block of the same dtype.  A zero coefficient is a
     zero term.  The power matrix skips the powers that underflow
-    (_power_matrix), bit for bit.
+    (_power_matrix), bit for bit.  A block of one long finite real column
+    scores the certified prefix of the module docstring; one of a single
+    column with a non-finite coefficient scores inf, with a NaN scale, and
+    computes no power.
     """
     check_sample_points(z_samples, coeffs.a2)
     z = np.array(z_samples, dtype=float)
@@ -109,15 +208,27 @@ def residual_block(coeffs: CanonicalCoefficients, exponents: np.ndarray, block: 
     by_shift = np.array([[[a0, a3, a6], [a1, a4, x], [a2, a5, 0.0]] for x in a7])
     factors = np.stack([p * (p - 1.0), p, np.ones_like(p)])
     columns = np.asarray(block).T[:, None, :]
+    single = columns.shape[0] == 1
     with np.errstate(all="ignore"):  # overflow surfaces as a residual of inf
+        if single and not np.isfinite(columns).all():
+            scale = np.full((1, len(z)), math.nan)
+            return np.full_like(scale, math.inf), scale
         terms = (by_shift @ factors) * columns
         magnitudes = (np.abs(by_shift) @ np.abs(factors)) * np.abs(columns)
-        power = _power_matrix(z, p)
-        up, same, down = (power @ terms.transpose(0, 2, 1)).transpose(2, 0, 1)
-        num = np.abs(z * up + same + down / z)
-        up, same, down = (power @ magnitudes.transpose(0, 2, 1)).transpose(2, 0, 1)
-        scale = z * up + same + down / z
-        residuals = np.where(scale > 0.0, num / scale, 0.0)
+        cut = None
+        if single and len(p) > CUT_MIN_LIVE and columns.dtype == np.float64 and len(z):
+            cut = _prefix(z, p, magnitudes[0].sum(axis=0))
+        if cut is not None:
+            k, bound = cut
+            num, scale = _sums(z, p[:k], terms[:, :, :k], magnitudes[:, :, :k])
+            if np.all(bound <= 2.0**_PREFIX_LOG2_SCALE * scale):
+                # (num_k + D) / scale_k, each of its two roundings taken up.
+                residuals = np.nextafter(np.nextafter(num + bound, math.inf) / scale, math.inf)
+            else:
+                cut = None
+        if cut is None:
+            num, scale = _sums(z, p, terms, magnitudes)
+            residuals = np.where(scale > 0.0, num / scale, 0.0)
     residuals[~(np.isfinite(num) & np.isfinite(scale))] = math.inf
     return residuals, scale
 

@@ -34,7 +34,8 @@ evaluate_series, must equal it bit for bit.
 exact_magnitude is the exact sum of the magnitudes of some floats, as a
 Fraction: the soundness oracle of evaluate_series' cut, whose bound D on
 the dropped live terms must be at least the exact sum of their computed
-magnitudes |b_m * z**p|.
+magnitudes |b_m * z**p|, and of the residual's prefix, whose bound D must
+be at least that of the dropped terms' shares of the scale, scale_terms.
 """
 
 import math
@@ -141,3 +142,17 @@ def exact_magnitude(values: Iterable[float]) -> Fraction:
     scale = 1 << 1074
     return Fraction(sum(abs(n) * (scale // d) for n, d in map(float.as_integer_ratio, values)),
                     scale)
+
+
+def scale_terms(coeffs, terms: Iterable[Tuple[float, float]], z: float):
+    """Each (exponent p, coefficient c) term's share of the residual's scale
+    at z, computed term by term: |c| times the sums of |a_i| |factor_i(p)|
+    that land on z^(p+1), z^p and z^(p-1), weighted by z, 1 and 1/z, times
+    |z**p|."""
+    a0, a1, a2, a3, a4, a5, a6, a7 = map(abs, coeffs)
+    for p, c in terms:
+        pp, ap, c = abs(p * (p - 1.0)), abs(p), abs(c)
+        up = (a0 * pp + a3 * ap + a6) * c
+        same = (a1 * pp + a4 * ap + a7) * c
+        down = (a2 * pp + a5 * ap) * c
+        yield (z * up + same + down / z) * abs(z**p)

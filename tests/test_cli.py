@@ -247,6 +247,23 @@ def test_check_algebra_fails_the_nan_identities_at_mu_1e308(capsys):
     assert json.loads(captured.out)["max_commutator_deviation"] is None
 
 
+@pytest.mark.parametrize("argv", [
+    ["--mu", "100.3", "--nu", "0.3"],
+    ["--mu", "1e6", "--nu", "0.3"],
+    ["--gamma", "0.5", "--delta", "-0.5", "--alpha", "-63.5", "--beta", "-63", "--a", "1e6",
+     "--q", "0.7"],
+    ["--gamma", "0.5", "--delta", "-0.5", "--alpha", "-5000.5", "--beta", "-5000", "--a", "2.9"],
+], ids=["mu-100.3", "mu-1e6", "n128-a-1e6", "alpha-5000.5"])
+def test_check_algebra_passes_exact_inputs_with_large_terms(argv, capsys):
+    # Rounding alone exceeded the old absolute thresholds on these (2.2e-12,
+    # 2.4e-4, 4.8e-8 and 3.5e-9); measured against the identities' own
+    # terms they pass.
+    rc, doc = run_json(capsys, ["check-algebra", *argv])
+    assert rc == 0
+    assert doc["max_commutator_deviation"] <= 1e-15
+    assert doc.get("max_reconstruction_deviation", 0.0) <= 1e-15
+
+
 def test_check_algebra_fails_a_planted_decomposition(monkeypatch, capsys):
     def planted(params, tol):
         dec = decompose(params, tol)

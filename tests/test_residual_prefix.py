@@ -1,0 +1,191 @@
+"""The residual of one long series scores a certified prefix of its terms.
+
+residual_block keeps the leading k terms of a single long real column when
+a majorant bounds the rest by D, at most 2^-50 of the prefix's scale at every
+sample, and reports (num_k + D) / scale_k rounded up.  These tests fix what
+that rule must keep:
+
+- D bounds the exact Fraction sum of the dropped terms' computed magnitudes
+  at every sample, the reported residual is never below the full sum's
+  beyond 2^-40, and both pass or fail the 1e-8 threshold alike;
+- a wrong coefficient inside the prefix, or a wrong q, still fails;
+- an overflowed series scores inf with NaN scales, as the full sum does,
+  without a power matrix, and the exit gate still names its cause;
+- the spectrum's blocks never take the rule.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from heun_su11 import verifier
+from heun_su11.cli import PRESETS, main
+from heun_su11.heun_core import canonical_coefficients, lame_parameters, make_parameters
+from heun_su11.monomials import MonomialSum
+from heun_su11.representations import RepresentationClass, classify
+from heun_su11.series_engine import series_solution
+from heun_su11.spectrum import solve_spectrum
+from heun_su11.su11_algebra import decompose, rebuild_coefficients
+from heun_su11.verifier import (
+    default_sample_points,
+    ode_residual,
+    residual_block,
+    residual_for_coefficients,
+    solution_samples,
+)
+from oracle import exact_magnitude, scale_terms
+
+POS = RepresentationClass.POSITIVE_DISCRETE
+NEG = RepresentationClass.NEGATIVE_DISCRETE
+THRESHOLD = 1e-8
+
+
+def preset_case(preset, a, q, cls, parity, K):
+    """The parameters and the series of a preset at its own a and q."""
+    p = PRESETS[preset]
+    params = (lame_parameters(p["rho"], a, q) if "rho" in p else
+              make_parameters(p["gamma"], p["delta"], p["alpha"], p["beta"], a, q))
+    dec = decompose(params)
+    rep = next(r for r in classify(dec) if r.rep_class is cls)
+    return params, series_solution(dec, rep, parity, q, truncation=K)
+
+
+def pairs(y: MonomialSum) -> list:
+    """(exponent, coefficient) of y in the order residual_for_coefficients
+    scores them."""
+    return [(y.base + 0.5 * k, c) for k, c in y.coeffs.items()]
+
+
+def record(monkeypatch, name):
+    """A list of what verifier.<name> returns from here on."""
+    calls = []
+    real = getattr(verifier, name)
+
+    def recording(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(verifier, name, recording)
+    return calls
+
+
+def full_sum(monkeypatch, coeffs, y, samples):
+    """The report of the full sum, with the prefix rule switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(verifier, "_prefix", lambda *args: None)
+        return residual_for_coefficients(coeffs, y, samples)
+
+
+@pytest.mark.sweep
+def test_prefix_bounds_the_exact_dropped_scale(seed, monkeypatch):
+    # Over the presets at five a, both ladders and parities and K = 100 and
+    # 1000, overflowed series included: each cut's D must bound the exact
+    # sum of the dropped terms' computed magnitudes at every sample, and the
+    # reported residual must keep the full sum's, and its verdict.
+    rng = random.Random(f"residual-prefix-{seed}")
+    cuts = record(monkeypatch, "_prefix")
+    taken = {POS: 0, NEG: 0}
+    for a in (2.0, 4.0, -3.0, 0.3, 1.7):
+        for cls in (POS, NEG):
+            for parity in ("even", "odd"):
+                for K in (100, 1000):
+                    q = round(rng.uniform(-1.0, 1.0), 6)
+                    params, sol = preset_case(rng.choice(sorted(PRESETS)), a, q, cls, parity, K)
+                    coeffs = canonical_coefficients(params)
+                    y = sol.as_monomial_sum()
+                    samples = solution_samples(a, sol.domain)
+                    where = (a, cls.value, parity, K, q)
+                    cuts.clear()
+                    report = residual_for_coefficients(coeffs, y, samples)
+                    full = full_sum(monkeypatch, coeffs, y, samples)
+                    for k, bound in filter(None, cuts):
+                        dropped = pairs(y)[k:]
+                        for z, d in zip(samples, bound.tolist()):
+                            rest = exact_magnitude(scale_terms(coeffs, dropped, z))
+                            assert rest <= Fraction(d), where + (k, z)
+                    for got, want in zip(report.residuals, full.residuals):
+                        assert got >= want - 2.0**-40, where
+                    assert ((report.max_relative_residual <= THRESHOLD)
+                            == (full.max_relative_residual <= THRESHOLD)), where
+                    taken[cls] += report.scales != full.scales
+    assert taken[POS] > 0 and taken[NEG] > 0
+
+
+@pytest.mark.parametrize("cls", [POS, NEG])
+def test_prefix_still_fails_a_wrong_answer(cls, monkeypatch):
+    # A K=1000 series passes on a prefix of its terms; a coefficient inside
+    # that prefix scaled by 1 + 1e-6, or q moved by 1e-6, fails on one too.
+    params, sol = preset_case("example1", 2.0, 0.3, cls, "even", 1000)
+    coeffs = canonical_coefficients(params)
+    y = sol.as_monomial_sum()
+    samples = solution_samples(2.0, sol.domain)
+    scored = record(monkeypatch, "_power_matrix")
+    b1 = 2 * sol.step
+    wrong_coefficient = MonomialSum(y.base, {**y.coeffs, b1: y.coeffs[b1] * (1.0 + 1e-6)})
+    for c, candidate, passes in ((coeffs, y, True), (coeffs, wrong_coefficient, False),
+                                 (coeffs.with_accessory(0.3 + 1e-6), y, False)):
+        scored.clear()
+        report = residual_for_coefficients(c, candidate, samples)
+        assert (report.max_relative_residual <= THRESHOLD) is passes
+        assert [power.shape[1] < len(y.coeffs) / 4 for power in scored] == [True]
+
+
+OVERFLOWED = [("example2", 4.0, "even"), ("example2", 4.0, "odd"),
+              ("lame", -3.0, "even"), ("lame", -3.0, "odd")]
+
+
+@pytest.mark.parametrize("preset, a, parity", OVERFLOWED)
+def test_an_overflowed_series_scores_inf_with_nan_scales(preset, a, parity, monkeypatch, capsys):
+    # The four overflowed K=1000 descending series of the benchmark: each
+    # scores inf with a NaN scale at every sample, as the full sum of a
+    # two-column block scores the same column (whose NaNs may carry either
+    # sign), computes no power, and the series command still names the
+    # non-finite coefficients.
+    params, sol = preset_case(preset, a, 0.3, NEG, parity, 1000)
+    first = next(m for m, b in enumerate(sol.coefficients) if not math.isfinite(b))
+    coeffs = canonical_coefficients(params)
+    y = sol.as_monomial_sum()
+    samples = solution_samples(a, sol.domain)
+    powers = record(monkeypatch, "_power_matrix")
+    report = ode_residual(params, y, samples)
+    assert powers == []
+    assert report.max_relative_residual == math.inf
+    assert set(report.residuals) == {math.inf} and all(map(math.isnan, report.scales))
+    c = np.array(list(y.coeffs.values()))
+    p = np.array([e for e, _ in pairs(y)])
+    block = np.stack([c, c], axis=1)
+    residuals, scales = residual_block(coeffs, p, block, [coeffs.a7] * 2, samples)
+    assert np.array(report.residuals).tobytes() == residuals[0].tobytes()
+    assert np.isnan(scales[0]).all()
+    argv = ["series", "--preset", preset, "--a", str(a), "--q", "0.3", "--rep", "nd",
+            "--parity", parity, "--kmax", "1000"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (f"heun-su11: the series has non-finite coefficients from "
+                                       f"b_{first} on, so its residual inf is over 1e-08\n")
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_spectrum_ladders_keep_the_full_sum(seed, monkeypatch):
+    # The benchmark's finite ladders (n up to 128, a = 2, 4 and -3, delta
+    # drawn from the seed): no sub-grid block and no one-pair report takes
+    # the prefix rule, so every spectrum residual is the full sum's.
+    def refuse(*args):
+        raise AssertionError("a spectrum block took the prefix rule")
+
+    monkeypatch.setattr(verifier, "_prefix", refuse)
+    rng = random.Random(f"spectrum_ladders-{seed}")
+    for n, a in [(n, a) for a in (2.0, 4.0) for n in (2, 16, 64, 128)] + [(16, -3.0), (64, -3.0)]:
+        mu = -(n - 1) / 2.0
+        dec = decompose(make_parameters(0.5, round(rng.uniform(-0.55, -0.45), 6), mu, mu + 0.5,
+                                        a, 0.0))
+        rep = next(r for r in classify(dec)
+                   if r.rep_class is RepresentationClass.FINITE_DIMENSIONAL)
+        result = solve_spectrum(dec, rep)
+        coeffs = rebuild_coefficients(dec)
+        samples = default_sample_points(coeffs.a2)
+        for pair in result.pairs:
+            y = pair.eigenfunction.as_monomial_sum()
+            residual_for_coefficients(coeffs.with_accessory(pair.q), y, samples)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from heun_su11.errors import InconsistentCoefficients, NotFactorizable, ValidationError
+from heun_su11 import su11_algebra
 from heun_su11.cli import PRESETS, RECONSTRUCTION_THRESHOLD
 from heun_su11.heun_core import canonical_coefficients, lame_parameters, make_parameters
 from heun_su11.su11_algebra import (
@@ -269,6 +270,42 @@ def test_reconstruction_fails_a_planted_coefficient_error(preset, field):
     assert reconstruction_check(params, dec, CLI_EXPONENTS) <= 1e-14
     planted = dec._replace(**{field: getattr(dec, field) + 1e-9})
     assert reconstruction_check(params, planted, CLI_EXPONENTS) > RECONSTRUCTION_THRESHOLD
+
+
+# An n=128 ladder at a = 1e6, where c0 is about 9.8e8 and its rounding
+# alone exceeded the old absolute reconstruction threshold.
+LADDER_A_1E6 = dict(gamma=0.5, delta=-0.5, alpha=-63.5, beta=-63.0, a=1e6, q=0.7)
+
+
+@pytest.mark.parametrize("field", ["c_plus", "c_minus", "c2", "c1", "c0"])
+def test_reconstruction_fails_a_relative_plant_at_a_1e6(field):
+    # Each row is measured against its own terms, so the exact coefficients
+    # pass at a = 1e6, and one moved by 1e-9 of itself still fails.
+    params = make_parameters(**LADDER_A_1E6)
+    dec = decompose(params)
+    assert reconstruction_check(params, dec, CLI_EXPONENTS) <= 1e-15
+    planted = dec._replace(**{field: getattr(dec, field) * (1.0 + 1e-9)})
+    assert reconstruction_check(params, planted, CLI_EXPONENTS) > RECONSTRUCTION_THRESHOLD
+
+
+def test_reconstruction_holds_a_vanishing_row_to_an_absolute_bound():
+    # mu is one ulp off 3, so at p = -3 the factored row c+ E+E+ is 4.4e-16
+    # and the canonical one a rounding residue of -1.8e-15: against its own
+    # size that row is off by 5, but its terms are far below 1, so it is
+    # held to an absolute bound and passes.
+    params = make_parameters(0.5, -0.5, 3.000000000000001, 3.500000000000001, 2.0, 0.0)
+    assert reconstruction_check(params, decompose(params), CLI_EXPONENTS) <= 1e-14
+
+
+@pytest.mark.parametrize("mu", [100.3, 1000.0, 1e6])
+def test_identities_of_large_generators_pass_and_a_wrong_casimir_fails(mu, monkeypatch):
+    # The identities' terms grow like mu^2, and each is measured against
+    # them: exact generators pass at any mu, and a Casimir off by 1e-9 of
+    # itself fails the 1e-12 threshold.
+    assert algebra_identity_check(mu, 0.3, CLI_EXPONENTS) <= 1e-15
+    right = casimir_value
+    monkeypatch.setattr(su11_algebra, "casimir_value", lambda m, n: right(m, n) * (1.0 + 1e-9))
+    assert algebra_identity_check(mu, 0.3, CLI_EXPONENTS) > 1e-12
 
 
 def test_algebra_identities_are_nan_at_mu_1e308():

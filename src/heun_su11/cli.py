@@ -330,6 +330,8 @@ def _score_series(coeffs: CanonicalCoefficients, sol) -> tuple:
 
 def _cmd_verify(args) -> int:
     require_finite(threshold=args.threshold)
+    if args.threshold < 0.0:
+        raise ValidationError(f"threshold must not be negative: threshold={args.threshold!r}")
     doc = _read_json(args.solution, "--solution")
     if "ode_coefficients" not in doc:
         raise ValidationError("solution document lacks ode_coefficients")

@@ -1,20 +1,17 @@
-"""Finite sums of powers of z with exponents on a half-step lattice.
+"""Finite sums of powers of z, as the column the residual scores.
 
-Every operator in this package shifts a monomial exponent by a multiple of
-1/2, so a solution candidate is always a finite combination of z**p with
-p = base + k/2 for integer k.  A MonomialSum holds such a sum by its integer
-offsets k: verifier.residual_for_coefficients reads it, and
-SeriesSolution.as_monomial_sum writes it.  It has no arithmetic, since the
-operators act one monomial at a time (heun_core.canonical_rows,
-su11_algebra.quadratic_rows); series_engine.evaluate_series is the one
-evaluator.
+A MonomialSum holds the sum of coeffs[j] * z**exponents[j] as two
+sequences, in their given order and zeros included:
+verifier.residual_for_coefficients hands both to residual_block as they
+are, and SeriesSolution.as_monomial_sum writes its cached exponents array
+and its coefficients.  It has no arithmetic, since the operators act one
+monomial at a time (heun_core.canonical_rows, su11_algebra.quadratic_rows);
+series_engine.evaluate_series is the one evaluator.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Tuple
-
-LATTICE_TOL = 1e-9
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 # z**p is exactly 0.0 once p*log2(z) < UNDERFLOW_LOG2: the true power is
 # below 2^-1100, far under half the smallest subnormal (2^-1075), so a pow
@@ -30,38 +27,14 @@ CUT_MIN_LIVE = 64
 CUT_TINY = 2.0**-1018
 
 
-def _lattice_offset(exponent: float, base: float) -> int:
-    doubled = (exponent - base) * 2.0
-    k = round(doubled)
-    if abs(doubled - k) > LATTICE_TOL:
-        raise ValueError(
-            f"exponent {exponent!r} is not on the half-step lattice of base {base!r}"
-        )
-    return int(k)
-
-
 class MonomialSum(NamedTuple):
-    """sum_k coeffs[k] * z**(base + k/2).  Treated as immutable."""
+    """sum_j coeffs[j] * z**exponents[j], term by term.  Treated as immutable."""
 
-    base: float
-    coeffs: Mapping[int, complex]
-
-    @classmethod
-    def zero(cls, base: float = 0.0) -> "MonomialSum":
-        return cls(float(base), {})
+    exponents: Sequence[float]
+    coeffs: Sequence[complex]
 
     @classmethod
-    def from_terms(
-        cls, terms: Iterable[Tuple[float, complex]], base: float | None = None
-    ) -> "MonomialSum":
-        """Build from (exponent, coefficient) pairs sharing one lattice."""
-        pairs = list(terms)
-        if base is None:
-            if not pairs:
-                return cls.zero()
-            base = float(pairs[0][0])
-        coeffs: dict[int, complex] = {}
-        for p, c in pairs:
-            k = _lattice_offset(float(p), base)
-            coeffs[k] = coeffs.get(k, 0.0) + c
-        return cls(float(base), coeffs)
+    def from_terms(cls, terms: Iterable[Tuple[float, complex]]) -> "MonomialSum":
+        """Build from (exponent, coefficient) pairs, kept as given."""
+        pairs = tuple(terms)
+        return cls(tuple(float(p) for p, _ in pairs), tuple(c for _, c in pairs))

@@ -99,10 +99,8 @@ class SeriesSolution(_SeriesFields):
         return float(self.p0) + self.step * np.arange(len(self.coefficients))
 
     def as_monomial_sum(self) -> MonomialSum:
-        step = 2 * self.step
-        return MonomialSum(
-            self.p0, {step * m: b for m, b in enumerate(self.coefficients) if b != 0.0}
-        )
+        """The cached exponents array and the coefficients, zeros included."""
+        return MonomialSum(self.exponents, self.coefficients)
 
     def to_json_dict(self) -> dict:
         return {

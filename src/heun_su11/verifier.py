@@ -1,6 +1,7 @@
 """Independent residual checks for candidate solutions.
 
-A candidate y (finite monomial sum) is substituted into the polynomial form
+A candidate y (a MonomialSum: any real exponents and their coefficients,
+zeros included) is substituted into the polynomial form
 f1 y'' + f2 y' + f3 y, which is zero for exact solutions.  Working with the
 polynomial form avoids dividing by z(z-1)(z-a) near the finite singular
 points.  Each monomial c z^p of y contributes eight terms, one per
@@ -30,7 +31,8 @@ float.  spectrum scores its output through worst_residuals, and series and
 verify through worst_by_exponents, the same call on the same block, so
 verify reproduces the emitter's residuals bit for bit.
 residual_for_coefficients, the single-solution report, is the one-column
-case of residual_block.
+case of residual_block on a MonomialSum as given, so on a series'
+as_monomial_sum it finds the worst residual that series and verify print.
 
 Of one long series only the terms that can move its residual are scored.
 The rule applies to a block of a single column of finite float64
@@ -284,12 +286,11 @@ def worst_by_exponents(coeffs: CanonicalCoefficients, candidates: list, z_sample
 def residual_for_coefficients(coeffs: CanonicalCoefficients, solution: MonomialSum,
                               z_samples: Sequence[float]) -> ResidualReport:
     """Componentwise relative residual of f1 y'' + f2 y' + f3 y at the given
-    points: the one-column case of residual_block."""
-    c = np.array(list(solution.coeffs.values()))
-    p = solution.base + 0.5 * np.fromiter(solution.coeffs, float, len(c))
-    residuals, scales = residual_block(coeffs, p, c[:, None], [coeffs.a7], z_samples)
+    points: the one-column case of residual_block, on the terms as given."""
+    c = np.array(solution.coeffs)[:, None]
+    residuals, scales = residual_block(coeffs, solution.exponents, c, [coeffs.a7], z_samples)
     return ResidualReport(
-        max_relative_residual=_worst(residuals, c[:, None]).item(),
+        max_relative_residual=_worst(residuals, c).item(),
         sample_points=tuple(map(float, z_samples)),
         residuals=tuple(residuals[0].tolist()),
         scales=tuple(scales[0].tolist()),

@@ -22,7 +22,7 @@ z = a w (Maier, "The 192 solutions of the Heun equation", Math. Comp. 76
 factorizable operator to one with the same ladder and parities, and each
 accessory value q to q/a.
 
-monomial, exponent and terms build and read a MonomialSum, which keeps no
+monomial and terms build and read a MonomialSum, which keeps no
 arithmetic of its own.
 
 sum_by_terms is the reference value of sum c z^p: math.fsum of every
@@ -103,17 +103,12 @@ def m1_image(params: HeunParameters) -> HeunParameters:
 
 def monomial(exponent: float, coefficient: complex = 1.0) -> MonomialSum:
     """coefficient * z**exponent."""
-    return MonomialSum(float(exponent), {0: coefficient})
-
-
-def exponent(y: MonomialSum, k: int) -> float:
-    """The exponent of y's term at lattice offset k."""
-    return y.base + 0.5 * k
+    return MonomialSum((float(exponent),), (coefficient,))
 
 
 def terms(y: MonomialSum) -> Tuple[Tuple[float, complex], ...]:
-    """(exponent, coefficient) pairs of y, ascending in exponent."""
-    return tuple((exponent(y, k), y.coeffs[k]) for k in sorted(y.coeffs))
+    """(exponent, coefficient) pairs of y, in y's order, zeros included."""
+    return tuple(zip(map(float, y.exponents), y.coeffs))
 
 
 def sum_by_terms(terms: Iterable[Tuple[float, complex]], z: float):

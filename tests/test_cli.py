@@ -283,6 +283,21 @@ def test_negative_tolerance_is_refused(capsys):
     assert "tolerance must not be negative: tol=-1.0" in captured.err
 
 
+def test_negative_threshold_is_refused(tmp_path, capsys):
+    doc = tmp_path / "spectrum.json"
+    assert main(["spectrum", "--preset", "example1", "--json", str(doc)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--solution", str(doc), "--threshold", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "threshold must not be negative: threshold=-1.0" in captured.err
+    # A threshold of 0 stays valid: the document is scored against it.
+    assert main(["verify", "--solution", str(doc), "--threshold", "0"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["threshold"] == 0
+    assert "have a residual over 0" in captured.err
+
+
 def test_literal_defaults_match_the_library_constants():
     # cli.py writes --samples and --kmax as literals, since importing the
     # constants would load numpy at start-up.

@@ -22,9 +22,8 @@ import numpy as np
 import pytest
 
 from heun_su11 import verifier
-from heun_su11.cli import PRESETS, main
+from heun_su11.cli import PRESETS, _score_series, main
 from heun_su11.heun_core import canonical_coefficients, lame_parameters, make_parameters
-from heun_su11.monomials import MonomialSum
 from heun_su11.representations import RepresentationClass, classify
 from heun_su11.series_engine import series_solution
 from heun_su11.spectrum import solve_spectrum
@@ -36,7 +35,7 @@ from heun_su11.verifier import (
     residual_for_coefficients,
     solution_samples,
 )
-from oracle import exact_magnitude, scale_terms
+from oracle import exact_magnitude, scale_terms, terms
 
 POS = RepresentationClass.POSITIVE_DISCRETE
 NEG = RepresentationClass.NEGATIVE_DISCRETE
@@ -51,12 +50,6 @@ def preset_case(preset, a, q, cls, parity, K):
     dec = decompose(params)
     rep = next(r for r in classify(dec) if r.rep_class is cls)
     return params, series_solution(dec, rep, parity, q, truncation=K)
-
-
-def pairs(y: MonomialSum) -> list:
-    """(exponent, coefficient) of y in the order residual_for_coefficients
-    scores them."""
-    return [(y.base + 0.5 * k, c) for k, c in y.coeffs.items()]
 
 
 def record(monkeypatch, name):
@@ -102,7 +95,7 @@ def test_prefix_bounds_the_exact_dropped_scale(seed, monkeypatch):
                     report = residual_for_coefficients(coeffs, y, samples)
                     full = full_sum(monkeypatch, coeffs, y, samples)
                     for k, bound in filter(None, cuts):
-                        dropped = pairs(y)[k:]
+                        dropped = terms(y)[k:]
                         for z, d in zip(samples, bound.tolist()):
                             rest = exact_magnitude(scale_terms(coeffs, dropped, z))
                             assert rest <= Fraction(d), where + (k, z)
@@ -123,8 +116,8 @@ def test_prefix_still_fails_a_wrong_answer(cls, monkeypatch):
     y = sol.as_monomial_sum()
     samples = solution_samples(2.0, sol.domain)
     scored = record(monkeypatch, "_power_matrix")
-    b1 = 2 * sol.step
-    wrong_coefficient = MonomialSum(y.base, {**y.coeffs, b1: y.coeffs[b1] * (1.0 + 1e-6)})
+    wrong_coefficient = y._replace(coeffs=(y.coeffs[0], y.coeffs[1] * (1.0 + 1e-6),
+                                           *y.coeffs[2:]))
     for c, candidate, passes in ((coeffs, y, True), (coeffs, wrong_coefficient, False),
                                  (coeffs.with_accessory(0.3 + 1e-6), y, False)):
         scored.clear()
@@ -154,10 +147,9 @@ def test_an_overflowed_series_scores_inf_with_nan_scales(preset, a, parity, monk
     assert powers == []
     assert report.max_relative_residual == math.inf
     assert set(report.residuals) == {math.inf} and all(map(math.isnan, report.scales))
-    c = np.array(list(y.coeffs.values()))
-    p = np.array([e for e, _ in pairs(y)])
+    c = np.array(y.coeffs)
     block = np.stack([c, c], axis=1)
-    residuals, scales = residual_block(coeffs, p, block, [coeffs.a7] * 2, samples)
+    residuals, scales = residual_block(coeffs, y.exponents, block, [coeffs.a7] * 2, samples)
     assert np.array(report.residuals).tobytes() == residuals[0].tobytes()
     assert np.isnan(scales[0]).all()
     argv = ["series", "--preset", preset, "--a", str(a), "--q", "0.3", "--rep", "nd",
@@ -189,3 +181,31 @@ def test_spectrum_ladders_keep_the_full_sum(seed, monkeypatch):
         for pair in result.pairs:
             y = pair.eigenfunction.as_monomial_sum()
             residual_for_coefficients(coeffs.with_accessory(pair.q), y, samples)
+
+
+def test_the_library_scores_a_series_as_the_cli_does():
+    # Over series_long's grid (each preset at its own a, both ladders and
+    # parities, K = 60 and 1000, q drawn as at seed 1): ode_residual on
+    # as_monomial_sum finds bit for bit the worst residual that series and
+    # verify get from worst_by_exponents, inf for the overflowed series too,
+    # and the sum reuses the series' cached exponents.
+    rng = random.Random("series_long-1")
+    overflowed = 0
+    for preset, a in (("example1", 2.0), ("example2", 4.0), ("lame", -3.0)):
+        for cls in (POS, NEG):
+            for parity in ("even", "odd"):
+                for K in (60, 1000):
+                    q = round(rng.uniform(-1.0, 1.0), 6)
+                    for _ in range(25):  # the bench draws 25 evaluation points
+                        rng.uniform(0.0, 1.0)
+                    params, sol = preset_case(preset, a, q, cls, parity, K)
+                    y = sol.as_monomial_sum()
+                    assert y.exponents is sol.exponents
+                    lo, hi = sol.domain
+                    domain = (0.0, 0.5 * hi) if cls is POS else (2.0 * lo, 4.0 * lo)
+                    report = ode_residual(params, y, domain=domain)
+                    (worst,), _, _ = _score_series(canonical_coefficients(params), sol)
+                    where = (preset, a, cls.value, parity, K, q)
+                    assert report.max_relative_residual.hex() == worst.hex(), where
+                    overflowed += worst == math.inf
+    assert overflowed == 4

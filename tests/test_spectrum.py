@@ -528,25 +528,29 @@ def sweep_cases(count, seed):
 
 
 def test_block_residual_equals_one_column_call():
-    seen_complex = seen_zero_q = 0
-    for a, n, delta in sweep_cases(12, seed=2024):
+    # The n=128 ladder at a=1e6 has 102 exact-zero coefficients, which the
+    # one-column call scores as the block does.
+    seen_complex = seen_zero_q = seen_zeros = 0
+    for a, n, delta in sweep_cases(12, seed=2024) + [(1e6, 128, -0.5)]:
         for coeffs, exponents, block, a7, samples, own in parity_blocks(a, n, delta):
             residuals, scales = residual_block(coeffs, exponents, block, a7, samples)
+            seen_zeros += int(np.sum(block == 0.0))
             for j, pair in enumerate(own):
                 y = pair.eigenfunction.as_monomial_sum()
+                assert len(y.coeffs) == len(pair.eigenfunction.coefficients)
                 report = residual_for_coefficients(coeffs.with_accessory(pair.q), y, samples)
                 assert bits(residuals[j]) == bits(report.residuals)
                 assert bits(scales[j]) == bits(report.scales)
                 assert pair.residual == report.max_relative_residual
                 seen_complex += isinstance(pair.q, complex)
                 seen_zero_q += pair.q == 0.0 and pair.residual == 0.0
-    assert seen_complex and seen_zero_q
+    assert seen_complex and seen_zero_q and seen_zeros >= 102
 
 
 def test_block_columns_score_as_they_would_alone():
-    """Also with an exact zero coefficient, which the block keeps.  The
-    one-column call drops it, so on a larger sub-grid its gemm may sum in
-    another order.  The eigenvectors of these ladders have no zero entry."""
+    """Also with an exact zero coefficient, which the block keeps, as the
+    one-column call does.  The eigenvectors of these ladders have no zero
+    entry."""
     for a, n, delta in sweep_cases(6, seed=7):
         for coeffs, exponents, block, a7, samples, _own in parity_blocks(a, n, delta):
             planted = block.copy()

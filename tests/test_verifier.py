@@ -22,7 +22,7 @@ from heun_su11.verifier import (
     solution_samples,
 )
 from heun_su11.series_engine import ASCENDING, DESCENDING, convergence_domain
-from oracle import monomial
+from oracle import monomial, terms
 
 
 EXAMPLE1 = dict(gamma=0.5, delta=-0.5, alpha=-1.0, beta=-0.5, q=0.0)
@@ -56,8 +56,8 @@ def test_zero_candidate_scores_zero():
     # The zero function solves every equation and so proves nothing: its
     # worst residual is inf, as in worst_residuals.
     params = make_parameters(a=2.0, **EXAMPLE1)
-    report = ode_residual(params, MonomialSum.zero())
-    assert report.max_relative_residual == math.inf
+    for zero in (MonomialSum.from_terms([]), MonomialSum.from_terms([(0.0, 0.0), (1.0, 0j)])):
+        assert ode_residual(params, zero).max_relative_residual == math.inf
 
 
 def test_empty_sample_set_scores_inf():
@@ -188,16 +188,19 @@ def test_residual_for_coefficients_is_residual_block_on_the_same_column():
     for pair in solve_spectrum(dec, finite[0]).pairs:
         y = pair.eigenfunction.as_monomial_sum()
         c = coeffs.with_accessory(pair.q)
-        padded = MonomialSum(y.base, {1: 0j, **y.coeffs, 3: 0.0, 2 * len(y.coeffs): 0j})
-        real_zeros = MonomialSum(y.base, {**y.coeffs, 3: 0.0, -2: -0.0})
+        given = terms(y)
+        p0 = given[0][0]
+        padded = MonomialSum.from_terms(
+            [(p0 + 0.5, 0j), *given[:1], (p0 + 1.5, 0.0), *given[1:], (p0 + len(given), 0j)])
+        real_zeros = MonomialSum.from_terms([*given, (p0 + 1.5, 0.0), (p0 - 1.0, -0.0)])
         for candidate in (y, padded, real_zeros):
-            column = np.array(list(candidate.coeffs.values()))
-            p = candidate.base + 0.5 * np.array(list(candidate.coeffs), float)
+            column = np.array(candidate.coeffs)
+            p = np.array(candidate.exponents, float)
             want, want_scales = residual_block(c, p, column[:, None], [c.a7], samples)
             report = residual_for_coefficients(c, candidate, samples)
             assert np.array(report.residuals).tobytes() == want[0].tobytes()
             assert np.array(report.scales).tobytes() == want_scales[0].tobytes()
-        assert np.array(list(padded.coeffs.values())).dtype == complex
+        assert np.array(padded.coeffs).dtype == complex
 
 
 OLD_SAMPLE_DOMAINS = {

@@ -122,7 +122,7 @@ def _resolve_parameters(args) -> HeunParameters:
         unknown = sorted(set(doc) - set(PARAM_KEYS))
         if unknown:
             raise ValidationError(f"unknown parameter keys in --params: {unknown}")
-        source.update({k: float(v) for k, v in doc.items()})
+        source.update({k: float(jsonio.as_number(v)) for k, v in doc.items()})
     elif getattr(args, "preset", None):
         source.update(PRESETS[args.preset])
     for name in PARAM_KEYS:
@@ -336,16 +336,14 @@ def _cmd_verify(args) -> int:
     if "ode_coefficients" not in doc:
         raise ValidationError("solution document lacks ode_coefficients")
     coeffs = CanonicalCoefficients.from_json_dict(
-        {k: jsonio.as_number(v)
-         for k, v in _require_object(doc["ode_coefficients"], "ode_coefficients").items()}
-    )
+        _require_object(doc["ode_coefficients"], "ode_coefficients"))
     if "eigenpairs" in doc:
         from .verifier import solution_samples, worst_by_exponents
         pairs = doc["eigenpairs"]
         if not pairs:
             raise ValidationError("solution document lists no eigenpairs")
         candidates = [
-            (tuple(float(t["exponent"]) for t in pair["coefficients"]),
+            (tuple(float(jsonio.as_number(t["exponent"])) for t in pair["coefficients"]),
              [jsonio.as_number(t["value"]) for t in pair["coefficients"]],
              jsonio.as_number(pair["q"]))
             for pair in pairs

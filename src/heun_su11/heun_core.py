@@ -25,6 +25,7 @@ import math
 from typing import Mapping, NamedTuple, Tuple
 
 from .errors import ComplexExponents, DegenerateSingularity, FuchsianViolation, ValidationError
+from .jsonio import as_number
 
 FUCHSIAN_TOL = 1e-9
 
@@ -46,8 +47,9 @@ class HeunParameters(NamedTuple):
 
 def read_floats(cls, doc: Mapping[str, float]):
     """The NamedTuple of floats cls from a JSON object keyed by its field
-    names (the object its _asdict writes); a non-finite value is refused."""
-    values = {name: float(doc[name]) for name in cls._fields}
+    names (the object its _asdict writes), each read by jsonio.as_number; a
+    non-finite value is refused."""
+    values = {name: float(as_number(doc[name])) for name in cls._fields}
     require_finite(**values)
     return cls(**values)
 

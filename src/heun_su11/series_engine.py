@@ -17,7 +17,6 @@ stated domain.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from functools import cached_property
 from itertools import repeat
 from operator import mul
@@ -27,7 +26,8 @@ import numpy as np
 
 from .errors import OutOfDomain, RecurrenceBreakdown, UnsupportedClass, ValidationError
 from .heun_core import require_finite
-from .monomials import CUT_MIN_LIVE, CUT_TINY, UNDERFLOW_LOG2, MonomialSum
+from .jsonio import as_number
+from .monomials import CUT_MIN_LIVE, UNDERFLOW_LOG2, MonomialSum, log2_majorant, tail_cut
 from .representations import (
     RepresentationClass,
     RepresentationDescriptor,
@@ -69,22 +69,19 @@ class SeriesSolution(_SeriesFields):
 
     @cached_property
     def log2_majorant(self):
-        """S_k = max over k <= m < F of log2|b_m| + step*m*log2(R), R the
-        domain's edge, as a float64 array over b_0..b_(F-1), the leading run
-        of finite coefficients: each term from m = k on is at most
-        2^(S_k + p0 log2(z) + m step log2(z/R)).  None for a complex series
-        or an edge at 0 or inf.  Computed on first use."""
+        """monomials.log2_majorant of log2|b_m| on the exponents, with tau
+        the log2 of the domain's edge R, over b_0..b_(F-1), the leading run
+        of finite coefficients.  None for a complex series or an edge at 0
+        or inf.  Computed on first use."""
         b = np.array(self.coefficients)
-        edge = _edge(self)
+        edge = self.domain[1] if self.step > 0 else self.domain[0]
         if b.dtype != np.float64 or not 0.0 < edge < math.inf:
             return None
         finite = np.isfinite(b)
         if not finite.all():
             b = b[:finite.argmin()]
         with np.errstate(divide="ignore"):
-            a = np.log2(np.abs(b))
-        a += self.step * math.log2(edge) * np.arange(len(a))
-        return np.maximum.accumulate(a[::-1])[::-1]
+            return log2_majorant(np.log2(np.abs(b)), self.exponents[:len(b)], math.log2(edge))
 
     @cached_property
     def non_finite_tail(self) -> float:
@@ -121,16 +118,16 @@ class SeriesSolution(_SeriesFields):
                                   f"{ASCENDING!r} nor {DESCENDING!r}")
         if doc["parity"] not in ("even", "odd"):
             raise ValidationError(f"series parity {doc['parity']!r} is neither 'even' nor 'odd'")
-        if doc["K"] != len(doc["coefficients"]) - 1:
+        if as_number(doc["K"]) != len(doc["coefficients"]) - 1:
             raise ValidationError(f"series K={doc['K']!r} does not match its "
                                   f"{len(doc['coefficients'])} coefficients")
         return cls(
-            p0=float(doc["p0"]),
+            p0=float(as_number(doc["p0"])),
             direction=doc["direction"],
             parity=doc["parity"],
-            q=float(doc["q"]),
-            coefficients=tuple(math.nan if b is None else float(b) for b in doc["coefficients"]),
-            domain=(float(lo), math.inf if hi is None else float(hi)),
+            q=float(as_number(doc["q"])),
+            coefficients=tuple(float(as_number(b)) for b in doc["coefficients"]),
+            domain=(float(as_number(lo)), math.inf if hi is None else float(as_number(hi))),
         )
 
 
@@ -238,49 +235,9 @@ def _live_terms(p0: float, step: int, z: float, count: int) -> int:
     return max(0, math.floor(bound) + 1)
 
 
-# evaluate_series computes a prefix of the live terms of a long real series
-# when a bound D on the dropped rest, which its docstring derives, certifies
-# the rounded sum: the shortest with D under 2^-80 of the bound on every term.
-_CUT_LOG2_SCALE = -80.0
-
-
-def _edge(sol: SeriesSolution) -> float:
-    """R, the edge of sol's domain that its terms decay away from."""
-    return sol.domain[1] if sol.step > 0 else sol.domain[0]
-
-
-def _cut(sol: SeriesSolution, p0: float, z: float, live: int) -> Tuple[int, float]:
-    """(n, D): the shortest prefix n of the live terms whose rest D bounds,
-    with D under 2^_CUT_LOG2_SCALE of 2^(S_0 + p0 log2(z)), found by
-    bisection; (0, D < 2^1023) on a series with a non-finite tail; and
-    (live, 0.0) when there is none."""
-    run = sol.log2_majorant if live > CUT_MIN_LIVE else None
-    if run is None or live > len(run) or not abs(p0) < 2.0**32:
-        return live, 0.0
-    step, t, tau = sol.step, math.log2(z), math.log2(_edge(sol))
-    s = step * (t - tau)
-    if not (s < 0.0 and step * t < 0.0):
-        return live, 0.0
-    run = memoryview(run)
-    # log2(2 G 2^(p0 t)), and the log2 of twice the subnormal powers' slack.
-    lead = p0 * t + math.log2(1.0 - 1.0 / (s * math.log(2.0))) + 1.0
-    first = max(0, math.floor((-1021.0 - p0 * t) / (step * t)) + 1)
-    slack = -math.inf
-    if first < live:
-        slack = (math.log2(live - first) + run[first]
-                 + max(-step * tau, 0.0) * (live - 1) - 1073.0)
-    if len(run) < len(sol.coefficients):
-        if max(run[0] + lead, slack) < 1021.0:
-            return 0, 2.0 ** (run[0] + lead) + 2.0**slack + live * CUT_TINY
-        return live, 0.0
-    target = run[0] + _CUT_LOG2_SCALE + p0 * t
-    if not (-math.inf < target < 1022.0 and slack < target):
-        return live, 0.0
-    target -= lead
-    n = bisect_left(range(live), True, 1, key=lambda k: run[k] + k * s <= target)
-    if n == live:
-        return live, 0.0
-    return n, 2.0 ** (run[n] + n * s + lead) + 2.0**slack + (live - n) * CUT_TINY
+# evaluate_series aims its cut at D under 2^_CUT_LOG2_AIM of the majorant's
+# bound on the leading term, far below the rounding of the sum.
+_CUT_LOG2_AIM = -79.0
 
 
 def _certified_sum(terms: List[float], bound: float):
@@ -314,10 +271,13 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
 
     Of a long real series only the terms that can still move the rounded
     value are computed.  When the live coefficients are finite reals, more
-    than CUT_MIN_LIVE of them, _cut bisects the series' majorant for the
-    shortest prefix whose dropped rest R has |R| <= D.  If fsum(prefix +
-    [D]) and fsum(prefix + [-D]) are one finite non-zero float, the full sum
-    prefix + R, which lies between the two, rounds to that float too,
+    than CUT_MIN_LIVE of them, and s = step log2(z/R) < 0 for the domain's
+    edge R, monomials.tail_cut bisects the series' log2_majorant for the
+    shortest prefix whose bound D on the dropped rest r lies under
+    2^_CUT_LOG2_AIM of the majorant's bound on term 0, with
+    G <= 1 + 1/(-s ln 2); its docstring derives D.  If fsum(prefix + [D])
+    and fsum(prefix + [-D]) are one finite non-zero float, the full sum
+    prefix + r, which lies between the two, rounds to that float too,
     because correct rounding is monotone.  Otherwise (a rounding midpoint
     within D of the prefix, cancellation, overflow or an fsum that raises)
     the rest of the live terms is computed and everything is summed as
@@ -330,35 +290,32 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
     2^1024, and CPython's fsum returns the sum of its non-finite summands,
     in order, whatever the finite ones are.  Those are the NaNs b_m * 0.0
     from b_F on, which the series keeps as non_finite_tail.
-
-    D is derived with u = 2^-53, t = log2(z), tau = log2(R) for the edge R
-    and s = step (t - tau) < 0.  By log2_majorant, |b_m z^p| <= 2^(S_n +
-    p0 t + m s) for m >= n, so the exact dropped terms sum to at most
-    2^(S_n + p0 t + n s) G, G = 1 + 1/(-s ln 2) >= 1/(1 - 2^s).  Then:
-      * libm's pow errs by at most one ulp: 2u relative for a normal z^p,
-        2^-1074 absolute for a subnormal one, which only the live terms
-        from the first m with p t < -1021 on can have; there |b_m| <=
-        2^(S_first + m g) with g = max(0, -step tau);
-      * the product's rounding adds a factor 1 + u and 2^-1075 absolute;
-      * with |p0| < 2^32 and fewer than 2^31 terms, every quantity in the
-        exponents (log2|b_m|, m tau, p0 t, m s) is below 2^44, so their
-        roundings, and numpy's log2 within 32 ulp, move the computed
-        exponent by under 2^-5.  The geometric factor of k dropped terms is
-        at most min(k, G); where G < 2^31, |s| > 2^-32 and the rounding of t
-        moves G by under 2^-10.
-    A factor 2 covers all of these: D = 2 (2^(S_n + p0 t + n s) G +
-    (live - first) 2^(S_first + (live - 1) g - 1074)) + k 2^-1018 >= |R|.
     """
     lo, hi = sol.domain
     if not (lo < z < hi):
         raise OutOfDomain(f"z={z} is outside the open domain ({lo:g}, {hi:g})")
-    z, p0 = float(z), float(sol.p0)
+    z, p0, step = float(z), float(sol.p0), sol.step
     coefficients = sol.coefficients
-    live = _live_terms(p0, sol.step, z, len(coefficients))
-    cut, bound = _cut(sol, p0, z, live)
-    if cut == 0 < bound:
-        return EvaluatedSeries(sol.non_finite_tail)
     exponents = memoryview(sol.exponents)
+    live = _live_terms(p0, step, z, len(coefficients))
+    cut, bound = live, 0.0
+    run = sol.log2_majorant if live > CUT_MIN_LIVE else None
+    if run is not None and live <= len(run):
+        t, tau = math.log2(z), math.log2(hi if step > 0 else lo)
+        s = step * (t - tau)
+        if s < 0.0 and step * t < 0.0:
+            run = memoryview(run)
+            tail = len(run) < len(coefficients)
+            # A series with a non-finite tail takes the cut at 0 alone.
+            aim = math.inf if tail else run[0] + p0 * (t - tau) + _CUT_LOG2_AIM
+            found = tail_cut(run[:live], exponents[:live], tau,
+                             math.log2(1.0 - 1.0 / (s * math.log(2.0))), aim, t)
+            if found is not None:
+                cut, (bound,) = found
+            if tail:
+                if cut == 0 and bound < 2.0**1023:
+                    return EvaluatedSeries(sol.non_finite_tail)
+                cut = live
     terms = list(map(mul, coefficients, map(math.pow, repeat(z, cut), exponents)))
     value = _certified_sum(terms, bound) if cut < live else None
     if value is None:

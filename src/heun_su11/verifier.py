@@ -41,51 +41,36 @@ step by at least 1 in one direction, with every sample below 1 when they
 ascend and above 1 when they descend, so that the powers fall along the
 column.  Every spectrum sub-grid (at most 64 terms per parity up
 to n = 128, and P >= 2 columns beyond) keeps the full sum, bit for bit.
-Let W_m = |c_m| sum_i |a_i| |factor_i(p_m)|, the three rows of the scale's
-magnitudes summed; E the edge one factor of 2 beyond the sample nearest the
-domain's edge, 2 max z ascending and min z / 2 descending; tau = log2(E);
-and S_k the largest log2 W_m + p_m tau over m >= k, one reverse running max
-as in SeriesSolution.log2_majorant (after Mezzarobba and Salvy, J. Symbolic
-Comput. 45 (2010)).  At a sample z, t = log2(z), term m adds at most
-2^|t| W_m z^(p_m) <= 2^(|t| + S_k + p_m (t - tau)) to the scale; as
-|t - tau| >= 1 and the exponents step by at least 1, the terms from k on add
-at most 2^(S_k + |t| + p_k (t - tau)) G, G = 1/(1 - 2^-|t - tau|) <= 2.  A
-factor 4 covers pow's ulp, the products' roundings and those of the
-exponents, as evaluate_series' docstring derives them, and an underflowed
-sum of the three rows.  Where pow returns a subnormal (p t < -1020) it errs
-by 2^-1074 absolute; a power that is not exactly 0.0 has p t >= -1101
-(UNDERFLOW_LOG2, less a margin), so that error times 2^|t| W_m is at most
-2^(27 + |t| + S_k + p_m (t - tau)), and such terms start where
-p (t - tau) < -1020 |t - tau| / |t|.  With (n - k) 2^-1018 for the
-products' underflow, the dropped part of the scale, and of the sum, is at
-most
-
-    D = 2^(S_k + |t| + 3) (2^(p_k (t - tau))
-          + 2^(27 + min(p_k (t - tau), -1020 |t - tau| / |t|))) + (n - k) 2^-1018.
-
+The prefix and its bound D are monomials.tail_cut's, on the weights
+W_m = |c_m| sum_i |a_i| |factor_i(p_m)|, the three rows of the scale's
+magnitudes summed, which land on z^(p_m) times z, 1 or 1/z (offset 1);
+tau = log2(E) for E a factor 2 beyond the sample nearest the domain's
+edge, so that |t - tau| >= 1 at every sample and G <= 2; and numpy's exp2
+to round D (any exp2 within an ulp keeps D a bound; this one keeps the
+bits of the residuals that series and verify print).
 One cut k per column is bisected at the sample nearest the edge: the
-shortest prefix with D there under 2^-60 of the largest term.  The prefix is
-scored by the body of the full sum, which gives num_k and scale_k.  If
+shortest prefix with D there under 2^-60 of the largest term.  The prefix
+is scored by the body of the full sum, which gives num_k and scale_k, and D
+bounds the dropped part of the scale, and of the sum, at every sample.  If
 D <= 2^-50 scale_k at every sample, the residual is (num_k + D) / scale_k
-rounded up, with scale_k as the scale; otherwise the full sum is taken.  The
-full numerator is at most num_k + D and the full scale at least scale_k, so
-the reported residual is never below the full one, beyond the float
-summation error that both sums carry.  A single column with a non-finite
-coefficient scores inf at every sample, as the full sum does, with a NaN
-scale (the full sum's is NaN or inf), and computes no power.
+rounded up, with scale_k as the scale; otherwise the full sum is taken.
+The full numerator is at most num_k + D and the full scale at least
+scale_k, so the reported residual is never below the full one, beyond the
+float summation error that both sums carry.  A single column with a
+non-finite coefficient scores inf at every sample, as the full sum does,
+with a NaN scale (the full sum's is NaN or inf), and computes no power.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .errors import SamplePointAtSingularity
 from .heun_core import CanonicalCoefficients, HeunParameters, canonical_coefficients
-from .monomials import CUT_MIN_LIVE, CUT_TINY, UNDERFLOW_LOG2, MonomialSum
+from .monomials import CUT_MIN_LIVE, UNDERFLOW_LOG2, MonomialSum, log2_majorant, tail_cut
 
 SINGULARITY_RADIUS = 1e-6
 DEFAULT_SAMPLE_COUNT = 25
@@ -151,38 +136,24 @@ _PREFIX_LOG2_AIM = -60.0
 
 
 def _prefix(z: np.ndarray, p: np.ndarray, weights: np.ndarray):
-    """(k, D): the k leading terms that the module docstring's rule keeps
-    of one finite real column with magnitude sums weights (W_m) on the
-    exponents p, and its bound D at each sample z on the scale of the rest;
-    None where the rule does not apply or keeps every term."""
+    """monomials.tail_cut's (k, [D at each sample z]) for one finite real
+    column with magnitude sums weights (W_m) on the exponents p, cut at the
+    sample nearest the edge; None where the rule does not apply."""
     steps = np.diff(p)
     if steps.min() >= 1.0 and z.max() < 1.0:
-        z_edge = z.max()
-        edge = 2.0 * z_edge
+        z_edge, edge = z.max(), 2.0 * z.max()
     elif steps.max() <= -1.0 and z.min() > 1.0:
-        z_edge = z.min()
-        edge = 0.5 * z_edge
+        z_edge, edge = z.min(), 0.5 * z.min()
     else:
         return None
-    if not (edge > 2.0**-1021 and abs(p[0]) < 2.0**32 and abs(p[-1]) < 2.0**32):
+    if not edge > 2.0**-1021:
         return None
     tau, t_edge = math.log2(edge), math.log2(z_edge)
     log_w = np.log2(weights)
-    run = np.maximum.accumulate((log_w + p * tau)[::-1])[::-1]
-    # D at the edge sample is 2^(S_k + |t| + p_k (t - tau) + 3), and the
-    # largest term there is at least 2^(max(log2 W_m + p_m t) - |t|).
-    target = float(np.max(log_w + p * t_edge)) - 2.0 * abs(t_edge) - 3.0 + _PREFIX_LOG2_AIM
-    runs, exponents, gap = memoryview(run), memoryview(p), t_edge - tau
-    n = len(p)
-    k = bisect_left(range(n), True, 1, key=lambda k: runs[k] + exponents[k] * gap <= target)
-    if k == n:
-        return None
-    t = np.log2(z)
-    size, gap = np.abs(t), t - tau
-    main = p[k] * gap
-    subnormal = np.minimum(main, -1020.0 * np.abs(gap) / size) + 27.0
-    lead = run[k] + size + 3.0
-    return k, np.exp2(lead + main) + np.exp2(lead + subnormal) + (n - k) * CUT_TINY
+    # The largest term at the edge sample is at least 2^(max(log2 W_m + p_m t) - |t|).
+    aim = float(np.max(log_w + p * t_edge)) - abs(t_edge) + _PREFIX_LOG2_AIM
+    return tail_cut(memoryview(log2_majorant(log_w, p, tau)), memoryview(p), tau, 1.0, aim,
+                    t_edge, np.log2(z).tolist(), offset=1.0, exp2=np.exp2)
 
 
 def residual_block(coeffs: CanonicalCoefficients, exponents: np.ndarray, block: np.ndarray,

@@ -480,6 +480,42 @@ def test_params_file_rejections(tmp_path, capsys):
     capsys.readouterr()
 
 
+EXAMPLE1_PARAMS = dict(gamma=0.5, delta=-0.5, alpha=-1.0, beta=-0.5, a=2.0, q=0.0)
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["series", "--params", "-"], {**EXAMPLE1_PARAMS, "q": True}),
+    (["series", "--params", "-"], {**EXAMPLE1_PARAMS, "a": "2"}),
+    (["series", "--decomposition", "-", "--q", "0.3"], {**EXAMPLE1_DECOMPOSITION, "mu": "-1.0"}),
+    (["series", "--decomposition", "-", "--q", "0.3"], {**EXAMPLE1_DECOMPOSITION, "c1": False}),
+    (["verify", "--solution", "-"],
+     {**OVERFLOWED_SERIES_DOC, "series": {**OVERFLOWED_SERIES_DOC["series"], "K": True}}),
+    (["verify", "--solution", "-"],
+     {**OVERFLOWED_SERIES_DOC, "series": {**OVERFLOWED_SERIES_DOC["series"], "p0": "0"}}),
+    (["verify", "--solution", "-"],
+     {**OVERFLOWED_SERIES_DOC, "ode_coefficients": {**OVERFLOWED_SERIES_DOC["ode_coefficients"],
+                                                    "a0": True}}),
+], ids=["params-bool", "params-string", "decomposition-string", "decomposition-bool",
+        "series-K-bool", "series-p0-string", "ode-coefficients-bool"])
+def test_a_bool_or_a_string_is_not_a_json_number(argv, doc, capsys, monkeypatch):
+    # Every reader of a JSON number takes jsonio.as_number's rule: a bool or
+    # a string is refused with exit 1, and nothing is printed.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("heun-su11: invalid input: expected a number, got ")
+
+
+def test_an_eigenpair_exponent_must_be_a_json_number(capsys, monkeypatch):
+    rc, doc = run_json(capsys, ["spectrum", "--preset", "example1"])
+    assert rc == 0
+    doc["eigenpairs"][0]["coefficients"][0]["exponent"] = True
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(["verify", "--solution", "-"]) == 1
+    assert capsys.readouterr().err == "heun-su11: invalid input: expected a number, got True\n"
+
+
 def test_inconsistent_stored_decomposition(tmp_path, capsys):
     dec_path = tmp_path / "dec.json"
     assert main(["decompose", "--preset", "example1", "--json", str(dec_path)]) == 0

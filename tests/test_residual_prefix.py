@@ -57,8 +57,8 @@ def record(monkeypatch, name):
     calls = []
     real = getattr(verifier, name)
 
-    def recording(*args):
-        calls.append(real(*args))
+    def recording(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
         return calls[-1]
 
     monkeypatch.setattr(verifier, name, recording)
@@ -68,7 +68,7 @@ def record(monkeypatch, name):
 def full_sum(monkeypatch, coeffs, y, samples):
     """The report of the full sum, with the prefix rule switched off."""
     with monkeypatch.context() as patch:
-        patch.setattr(verifier, "_prefix", lambda *args: None)
+        patch.setattr(verifier, "tail_cut", lambda *args, **kwargs: None)
         return residual_for_coefficients(coeffs, y, samples)
 
 
@@ -79,7 +79,7 @@ def test_prefix_bounds_the_exact_dropped_scale(seed, monkeypatch):
     # sum of the dropped terms' computed magnitudes at every sample, and the
     # reported residual must keep the full sum's, and its verdict.
     rng = random.Random(f"residual-prefix-{seed}")
-    cuts = record(monkeypatch, "_prefix")
+    cuts = record(monkeypatch, "tail_cut")
     taken = {POS: 0, NEG: 0}
     for a in (2.0, 4.0, -3.0, 0.3, 1.7):
         for cls in (POS, NEG):
@@ -96,7 +96,7 @@ def test_prefix_bounds_the_exact_dropped_scale(seed, monkeypatch):
                     full = full_sum(monkeypatch, coeffs, y, samples)
                     for k, bound in filter(None, cuts):
                         dropped = terms(y)[k:]
-                        for z, d in zip(samples, bound.tolist()):
+                        for z, d in zip(samples, bound):
                             rest = exact_magnitude(scale_terms(coeffs, dropped, z))
                             assert rest <= Fraction(d), where + (k, z)
                     for got, want in zip(report.residuals, full.residuals):
@@ -164,10 +164,10 @@ def test_spectrum_ladders_keep_the_full_sum(seed, monkeypatch):
     # The benchmark's finite ladders (n up to 128, a = 2, 4 and -3, delta
     # drawn from the seed): no sub-grid block and no one-pair report takes
     # the prefix rule, so every spectrum residual is the full sum's.
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("a spectrum block took the prefix rule")
 
-    monkeypatch.setattr(verifier, "_prefix", refuse)
+    monkeypatch.setattr(verifier, "tail_cut", refuse)
     rng = random.Random(f"spectrum_ladders-{seed}")
     for n, a in [(n, a) for a in (2.0, 4.0) for n in (2, 16, 64, 128)] + [(16, -3.0), (64, -3.0)]:
         mu = -(n - 1) / 2.0

@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from heun_su11 import series_engine
 from heun_su11.errors import OutOfDomain, RecurrenceBreakdown, UnsupportedClass
 from heun_su11.cli import PRESETS
 from heun_su11.heun_core import lame_parameters, make_parameters
@@ -23,7 +24,6 @@ from heun_su11.series_engine import (
     DESCENDING,
     EvaluatedSeries,
     SeriesSolution,
-    _cut,
     _live_terms,
     convergence_domain,
     evaluate_series,
@@ -326,6 +326,25 @@ def counted_pow(monkeypatch):
     return calls
 
 
+def cut_at(sol, z, monkeypatch):
+    """What monomials.tail_cut returns to evaluate_series at z, (k, D), or
+    None where evaluate_series does not call it or it finds no cut."""
+    calls = []
+    real = series_engine.tail_cut
+
+    def recording(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(series_engine, "tail_cut", recording)
+        _outcome(evaluate_series, sol, z)
+    if not calls or calls[0] is None:
+        return None
+    k, (bound,) = calls[0]
+    return k, bound
+
+
 @pytest.mark.sweep
 def test_long_series_sweep_equals_the_reference(seed):
     # Long series of every preset, where evaluate_series sums only a
@@ -426,14 +445,14 @@ def planted_series(last_bit, tail_sign):
 
 @pytest.mark.parametrize("last_bit", [0, 1])
 @pytest.mark.parametrize("tail_sign", [1.0, -1.0])
-def test_certificate_refuses_a_prefix_on_a_rounding_midpoint(last_bit, tail_sign):
+def test_certificate_refuses_a_prefix_on_a_rounding_midpoint(last_bit, tail_sign, monkeypatch):
     # The terms are exact at z = 1/2.  The cut lands in the zero run, so the
     # prefix sums to the two leading terms, a midpoint that rounds to even;
     # the dropped rest lies far below the cut's bound, yet it decides the
     # last bit of the full sum, so the certificate must refuse and the full
     # sum must be taken.
     sol = planted_series(last_bit, tail_sign)
-    assert 2 <= _cut(sol, 0.0, 0.5, 1001)[0] < 150
+    assert 2 <= cut_at(sol, 0.5, monkeypatch)[0] < 150
     assert evaluate_series(sol, 0.5).value == 1.0 + (last_bit + (tail_sign > 0.0)) * 2.0**-52
     assert _outcome(evaluate_series, sol, 0.5) == _outcome(evaluate_by_terms, sol, 0.5)
 
@@ -451,7 +470,7 @@ def test_cut_holds_on_huge_coefficients_with_subnormal_powers(q, z, monkeypatch)
     assert all(map(math.isfinite, sol.coefficients))
     live = _live_terms(sol.p0, -1, z, len(sol.coefficients))
     assert live * math.log2(z) > 1022.0
-    n, bound = _cut(sol, sol.p0, z, live)
+    n, bound = cut_at(sol, z, monkeypatch)
     dropped = series_terms(sol)[n:live]
     slack = exact_magnitude(b for p, b in dropped if z**p < 2.0**-1022) * Fraction(2.0**-1074)
     assert exact_magnitude(b * z**p for p, b in dropped) + slack <= Fraction(bound)
@@ -469,7 +488,7 @@ def test_cut_is_taken_on_a_decaying_series(monkeypatch):
     sol = series_solution(dec, by_class[RepresentationClass.POSITIVE_DISCRETE], "even", 0.7,
                           truncation=1000)
     assert _live_terms(sol.p0, 1, 0.5, 1001) == 1001
-    cut = _cut(sol, sol.p0, 0.5, 1001)[0]
+    cut = cut_at(sol, 0.5, monkeypatch)[0]
     assert cut < 100
     expected = _outcome(evaluate_by_terms, sol, 0.5)
     calls = counted_pow(monkeypatch)
@@ -531,18 +550,21 @@ def test_an_overflowed_series_equals_the_reference(preset, a, parity, factor, mo
     assert not math.isfinite(sol.coefficients[finite_run])
     z = factor * sol.domain[0]
     live = _live_terms(sol.p0, -1, z, 1001)
-    cut = _cut(sol, sol.p0, z, live)[0]
-    assert (cut == 0 < live <= finite_run) if factor == 2.0 else (cut == live > finite_run)
+    found = cut_at(sol, z, monkeypatch)
+    if factor == 2.0:
+        assert found[0] == 0 < live <= finite_run and found[1] < 2.0**1023
+    else:
+        assert found is None and live > finite_run
     expected = _outcome(evaluate_by_terms, sol, z)
     calls = counted_pow(monkeypatch)
     assert _outcome(evaluate_series, sol, z) == expected
-    assert len(calls) == cut
+    assert len(calls) == (0 if found else live)
 
 
 @pytest.mark.parametrize("tail", [(math.inf, 2.0, math.nan, -math.inf),
                                   (-math.nan, 2.0, math.inf, math.nan),
                                   (math.nan, -math.inf, 0.0, -math.nan)])
-def test_a_hand_built_non_finite_tail_equals_the_reference(tail):
+def test_a_hand_built_non_finite_tail_equals_the_reference(tail, monkeypatch):
     # 300 finite terms that fall by 2^-8 per step, then non-finite and finite
     # coefficients mixed: at z = 2^-8 the live terms stop before the tail, no
     # power is computed, and the NaNs of the tail decide the value.
@@ -550,12 +572,13 @@ def test_a_hand_built_non_finite_tail_equals_the_reference(tail):
                          coefficients=(1.0,) * 300 + tail, domain=(0.0, 1.0))
     z = 2.0**-8
     live = _live_terms(0.0, 1, z, len(sol.coefficients))
-    assert _cut(sol, 0.0, z, live)[0] == 0 < live <= len(sol.log2_majorant) == 300
+    cut, bound = cut_at(sol, z, monkeypatch)
+    assert cut == 0 < live <= len(sol.log2_majorant) == 300 and bound < 2.0**1023
     assert _outcome(evaluate_series, sol, z) == _outcome(evaluate_by_terms, sol, z)
 
 
 @pytest.mark.parametrize("z", [2.0**-8, 2.0**-16])
-def test_an_infinite_coefficient_live_at_one_point_and_dead_at_another(z):
+def test_an_infinite_coefficient_live_at_one_point_and_dead_at_another(z, monkeypatch):
     # b_100 is inf.  At z = 2^-8 it is live and its term is inf, so the full
     # path sums every live term; at z = 2^-16 its power is 0.0, and the
     # cached tail gives the reference's NaN with no power computed.
@@ -563,18 +586,21 @@ def test_an_infinite_coefficient_live_at_one_point_and_dead_at_another(z):
                          coefficients=(1.0,) * 100 + (math.inf,) + (1.0,) * 200,
                          domain=(0.0, 1.0))
     live = _live_terms(0.0, 1, z, len(sol.coefficients))
-    cut = _cut(sol, 0.0, z, live)[0]
-    assert (cut == 0 < live <= 100) if z == 2.0**-16 else (cut == live > 100)
+    found = cut_at(sol, z, monkeypatch)
+    if z == 2.0**-16:
+        assert found[0] == 0 < live <= 100 and found[1] < 2.0**1023
+    else:
+        assert found is None and live > 100
     assert _outcome(evaluate_series, sol, z) == _outcome(evaluate_by_terms, sol, z)
 
 
 @pytest.mark.sweep
-def test_cut_bounds_the_exact_dropped_rest(seed):
-    # Over the long-series grid, overflowed series included, each cut's D
-    # must bound the exact sum of the computed magnitudes |b_m * z**p| of
-    # the live terms it drops, all of them where an overflowed series takes
-    # its cached tail (n = 0, with D < 2^1023), and the value must equal
-    # the term-by-term reference.
+def test_cut_bounds_the_exact_dropped_rest(seed, monkeypatch):
+    # Over the long-series grid, overflowed series included, the D of each
+    # cut that tail_cut returns to evaluate_series must bound the exact sum
+    # of the computed magnitudes |b_m * z**p| of the live terms it drops,
+    # all of them for an overflowed series (n = 0, its cached tail taken
+    # where D < 2^1023), and the value must equal the term-by-term reference.
     rng = random.Random(f"exact-cut-{seed}")
     cuts = overflowed_cuts = 0
     for a in LONG_A:
@@ -592,14 +618,16 @@ def test_cut_bounds_the_exact_dropped_rest(seed):
                             continue
                         where = (a, cls, parity, K, q, z)
                         live = _live_terms(sol.p0, sol.step, z, K + 1)
-                        n, bound = _cut(sol, sol.p0, z, live)
-                        if n < live:
+                        found = cut_at(sol, z, monkeypatch)
+                        if found is not None:
+                            n, bound = found
                             dropped = series_terms(sol)[n:live]
                             rest = exact_magnitude(b * z**p for p, b in dropped)
                             assert rest <= Fraction(bound), where
-                            assert n > 0 or bound < 2.0**1023, where
                             cuts += 1
-                            overflowed_cuts += n == 0
+                            tail = len(sol.log2_majorant) < K + 1
+                            assert n == 0 or not tail, where
+                            overflowed_cuts += tail and bound < 2.0**1023
                         assert _outcome(evaluate_series, sol, z) == _outcome(
                             evaluate_by_terms, sol, z
                         ), where
@@ -624,10 +652,10 @@ def descending_ones(edge):
     # at z = 1000 (1 + 2^-45), where s is -4e-14, the series is cut at 13.
     (descending_ones(1000.0), math.nextafter(1000.0, math.inf)),
 ])
-def test_an_edge_case_takes_the_full_sum(sol, z):
+def test_an_edge_case_takes_the_full_sum(sol, z, monkeypatch):
     live = _live_terms(sol.p0, sol.step, z, len(sol.coefficients))
     assert live > 64
-    assert _cut(sol, sol.p0, z, live) == (live, 0.0)
+    assert cut_at(sol, z, monkeypatch) is None
     assert _outcome(evaluate_series, sol, z) == _outcome(evaluate_by_terms, sol, z)
 
 

@@ -338,4 +338,6 @@ def test_decomposition_reader_checks_the_casimir():
                            r"does not match mu, nu \(expected -0.75\)"):
             Su11Decomposition.from_json_dict({**doc, "casimir": casimir})
     with pytest.raises(ValidationError, match="non-finite input: c1=nan"):
+        Su11Decomposition.from_json_dict({**doc, "c1": None})
+    with pytest.raises(TypeError, match="expected a number, got 'nan'"):
         Su11Decomposition.from_json_dict({**doc, "c1": "nan"})

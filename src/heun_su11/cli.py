@@ -197,9 +197,17 @@ def _write_csv_blocks(path: str, blocks) -> None:
                 writer.writerow([_num_str(z), _num_str(value)])
 
 
-def _first_nonfinite(coefficients):
-    """The index of the first non-finite coefficient, None when all are finite."""
-    return next((k for k, b in enumerate(coefficients) if not cmath.isfinite(b)), None)
+def _first_nonfinite(numbers):
+    """The index of the first non-finite number, None when all are finite."""
+    return next((k for k, b in enumerate(numbers) if not cmath.isfinite(b)), None)
+
+
+def _nonfinite_input(exponents, coefficients, q) -> str:
+    """Which of a candidate's inputs are not finite: "exponents", else
+    "coefficients or q", else ""."""
+    if _first_nonfinite(exponents) is not None:
+        return "exponents"
+    return "coefficients or q" if _first_nonfinite([*coefficients, q]) is not None else ""
 
 
 def _gate(residuals: list, candidates, samples, threshold: float, series: bool = False) -> int:
@@ -207,7 +215,7 @@ def _gate(residuals: list, candidates, samples, threshold: float, series: bool =
     eigenpairs, or of the one series, scored on samples: 1, with the cause
     on stderr, when no sample is left or a residual is over the threshold
     or NaN; else 0.  candidates yields each residual's (exponents,
-    coefficients, q), of which only a failure's cause reads the last two."""
+    coefficients, q), which only a failure's cause reads."""
     failed = sum(not r <= threshold for r in residuals)
     if not samples:
         what = "the series" if series else "the eigenpairs"
@@ -217,15 +225,16 @@ def _gate(residuals: list, candidates, samples, threshold: float, series: bool =
     else:
         from .verifier import overflowed
         candidates = list(candidates)
-        blown = sum(overflowed(c, q, r) for (_, c, q), r in zip(candidates, residuals))
+        blown = sum(overflowed(*candidate, r) for candidate, r in zip(candidates, residuals))
         overflow = "overflows the float range, although {} coefficients and q are finite"
         if not series:
-            nonfinite = sum(not r <= threshold
-                            and (not cmath.isfinite(q) or _first_nonfinite(c) is not None)
-                            for (_, c, q), r in zip(candidates, residuals))
+            bad = [_nonfinite_input(*candidate) for candidate, r in zip(candidates, residuals)
+                   if not r <= threshold]
             n, causes = len(residuals), []
-            if nonfinite:
-                causes.append(f"{nonfinite} of {n} eigenpairs have non-finite coefficients or q")
+            for what in ("exponents", "coefficients or q"):
+                if bad.count(what):
+                    causes.append(f"{bad.count(what)} of {n} eigenpairs have non-finite {what}")
+            nonfinite = len(bad) - bad.count("")
             if failed > blown + nonfinite:
                 causes.append(f"{failed - blown - nonfinite} of {n} eigenpairs have a residual "
                               f"over {threshold:g}")
@@ -235,6 +244,9 @@ def _gate(residuals: list, candidates, samples, threshold: float, series: bool =
         elif (first := _first_nonfinite(candidates[0][1])) is not None:
             cause = (f"the series has non-finite coefficients from b_{first} on, so its "
                      f"residual {residuals[0]:.3g} is over {threshold:g}")
+        elif _first_nonfinite(candidates[0][0]) is not None:
+            cause = (f"the series base exponent p0 is not finite, so its residual "
+                     f"{residuals[0]:.3g} is over {threshold:g}")
         elif blown:
             cause = "the series residual " + overflow.format("its")
         else:
@@ -280,7 +292,8 @@ def _cmd_spectrum(args) -> int:
             for pair in result.pairs
         ))
     residuals = [r for sub in result.subgrids for r in sub.residuals.tolist()]
-    candidates = ((None, row, q) for sub in result.subgrids for row, q in zip(sub.rows, sub.q))
+    candidates = (([sub.base + m for m in range(len(row))], row, q)
+                  for sub in result.subgrids for row, q in zip(sub.rows, sub.q))
     return _gate(residuals, candidates, solution_samples(coeffs.a2), RESIDUAL_THRESHOLD)
 
 

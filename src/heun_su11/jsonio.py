@@ -47,58 +47,60 @@ def _float_text(x: float) -> str:
     return "%.17g" % (x + 0.0) if math.isfinite(x) else "null"
 
 
-def _run(skeleton, count: int, leaves: tuple, pad: str) -> str:
-    """Text of count items of a list at pad, printed from the skeleton with
-    its SLOTs filled from leaves by one template and one % call."""
+def _runs(runs, pad: str, out) -> None:
+    """Write a list of runs at pad: each run's items from its skeleton, the
+    SLOTs filled from its leaves by one template and one % call."""
     inner = pad + "  "
-    pieces: list = []
-    _write(skeleton, pieces.append, inner)
-    slot = "%.17g"
-    # A NaN or inf anywhere makes the sum non-finite.
-    if not math.isfinite(sum(leaves)):
-        slot, leaves = "%s", tuple(map(_float_text, leaves))
-    # _write quotes every string it prints, so a raw NUL is a SLOT.
-    item = "".join(pieces).replace("%", "%%").replace("\0", slot)
-    return (",\n" + inner).join([item] * count) % leaves
-
-
-def _list_text(runs, pad: str) -> str:
-    inner = pad + "  "
-    texts = [_run(skeleton, count, leaves, pad) for skeleton, count, leaves in runs]
-    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]" if texts else "[]"
+    for i, (skeleton, count, leaves) in enumerate(runs):
+        pieces: list = []
+        _write(skeleton, pieces.append, inner)
+        slot = "%.17g"
+        # A NaN or inf anywhere makes the sum non-finite.
+        if not math.isfinite(sum(leaves)):
+            slot, leaves = "%s", tuple(map(_float_text, leaves))
+        # _write quotes every string it prints, so a raw NUL is a SLOT.
+        item = "".join(pieces).replace("%", "%%").replace("\0", slot)
+        out((",\n" if i else "[\n") + inner)
+        out((",\n" + inner).join([item] * count) % leaves)
+    out("\n" + pad + "]" if runs else "[]")
 
 
 def _filled_list(items, pad: str) -> str | None:
-    """Text of a list of all floats from one template; None for any other
-    list."""
+    """Text of a list of all floats from one template; None for any other list."""
     if set(map(type, items)) != {float}:
         return None
+    pieces: list = []
     leaves = tuple(map(_ZERO, items)) if 0.0 in items else tuple(items)
-    return _list_text(((SLOT, len(items), leaves),), pad)
+    _runs(((SLOT, len(items), leaves),), pad, pieces.append)
+    return "".join(pieces)
 
 
 def _write(obj: Any, out, pad: str) -> None:
-    # Only a bool (an int too) and a TemplatedList (a tuple too) are two of
-    # these types, so floats can go first; each goes before its other type.
-    inner = pad + "  "
-    if isinstance(obj, float):
+    # Only a bool (an int too) and a TemplatedList (a tuple too) are two of these
+    # types, so SLOT and floats, the most frequent, go first; each of the two
+    # goes before its other type.
+    if obj is SLOT:
+        out("\0")
+    elif isinstance(obj, float):
         out(_float_text(obj))
     elif isinstance(obj, (dict, complex)):
         if isinstance(obj, complex):
             obj = {"im": obj.imag, "re": obj.real}
-        out("{" if obj else "{}")
-        for i, key in enumerate(sorted(obj)):
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out((",\n" if i else "\n") + inner + _quote(key) + ": ")
+            out(sep + _quote(key) + ": ")
             _write(obj[key], out, inner)
-        if obj:
-            out("\n" + pad + "}")
+            sep = ",\n" + inner
+        out("\n" + pad + "}" if obj else "{}")
     elif isinstance(obj, TemplatedList):
-        out(_list_text(obj.runs, pad))
+        _runs(obj.runs, pad, out)
     elif isinstance(obj, (list, tuple)):
         text = _filled_list(obj, pad) if obj else "[]"
         if text is None:
+            inner = pad + "  "
             for i, item in enumerate(obj):
                 out((",\n" if i else "[\n") + inner)
                 _write(item, out, inner)
@@ -112,8 +114,6 @@ def _write(obj: Any, out, pad: str) -> None:
         out(_quote(obj))
     elif obj is None:
         out("null")
-    elif obj is SLOT:
-        out("\0")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 

@@ -61,10 +61,11 @@ def _exp2(x: float) -> float:
 
 def tail_cut(run, p, tau: float, log2_g: float, aim: float, t: float,
              ts: Sequence[float] | None = None, offset: float = 0.0, exp2=_exp2):
-    """(k, [D at each log2 point of ts, (t,) by default]): the shortest
-    prefix k of the n terms on the exponents p whose bound D on the rest at
-    the log2 point t lies under 2^aim, by bisection; None where no k < n
-    does, or some |p_m| reaches 2^32.
+    """(k, [D at each log2 point of ts, (t,) by default]; for a float64
+    array ts, with a numpy exp2, an array of D): the shortest prefix k of
+    the n terms on the exponents p whose bound D on the rest at the log2
+    point t lies under 2^aim, by bisection; None where no k < n does, or
+    some |p_m| reaches 2^32.
 
     Term m is a float product c_m z^(p_m), or a sum of such products moved
     by at most offset in the exponent, with a weight w_m >= |c_m|; the
@@ -99,11 +100,14 @@ def tail_cut(run, p, tau: float, log2_g: float, aim: float, t: float,
     k = bisect_left(range(n), True, key=lambda k: run[k] + p[k] * gap <= target)
     if k == n:
         return None
-    bounds = []
-    for t in (t,) if ts is None else ts:
+    # A float64 array ts is bounded in one pass, with numpy's minimum.
+    array, minimum, bounds = hasattr(ts, "shape"), min, []
+    if array:
+        from numpy import minimum
+    for t in (ts,) if array else (t,) if ts is None else ts:
         gap = t - tau
         main = p[k] * gap
         lead = run[k] + offset * abs(t) + (log2_g + 2.0)
-        subnormal = min(main, -1020.0 * abs(gap) / abs(t)) + 27.0
+        subnormal = minimum(main, -1020.0 * abs(gap) / abs(t)) + 27.0
         bounds.append(exp2(lead + main) + exp2(lead + subnormal) + (n - k) * CUT_TINY)
-    return k, bounds
+    return k, bounds[0] if array else bounds

@@ -153,7 +153,10 @@ def _prefix(z: np.ndarray, p: np.ndarray, weights: np.ndarray):
     # The largest term at the edge sample is at least 2^(max(log2 W_m + p_m t) - |t|).
     aim = float(np.max(log_w + p * t_edge)) - abs(t_edge) + _PREFIX_LOG2_AIM
     return tail_cut(memoryview(log2_majorant(log_w, p, tau)), memoryview(p), tau, 1.0, aim,
-                    t_edge, np.log2(z).tolist(), offset=1.0, exp2=np.exp2)
+                    t_edge, np.log2(z), offset=1.0, exp2=np.exp2)
+
+
+_A7 = np.array([[False] * 3, [False, False, True], [False] * 3])  # a7's place in the rows
 
 
 def residual_block(coeffs: CanonicalCoefficients, exponents: np.ndarray, block: np.ndarray,
@@ -178,8 +181,9 @@ def residual_block(coeffs: CanonicalCoefficients, exponents: np.ndarray, block: 
     a0, a1, a2, a3, a4, a5, a6, _ = coeffs
     # Rows: the terms that land on z^(p+1), z^p and z^(p-1); columns: the
     # factors p(p-1), p and 1 that y'', y' and y put on c z^p.
-    by_shift = np.array([[[a0, a3, a6], [a1, a4, x], [a2, a5, 0.0]] for x in a7])
-    factors = np.stack([p * (p - 1.0), p, np.ones_like(p)])
+    by_shift = np.where(_A7, np.asarray(a7)[:, None, None],
+                        [[a0, a3, a6], [a1, a4, 0.0], [a2, a5, 0.0]])
+    factors = np.array([p * (p - 1.0), p, np.ones_like(p)])
     columns = np.asarray(block).T[:, None, :]
     single = columns.shape[0] == 1
     with np.errstate(all="ignore"):  # overflow surfaces as a residual of inf
@@ -216,13 +220,16 @@ def _worst(residuals: np.ndarray, block: np.ndarray) -> np.ndarray:
     return worst
 
 
-def overflowed(coefficients: Sequence[complex], q: complex, residual: float) -> bool:
+def overflowed(exponents: Sequence[float], coefficients: Sequence[complex], q: complex,
+               residual: float) -> bool:
     """Whether a candidate's residual is inf because its terms passed the
-    largest float: its coefficients and q are finite and not all zero, so
-    it is neither non-finite input nor the zero function.  Asked only of a
-    failing candidate scored on at least one sample."""
+    largest float: its exponents, coefficients and q are finite and its
+    coefficients not all zero, so it is neither non-finite input nor the
+    zero function.  Asked only of a failing candidate scored on at least
+    one sample."""
     c = np.asarray(coefficients)
-    return residual == math.inf and bool(np.isfinite(q) and np.isfinite(c).all() and c.any())
+    return residual == math.inf and bool(
+        np.isfinite(q) and np.isfinite(exponents).all() and np.isfinite(c).all() and c.any())
 
 
 def worst_residuals(coeffs: CanonicalCoefficients, exponents: np.ndarray, block: np.ndarray,

@@ -797,8 +797,10 @@ def test_an_overflowed_residual_names_its_cause(capsys, monkeypatch):
     assert (odd["parity"], odd["q"], odd["residual"]) == ("odd", 2.5e307, None)
     # A pair with a wrong q, or a null coefficient or q, fails for its own cause.
     null = {"coefficients": [{"exponent": 0, "value": None}]}
+    null_exponent = {"coefficients": [{"exponent": None, "value": 1.0}]}
     for pair, change, cause in ((0, {"q": 0.0}, "a residual over 1e-08"),
                                 (1, null, "non-finite coefficients or q"),
+                                (1, null_exponent, "non-finite exponents"),
                                 (1, {"q": None}, "non-finite coefficients or q")):
         forged = json.loads(captured.out)
         forged["eigenpairs"][pair].update(change)
@@ -878,15 +880,20 @@ def test_verify_rejects_an_inconsistent_series_document(edit, capsys, tmp_path):
 
 
 def test_verify_scores_a_series_with_a_nan_base_as_null(capsys, monkeypatch):
-    # A NaN exponent keeps its powers in the residual's power matrix.
+    # A NaN exponent keeps its powers in the residual's power matrix, and
+    # the gate names the base exponent, not an overflow, as the cause.
     main(["series", "--preset", "example1", "--q", "0.3"])
     doc = json.loads(capsys.readouterr().out)
-    doc["series"]["p0"] = math.nan
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
-    assert main(["verify", "--solution", "-"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["max_relative_residual"] is None
-    assert report["results"][0]["max_relative_residual"] is None
+    for p0 in (math.nan, None):
+        doc["series"]["p0"] = p0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        assert main(["verify", "--solution", "-"]) == 1
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["max_relative_residual"] is None
+        assert report["results"][0]["max_relative_residual"] is None
+        assert captured.err == ("heun-su11: the series base exponent p0 is not finite, so its "
+                                "residual inf is over 1e-08\n")
 
 
 @pytest.mark.parametrize("argv, stdin", [

@@ -354,6 +354,17 @@ TWISTED_CASES = {
     # of the size of the pivot put in their place.
     "zero-pivots-coupled": (
         TridiagonalMatrix((0.0, 1.0, 2.0), (1.0, 5.0, 1.0), (1.0, 1.0), (1.0, 1.0)), np.array([1.0])),
+    # At q = 0 the second D+ pivot is 1 - 1/1 = 0, mid-sweep; no pivot of
+    # the q = 0.5 column is 0, so the floor must patch the q = 0 column alone.
+    "interior-zero-pivot": (
+        TridiagonalMatrix((0.0, 1.0, 2.0), (1.0, 1.0, 5.0), (1.0, 1.0), (1.0, 1.0)),
+        np.array([0.0, 0.5])),
+    # The same pivots with a fourth row whose small diagonal puts both
+    # twists at the bottom, so the patched pivot, and any pivot of the
+    # q = 0.5 column patched by mistake, reaches the eigenvectors.
+    "interior-zero-pivot-above-the-twist": (
+        TridiagonalMatrix((0.0, 1.0, 2.0, 3.0), (1.0, 1.0, 5.0, 0.01), (1.0,) * 3, (1.0,) * 3),
+        np.array([0.0, 0.5])),
     "symmetrizable-n64-a4": _solver_values(matrices_for(ladder_params(64, 0.5, 4.0, delta=-0.5))[0]),
     "complex-a-3": _solver_values(matrices_for(ladder_params(32, 0.5, -3.0, delta=-0.5))[0]),
 }

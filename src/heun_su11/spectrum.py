@@ -160,7 +160,10 @@ def _matrix(dec: Su11Decomposition, subgrid: ExponentGrid) -> TridiagonalMatrix:
         raise GridTooLarge(f"sub-grid size {subgrid.size} exceeds the cap {MATRIX_CAP}")
     if abs(abs(subgrid.step) - 1.0) > 1e-12:
         raise ValueError("parity sub-grids must step by whole units")
-    exponents = np.sort(subgrid.base + np.arange(subgrid.size) * subgrid.step)
+    # Ascending; not by np.sort, whose first call costs a process 0.2 MB of RSS.
+    exponents = subgrid.base + np.arange(subgrid.size) * subgrid.step
+    if subgrid.step < 0.0:
+        exponents = exponents[::-1]
     # Rows that overflow at huge |a| show up as failed residuals, not warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         inward, diag, outward = dec.three_term_rows(exponents, 1.0)

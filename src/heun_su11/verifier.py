@@ -156,7 +156,7 @@ def _prefix(z: np.ndarray, p: np.ndarray, weights: np.ndarray):
                     t_edge, np.log2(z), offset=1.0, exp2=np.exp2)
 
 
-_A7 = np.array([[False] * 3, [False, False, True], [False] * 3])  # a7's place in the rows
+_A7 = ((False,) * 3, (False, False, True), (False,) * 3)  # a7's place in the rows
 
 
 def residual_block(coeffs: CanonicalCoefficients, exponents: np.ndarray, block: np.ndarray,

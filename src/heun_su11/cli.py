@@ -337,7 +337,7 @@ def _score_series(coeffs: CanonicalCoefficients, sol) -> tuple:
     the samples that scored it."""
     from .verifier import solution_samples, worst_by_exponents
     samples = solution_samples(coeffs.a2, sol.domain)
-    candidates = [(sol.exponents.tolist(), sol.coefficients, sol.q)]
+    candidates = [(sol.exponent_list, sol.coefficients, sol.q)]
     return worst_by_exponents(coeffs, candidates, samples), candidates, samples
 
 

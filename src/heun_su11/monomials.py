@@ -4,19 +4,19 @@ one certified tail rule for long sums of them.
 A MonomialSum holds the sum of coeffs[j] * z**exponents[j] as two
 sequences, in their given order and zeros included:
 verifier.residual_for_coefficients hands both to residual_block as they
-are, and SeriesSolution.as_monomial_sum writes its cached exponents array
-and its coefficients.  It has no arithmetic, since the operators act one
+are, and SeriesSolution.as_monomial_sum writes its cached exponents and
+coefficient arrays.  It has no arithmetic, since the operators act one
 monomial at a time (heun_core.canonical_rows, su11_algebra.quadratic_rows);
 series_engine.evaluate_series is the one evaluator.
 
 log2_majorant and tail_cut are the one tail rule by which evaluate_series'
-value and the residual's scale of a long sum keep a certified prefix.
+value and the residual's scale of a long sum keep a certified prefix;
+tail_cut_at is tail_cut at one point, the cut evaluate_series takes.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
 # z**p is exactly 0.0 once p*log2(z) < UNDERFLOW_LOG2: the true power is
@@ -59,13 +59,13 @@ def _exp2(x: float) -> float:
     return 2.0**x if x < 1024.0 else math.inf
 
 
-def tail_cut(run, p, tau: float, log2_g: float, aim: float, t: float,
-             ts: Sequence[float] | None = None, offset: float = 0.0, exp2=_exp2):
-    """(k, [D at each log2 point of ts, (t,) by default]; for a float64
-    array ts, with a numpy exp2, an array of D): the shortest prefix k of
-    the n terms on the exponents p whose bound D on the rest at the log2
-    point t lies under 2^aim, by bisection; None where no k < n does, or
-    some |p_m| reaches 2^32.
+def tail_cut(run, p, tau: float, log2_g: float, aim: float, t: float, ts,
+             offset: float = 0.0):
+    """(k, D): the shortest prefix k of the n terms on the exponents p whose
+    bound D on the rest at the log2 point t lies under 2^aim, by bisection,
+    with D then an array over the log2 points of the float64 array ts, its
+    powers of 2 rounded by numpy's exp2; None where no k < n does, or some
+    |p_m| reaches 2^32.  tail_cut_at is its cut at one point.
 
     Term m is a float product c_m z^(p_m), or a sum of such products moved
     by at most offset in the exponent, with a weight w_m >= |c_m|; the
@@ -92,22 +92,48 @@ def tail_cut(run, p, tau: float, log2_g: float, aim: float, t: float,
               + 2^(27 + min(p_k (t - tau), -1020 |t - tau| / |t|)))
             + (n - k) 2^-1018.
     """
+    import numpy as np
+
     n = len(p)
     if not (abs(p[0]) < 2.0**32 and abs(p[n - 1]) < 2.0**32):
         return None
-    gap = t - tau
-    target = aim - (offset * abs(t) + log2_g + 2.0)
-    k = bisect_left(range(n), True, key=lambda k: run[k] + p[k] * gap <= target)
+    k = _shortest(run, p, n, t - tau, aim - (offset * abs(t) + log2_g + 2.0))
     if k == n:
         return None
-    # A float64 array ts is bounded in one pass, with numpy's minimum.
-    array, minimum, bounds = hasattr(ts, "shape"), min, []
-    if array:
-        from numpy import minimum
-    for t in (ts,) if array else (t,) if ts is None else ts:
-        gap = t - tau
-        main = p[k] * gap
-        lead = run[k] + offset * abs(t) + (log2_g + 2.0)
-        subnormal = minimum(main, -1020.0 * abs(gap) / abs(t)) + 27.0
-        bounds.append(exp2(lead + main) + exp2(lead + subnormal) + (n - k) * CUT_TINY)
-    return k, bounds[0] if array else bounds
+    gap = ts - tau
+    return k, _bound(run[k] + offset * abs(ts) + (log2_g + 2.0), p[k] * gap, gap, ts, n - k,
+                     np.exp2, np.minimum)
+
+
+def tail_cut_at(run, p, n: int, tau: float, log2_g: float, aim: float, t: float):
+    """tail_cut's cut at the one log2 point t, with offset 0, on the first n
+    entries of run and p, read in place (lists read fastest): (k, D) with D
+    a float, its powers of 2 rounded by 2^x, or None."""
+    if not (abs(p[0]) < 2.0**32 and abs(p[n - 1]) < 2.0**32):
+        return None
+    gap = t - tau
+    k = _shortest(run, p, n, gap, aim - (log2_g + 2.0))
+    if k == n:
+        return None
+    return k, _bound(run[k] + (log2_g + 2.0), p[k] * gap, gap, t, n - k, _exp2, min)
+
+
+def _shortest(run, p, n: int, gap: float, target: float) -> int:
+    """The first k < n with run[k] + p[k] gap <= target, or n: the
+    bisection of bisect_left, which this loop runs with fewer calls."""
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if run[mid] + p[mid] * gap <= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _bound(lead, main, gap, t, dropped: int, exp2, minimum):
+    """tail_cut's D at t, floats or arrays, gap = t - tau, from lead =
+    S_k + shift + log2_g + 2 and main = p_k gap, for the dropped = n - k
+    terms of the rest."""
+    subnormal = minimum(main, -1020.0 * abs(gap) / abs(t)) + 27.0
+    return exp2(lead + main) + exp2(lead + subnormal) + dropped * CUT_TINY

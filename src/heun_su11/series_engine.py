@@ -27,7 +27,7 @@ import numpy as np
 from .errors import OutOfDomain, RecurrenceBreakdown, UnsupportedClass, ValidationError
 from .heun_core import require_finite
 from .jsonio import as_number
-from .monomials import CUT_MIN_LIVE, UNDERFLOW_LOG2, MonomialSum, log2_majorant, tail_cut
+from .monomials import CUT_MIN_LIVE, UNDERFLOW_LOG2, MonomialSum, log2_majorant, tail_cut_at
 from .representations import (
     RepresentationClass,
     RepresentationDescriptor,
@@ -54,9 +54,11 @@ class _SeriesFields(NamedTuple):
 class SeriesSolution(_SeriesFields):
     """Truncated series y = sum_m coefficients[m] * z^(p0 +/- m); a finite
     eigenfunction is a terminating ascending one on (0, inf), maybe complex.
-    A subclass of its fields, so that it has a __dict__ to cache its arrays
-    and its non-finite tail in: equality ignores the cache, and a pickle
-    keeps it."""
+    A subclass of its fields, so that it has a __dict__ to cache what
+    depends on the series alone, for evaluate_series and the residual: its
+    exponents as an array and as a list, its coefficients as an array, the
+    log2 of its edge, its tail majorant and its non-finite tail.  Equality
+    ignores the cache, and a pickle keeps it, so it holds no memoryview."""
 
     @property
     def truncation(self) -> int:
@@ -68,20 +70,27 @@ class SeriesSolution(_SeriesFields):
         return 1 if self.direction == ASCENDING else -1
 
     @cached_property
-    def log2_majorant(self):
-        """monomials.log2_majorant of log2|b_m| on the exponents, with tau
-        the log2 of the domain's edge R, over b_0..b_(F-1), the leading run
-        of finite coefficients.  None for a complex series or an edge at 0
-        or inf.  Computed on first use."""
-        b = np.array(self.coefficients)
+    def log2_edge(self):
+        """tau = log2 R for the domain's edge R that the terms fall toward,
+        hi ascending and lo descending; None at an edge at 0 or inf."""
         edge = self.domain[1] if self.step > 0 else self.domain[0]
-        if b.dtype != np.float64 or not 0.0 < edge < math.inf:
+        return math.log2(edge) if 0.0 < edge < math.inf else None
+
+    @cached_property
+    def log2_majorant(self):
+        """monomials.log2_majorant of log2|b_m| on the exponents, with tau =
+        log2_edge, over b_0..b_(F-1), the leading run of finite
+        coefficients, as a list of floats.  None for a complex series or an
+        edge at 0 or inf.  Computed on first use."""
+        b = self.coefficient_array
+        tau = self.log2_edge
+        if b.dtype != np.float64 or tau is None:
             return None
         finite = np.isfinite(b)
         if not finite.all():
             b = b[:finite.argmin()]
         with np.errstate(divide="ignore"):
-            return log2_majorant(np.log2(np.abs(b)), self.exponents[:len(b)], math.log2(edge))
+            return log2_majorant(np.log2(np.abs(b)), self.exponents[:len(b)], tau).tolist()
 
     @cached_property
     def non_finite_tail(self) -> float:
@@ -95,9 +104,20 @@ class SeriesSolution(_SeriesFields):
         """p0 + step*m for every term m as a float64 array; computed on first use."""
         return float(self.p0) + self.step * np.arange(len(self.coefficients))
 
+    @cached_property
+    def coefficient_array(self):
+        """np.array(coefficients), float64 or complex128; computed on first use."""
+        return np.array(self.coefficients)
+
+    @cached_property
+    def exponent_list(self) -> list:
+        """The exponents as a list of floats, which evaluate_series maps
+        math.pow over; computed on first use."""
+        return self.exponents.tolist()
+
     def as_monomial_sum(self) -> MonomialSum:
-        """The cached exponents array and the coefficients, zeros included."""
-        return MonomialSum(self.exponents, self.coefficients)
+        """The cached exponents and coefficient arrays, zeros included."""
+        return MonomialSum(self.exponents, self.coefficient_array)
 
     def to_json_dict(self) -> dict:
         return {
@@ -166,7 +186,9 @@ def series_solution(
     q: float,
     truncation: int = DEFAULT_TRUNCATION,
 ) -> SeriesSolution:
-    """Forward-solve the three-term recurrence for b_1..b_truncation."""
+    """Forward-solve the three-term recurrence for b_1..b_truncation: numpy
+    builds the rows, A(p) - q included, and the loop reads each row once,
+    as a list of floats."""
     direction = _direction_for(rep)
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
@@ -182,8 +204,9 @@ def series_solution(
     # At huge |a| the rows overflow; the non-finite coefficients that follow
     # are reported downstream, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = dec.three_term_rows(p0 + grid.step * np.arange(-1, truncation), grid.step)
-    inward, diag, outward = (row.tolist() for row in rows)
+        inward, diag, outward = dec.three_term_rows(p0 + grid.step * np.arange(-1, truncation),
+                                                    grid.step)
+        diag = diag - q
 
     # The base must be annihilated in the outward direction, else the ladder
     # does not start here and the ansatz is wrong for this decomposition.
@@ -194,8 +217,8 @@ def series_solution(
             "(grid and decomposition disagree)"
         )
 
-    if 0.0 in outward[1:]:
-        m = outward.index(0.0, 1)
+    if not outward[1:].all():
+        m = outward.tolist().index(0.0, 1)
         raise RecurrenceBreakdown(
             f"leading divisor vanished at step {m}; the ladder "
             "truncates and the forward recurrence cannot continue",
@@ -204,10 +227,11 @@ def series_solution(
     coeffs: List[float] = [1.0]
     append = coeffs.append
     b_prev, b_here = 0.0, 1.0
-    for w_in, w_diag, divisor in zip(inward[1:], diag[1:], outward[1:]):
-        b_next = -(w_in * b_prev + (w_diag - q) * b_here) / divisor
-        append(b_next)
-        b_prev, b_here = b_here, b_next
+    for w_in, d, divisor in zip(inward[1:].tolist(), diag[1:].tolist(), outward[1:].tolist()):
+        # -(...) / divisor, not (...) / -divisor: the negation sets the sign
+        # of the NaNs that an overflowed recurrence carries.
+        b_prev, b_here = b_here, -(w_in * b_prev + d * b_here) / divisor
+        append(b_here)
     return SeriesSolution(
         p0=p0,
         direction=direction,
@@ -260,9 +284,9 @@ def _certified_sum(terms: List[float], bound: float):
 def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
     """The value of the truncated series at z: math.fsum of the terms
     b_m * z^p in order, with z^p from libm's pow (math.pow and float ** call
-    it alike), mapped in C over a memoryview of sol.exponents: the correctly
-    rounded sum of those products.  Powers past _live_terms are exactly 0.0
-    and are not computed.  Such a term is a signed zero for a finite b_m,
+    it alike), mapped in C over sol.exponent_list: the correctly rounded sum
+    of those products.  Powers past _live_terms are exactly 0.0 and are not
+    computed.  Such a term is a signed zero for a finite b_m,
     which fsum ignores, or a NaN for a non-finite one, which fsum folds into
     the NaN it returns; so only the NaNs enter, in order, and the value
     equals the full sum bit for bit, the NaN's sign included.  Complex
@@ -272,13 +296,13 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
     Of a long real series only the terms that can still move the rounded
     value are computed.  When the live coefficients are finite reals, more
     than CUT_MIN_LIVE of them, and s = step log2(z/R) < 0 for the domain's
-    edge R, monomials.tail_cut bisects the series' log2_majorant for the
+    edge R, monomials.tail_cut_at bisects the series' log2_majorant for the
     shortest prefix whose bound D on the dropped rest r lies under
     2^_CUT_LOG2_AIM of the majorant's bound on term 0, with
-    G <= 1 + 1/(-s ln 2); its docstring derives D.  If fsum(prefix + [D])
-    and fsum(prefix + [-D]) are one finite non-zero float, the full sum
-    prefix + r, which lies between the two, rounds to that float too,
-    because correct rounding is monotone.  Otherwise (a rounding midpoint
+    G <= 1 + 1/(-s ln 2); monomials.tail_cut's docstring derives D.  If
+    fsum(prefix + [D]) and fsum(prefix + [-D]) are one finite non-zero
+    float, the full sum prefix + r, which lies between the two, rounds to
+    that float too, because correct rounding is monotone.  Otherwise (a rounding midpoint
     within D of the prefix, cancellation, overflow or an fsum that raises)
     the rest of the live terms is computed and everything is summed as
     above; complex coefficients, a non-finite live one, short sums and z
@@ -290,41 +314,47 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
     2^1024, and CPython's fsum returns the sum of its non-finite summands,
     in order, whatever the finite ones are.  Those are the NaNs b_m * 0.0
     from b_F on, which the series keeps as non_finite_tail.
+
+    A call does only the work that depends on z: the exponent list, tau and
+    the majorant are the series' own, computed on first use, and where the
+    live terms span the whole series no rest is sliced or filtered.
     """
     lo, hi = sol.domain
     if not (lo < z < hi):
         raise OutOfDomain(f"z={z} is outside the open domain ({lo:g}, {hi:g})")
     z, p0, step = float(z), float(sol.p0), sol.step
-    coefficients = sol.coefficients
-    exponents = memoryview(sol.exponents)
-    live = _live_terms(p0, step, z, len(coefficients))
+    coefficients, exponents = sol.coefficients, sol.exponent_list
+    n = len(coefficients)
+    live = _live_terms(p0, step, z, n)
     cut, bound = live, 0.0
     run = sol.log2_majorant if live > CUT_MIN_LIVE else None
     if run is not None and live <= len(run):
-        t, tau = math.log2(z), math.log2(hi if step > 0 else lo)
+        t, tau = math.log2(z), sol.log2_edge
         s = step * (t - tau)
         if s < 0.0 and step * t < 0.0:
-            run = memoryview(run)
-            tail = len(run) < len(coefficients)
+            tail = len(run) < n
             # A series with a non-finite tail takes the cut at 0 alone.
             aim = math.inf if tail else run[0] + p0 * (t - tau) + _CUT_LOG2_AIM
-            found = tail_cut(run[:live], exponents[:live], tau,
-                             math.log2(1.0 - 1.0 / (s * math.log(2.0))), aim, t)
+            found = tail_cut_at(run, exponents, live, tau,
+                                math.log2(1.0 - 1.0 / (s * math.log(2.0))), aim, t)
             if found is not None:
-                cut, (bound,) = found
+                cut, bound = found
             if tail:
                 if cut == 0 and bound < 2.0**1023:
                     return EvaluatedSeries(sol.non_finite_tail)
                 cut = live
     terms = list(map(mul, coefficients, map(math.pow, repeat(z, cut), exponents)))
-    value = _certified_sum(terms, bound) if cut < live else None
-    if value is None:
-        powers = map(math.pow, repeat(z, live - cut), exponents[cut:])
+    if cut < live:
+        value = _certified_sum(terms, bound)
+        if value is not None:
+            return EvaluatedSeries(value)
+        powers = map(math.pow, repeat(z, live - cut), exponents[cut:live])
         terms += map(mul, coefficients[cut:live], powers)
+    if live < n:
         # filter(None, ...) drops the signed zeros and keeps the NaNs.
         terms.extend(filter(None, map(mul, coefficients[live:], repeat(0.0))))
-        try:
-            value = math.fsum(terms)
-        except TypeError:
-            value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    try:
+        value = math.fsum(terms)
+    except TypeError:
+        value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     return EvaluatedSeries(value)

@@ -153,7 +153,7 @@ def _prefix(z: np.ndarray, p: np.ndarray, weights: np.ndarray):
     # The largest term at the edge sample is at least 2^(max(log2 W_m + p_m t) - |t|).
     aim = float(np.max(log_w + p * t_edge)) - abs(t_edge) + _PREFIX_LOG2_AIM
     return tail_cut(memoryview(log2_majorant(log_w, p, tau)), memoryview(p), tau, 1.0, aim,
-                    t_edge, np.log2(z), offset=1.0, exp2=np.exp2)
+                    t_edge, np.log2(z), offset=1.0)
 
 
 _A7 = ((False,) * 3, (False, False, True), (False,) * 3)  # a7's place in the rows

@@ -5,7 +5,8 @@ Two guards, a fraction of a second each: every name that a bench module
 imports from heun_su11, and every attribute it reads off an imported
 heun_su11 module, resolves; and one probe pass of the two in-process
 workloads, spectrum_ladders and series_long, yields checked units of which
-none fails, while the check catches each wrong answer planted in them.
+none fails and outputs that the harness can hash, while the check catches
+each wrong answer planted in them.
 """
 
 import ast
@@ -71,6 +72,11 @@ def test_a_probe_pass_of_the_in_process_workloads_checks_out(workloads, name):
     _timings, outputs = workload.run_pass(inputs, spans.NullTracer())
     units = list(workload.check(inputs, outputs))
     assert units
+    # The harness hashes the pickled outputs of every pass, each series with
+    # its cache, so whatever a record caches must pickle, and a second pass
+    # must hash alike.
+    _timings, again = workload.run_pass(inputs, spans.NullTracer())
+    assert workload.digest(outputs) == workload.digest(again)
     assert [(unit.id, unit.reasons) for unit in units if unit.reasons] == []
     # The probe's two-dimensional ladder plants nothing, but its plants
     # still read the spectrum's pairs.

@@ -1,5 +1,6 @@
 """MonomialSum, and the certified tail rule that evaluate_series and the
-residual share: monomials.tail_cut on monomials.log2_majorant."""
+residual share: monomials.tail_cut on monomials.log2_majorant, and
+tail_cut_at, its cut at one point."""
 
 import math
 import random
@@ -8,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heun_su11.monomials import UNDERFLOW_LOG2, MonomialSum, log2_majorant, tail_cut
+from heun_su11.monomials import UNDERFLOW_LOG2, MonomialSum, log2_majorant, tail_cut, tail_cut_at
 from oracle import exact_magnitude, monomial, terms
 
 
@@ -25,8 +26,9 @@ def test_from_terms_keeps_order_duplicates_and_zeros():
     assert MonomialSum.from_terms([]) == MonomialSum((), ())
 
 
-def cut(run, p, *args, **kwargs):
-    return tail_cut(memoryview(run), memoryview(p), *args, **kwargs)
+def cut(run, p, *args):
+    """tail_cut_at on the arrays run and p as evaluate_series reads them, as lists."""
+    return tail_cut_at(run.tolist(), p.tolist(), len(p), *args)
 
 
 def test_tail_cut_bounds_a_geometric_rest_and_is_the_shortest():
@@ -36,7 +38,7 @@ def test_tail_cut_bounds_a_geometric_rest_and_is_the_shortest():
     n = 200
     p = np.arange(n, dtype=float)
     run = log2_majorant(np.zeros(n), p, 0.0)
-    k, (bound,) = cut(run, p, 0.0, 1.0, -60.0, -1.0)
+    k, bound = cut(run, p, 0.0, 1.0, -60.0, -1.0)
     assert k == 63
     assert Fraction(2) ** (1 - k) - Fraction(2) ** (1 - n) <= Fraction(bound)
     assert cut(run[:k], p[:k], 0.0, 1.0, -60.0, -1.0) is None
@@ -64,7 +66,7 @@ def test_tail_cut_bounds_a_rest_of_subnormal_powers():
     terms = [2.0**1000 * high_pow(z, m) for m in range(n)]
     run = log2_majorant(np.full(n, 1000.0), p, tau)
     log2_g = math.log2(1.0 + 1.0 / (-(t - tau) * math.log(2.0)))
-    k, (bound,) = cut(run, p, tau, log2_g, -88.0, t)
+    k, bound = cut(run, p, tau, log2_g, -88.0, t)
     assert z**p[k] < 2.0**-1022 and k < n
     assert exact_magnitude(terms[k:]) > 2.0**-80 > 2.0 ** (1000.0 + p[k] * t + log2_g + 2.0)
     assert exact_magnitude(terms[k:]) <= Fraction(bound)
@@ -75,9 +77,10 @@ def test_tail_cut_bounds_a_rest_of_subnormal_powers():
 def test_tail_cut_bounds_the_exact_rest_of_drawn_columns(seed):
     # Drawn columns on either ladder direction: coefficients of a random
     # log2 walk about the edge's decay, zeros included, cut at a drawn aim, either as
-    # evaluate_series cuts (offset 0, its exact G, at z) or as the residual
-    # does (offset 1, G <= 2 with the edge a factor 2 beyond the nearest
-    # point, at several points, each term moved by 1/z or z), with pow one
+    # evaluate_series cuts (tail_cut_at: offset 0, its exact G, at z) or as
+    # the residual does (tail_cut: offset 1, G <= 2 with the edge a factor 2
+    # beyond the nearest point, at several points, each term moved by 1/z or
+    # z, D rounded by numpy's exp2), with pow one
     # ulp high where it is subnormal.  At every point D bounds the exact sum
     # of the dropped computed magnitudes, the cut is the shortest, and some
     # cuts drop subnormal powers.
@@ -106,13 +109,22 @@ def test_tail_cut_bounds_the_exact_rest_of_drawn_columns(seed):
         t_edge = math.log2(z_edge)
         aim = run[0] + p[0] * (t_edge - tau) - rng.uniform(10.0, 1200.0)
         ts = [math.log2(z) for z in points]
-        found = cut(run, p, tau, log2_g, aim, t_edge, ts, offset=offset)
+
+        def cut_before(k):
+            """The cut of the first k terms, with D at every point."""
+            if residual_like:
+                return tail_cut(memoryview(run[:k]), memoryview(p[:k]), tau, log2_g, aim, t_edge,
+                                np.array(ts), offset)
+            found = cut(run[:k], p[:k], tau, log2_g, aim, t_edge)
+            return found and (found[0], [found[1]])
+
+        found = cut_before(n)
         if found is None:
             continue
         k, bounds = found
         cuts += 1
         if k:
-            assert cut(run[:k], p[:k], tau, log2_g, aim, t_edge, ts, offset=offset) is None
+            assert cut_before(k) is None
         for z, t, bound in zip(points, ts, bounds):
             shift = (1.0 / z if z < 1.0 else z) if residual_like else 1.0
             terms = [0.0 if pm * t < UNDERFLOW_LOG2 else cm * high_pow(z, pm) * shift

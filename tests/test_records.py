@@ -78,7 +78,8 @@ def test_replace_starts_a_new_cache():
     assert np.array_equal(sol.exponents, exponents)
 
 
-CACHED = ("exponents", "log2_majorant", "non_finite_tail")
+CACHED = ("coefficient_array", "exponents", "exponent_list", "log2_edge", "log2_majorant",
+          "non_finite_tail")
 
 
 def overflowed_series():

@@ -18,6 +18,7 @@ from heun_su11.representations import (
     RepresentationClass,
     RepresentationDescriptor,
     classify,
+    split_even_odd,
 )
 from heun_su11.series_engine import (
     ASCENDING,
@@ -304,13 +305,74 @@ def test_evaluation_past_one_in_a_wider_domain(z):
 LONG_A = (2.0, 4.0, -3.0, 0.3, -0.5, 1e-3, 1e3)
 
 
-def preset_series(preset, a, q, cls, parity, K):
+def preset_ladder(preset, a, q, cls):
+    """The decomposition of a preset and its ladder of class cls."""
     p = PRESETS[preset]
     params = (lame_parameters(p["rho"], a, q) if "rho" in p else
               make_parameters(p["gamma"], p["delta"], p["alpha"], p["beta"], a, q))
     dec = decompose(params)
-    rep = next(r for r in classify(dec) if r.rep_class is cls)
-    return series_solution(dec, rep, parity, q, truncation=K)
+    return dec, next(r for r in classify(dec) if r.rep_class is cls)
+
+
+def preset_series(preset, a, q, cls, parity, K):
+    return series_solution(*preset_ladder(preset, a, q, cls), parity, q, truncation=K)
+
+
+def recurrence_by_loop(dec, rep, parity, q, truncation):
+    """The forward recurrence as one Python loop over the rows, with A(p) - q
+    formed in the loop and the negation taken before the division: the
+    coefficients series_solution must reproduce bit for bit."""
+    grid = getattr(split_even_odd(rep), parity)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = dec.three_term_rows(grid.base + grid.step * np.arange(-1, truncation), grid.step)
+    inward, diag, outward = (row.tolist() for row in rows)
+    coefficients, b_prev, b_here = [1.0], 0.0, 1.0
+    for w_in, w_diag, divisor in zip(inward[1:], diag[1:], outward[1:]):
+        b_next = -(w_in * b_prev + (w_diag - q) * b_here) / divisor
+        coefficients.append(b_next)
+        b_prev, b_here = b_here, b_next
+    return coefficients
+
+
+def packed(values):
+    """The bytes of the floats, so that NaNs compare by sign and payload."""
+    return struct.pack(f"{len(values)}d", *values)
+
+
+# The bench's presets at their own a, and example1 at a = 4, whose
+# descending K=1000 series overflows into NaNs of both signs.
+RECURRENCE_CASES = [("example1", 2.0), ("example2", 4.0), ("lame", -3.0), ("example1", 4.0)]
+LADDERS = [RepresentationClass.POSITIVE_DISCRETE, RepresentationClass.NEGATIVE_DISCRETE]
+
+
+def check_recurrence_bits(preset, a, q, cls, parity, K):
+    dec, rep = preset_ladder(preset, a, q, cls)
+    sol = series_solution(dec, rep, parity, q, truncation=K)
+    assert packed(sol.coefficients) == packed(recurrence_by_loop(dec, rep, parity, q, K))
+    return sol
+
+
+@pytest.mark.parametrize("preset, a", RECURRENCE_CASES)
+@pytest.mark.parametrize("cls", LADDERS, ids=["pd", "nd"])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("K", [60, 1000])
+def test_recurrence_bits_equal_the_loop(preset, a, cls, parity, K):
+    sol = check_recurrence_bits(preset, a, 0.3, cls, parity, K)
+    if (preset, a, cls, K) == ("example1", 4.0, LADDERS[1], 1000):
+        signs = {math.copysign(1.0, b) for b in sol.coefficients if math.isnan(b)}
+        assert signs == {1.0, -1.0}
+
+
+@pytest.mark.sweep
+def test_recurrence_bits_sweep(seed):
+    # The same grid at drawn q, as the bench draws them.
+    rng = random.Random(f"recurrence-bits-{seed}")
+    for preset, a in RECURRENCE_CASES:
+        for cls in LADDERS:
+            for parity in ("even", "odd"):
+                for K in (60, 1000):
+                    check_recurrence_bits(preset, a, round(rng.uniform(-1.0, 1.0), 6), cls,
+                                          parity, K)
 
 
 def counted_pow(monkeypatch):
@@ -327,22 +389,19 @@ def counted_pow(monkeypatch):
 
 
 def cut_at(sol, z, monkeypatch):
-    """What monomials.tail_cut returns to evaluate_series at z, (k, D), or
-    None where evaluate_series does not call it or it finds no cut."""
+    """What monomials.tail_cut_at returns to evaluate_series at z, (k, D),
+    or None where evaluate_series does not call it or it finds no cut."""
     calls = []
-    real = series_engine.tail_cut
+    real = series_engine.tail_cut_at
 
     def recording(*args):
         calls.append(real(*args))
         return calls[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(series_engine, "tail_cut", recording)
+        patch.setattr(series_engine, "tail_cut_at", recording)
         _outcome(evaluate_series, sol, z)
-    if not calls or calls[0] is None:
-        return None
-    k, (bound,) = calls[0]
-    return k, bound
+    return calls[0] if calls else None
 
 
 @pytest.mark.sweep

@@ -319,10 +319,48 @@ def test_usage_errors_exit_64(capsys):
     capsys.readouterr()
 
 
-def test_validation_errors_exit_1(capsys):
-    assert main(["decompose", "--preset", "example1", "--a", "0"]) == 1
-    assert main(["decompose", "--preset", "example1", "--gamma", "0.8"]) == 1
-    capsys.readouterr()
+# One command line per cause of a library error, with its exit code and its
+# whole stderr line; stdin, when not None, is the JSON document it reads.
+# A stored Casimir that disagrees is test_inconsistent_stored_decomposition.
+ERROR_CAUSES = {
+    "singularity": (["decompose", "--preset", "example1", "--a", "0"], None, 1,
+                    "singularity location a=0.0 collides with a fixed singular point"),
+    "exponent-balance": (["decompose", "--gamma", "0.5", "--delta", "0.5", "--alpha", "0",
+                          "--beta", "0.5", "--a", "2", "--epsilon", "3"], None, 1,
+                         "gamma+delta+epsilon - (alpha+beta+1) = 2.500e+00 exceeds tolerance 1e-09"),
+    "complex-exponents": (["decompose", "--rho", "1", "--a", "2"], None, 1,
+                          "exponents at infinity are complex for rho=1.0 (discriminant -1.750e+00)"),
+    "not-factorizable": (["decompose", "--preset", "example1", "--gamma", "0.8"], None, 1,
+                         "not factorizable: gamma=0.8 is off {1/2, 3/2} by 3.000e-01"),
+    "no-finite-ladder": (["spectrum", "--gamma", "0.5", "--delta", "-0.5", "--alpha", "1",
+                          "--beta", "1.5", "--a", "2"], None, 1,
+                         "no finite-dimensional ladder exists here: 2(nu-mu) is not a nonnegative "
+                         "integer"),
+    "sub-grid-over-the-cap": (["spectrum", "--gamma", "0.5", "--delta", "-0.5", "--alpha", "-300.5",
+                               "--beta", "-300", "--a", "2"], None, 1,
+                              "sub-grid size 301 exceeds the cap 64"),
+    "recurrence-breakdown": (["series", "--rep", "pd", "--decomposition", "-"],
+                             {"mu": 0, "nu": 0, "c_plus": 1, "c_minus": 0, "c2": 1, "c1": 1,
+                              "c0": 0, "casimir": 0}, 2,
+                             "numerical failure: leading divisor vanished at step 1; the ladder "
+                             "truncates and the forward recurrence cannot continue"),
+    "eigensolver": (["spectrum", "--preset", "example1"], None, 2,
+                    "numerical failure: did not converge"),
+}
+
+
+@pytest.mark.parametrize("cause", ERROR_CAUSES)
+def test_each_error_cause_exits_with_its_code_and_line(cause, capsys, monkeypatch):
+    argv, stdin, code, line = ERROR_CAUSES[cause]
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
+    if cause == "eigensolver":
+        def no_convergence(_):
+            raise spectrum_module.np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(spectrum_module.np.linalg, "eigvalsh", no_convergence)
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", f"heun-su11: {line}\n")
 
 
 EXAMPLE1_DECOMPOSITION = {

@@ -8,23 +8,7 @@ truncated power series (in z or 1/z) on the one-sided ladders, all verified
 by direct substitution into the equation.
 """
 
-from .errors import (
-    ComplexExponents,
-    DegenerateSingularity,
-    EigensolverNoConvergence,
-    FuchsianViolation,
-    GridTooLarge,
-    HeunSu11Error,
-    InconsistentCoefficients,
-    NotFactorizable,
-    NumericalError,
-    OutOfDomain,
-    RecurrenceBreakdown,
-    SamplePointAtSingularity,
-    UnsupportedClass,
-    UsageError,
-    ValidationError,
-)
+from .errors import NumericalError, UsageError, ValidationError
 from .heun_core import (
     CanonicalCoefficients,
     HeunParameters,
@@ -57,29 +41,17 @@ def __getattr__(name: str):
 
 __all__ = [
     "CanonicalCoefficients",
-    "ComplexExponents",
-    "DegenerateSingularity",
     "EigenPair",
-    "EigensolverNoConvergence",
     "FactorizabilityReport",
-    "FuchsianViolation",
-    "GridTooLarge",
     "HeunParameters",
-    "HeunSu11Error",
-    "InconsistentCoefficients",
     "MonomialSum",
-    "NotFactorizable",
     "NumericalError",
-    "OutOfDomain",
-    "RecurrenceBreakdown",
     "RepresentationClass",
     "RepresentationDescriptor",
     "ResidualReport",
-    "SamplePointAtSingularity",
     "SeriesSolution",
     "SpectralResult",
     "Su11Decomposition",
-    "UnsupportedClass",
     "UsageError",
     "ValidationError",
     "canonical_coefficients",

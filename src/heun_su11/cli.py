@@ -5,14 +5,15 @@ Parameters come from flags, a JSON file (--params), or a named preset;
 spectrum/classify/series can instead start from a saved decomposition
 (--decomposition FILE, or - for stdin), and everything they emit is derived
 from the decomposition alone, so piping `decompose` into them reproduces the
-direct output byte for byte.  JSON goes to stdout or --json FILE; spectrum
-and series also take --csv FILE for sampled (z, value) plot data.  verify
-re-scores a document through the call that scored it when it was emitted,
-so it reproduces the emitted residuals bit for bit, and derives a series'
-domain from the document's a2 rather than reading it.  Exit codes: 0 success,
-1 validation failure (including a spectrum, series or verify document with
-a residual over the threshold, which is still emitted), 2 numerical
-failure, 64 usage error.
+direct output byte for byte; series --q Q on a saved decomposition solves
+and prints it at Q, as the direct run with --q Q does.  JSON goes to stdout
+or --json FILE; spectrum and series also take --csv FILE for sampled
+(z, value) plot data.  verify re-scores a document through the call that
+scored it when it was emitted, so it reproduces the emitted residuals bit
+for bit, and derives a series' domain from the document's a2 rather than
+reading it.  Exit codes: 0 success, 1 validation failure (including a
+spectrum, series or verify document with a residual over the threshold,
+which is still emitted), 2 numerical failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -26,12 +27,7 @@ import sys
 from typing import Sequence
 
 from . import jsonio
-from .errors import (
-    NumericalError,
-    UnsupportedClass,
-    UsageError,
-    ValidationError,
-)
+from .errors import NumericalError, UsageError, ValidationError
 from .heun_core import (
     CanonicalCoefficients,
     HeunParameters,
@@ -273,7 +269,7 @@ def _cmd_spectrum(args) -> int:
     dec = _resolve_decomposition(args)
     finite = [r for r in classify(dec) if r.rep_class is RepresentationClass.FINITE_DIMENSIONAL]
     if not finite:
-        raise UnsupportedClass(
+        raise ValidationError(
             "no finite-dimensional ladder exists here: 2(nu-mu) is not a nonnegative integer"
         )
     result = solve_spectrum(dec, finite[0])
@@ -302,7 +298,10 @@ def _cmd_series(args) -> int:
     from .verifier import chebyshev_points
     if getattr(args, "decomposition", None):
         dec = _resolve_decomposition(args, keep=("q",))
-        q = args.q if args.q is not None else dec.accessory_q
+        if args.q is None:
+            q = dec.accessory_q
+        else:
+            q, dec = args.q, dec.with_accessory(args.q)
     else:
         params = _resolve_parameters(args)
         dec = _decompose(args, params)

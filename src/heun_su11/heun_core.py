@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, NamedTuple, Tuple
 
-from .errors import ComplexExponents, DegenerateSingularity, FuchsianViolation, ValidationError
+from .errors import ValidationError
 from .jsonio import as_number
 
 FUCHSIAN_TOL = 1e-9
@@ -106,12 +106,12 @@ def make_parameters(
     if epsilon is not None:
         require_finite(epsilon=float(epsilon))
     if a == 0.0 or a == 1.0:
-        raise DegenerateSingularity(
+        raise ValidationError(
             f"singularity location a={a} collides with a fixed singular point"
         )
     implied = alpha + beta + 1.0 - gamma - delta
     if epsilon is not None and not abs(float(epsilon) - implied) <= FUCHSIAN_TOL:
-        raise FuchsianViolation(
+        raise ValidationError(
             "gamma+delta+epsilon - (alpha+beta+1) = "
             f"{gamma + delta + float(epsilon) - alpha - beta - 1.0:.3e} "
             f"exceeds tolerance {FUCHSIAN_TOL:g}"
@@ -132,7 +132,7 @@ def lame_parameters(rho: float, a: float, q: float) -> HeunParameters:
     product = rho * (rho + 1.0) / 4.0
     disc = 0.25 - 4.0 * product
     if disc < 0.0:
-        raise ComplexExponents(
+        raise ValidationError(
             f"exponents at infinity are complex for rho={rho} "
             f"(discriminant {disc:.3e})"
         )

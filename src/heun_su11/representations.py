@@ -15,7 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import List, NamedTuple, Tuple
 
-from .errors import UnsupportedClass
+from .errors import ValidationError
 from .su11_algebra import Su11Decomposition
 
 INTEGRALITY_TOL = 1e-9
@@ -158,7 +158,7 @@ def split_even_odd(rep: RepresentationDescriptor) -> SubspaceSplit:
     into sizes ceil(n/2) and floor(n/2).
     """
     if rep.grid is None:
-        raise UnsupportedClass(
+        raise ValidationError(
             f"no parity split for {rep.rep_class.value}: solutions are not "
             "constructed in this class"
         )

@@ -24,7 +24,7 @@ from typing import List, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import OutOfDomain, RecurrenceBreakdown, UnsupportedClass, ValidationError
+from .errors import NumericalError, ValidationError
 from .heun_core import require_finite
 from .jsonio import as_number
 from .monomials import CUT_MIN_LIVE, UNDERFLOW_LOG2, MonomialSum, log2_majorant, tail_cut_at
@@ -160,7 +160,7 @@ def _direction_for(rep: RepresentationDescriptor) -> str:
         return ASCENDING
     if rep.rep_class is RepresentationClass.NEGATIVE_DISCRETE:
         return DESCENDING
-    raise UnsupportedClass(
+    raise ValidationError(
         f"series are generated on the discrete ladders, not {rep.rep_class.value}"
     )
 
@@ -219,10 +219,9 @@ def series_solution(
 
     if not outward[1:].all():
         m = outward.tolist().index(0.0, 1)
-        raise RecurrenceBreakdown(
+        raise NumericalError(
             f"leading divisor vanished at step {m}; the ladder "
-            "truncates and the forward recurrence cannot continue",
-            step=m,
+            "truncates and the forward recurrence cannot continue"
         )
     coeffs: List[float] = [1.0]
     append = coeffs.append
@@ -321,7 +320,7 @@ def evaluate_series(sol: SeriesSolution, z: float) -> EvaluatedSeries:
     """
     lo, hi = sol.domain
     if not (lo < z < hi):
-        raise OutOfDomain(f"z={z} is outside the open domain ({lo:g}, {hi:g})")
+        raise ValidationError(f"z={z} is outside the open domain ({lo:g}, {hi:g})")
     z, p0, step = float(z), float(sol.p0), sol.step
     coefficients, exponents = sol.coefficients, sol.exponent_list
     n = len(coefficients)

@@ -41,7 +41,7 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import EigensolverNoConvergence, GridTooLarge, UnsupportedClass
+from .errors import NumericalError, ValidationError
 from .jsonio import SLOT, TemplatedList
 from .representations import (
     ExponentGrid,
@@ -155,9 +155,9 @@ def _matrix(dec: Su11Decomposition, subgrid: ExponentGrid) -> TridiagonalMatrix:
     """build_matrix's matrix with float64 arrays for its fields, the form
     solve_spectrum works on."""
     if subgrid.size is None:
-        raise GridTooLarge("sub-grid is infinite; only finite ladders build matrices")
+        raise ValidationError("sub-grid is infinite; only finite ladders build matrices")
     if subgrid.size > MATRIX_CAP:
-        raise GridTooLarge(f"sub-grid size {subgrid.size} exceeds the cap {MATRIX_CAP}")
+        raise ValidationError(f"sub-grid size {subgrid.size} exceeds the cap {MATRIX_CAP}")
     if abs(abs(subgrid.step) - 1.0) > 1e-12:
         raise ValueError("parity sub-grids must step by whole units")
     # Ascending; not by np.sort, whose first call costs a process 0.2 MB of RSS.
@@ -263,7 +263,7 @@ def _eigensolve(matrix: TridiagonalMatrix) -> Tuple[np.ndarray, np.ndarray]:
             if np.all(values.imag == 0.0):
                 values = values.real
     except np.linalg.LinAlgError as exc:
-        raise EigensolverNoConvergence(str(exc)) from exc
+        raise NumericalError(str(exc)) from exc
     return values, _twisted_eigenvectors(matrix, values)
 
 
@@ -279,7 +279,7 @@ def solve_spectrum(dec: Su11Decomposition, rep: RepresentationDescriptor) -> Spe
     printed document.
     """
     if rep.rep_class is not RepresentationClass.FINITE_DIMENSIONAL:
-        raise UnsupportedClass(
+        raise ValidationError(
             f"spectra are only computed on finite ladders, not {rep.rep_class.value}"
         )
     base_coeffs = rebuild_coefficients(dec)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, NamedTuple, Tuple
 
-from .errors import InconsistentCoefficients, NotFactorizable, ValidationError
+from .errors import ValidationError
 from .heun_core import (
     CanonicalCoefficients,
     HeunParameters,
@@ -159,12 +159,18 @@ class Su11Decomposition(NamedTuple):
         s = self.mu + self.nu
         return -(self.c0 + s * (self.c1 + self.c2 * s))
 
+    def with_accessory(self, q: float) -> "Su11Decomposition":
+        """The decomposition at accessory q, which only c0 carries:
+        c0 = -q - s(c1 + c2 s), s = mu + nu."""
+        s = self.mu + self.nu
+        return self._replace(c0=-q - s * (self.c1 + self.c2 * s))
+
     @classmethod
     def from_json_dict(cls, doc: Mapping[str, float]) -> "Su11Decomposition":
         dec = read_floats(cls, doc)
         expected = casimir_value(dec.mu, dec.nu)
         if not abs(dec.casimir - expected) <= 1e-9:
-            raise InconsistentCoefficients(
+            raise ValidationError(
                 f"stored casimir {dec.casimir!r} does not match mu, nu (expected {expected!r})"
             )
         return dec
@@ -175,11 +181,12 @@ def decompose(params: HeunParameters, tol: float = CONDITION_TOL) -> Su11Decompo
 
     check_factorizable is the one gate.  nu belongs to the admissible gamma
     it matched, 3/2 when both are within tol (possible only for tol >= 1/2);
-    mu comes from a3 = (a0/2)(3+4mu), and the c's from the other a's.
+    mu comes from a3 = (a0/2)(3+4mu), c0 from q (with_accessory), and the
+    other c's from the other a's.
     """
     report = check_factorizable(params, tol)
     if not report.accepted:
-        raise NotFactorizable(report.describe(), report=report)
+        raise ValidationError(report.describe())
     coeffs = canonical_coefficients(params)
     nu = NU_BY_GAMMA[1.5 if abs(params.gamma - 1.5) <= tol else 0.5]
     mu = (2.0 * coeffs.a3 / coeffs.a0 - 3.0) / 4.0
@@ -187,7 +194,6 @@ def decompose(params: HeunParameters, tol: float = CONDITION_TOL) -> Su11Decompo
     c_minus = coeffs.a2 / 4.0
     c2 = coeffs.a1 / 4.0
     c1 = (coeffs.a4 - coeffs.a1 * (1.0 + mu + nu)) / 2.0
-    c0 = coeffs.a7 - (mu + nu) * (c1 + c2 * (mu + nu))
     return Su11Decomposition(
         mu=mu,
         nu=nu,
@@ -195,9 +201,9 @@ def decompose(params: HeunParameters, tol: float = CONDITION_TOL) -> Su11Decompo
         c_minus=c_minus,
         c2=c2,
         c1=c1,
-        c0=c0,
+        c0=0.0,
         casimir=casimir_value(mu, nu),
-    )
+    ).with_accessory(params.q)
 
 
 def rebuild_coefficients(dec: Su11Decomposition) -> CanonicalCoefficients:
@@ -211,7 +217,7 @@ def rebuild_coefficients(dec: Su11Decomposition) -> CanonicalCoefficients:
         a4=2.0 * (dec.c1 + 2.0 * dec.c2 * (1.0 + mu + nu)),
         a5=2.0 * dec.c_minus * (1.0 + 4.0 * nu),
         a6=2.0 * dec.c_plus * mu * (1.0 + 2.0 * mu),
-        a7=dec.c0 + (mu + nu) * (dec.c1 + dec.c2 * (mu + nu)),
+        a7=-dec.accessory_q,
     )
 
 

@@ -68,7 +68,7 @@ from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .errors import SamplePointAtSingularity
+from .errors import ValidationError
 from .heun_core import CanonicalCoefficients, HeunParameters, canonical_coefficients
 from .monomials import CUT_MIN_LIVE, UNDERFLOW_LOG2, MonomialSum, log2_majorant, tail_cut
 
@@ -96,7 +96,7 @@ def check_sample_points(z_samples: Sequence[float], a: float) -> None:
     """Reject the sample points that default_sample_points clips."""
     for z in z_samples:
         if not _clear(z, a):
-            raise SamplePointAtSingularity(f"sample z={z} is {_UNCLEAR}")
+            raise ValidationError(f"sample z={z} is {_UNCLEAR}")
 
 
 class ResidualReport(NamedTuple):

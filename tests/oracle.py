@@ -16,11 +16,15 @@ the k-th sorted value q_k must have exactly k eigenvalues below q_k - tol
 and k + 1 below q_k + tol.  That puts an eigenvalue within tol of every
 q_k, and fails on a missed or doubled eigenvalue as well.
 
-m1_image is the first metamorphic map of the Heun transformation group,
-z = a w (Maier, "The 192 solutions of the Heun equation", Math. Comp. 76
-(2007) 811-843): it keeps the elementary pair {0, inf}, so it maps a
-factorizable operator to one with the same ladder and parities, and each
-accessory value q to q/a.
+m1_image and m3_image are metamorphic maps of the Heun transformation
+group (Maier, "The 192 solutions of the Heun equation", Math. Comp. 76
+(2007) 811-843).  M1, z = a w, keeps the elementary pair {0, inf}, so it
+maps a factorizable operator to one with the same ladder and parities, and
+each accessory value q to q/a.  M3, z = a/w at gamma = 1/2 and beta = alpha
++ 1/2, swaps 0 and inf: it keeps a and the ladder length n, maps
+sub-grid index k to n - 1 - k, so the parities swap at even n and stay at
+odd n, and shifts each q by alpha(beta - epsilon)(1 - a), with no rounded
+1/a.
 
 monomial and terms build and read a MonomialSum, which keeps no
 arithmetic of its own.
@@ -99,6 +103,16 @@ def m1_image(params: HeunParameters) -> HeunParameters:
     (1/a, epsilon, delta, q/a), with gamma, alpha and beta kept."""
     return make_parameters(params.gamma, params.epsilon, params.alpha, params.beta,
                            1.0 / params.a, params.q / params.a, epsilon=params.delta)
+
+
+def m3_image(params: HeunParameters) -> HeunParameters:
+    """The parameters of the equation in w = a/z, with y = w^alpha u, at
+    gamma = 1/2 and beta = alpha + 1/2: (delta, epsilon, q) -> (epsilon,
+    delta, q + alpha(beta - epsilon)(1 - a)), with gamma, alpha, beta and a
+    kept."""
+    shift = params.alpha * (params.beta - params.epsilon) * (1.0 - params.a)
+    return make_parameters(params.gamma, params.epsilon, params.alpha, params.beta, params.a,
+                           params.q + shift, epsilon=params.delta)
 
 
 def monomial(exponent: float, coefficient: complex = 1.0) -> MonomialSum:

@@ -49,15 +49,17 @@ def test_spectrum_preset_example1_eigenvalues(capsys):
     assert all(pair["residual"] <= 1e-12 for pair in doc["eigenpairs"])
 
 
-@pytest.mark.parametrize("command", ["spectrum", "classify", "series"])
+@pytest.mark.parametrize("command", ["spectrum", "classify", "series", "series --q 0.5"])
 @pytest.mark.parametrize("preset", ["example1", "example2", "lame"])
 def test_spectrum_roundtrip_is_byte_identical(tmp_path, capsys, preset, command):
+    # --q on a saved decomposition (q = 0 here) moves its c0 as the direct run's.
+    command, *extra = command.split()
     dec_path = tmp_path / "dec.json"
     direct = tmp_path / "direct.json"
     piped = tmp_path / "piped.json"
     assert main(["decompose", "--preset", preset, "--json", str(dec_path)]) == 0
-    assert main([command, "--preset", preset, "--json", str(direct)]) == 0
-    assert main([command, "--decomposition", str(dec_path), "--json", str(piped)]) == 0
+    assert main([command, "--preset", preset, *extra, "--json", str(direct)]) == 0
+    assert main([command, "--decomposition", str(dec_path), *extra, "--json", str(piped)]) == 0
     capsys.readouterr()
     assert direct.read_bytes() == piped.read_bytes()
 
@@ -327,9 +329,11 @@ ERROR_CAUSES = {
                     "singularity location a=0.0 collides with a fixed singular point"),
     "exponent-balance": (["decompose", "--gamma", "0.5", "--delta", "0.5", "--alpha", "0",
                           "--beta", "0.5", "--a", "2", "--epsilon", "3"], None, 1,
-                         "gamma+delta+epsilon - (alpha+beta+1) = 2.500e+00 exceeds tolerance 1e-09"),
+                         "gamma+delta+epsilon - (alpha+beta+1) = 2.500e+00 exceeds tolerance "
+                         "1e-09"),
     "complex-exponents": (["decompose", "--rho", "1", "--a", "2"], None, 1,
-                          "exponents at infinity are complex for rho=1.0 (discriminant -1.750e+00)"),
+                          "exponents at infinity are complex for rho=1.0 (discriminant "
+                          "-1.750e+00)"),
     "not-factorizable": (["decompose", "--preset", "example1", "--gamma", "0.8"], None, 1,
                          "not factorizable: gamma=0.8 is off {1/2, 3/2} by 3.000e-01"),
     "no-finite-ladder": (["spectrum", "--gamma", "0.5", "--delta", "-0.5", "--alpha", "1",

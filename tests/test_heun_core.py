@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heun_su11.errors import ComplexExponents, DegenerateSingularity, FuchsianViolation
+from heun_su11.errors import ValidationError
 from heun_su11.heun_core import (
     CanonicalCoefficients,
     canonical_coefficients,
@@ -49,7 +49,8 @@ def test_epsilon_filled_from_exponent_balance():
 def test_supplied_epsilon_must_be_consistent():
     p = make_parameters(epsilon=-0.5 + 1e-10, **EXAMPLE1)
     assert p.epsilon == -0.5  # recomputed, not the supplied value
-    with pytest.raises(FuchsianViolation):
+    with pytest.raises(ValidationError,
+                       match=r"alpha\+beta\+1\) = 1\.000e-06 exceeds tolerance 1e-09"):
         make_parameters(epsilon=-0.5 + 1e-6, **EXAMPLE1)
 
 
@@ -59,9 +60,9 @@ def test_alpha_beta_stored_sorted():
 
 
 def test_degenerate_singularity_rejected():
-    with pytest.raises(DegenerateSingularity):
+    with pytest.raises(ValidationError, match="a=0.0 collides with a fixed singular point"):
         make_parameters(gamma=1.0, delta=1.0, alpha=1.0, beta=1.0, a=0.0, q=0.0)
-    with pytest.raises(DegenerateSingularity):
+    with pytest.raises(ValidationError, match="a=1.0 collides with a fixed singular point"):
         make_parameters(gamma=1.0, delta=1.0, alpha=1.0, beta=1.0, a=1.0, q=0.0)
 
 
@@ -105,7 +106,7 @@ def test_lame_parameters_exponents():
 
 
 def test_lame_parameters_complex_roots_rejected():
-    with pytest.raises(ComplexExponents):
+    with pytest.raises(ValidationError, match="exponents at infinity are complex for rho=1.0"):
         lame_parameters(1.0, 2.0, 0.0)
 
 

@@ -74,7 +74,7 @@ def test_the_check_sees_an_unused_import():
         "from __future__ import annotations\n"
         "import math\n"
         "import numpy as np\n"
-        "from .errors import NotFactorizable, ValidationError\n"
+        "from .errors import NumericalError, ValidationError\n"
         "from .monomials import MonomialSum\n"
         "__all__ = ['MonomialSum']\n"
         "def f():\n"
@@ -82,5 +82,5 @@ def test_the_check_sees_an_unused_import():
         "    return np.pi, ValidationError\n"
     )
     assert unused_imports(source) == [
-        ("math", 2), ("NotFactorizable", 4), ("ode_residual", 8)
+        ("math", 2), ("NumericalError", 4), ("ode_residual", 8)
     ]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heun_su11.errors import UnsupportedClass
+from heun_su11.errors import ValidationError
 from heun_su11.heun_core import lame_parameters, make_parameters
 from heun_su11.representations import (
     ExponentGrid,
@@ -169,7 +169,7 @@ def test_split_sizes_for_finite_ladders():
 def test_split_rejects_series_classes():
     ps = classify(synthetic_decomposition(mu=0.5, nu=0.0))
     target = [r for r in ps if r.rep_class is RepresentationClass.PRINCIPAL_SERIES][0]
-    with pytest.raises(UnsupportedClass):
+    with pytest.raises(ValidationError, match="no parity split for principal_series"):
         split_even_odd(target)
 
 

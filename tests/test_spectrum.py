@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heun_su11.errors import EigensolverNoConvergence, GridTooLarge
+from heun_su11.errors import NumericalError, ValidationError
 from heun_su11.heun_core import (
     canonical_coefficients,
     canonical_rows,
@@ -29,7 +29,7 @@ from heun_su11.series_engine import evaluate_series
 from heun_su11.spectrum import TridiagonalMatrix, build_matrix, solve_spectrum
 from heun_su11.su11_algebra import decompose, rebuild_coefficients
 from heun_su11.verifier import default_sample_points, residual_block, residual_for_coefficients
-from oracle import check_eigenvalues, m1_image, sturm_counter, terms
+from oracle import check_eigenvalues, m1_image, m3_image, sturm_counter, terms
 
 
 def example1(a, q=0.0):
@@ -107,9 +107,9 @@ def test_build_matrix_lame_singlet():
 
 def test_build_matrix_cap_and_grid_guards():
     dec = decompose(example1(2.0))
-    with pytest.raises(GridTooLarge):
+    with pytest.raises(ValidationError, match="^sub-grid size 65 exceeds the cap 64$"):
         build_matrix(dec, ExponentGrid(0.0, 1.0, 65))
-    with pytest.raises(GridTooLarge):
+    with pytest.raises(ValidationError, match="^sub-grid is infinite; only finite ladders build"):
         build_matrix(dec, ExponentGrid(0.0, 1.0, None))
     with pytest.raises(ValueError):
         build_matrix(dec, ExponentGrid(0.0, 0.5, 3))
@@ -192,9 +192,9 @@ def test_eigenvector_normalization_convention():
 def test_solve_spectrum_rejects_series_reps():
     dec = decompose(example1(2.0))
     pd = [r for r in classify(dec) if r.rep_class is RepresentationClass.POSITIVE_DISCRETE][0]
-    with pytest.raises(Exception) as info:
+    with pytest.raises(ValidationError, match="^spectra are only computed on finite ladders, "
+                                              "not positive_discrete$"):
         solve_spectrum(dec, pd)
-    assert "finite" in str(info.value)
 
 
 def test_negative_a_complex_pairs_flagged():
@@ -295,7 +295,7 @@ def test_eigensolver_failure_is_wrapped(monkeypatch, solver, upper):
     # a positive off-diagonal product takes the symmetric route, a negative
     # one the dense route
     matrix = TridiagonalMatrix((0.0, 1.0), (0.0, 0.0), (0.5,), (upper,))
-    with pytest.raises(EigensolverNoConvergence):
+    with pytest.raises(NumericalError, match="^did not converge$"):
         spectrum_module._eigensolve(matrix)
 
 
@@ -434,7 +434,7 @@ def test_numeric_commands_leave_dataclasses_out():
 def test_namespace_serves_every_exported_name():
     import heun_su11
 
-    assert len(heun_su11.__all__) == 37
+    assert len(heun_su11.__all__) == 25
     for name in heun_su11.__all__:
         obj = getattr(heun_su11, name)
         assert getattr(importlib.import_module(obj.__module__), name) is obj
@@ -608,18 +608,29 @@ def test_planted_coefficient_fails_its_column_alone():
 
 # M1 distances, over max(1, max|q|), at delta = -1/2: at most 6.0e-15 for
 # a in [1e-5, 3] and n up to 128, and 3.8e-10 for a in [-3, -0.5] and n up
-# to 32.  From n = 64 on, the dense solver's values at a < 0 drift from
-# 3e-7 to 9e-2 (ROADMAP item 2), so the negative cases stop at n = 32.
+# to 32.  M3 distances: at most 3.1e-15 for a in [1e-5, 4] and n up to 128,
+# and 4.1e-11 for a in [-3, -0.5] and n up to 32.  From n = 64 on, the
+# dense solver's values at a < 0 drift from 3e-7 to 9e-2 (ROADMAP item 2),
+# so the negative cases stop at n = 32.
 M1_TOLERANCE = {True: 1e-13, False: 1e-8}
 
+# Per map: the image of the parameters, the q at the parameters that a q of
+# the image stands for, and whether the parity sub-grids swap at length n.
+MAPS = {
+    "m1": (m1_image, lambda params, image, q: params.a * q, lambda n: False),
+    "m3": (m3_image, lambda params, image, q: q - (image.q - params.q), lambda n: n % 2 == 0),
+}
 
-def m1_distance(n, gamma, a):
+
+def map_distance(n, gamma, a, name="m1"):
     """The largest distance from a q of the ladder of length n at a to the
-    nearest q of its M1 image times a, or back, on either parity sub-grid,
-    over max(1, max|q|)."""
+    nearest q that the named map's image stands for, or back, on either
+    parity sub-grid, over max(1, max|q|)."""
+    image_of, preimage_q, swaps = MAPS[name]
     params = ladder_params(n, gamma, a, delta=-0.5)
+    image_params = image_of(params)
     spectra = []
-    for p in (params, m1_image(params)):
+    for p in (params, image_params):
         dec = decompose(p)
         spectra.append({sub.parity: sub.q for sub in solve_spectrum(dec, finite_rep(dec)).subgrids})
     here, image = spectra
@@ -627,26 +638,34 @@ def m1_distance(n, gamma, a):
     scale = max(1.0, *(np.abs(q).max() for q in here.values()))
     distance = 0.0
     for parity, q in here.items():
-        gaps = np.abs(q[:, None] - a * image[parity][None, :])
+        other = {"even": "odd", "odd": "even"}[parity] if swaps(n) else parity
+        gaps = np.abs(q[:, None] - preimage_q(params, image_params, image[other])[None, :])
         distance = max(distance, gaps.min(axis=1).max(), gaps.min(axis=0).max())
     return distance / scale
 
 
-@pytest.mark.parametrize("gamma", [0.5, 1.5])
-@pytest.mark.parametrize("a", [3.0, 1.7, 0.3, 1e-5, -3.0, -0.5])
-def test_m1_maps_the_spectrum_to_its_image(a, gamma):
+@pytest.mark.parametrize("name, a, gamma", [
+    *(pytest.param("m1", a, gamma, id=f"{a}-{gamma}")
+      for a in (3.0, 1.7, 0.3, 1e-5, -3.0, -0.5) for gamma in (0.5, 1.5)),
+    # M3 holds at gamma = 1/2 only; it needs no rounded 1/a, so a = 4 tests it too.
+    *(pytest.param("m3", a, 0.5, id=f"m3-{a}") for a in (3.0, 1.7, 0.3, 1e-5, 4.0, -3.0, -0.5)),
+])
+def test_m1_maps_the_spectrum_to_its_image(name, a, gamma):
     # z = a w maps the ladder at a onto the ladder at 1/a, with every
-    # eigenvalue q onto q/a, on both parity sub-grids.
-    for n in (1, 2, 8, 16, 32) + ((64, 128) if a > 0 else ()):
-        assert m1_distance(n, gamma, a) <= M1_TOLERANCE[a > 0], (n, gamma, a)
+    # eigenvalue q onto q/a, on both parity sub-grids; z = a/w maps it onto
+    # the ladder at a with delta and epsilon swapped.
+    for n in (1, 2, 3, 8, 16, 32) + ((64, 128) if a > 0 else ()):
+        assert map_distance(n, gamma, a, name) <= M1_TOLERANCE[a > 0], (name, n, gamma, a)
 
 
 @pytest.mark.sweep
 def test_m1_maps_the_spectrum_at_drawn_a(seed):
-    # Non-dyadic a, log-uniform in [1e-5, 3] and in [-3, -0.5].
+    # Non-dyadic a, log-uniform in [1e-5, 3] and in [-3, -0.5]; M3 at gamma = 1/2.
     rng = random.Random(f"m1-sweep-{seed}")
     for a, top in ((math.exp(rng.uniform(math.log(1e-5), math.log(3.0))), 128),
                    (-math.exp(rng.uniform(math.log(0.5), math.log(3.0))), 32)):
         for gamma in (0.5, 1.5):
             for n in (rng.randint(1, top), top):
-                assert m1_distance(n, gamma, a) <= M1_TOLERANCE[a > 0], (n, gamma, a)
+                for name in ("m1", "m3") if gamma == 0.5 else ("m1",):
+                    distance = map_distance(n, gamma, a, name)
+                    assert distance <= M1_TOLERANCE[a > 0], (name, n, gamma, a)

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from heun_su11.errors import SamplePointAtSingularity
+from heun_su11.errors import ValidationError
 from heun_su11.heun_core import canonical_coefficients, make_parameters
 from heun_su11.monomials import MonomialSum
 from heun_su11.representations import RepresentationClass, classify
@@ -25,6 +26,7 @@ from heun_su11.series_engine import ASCENDING, DESCENDING, convergence_domain
 from oracle import monomial, terms
 
 
+AT_A_SINGULARITY = r"^sample z=\S+ is off the positive axis or within 1e-06 of a singular point$"
 EXAMPLE1 = dict(gamma=0.5, delta=-0.5, alpha=-1.0, beta=-0.5, q=0.0)
 EXAMPLE2 = dict(gamma=1.5, delta=-0.5, alpha=-0.5, beta=0.0, q=0.0)
 
@@ -113,27 +115,28 @@ def test_chebyshev_points_properties():
 
 def test_check_sample_points_rejections():
     check_sample_points([0.3, 0.7], a=2.0)
-    with pytest.raises(SamplePointAtSingularity):
+    with pytest.raises(ValidationError, match=AT_A_SINGULARITY):
         check_sample_points([0.0], a=2.0)
-    with pytest.raises(SamplePointAtSingularity):
+    with pytest.raises(ValidationError, match=AT_A_SINGULARITY):
         check_sample_points([-0.5], a=2.0)
-    with pytest.raises(SamplePointAtSingularity):
+    with pytest.raises(ValidationError, match=AT_A_SINGULARITY):
         check_sample_points([1.0 + SINGULARITY_RADIUS / 2], a=2.0)
-    with pytest.raises(SamplePointAtSingularity):
+    with pytest.raises(ValidationError, match=AT_A_SINGULARITY):
         check_sample_points([2.0 - SINGULARITY_RADIUS / 2], a=2.0)
 
 
 def test_residual_rejects_bad_sample_points():
     params = make_parameters(a=2.0, **EXAMPLE1)
     coeffs = canonical_coefficients(params)
-    with pytest.raises(SamplePointAtSingularity):
+    with pytest.raises(ValidationError, match=AT_A_SINGULARITY):
         residual_for_coefficients(coeffs, monomial(0.0), [1.0])
 
 
 def accepted(z, a):
     try:
         check_sample_points([z], a)
-    except SamplePointAtSingularity:
+    except ValidationError as exc:
+        assert re.search(AT_A_SINGULARITY, str(exc))
         return False
     return True
 

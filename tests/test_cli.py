@@ -856,6 +856,69 @@ def test_an_overflowed_residual_names_its_cause(capsys, monkeypatch):
     assert captured.err == "heun-su11: the series residual " + OVERFLOWED.format("its") + "\n"
 
 
+def _zero_values(pair):
+    for term in pair["coefficients"]:
+        term["value"] = 0.0
+
+
+def _null_first_exponent(pair):
+    pair["coefficients"][0]["exponent"] = None
+
+
+def _zero_series(series):
+    series["coefficients"] = [0.0] * len(series["coefficients"])
+
+
+def _null_p0_and_b3(series):
+    series["p0"] = series["coefficients"][3] = None
+
+
+# Forged documents whose failing candidates mix causes: the command that
+# prints the document, an edit of eigenpair i (or of the series, i None),
+# and the one line verify prints.  The zero function scores inf, but its
+# coefficients are all zero, so it is not an overflow.
+MIXED_CAUSES = {
+    "eigenpairs-zero-null-overflowed": (
+        ["spectrum", "--preset", "example1", "--a", "1e308"],
+        [(0, _zero_values),
+         (1, lambda pair: pair.update(coefficients=[{"exponent": None, "value": None}]))],
+        "1 of 3 eigenpairs have non-finite exponents; 1 of 3 eigenpairs have a residual over "
+        "1e-08; 1 of 3 eigenpairs have a residual that " + OVERFLOWED.format("their")),
+    "eigenpairs-q-exponent-null-q": (
+        ["spectrum", "--preset", "example1", "--a", "4"],
+        [(0, lambda pair: pair.update(q=pair["q"] + 1)), (1, _null_first_exponent),
+         (2, lambda pair: pair.update(q=None))],
+        "1 of 3 eigenpairs have non-finite exponents; 1 of 3 eigenpairs have non-finite "
+        "coefficients or q; 1 of 3 eigenpairs have a residual over 1e-08"),
+    "series-null-q": (
+        ["series", "--preset", "example1", "--q", "0.3"],
+        [(None, lambda series: series.update(q=None))],
+        "the series residual inf is over 1e-08"),
+    "series-null-p0-and-b3": (
+        ["series", "--preset", "example1", "--q", "0.3"],
+        [(None, _null_p0_and_b3)],
+        "the series has non-finite coefficients from b_3 on, so its residual inf is over 1e-08"),
+    "series-zero-function": (
+        ["series", "--preset", "example1", "--q", "0.3"],
+        [(None, _zero_series)],
+        "the series residual inf is over 1e-08"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIXED_CAUSES))
+def test_verify_names_each_cause_of_a_forged_document(case, capsys, monkeypatch):
+    argv, edits, line = MIXED_CAUSES[case]
+    main(argv)
+    doc = json.loads(capsys.readouterr().out)
+    for i, edit in edits:
+        edit(doc["series"] if i is None else doc["eigenpairs"][i])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(["verify", "--solution", "-"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["passed"] is False
+    assert captured.err == f"heun-su11: {line}\n"
+
+
 def test_descending_series_past_the_largest_float_names_its_cause(capsys):
     # (2R, 4R) = (inf, inf) at R = 1e308, 4R = inf already at R = 5e307, and
     # at R = 4e307 the nodes' midpoint 2R + 4R overflows.

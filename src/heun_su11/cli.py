@@ -5,15 +5,17 @@ Parameters come from flags, a JSON file (--params), or a named preset;
 spectrum/classify/series can instead start from a saved decomposition
 (--decomposition FILE, or - for stdin), and everything they emit is derived
 from the decomposition alone, so piping `decompose` into them reproduces the
-direct output byte for byte; series --q Q on a saved decomposition solves
-and prints it at Q, as the direct run with --q Q does.  JSON goes to stdout
-or --json FILE; spectrum and series also take --csv FILE for sampled
-(z, value) plot data.  verify re-scores a document through the call that
-scored it when it was emitted, so it reproduces the emitted residuals bit
-for bit, and derives a series' domain from the document's a2 rather than
-reading it.  Exit codes: 0 success, 1 validation failure (including a
-spectrum, series or verify document with a residual over the threshold,
-which is still emitted), 2 numerical failure, 64 usage error.
+direct output byte for byte, except where c0 = -q - s(c1 + c2 s) is so large
+that its rounding moves q (at alpha = -63.5, beta = -63, a = 1e6, q = 0.7
+the pipe prints q = 0.70000004768371582); series --q Q on a saved
+decomposition solves and prints it at Q, as the direct run with --q Q does.
+JSON goes to stdout or --json FILE; spectrum and series also take --csv FILE
+for sampled (z, value) plot data.  verify re-scores a document through the
+call that scored it when it was emitted, so it reproduces the emitted
+residuals bit for bit, and derives a series' domain from the document's a2
+rather than reading it.  Exit codes: 0 success, 1 validation failure
+(including a spectrum, series or verify document with a residual over the
+threshold, which is still emitted), 2 numerical failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 from typing import Sequence
 
 from . import jsonio
@@ -198,12 +201,16 @@ def _first_nonfinite(numbers):
     return next((k for k, b in enumerate(numbers) if not cmath.isfinite(b)), None)
 
 
-def _nonfinite_input(exponents, coefficients, q) -> str:
-    """Which of a candidate's inputs are not finite: "exponents", else
-    "coefficients or q", else ""."""
+def _cause(exponents, coefficients, q, residual: float) -> str:
+    """Why a failing candidate fails, the first that holds: "non-finite
+    exponents", "non-finite coefficients or q", "overflow" when its residual
+    is inf although it is finite and not the zero function, so its terms
+    passed the largest float, else "residual"."""
     if _first_nonfinite(exponents) is not None:
-        return "exponents"
-    return "coefficients or q" if _first_nonfinite([*coefficients, q]) is not None else ""
+        return "non-finite exponents"
+    if _first_nonfinite([*coefficients, q]) is not None:
+        return "non-finite coefficients or q"
+    return "overflow" if residual == math.inf and any(b != 0 for b in coefficients) else "residual"
 
 
 def _gate(residuals: list, candidates, samples, threshold: float, series: bool = False) -> int:
@@ -213,40 +220,33 @@ def _gate(residuals: list, candidates, samples, threshold: float, series: bool =
     or NaN; else 0.  candidates yields each residual's (exponents,
     coefficients, q), which only a failure's cause reads."""
     failed = sum(not r <= threshold for r in residuals)
+    overflow = "overflows the float range, although {} coefficients and q are finite"
     if not samples:
         what = "the series" if series else "the eigenpairs"
         cause = f"no sample point is left to check {what} on: {samples.cause}"
     elif not failed:
         return 0
+    elif not series:
+        counts = Counter(_cause(*candidate, r) for candidate, r in zip(candidates, residuals)
+                         if not r <= threshold)
+        said = {"residual": f"a residual over {threshold:g}",
+                "overflow": "a residual that " + overflow.format("their")}
+        cause = "; ".join(
+            f"{counts[c]} of {len(residuals)} eigenpairs have {said.get(c, c)}"
+            for c in ("non-finite exponents", "non-finite coefficients or q", "residual", "overflow")
+            if counts[c])
     else:
-        from .verifier import overflowed
-        candidates = list(candidates)
-        blown = sum(overflowed(*candidate, r) for candidate, r in zip(candidates, residuals))
-        overflow = "overflows the float range, although {} coefficients and q are finite"
-        if not series:
-            bad = [_nonfinite_input(*candidate) for candidate, r in zip(candidates, residuals)
-                   if not r <= threshold]
-            n, causes = len(residuals), []
-            for what in ("exponents", "coefficients or q"):
-                if bad.count(what):
-                    causes.append(f"{bad.count(what)} of {n} eigenpairs have non-finite {what}")
-            nonfinite = len(bad) - bad.count("")
-            if failed > blown + nonfinite:
-                causes.append(f"{failed - blown - nonfinite} of {n} eigenpairs have a residual "
-                              f"over {threshold:g}")
-            if blown:
-                causes.append(f"{blown} of {n} eigenpairs have a residual that " + overflow.format("their"))
-            cause = "; ".join(causes)
-        elif (first := _first_nonfinite(candidates[0][1])) is not None:
+        [(exponents, coefficients, q)], [residual] = list(candidates), residuals
+        if (first := _first_nonfinite(coefficients)) is not None:
             cause = (f"the series has non-finite coefficients from b_{first} on, so its "
-                     f"residual {residuals[0]:.3g} is over {threshold:g}")
-        elif _first_nonfinite(candidates[0][0]) is not None:
+                     f"residual {residual:.3g} is over {threshold:g}")
+        elif _first_nonfinite(exponents) is not None:
             cause = (f"the series base exponent p0 is not finite, so its residual "
-                     f"{residuals[0]:.3g} is over {threshold:g}")
-        elif blown:
+                     f"{residual:.3g} is over {threshold:g}")
+        elif _cause(exponents, coefficients, q, residual) == "overflow":
             cause = "the series residual " + overflow.format("its")
         else:
-            cause = f"the series residual {residuals[0]:.3g} is over {threshold:g}"
+            cause = f"the series residual {residual:.3g} is over {threshold:g}"
     print(f"heun-su11: {cause}", file=sys.stderr)
     return 1
 

@@ -17,26 +17,25 @@ every eigenvalue the solver returns within 1e-10 on each sub-grid whose
 off-diagonal products are not negative.
 
 A SpectralResult holds the solver's arrays of each sub-grid; its EigenPairs
-are built from them when first read.  Its JSON form is written from the
+are built from them on each read.  Its JSON form is written from the
 arrays too: each sub-grid is one run of a jsonio.TemplatedList, whose
 record skeleton holds the exponents and the parity and whose flat leaves
 are the values, q and residuals, so no per-coefficient record is built.
 
 Each sub-grid pays numpy's per-call overhead besides its arithmetic, so
 each array is built once: the matrix keeps float64 arrays from the
-three-term rows to the eigensolve (build_matrix hands out tuples), and the
-twisted factorization steps both sweeps over prebuilt row views and tests
-for a zero pivot once per sweep.  On the benchmark's ten ladders of n up
-to 128 (20 sub-grids, 26,172 printed floats), the 29 ms that solve_spectrum
-and canonical_dumps take per pass go mostly to LAPACK's eigenvalues
-(1.5 ms), the residual's per-column gemms (1.2 ms) and the %.17g digits
-of the printed floats (17.5 ms; in process, best of 40, 2-core host).
+three-term rows to the eigensolve, and the twisted factorization steps
+both sweeps over prebuilt row views and tests for a zero pivot once per
+sweep.  On the benchmark's ten ladders of n up to 128 (20 sub-grids,
+26,172 printed floats), the 29 ms that solve_spectrum and canonical_dumps
+take per pass go mostly to LAPACK's eigenvalues (1.5 ms), the residual's
+per-column gemms (1.2 ms) and the %.17g digits of the printed floats
+(17.5 ms; in process, best of 40, 2-core host).
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import List, NamedTuple, Tuple
 
 import numpy as np
@@ -57,28 +56,21 @@ MATRIX_CAP = 64
 SIGN_TOL = 1e-12
 
 
-class _TridiagonalFields(NamedTuple):
-    exponents: Tuple[float, ...]
-    diagonal: Tuple[float, ...]
-    lower: Tuple[float, ...]
-    upper: Tuple[float, ...]
+class TridiagonalMatrix(NamedTuple):
+    """Operator matrix on one parity sub-grid, basis by ascending exponent."""
+
+    exponents: np.ndarray
+    diagonal: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
 
-class TridiagonalMatrix(_TridiagonalFields):
-    """Operator matrix on one parity sub-grid, basis by ascending exponent.
-    A subclass of its fields, so that it has a __dict__ to cache scale in."""
-
-    @property
-    def dimension(self) -> int:
-        return len(self.diagonal)
-
-    @cached_property
-    def scale(self) -> float:
-        """max(1, max|T_ij|) over the entries that are not NaN, the scale
-        of build_matrix's leak test and of the twisted factorization's
-        zero-pivot floor."""
-        entries = np.concatenate((self.diagonal, self.lower, self.upper))
-        return float(np.fmax.reduce(np.abs(entries), initial=1.0))
+def _scale(matrix: TridiagonalMatrix) -> float:
+    """max(1, max|T_ij|) over the entries that are not NaN, the scale of
+    build_matrix's leak test and of the twisted factorization's zero-pivot
+    floor."""
+    entries = np.concatenate((matrix.diagonal, matrix.lower, matrix.upper))
+    return float(np.fmax.reduce(np.abs(entries), initial=1.0))
 
 
 class EigenPair(NamedTuple):
@@ -100,20 +92,17 @@ class SolvedSubgrid(NamedTuple):
     residuals: np.ndarray
 
 
-class _SpectralFields(NamedTuple):
+class SpectralResult(NamedTuple):
+    """The eigenpairs of a finite ladder as the solver's arrays, one
+    SolvedSubgrid per non-empty parity sub-grid, even first.  It holds
+    arrays, so two results are equal only when they are one object."""
+
     warnings: Tuple[str, ...]
     subgrids: Tuple[SolvedSubgrid, ...]
 
-
-class SpectralResult(_SpectralFields):
-    """The eigenpairs of a finite ladder as the solver's arrays, one
-    SolvedSubgrid per non-empty parity sub-grid, even first.  A subclass
-    of its fields, so that it has a __dict__ to cache pairs in; it holds
-    arrays, so two results are equal only when they are one object."""
-
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    @cached_property
+    @property
     def pairs(self) -> Tuple[EigenPair, ...]:
         """One EigenPair per eigenvalue, in the order of the sub-grids' arrays."""
         return tuple(
@@ -151,9 +140,9 @@ class SpectralResult(_SpectralFields):
         return TemplatedList(tuple(runs))
 
 
-def _matrix(dec: Su11Decomposition, subgrid: ExponentGrid) -> TridiagonalMatrix:
-    """build_matrix's matrix with float64 arrays for its fields, the form
-    solve_spectrum works on."""
+def build_matrix(dec: Su11Decomposition, subgrid: ExponentGrid) -> TridiagonalMatrix:
+    """Matrix of the accessory-free operator on a finite parity sub-grid,
+    from the decomposition's three-term rows, its fields float64 arrays."""
     if subgrid.size is None:
         raise ValidationError("sub-grid is infinite; only finite ladders build matrices")
     if subgrid.size > MATRIX_CAP:
@@ -170,18 +159,12 @@ def _matrix(dec: Su11Decomposition, subgrid: ExponentGrid) -> TridiagonalMatrix:
     matrix = TridiagonalMatrix(exponents, diag, inward[1:], outward[:-1])
     leak = max(abs(dec.up(exponents[-1].item())), abs(dec.down(exponents[0].item())))
     # scale >= 1, so a leak of at most 1e-8 passes without it.
-    if leak > 1e-8 and leak > 1e-8 * matrix.scale:
+    if leak > 1e-8 and leak > 1e-8 * _scale(matrix):
         raise ValueError(
             f"sub-grid is not closed under the operator (leak {leak:.3e}); "
             "grid and decomposition disagree"
         )
     return matrix
-
-
-def build_matrix(dec: Su11Decomposition, subgrid: ExponentGrid) -> TridiagonalMatrix:
-    """Matrix of the accessory-free operator on a finite parity sub-grid,
-    from the decomposition's three-term rows, its fields tuples of floats."""
-    return TridiagonalMatrix(*(tuple(field.tolist()) for field in _matrix(dec, subgrid)))
 
 
 def _normalize_rows(vectors: np.ndarray) -> np.ndarray:
@@ -205,12 +188,11 @@ def _twisted_eigenvectors(matrix: TridiagonalMatrix, values: np.ndarray) -> np.n
     -upper_i / D+_i, below it by -lower_(i-1) / D-_i (Dhillon and Parlett,
     SIAM J. Matrix Anal. Appl. 25, 2004).  Each ratio is accurate to a few
     ulps, so tiny components stay accurate relative to their size.  A zero
-    pivot is moved to eps * matrix.scale.  The sweep runs without that
+    pivot is moved to eps * _scale(matrix).  The sweep runs without that
     floor and again with it only when some pivot came out exactly 0: the
     two agree up to the first zero pivot, so the floor acts where it would
     have acted in one sweep.
     """
-    n = matrix.dimension
     shifted = np.asarray(matrix.diagonal)[:, None] - values
     lower = np.asarray(matrix.lower)[:, None]
     upper = np.asarray(matrix.upper)[:, None]
@@ -224,14 +206,14 @@ def _twisted_eigenvectors(matrix: TridiagonalMatrix, values: np.ndarray) -> np.n
         for row, below, step in zip(pivots, pivots[1:], steps):
             below -= step / row
     if not pivots[:-1].all():
-        tiny = np.finfo(float).eps * matrix.scale
+        tiny = np.finfo(float).eps * _scale(matrix)
         pivots = both(shifted)
         for row, below, step in zip(pivots, pivots[1:], steps):
             row[row == 0.0] = tiny
             below -= step / row
     plus, minus = pivots[:, 0], pivots[::-1, 1]
     twist = np.argmin(np.abs(plus + minus - shifted), axis=0)
-    rows = np.arange(n - 1)[:, None]
+    rows = np.arange(len(shifted) - 1)[:, None]
     # A leading 1 and then the ratios from the bottom up to the twist, and
     # from the top down to it: each column's products, a cumprod apiece.
     up, down = np.ones_like(shifted), np.ones_like(shifted)
@@ -246,7 +228,7 @@ def _eigensolve(matrix: TridiagonalMatrix) -> Tuple[np.ndarray, np.ndarray]:
     With every off-diagonal product positive, T is similar to a symmetric
     matrix with off-diagonal sqrt(lower * upper); otherwise dense QR is used.
     """
-    n = matrix.dimension
+    n = len(matrix.diagonal)
     dense = np.diag(matrix.diagonal)
     # Every (n + 1)-th entry from n on is the sub-diagonal, from 1 on the super-diagonal.
     flat = dense.reshape(-1)
@@ -290,7 +272,7 @@ def solve_spectrum(dec: Su11Decomposition, rep: RepresentationDescriptor) -> Spe
     for parity, grid in (("even", split.even), ("odd", split.odd)):
         if grid.size == 0:
             continue
-        matrix = _matrix(dec, grid)
+        matrix = build_matrix(dec, grid)
         values, vectors = _eigensolve(matrix)
         order = np.lexsort((values.imag, values.real))
         values = values[order]

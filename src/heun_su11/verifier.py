@@ -220,18 +220,6 @@ def _worst(residuals: np.ndarray, block: np.ndarray) -> np.ndarray:
     return worst
 
 
-def overflowed(exponents: Sequence[float], coefficients: Sequence[complex], q: complex,
-               residual: float) -> bool:
-    """Whether a candidate's residual is inf because its terms passed the
-    largest float: its exponents, coefficients and q are finite and its
-    coefficients not all zero, so it is neither non-finite input nor the
-    zero function.  Asked only of a failing candidate scored on at least
-    one sample."""
-    c = np.asarray(coefficients)
-    return residual == math.inf and bool(
-        np.isfinite(q) and np.isfinite(exponents).all() and np.isfinite(c).all() and c.any())
-
-
 def worst_residuals(coeffs: CanonicalCoefficients, exponents: np.ndarray, block: np.ndarray,
                     q: np.ndarray, z_samples: Sequence[float]) -> np.ndarray:
     """Worst residual over the samples of each column of the block, scored

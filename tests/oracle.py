@@ -88,7 +88,8 @@ def check_eigenvalues(matrix: TridiagonalMatrix, qs: Sequence[float], tol: float
     """Assert that qs are the eigenvalues of matrix, each within tol."""
     count = sturm_counter(matrix)
     qs = sorted(qs)
-    assert len(qs) == matrix.dimension, f"{len(qs)} values for dimension {matrix.dimension}"
+    n = len(matrix.diagonal)
+    assert len(qs) == n, f"{len(qs)} values for dimension {n}"
     with mpmath.workdps(DIGITS):
         for k, q in enumerate(qs):
             below, above = count(mpmath.mpf(q) - tol), count(mpmath.mpf(q) + tol)

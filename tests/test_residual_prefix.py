@@ -209,3 +209,70 @@ def test_the_library_scores_a_series_as_the_cli_does():
                     assert report.max_relative_residual.hex() == worst.hex(), where
                     overflowed += worst == math.inf
     assert overflowed == 4
+
+
+def bits(values):
+    """The bit patterns of some floats, which tell -0.0 from 0.0."""
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+def assert_full_sum(monkeypatch, coeffs, y, samples):
+    """The report of y is the full sum's, bit for bit, residuals and scales."""
+    report = residual_for_coefficients(coeffs, y, samples)
+    full = full_sum(monkeypatch, coeffs, y, samples)
+    assert bits(report.residuals) == bits(full.residuals)
+    assert bits(report.scales) == bits(full.scales)
+    assert bits([report.max_relative_residual]) == bits([full.max_relative_residual])
+
+
+def k100_case():
+    """example1's ascending K=100 series at a = 2, which the prefix rule
+    cuts at its samples, with its coefficients and those samples."""
+    params, sol = preset_case("example1", 2.0, 0.3, POS, "even", 100)
+    return canonical_coefficients(params), sol.as_monomial_sum(), solution_samples(2.0, sol.domain)
+
+
+@pytest.mark.parametrize("case", ["half-steps", "not-monotone", "samples-above-1", "edge-underflows"])
+def test_a_column_outside_the_prefix_rule_keeps_the_full_sum(case, monkeypatch):
+    # A long real column whose exponents step by 1/2, or not in one
+    # direction, whose ascending powers do not fall at samples above 1, or
+    # whose edge sample 2 max z is at most 2^-1021: the rule does not apply,
+    # so tail_cut is never asked, and the residuals are the full sum's.
+    coeffs, y, samples = k100_case()
+    if case == "half-steps":
+        y = y._replace(exponents=tuple(0.5 * p for p in y.exponents))
+    elif case == "not-monotone":
+        p = list(y.exponents)
+        p[10], p[11] = p[11], p[10]
+        y = y._replace(exponents=tuple(p))
+    elif case == "samples-above-1":
+        samples = (1.2, 1.5)
+    else:
+        samples = (1e-308, 2e-308)
+    cuts = record(monkeypatch, "tail_cut")
+    assert_full_sum(monkeypatch, coeffs, y, samples)
+    assert cuts == []
+
+
+def test_a_prefix_over_its_scale_bound_is_refused(monkeypatch):
+    # With the accepted bound D <= 2^-10000 scale_k, which is 0.0, the cut
+    # that tail_cut finds is refused: the prefix is scored, then the full
+    # sum, and the residuals are the full sum's.
+    coeffs, y, samples = k100_case()
+    monkeypatch.setattr(verifier, "_PREFIX_LOG2_SCALE", -1e4)
+    cuts = record(monkeypatch, "tail_cut")
+    powers = record(monkeypatch, "_power_matrix")
+    assert_full_sum(monkeypatch, coeffs, y, samples)
+    k = cuts[0][0]
+    assert k < len(y.exponents)
+    assert [power.shape[1] for power in powers] == [k, len(y.exponents), len(y.exponents)]
+
+
+def test_tail_cut_refuses_an_exponent_of_2_to_the_32(monkeypatch):
+    # The certified error bound holds for |p| < 2^32 only: a column whose
+    # last exponent is 2^32 gets no cut, and its residuals are the full sum's.
+    coeffs, y, samples = k100_case()
+    y = y._replace(exponents=(*y.exponents[:70], 2.0**32), coeffs=y.coeffs[:71])
+    cuts = record(monkeypatch, "tail_cut")
+    assert_full_sum(monkeypatch, coeffs, y, samples)
+    assert cuts == [None]

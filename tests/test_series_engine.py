@@ -652,6 +652,47 @@ def test_an_infinite_coefficient_live_at_one_point_and_dead_at_another(z, monkey
     assert _outcome(evaluate_series, sol, z) == _outcome(evaluate_by_terms, sol, z)
 
 
+def test_a_certificate_that_overflows_falls_back_to_the_full_sum(monkeypatch):
+    # b_100 = 2^1002 on the domain (0, 2) puts the cut's D near 7.7e307 at
+    # z = 1/2, so fsum(prefix + [D]) overflows on b_0 = 1.5e308: the
+    # certificate is refused, and the full sum, 1.5e308 plus terms far below
+    # its ulp, is the reference's.
+    sol = SeriesSolution(p0=0.0, direction=ASCENDING, parity="even", q=0.0,
+                         coefficients=(1.5e308,) + (1.0,) * 99 + (2.0**1002,), domain=(0.0, 2.0))
+    cut, bound = cut_at(sol, 0.5, monkeypatch)
+    prefix = [b * 0.5**m for m, b in enumerate(sol.coefficients[:cut])]
+    with pytest.raises(OverflowError):
+        math.fsum(prefix + [bound])
+    assert _outcome(evaluate_series, sol, 0.5) == _outcome(evaluate_by_terms, sol, 0.5)
+    assert evaluate_series(sol, 0.5).value == 1.5e308
+
+
+def test_an_overflowed_series_bounded_past_2_to_the_1023_sums_its_live_terms(monkeypatch):
+    # b_1150 is inf, and the 1101 live terms at z = 1/2 stop before it, but
+    # b_0..b_2 = 1.5e308 put D at the cut 0 past 2^1023: the cached NaN of
+    # the tail is not taken, every live power is computed, and fsum
+    # overflows on the live terms as the reference's fsum does.
+    sol = SeriesSolution(p0=0.0, direction=ASCENDING, parity="even", q=0.0,
+                         coefficients=(1.5e308,) * 3 + (1.0,) * 1147 + (math.inf,) * 50,
+                         domain=(0.0, 1.0))
+    live = _live_terms(0.0, 1, 0.5, len(sol.coefficients))
+    found = []
+    real = series_engine.tail_cut_at
+
+    def recording(*args):
+        found.append(real(*args))
+        return found[-1]
+
+    monkeypatch.setattr(series_engine, "tail_cut_at", recording)
+    calls = counted_pow(monkeypatch)
+    for function in (evaluate_series, evaluate_by_terms):
+        with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+            function(sol, 0.5)
+    [(cut, bound)] = found
+    assert cut == 0 < live <= len(sol.log2_majorant) == 1150 and not bound < 2.0**1023
+    assert len(calls) == live
+
+
 @pytest.mark.sweep
 def test_cut_bounds_the_exact_dropped_rest(seed, monkeypatch):
     # Over the long-series grid, overflowed series included, the D of each

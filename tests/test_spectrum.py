@@ -74,10 +74,10 @@ def test_build_matrix_example1_even_against_operator_readoff():
     dec = decompose(example1(a))
     split = split_even_odd(finite_rep(dec))
     matrix = build_matrix(dec, split.even)
-    assert matrix.exponents == (0.0, 1.0)
-    assert matrix.diagonal == (0.0, 0.0)
-    assert matrix.lower == (0.5,)
-    assert matrix.upper == (a / 2.0,)
+    assert matrix.exponents.tolist() == [0.0, 1.0]
+    assert matrix.diagonal.tolist() == [0.0, 0.0]
+    assert matrix.lower.tolist() == [0.5]
+    assert matrix.upper.tolist() == [a / 2.0]
     # Oracle: columns of the matrix are what the canonical operator does to
     # the basis monomials (q=0 so the diagonal shift vanishes).
     coeffs = canonical_coefficients(example1(a))
@@ -93,15 +93,15 @@ def test_build_matrix_example1_odd():
     dec = decompose(example1(a))
     split = split_even_odd(finite_rep(dec))
     matrix = build_matrix(dec, split.odd)
-    assert matrix.exponents == (0.5,)
-    assert matrix.diagonal == ((a + 1.0) / 4.0,)
+    assert matrix.exponents.tolist() == [0.5]
+    assert matrix.diagonal.tolist() == [(a + 1.0) / 4.0]
 
 
 def test_build_matrix_lame_singlet():
     dec = decompose(lame_parameters(0.0, 2.0, 1.0))
     split = split_even_odd(finite_rep(dec))
     matrix = build_matrix(dec, split.even)
-    assert matrix.diagonal == (0.0,)
+    assert matrix.diagonal.tolist() == [0.0]
     assert split.odd.size == 0
 
 
@@ -264,6 +264,31 @@ def test_solver_agrees_with_oracle(a, gamma, n):
         check_eigenvalues(build_matrix(dec, grid), solved, tol=1e-10)
 
 
+@pytest.mark.parametrize("n, a", [(128, 2.0), (32, -3.0)])
+def test_solver_solves_the_matrix_build_matrix_returns(n, a, monkeypatch):
+    # The oracle checks build_matrix's matrix, so that must be the matrix
+    # the eigensolver is given, field by field and bit for bit.
+    dec = decompose(ladder_params(n, 0.5, a, delta=-0.5))
+    rep = finite_rep(dec)
+    solved = []
+    eigensolve = spectrum_module._eigensolve
+
+    def recording(matrix):
+        solved.append(matrix)
+        return eigensolve(matrix)
+
+    monkeypatch.setattr(spectrum_module, "_eigensolve", recording)
+    solve_spectrum(dec, rep)
+    split = split_even_odd(rep)
+    assert len(solved) == 2
+    for matrix, grid in zip(solved, (split.even, split.odd)):
+        built = build_matrix(dec, grid)
+        assert type(matrix) is type(built) is TridiagonalMatrix
+        for got, want in zip(matrix, built):
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("plant", ["moved-1e-9", "dropped", "duplicated", "over-neighbour"])
 @pytest.mark.parametrize("n", [4, 128])
 def test_oracle_check_rejects_planted_answers(n, plant):
@@ -321,7 +346,7 @@ def test_eigenvectors_satisfy_t_v_equals_q_v(case):
 def twisted_eigenvectors_reference(matrix, values):
     """The twisted factorization as two arrays, D+ top-down and D- bottom-up,
     each stepped on its own; the solver steps both in one stacked array."""
-    n = matrix.dimension
+    n = len(matrix.diagonal)
     shifted = np.asarray(matrix.diagonal)[:, None] - values
     lower = np.asarray(matrix.lower)[:, None]
     upper = np.asarray(matrix.upper)[:, None]

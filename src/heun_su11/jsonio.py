@@ -7,17 +7,17 @@ is a meaningful regression check.  Negative zero is printed as 0, because
 would otherwise differ.  Non-finite floats become null; complex
 numbers become {"im": ..., "re": ...} objects.
 
-Lists of many float leaves are written from ``%.17g`` templates, each
-filled in a single ``%`` call.  A list of all floats is one such template.
-A TemplatedList is a list given as runs of items that share a skeleton: a
-JSON value in which SLOT marks each float leaf.  The skeleton is written
-once, with its fixed text (keys, strings, fixed floats) in place, and
-repeated for every item of the run; a flat tuple of the run's leaves fills
-it.  The spectrum's eigenpairs are one run per parity sub-grid, so the
-exponents and the parity are formatted once per sub-grid and only the
-values, q and residuals per item.  A run holding a NaN or inf fills its
-template with each leaf's text instead, null for the non-finite ones, so
-every list prints as the recursive writer would print it item by item.
+Lists are written item by item, except a TemplatedList: a list given as
+runs of items that share a skeleton, a JSON value in which SLOT marks
+each float leaf.  The skeleton is written once, with its fixed text
+(keys, strings, fixed floats) in place, and repeated for every item of
+the run; a flat tuple of the run's leaves fills it from one ``%.17g``
+template in a single ``%`` call.  The spectrum's eigenpairs are one run
+per parity sub-grid, so the exponents and the parity are formatted once
+per sub-grid and only the values, q and residuals per item.  A run
+holding a NaN or inf fills its template with each leaf's text instead,
+null for the non-finite ones, so every list prints as the recursive
+writer would print it item by item.
 Reading uses the standard json module plus a small helper that turns those
 objects back into numbers and null into NaN.
 """
@@ -29,7 +29,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, NamedTuple, Tuple
 
 SLOT = object()  # a float leaf of a TemplatedList skeleton
-_ZERO = (0.0).__add__  # 0.0 + x is x, except that -0.0 becomes 0.0
 
 
 class TemplatedList(NamedTuple):
@@ -65,16 +64,6 @@ def _runs(runs, pad: str, out) -> None:
     out("\n" + pad + "]" if runs else "[]")
 
 
-def _filled_list(items, pad: str) -> str | None:
-    """Text of a list of all floats from one template; None for any other list."""
-    if set(map(type, items)) != {float}:
-        return None
-    pieces: list = []
-    leaves = tuple(map(_ZERO, items)) if 0.0 in items else tuple(items)
-    _runs(((SLOT, len(items), leaves),), pad, pieces.append)
-    return "".join(pieces)
-
-
 def _write(obj: Any, out, pad: str) -> None:
     # Only a bool (an int too) and a TemplatedList (a tuple too) are two of these
     # types, so SLOT and floats, the most frequent, go first; each of the two
@@ -98,14 +87,11 @@ def _write(obj: Any, out, pad: str) -> None:
     elif isinstance(obj, TemplatedList):
         _runs(obj.runs, pad, out)
     elif isinstance(obj, (list, tuple)):
-        text = _filled_list(obj, pad) if obj else "[]"
-        if text is None:
-            inner = pad + "  "
-            for i, item in enumerate(obj):
-                out((",\n" if i else "[\n") + inner)
-                _write(item, out, inner)
-            text = "\n" + pad + "]"
-        out(text)
+        inner = pad + "  "
+        for i, item in enumerate(obj):
+            out((",\n" if i else "[\n") + inner)
+            _write(item, out, inner)
+        out("\n" + pad + "]" if obj else "[]")
     elif isinstance(obj, bool):
         out("true" if obj else "false")
     elif isinstance(obj, int):

@@ -70,7 +70,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .heun_core import CanonicalCoefficients, HeunParameters, canonical_coefficients
-from .monomials import CUT_MIN_LIVE, UNDERFLOW_LOG2, MonomialSum, log2_majorant, tail_cut
+from .monomials import CUT_MIN_LIVE, MonomialSum, log2_majorant, tail_cut
 
 SINGULARITY_RADIUS = 1e-6
 DEFAULT_SAMPLE_COUNT = 25
@@ -108,19 +108,11 @@ class ResidualReport(NamedTuple):
     scales: Tuple[float, ...]
 
 
-def _power_matrix(z: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """z[:, None] ** p[None, :], bit for bit, without computing the powers
-    with p*log2(z) < UNDERFLOW_LOG2: those are exactly 0.0, and numpy takes
-    a slow path for them.  The negated test keeps a NaN product live."""
-    live = ~(p[None, :] * np.log2(z)[:, None] < UNDERFLOW_LOG2)
-    return np.power(z[:, None], p[None, :], out=np.zeros(live.shape), where=live)
-
-
 def _sums(z: np.ndarray, p: np.ndarray, terms: np.ndarray,
           magnitudes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """|sum of the terms| and the sum of their magnitudes, P x S each, for
     the terms (P x 3 x n, by shift) of the n exponents p at the samples z."""
-    power = _power_matrix(z, p)
+    power = z[:, None] ** p[None, :]
     up, same, down = (power @ terms.transpose(0, 2, 1)).transpose(2, 0, 1)
     num = np.abs(z * up + same + down / z)
     up, same, down = (power @ magnitudes.transpose(0, 2, 1)).transpose(2, 0, 1)
@@ -169,11 +161,10 @@ def residual_block(coeffs: CanonicalCoefficients, exponents: np.ndarray, block: 
     residuals and the scales, P x S each for the S samples.  Each slice
     of the stacked products is its own gemm, so column j scores exactly as
     it would alone in a block of the same dtype.  A zero coefficient is a
-    zero term.  The power matrix skips the powers that underflow
-    (_power_matrix), bit for bit.  A block of one long finite real column
-    scores the certified prefix of the module docstring; one of a single
-    column with a non-finite coefficient scores inf, with a NaN scale, and
-    computes no power.
+    zero term.  A block of one long finite real column scores the certified
+    prefix of the module docstring; one of a single column with a
+    non-finite coefficient scores inf, with a NaN scale, and computes no
+    power.
     """
     check_sample_points(z_samples, coeffs.a2)
     z = np.array(z_samples, dtype=float)

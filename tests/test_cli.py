@@ -1033,6 +1033,26 @@ def test_kmax_below_1_is_a_usage_error(kmax, capsys):
     assert "--kmax" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, option, text", [("series", "--kmax", "x"),
+                                                   ("spectrum", "--samples", "1.5")])
+def test_a_count_that_is_not_an_integer_is_a_usage_error(command, option, text, capsys):
+    assert main([command, "--preset", "example1", option, text]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"heun-su11: usage error: argument {option}: invalid int value: '{text}'\n"
+
+
+def test_csv_reraises_an_inf_minus_inf_of_finite_coefficients(tmp_path):
+    # Both coefficients are finite, but their terms at z = 0.5 overflow to
+    # inf and -inf: no coefficient is named, and fsum's own error stands.
+    sol = series_module.SeriesSolution(-10.0, "ascending", "even", 0.0, (1e308, -1e308),
+                                       (0.0, 1.0))
+    csv_path = tmp_path / "f.csv"
+    with pytest.raises(ValueError, match=r"^-inf \+ inf in fsum$"):
+        cli._write_csv_blocks(str(csv_path), [("block", sol, [0.5])])
+    assert csv_path.read_text().splitlines() == ["# block", "z,value"]
+
+
 def test_spectrum_csv_writes_complex_values(tmp_path, capsys):
     argv = ["--gamma", "0.5", "--delta", "-0.5", "--alpha", "-1.5", "--beta", "-1", "--a", "-3"]
     csv_path = tmp_path / "plot.csv"

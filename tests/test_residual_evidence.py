@@ -29,7 +29,7 @@ from heun_su11.representations import RepresentationClass, classify, split_even_
 from heun_su11.series_engine import ASCENDING, DESCENDING, _live_terms, series_solution
 from heun_su11.spectrum import build_matrix, solve_spectrum
 from heun_su11.su11_algebra import decompose, rebuild_coefficients
-from heun_su11.verifier import _power_matrix, default_sample_points, residual_for_coefficients
+from heun_su11.verifier import default_sample_points, residual_for_coefficients
 from oracle import sturm_counter, terms
 
 THRESHOLD = 1e-8
@@ -216,20 +216,21 @@ def sweep_cases():
                     yield step, sweep_points(direction, edge), base, K
 
 
-def test_power_matrix_skips_only_exact_zeros():
-    skipped = 0
+def test_power_matrix_is_exactly_zero_past_the_underflow_bound():
+    # The residual's power matrix is numpy's z**p in full; the bound D on a
+    # prefix's dropped terms (monomials.tail_cut) counts every power with
+    # p*log2(z) < UNDERFLOW_LOG2 as exactly 0.0.
+    underflowed = 0
     odd_exponents = [math.nan, -math.nan, math.inf, -math.inf]
     for step, points, base, K in sweep_cases():
         z = np.array(points)
         p = np.concatenate([base + step * np.arange(K + 1.0), odd_exponents])
         with np.errstate(all="ignore"):
-            full = z[:, None] ** p[None, :]
-            masked = _power_matrix(z, p)
-            left_out = p[None, :] * np.log2(z)[:, None] < UNDERFLOW_LOG2
-        assert np.all(full[left_out] == 0.0)
-        assert np.array_equal(full.view(np.uint64), masked.view(np.uint64))
-        skipped += np.count_nonzero(left_out)
-    assert skipped > 10**6
+            power = z[:, None] ** p[None, :]
+            past = p[None, :] * np.log2(z)[:, None] < UNDERFLOW_LOG2
+        assert np.all(power[past] == 0.0)
+        underflowed += np.count_nonzero(past)
+    assert underflowed > 10**6
 
 
 def test_evaluate_series_skips_only_exact_zeros():

@@ -111,8 +111,10 @@ def test_build_matrix_cap_and_grid_guards():
         build_matrix(dec, ExponentGrid(0.0, 1.0, 65))
     with pytest.raises(ValidationError, match="^sub-grid is infinite; only finite ladders build"):
         build_matrix(dec, ExponentGrid(0.0, 1.0, None))
-    with pytest.raises(ValueError):
-        build_matrix(dec, ExponentGrid(0.0, 0.5, 3))
+    # The first is example1's even sub-grid {0, 1}, given descending.
+    for grid in (ExponentGrid(1.0, -1.0, 2), ExponentGrid(0.0, 0.5, 3)):
+        with pytest.raises(ValueError, match=r"^parity sub-grids must step by \+1$"):
+            build_matrix(dec, grid)
     # a grid that is not actually closed for this operator
     with pytest.raises(ValueError):
         build_matrix(dec, ExponentGrid(0.25, 1.0, 2))

@@ -95,6 +95,7 @@ def test_check_factorizable_reports_both_failures():
     assert report.exponent_gap == 0.0
     assert report.gamma_deviation == pytest.approx(0.5)
     assert "not factorizable" in report.describe()
+    assert check_factorizable(make_parameters(**EXAMPLE1)).describe() == "factorizable"
 
 
 @pytest.mark.parametrize("tol", [-1.0, -1e-300])

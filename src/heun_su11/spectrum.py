@@ -36,7 +36,7 @@ per-column gemms (1.2 ms) and the %.17g digits of the printed floats
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -48,9 +48,11 @@ from .representations import (
     RepresentationDescriptor,
     split_even_odd,
 )
-from .series_engine import ASCENDING, SeriesSolution
 from .su11_algebra import Su11Decomposition, rebuild_coefficients
 from .verifier import solution_samples, worst_residuals
+
+if TYPE_CHECKING:
+    from .series_engine import SeriesSolution
 
 MATRIX_CAP = 64
 SIGN_TOL = 1e-12
@@ -104,7 +106,11 @@ class SpectralResult(NamedTuple):
 
     @property
     def pairs(self) -> Tuple[EigenPair, ...]:
-        """One EigenPair per eigenvalue, in the order of the sub-grids' arrays."""
+        """One EigenPair per eigenvalue, in the order of the sub-grids' arrays.
+        series_engine is imported here, its only reader, so a spectrum that
+        is only printed does not load it."""
+        from .series_engine import ASCENDING, SeriesSolution
+
         return tuple(
             EigenPair(q=q, parity=sub.parity, residual=residual, eigenfunction=SeriesSolution(
                 sub.base, ASCENDING, sub.parity, q, tuple(row), (0.0, math.inf)))

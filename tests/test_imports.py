@@ -1,6 +1,7 @@
 """No module of the package imports a name that it neither uses nor exports,
-none imports dataclasses, and the algebra modules and the CLI import nothing
-from monomials.
+none imports dataclasses, the algebra modules and the CLI import nothing
+from monomials, and the package's __init__ imports none of its modules: its
+name table _HOMES lists the literal __all__, name for name.
 
 Written with the standard library's ast module alone, so it runs wherever
 the rest of the suite does.  A name counts as used when it appears as a
@@ -27,13 +28,16 @@ def imported_names(tree):
                 yield (alias.asname or alias.name), node.lineno
 
 
+def assigned_literal(tree, target, default=None):
+    """The literal value the module assigns to target at top level."""
+    return next((ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == target for t in node.targets)),
+                default)
+
+
 def exported_names(tree):
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
+    return set(assigned_literal(tree, "__all__", ()))
 
 
 def unused_imports(source):
@@ -84,3 +88,41 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == [
         ("math", 2), ("NumericalError", 4), ("ode_residual", 8)
     ]
+
+
+def module_level_imports(tree):
+    """The modules a module imports outside its functions, a relative one
+    with its leading dots."""
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nodes.extend(ast.iter_child_nodes(node))
+
+
+def test_package_init_imports_no_module_and_homes_every_exported_name():
+    # `import heun_su11` compiles no module of the package; each name of
+    # __all__ imports its home module, from _HOMES, on first use.
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert [m for m in module_level_imports(tree) if m.startswith((".", "heun_su11"))] == []
+    homes = assigned_literal(tree, "_HOMES")
+    assert list(homes) == assigned_literal(tree, "__all__")
+    assert all((SRC / f"{home}.py").is_file() for home in homes.values())
+
+
+def test_the_check_sees_a_module_level_import():
+    source = (
+        "import math\n"
+        "from . import jsonio\n"
+        "try:\n"
+        "    from heun_su11.errors import UsageError\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def f():\n"
+        "    from .verifier import ode_residual\n"
+    )
+    assert sorted(module_level_imports(ast.parse(source))) == [".", "heun_su11.errors", "math"]

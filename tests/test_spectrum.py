@@ -418,6 +418,10 @@ def test_import_leaves_scipy_out():
 
 REJECTED = ["decompose", "--gamma", "0.7", "--delta", "-0.5", "--alpha", "-1", "--beta", "-0.5",
             "--a", "2"]
+CLI = ["-m", "heun_su11"]
+# numpy and the package modules that import it.
+NUMERIC = {"numpy", "heun_su11.monomials", "heun_su11.verifier", "heun_su11.series_engine",
+           "heun_su11.spectrum"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -427,32 +431,54 @@ REJECTED = ["decompose", "--gamma", "0.7", "--delta", "-0.5", "--alpha", "-1", "
     REJECTED,
 ], ids=lambda argv: "rejected-decompose" if argv is REJECTED else "-".join(argv[::2]))
 def test_scalar_commands_leave_numpy_out(argv):
-    returncode, imported = imported_modules(argv)
+    returncode, imported = imported_modules([*CLI, *argv])
     assert returncode == (1 if argv is REJECTED else 0)
     assert "heun_su11.cli" in imported
-    assert "numpy" not in imported
+    assert not NUMERIC & imported
     assert "dataclasses" not in imported
 
 
-def imported_modules(argv, stdin=""):
-    """The exit code of `heun-su11 argv` and the names of the modules it
+def imported_modules(args, stdin=""):
+    """The exit code of `python args` and the names of the modules it
     imports, which -X importtime lists on stderr."""
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "heun_su11", *argv],
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
                           env=SRC_ENV, input=stdin, capture_output=True, text=True)
     return proc.returncode, {line.rsplit("|", 1)[-1].strip()
                              for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
+def package_modules(args):
+    returncode, imported = imported_modules(args)
+    assert returncode == 0
+    return {name.split(".", 1)[1] for name in imported if name.startswith("heun_su11.")}
+
+
+@pytest.mark.parametrize("code,modules", [
+    ("import heun_su11", set()),
+    ("from heun_su11 import decompose", {"errors", "heun_core", "jsonio", "su11_algebra"}),
+    ("import heun_su11; heun_su11.ode_residual",
+     {"errors", "heun_core", "jsonio", "monomials", "verifier"}),
+], ids=["bare", "decompose", "ode_residual"])
+def test_each_name_loads_only_its_home_module_and_its_imports(code, modules):
+    assert package_modules(["-c", code]) == modules
+
+
+def test_spectrum_loads_series_engine_only_to_write_csv(tmp_path):
+    argv = [*CLI, "spectrum", "--preset", "example1"]
+    assert "series_engine" not in package_modules(argv)
+    assert "series_engine" in package_modules([*argv, "--csv", str(tmp_path / "plot.csv")])
 
 
 def test_numeric_commands_leave_dataclasses_out():
     # The records are NamedTuples, so no subcommand pays for the dataclass
     # machinery at start-up; the scalar ones are checked above.
     spectrum = ["spectrum", "--preset", "example1"]
-    document = subprocess.run([sys.executable, "-m", "heun_su11", *spectrum], env=SRC_ENV,
+    document = subprocess.run([sys.executable, *CLI, *spectrum], env=SRC_ENV,
                               capture_output=True, text=True, check=True).stdout
     runs = [(spectrum, ""), (["series", "--preset", "lame", "--q", "0.3"], ""),
             (["verify", "--solution", "-"], document)]
     for argv, stdin in runs:
-        returncode, imported = imported_modules(argv, stdin)
+        returncode, imported = imported_modules([*CLI, *argv], stdin)
         assert returncode == 0, argv
         assert "numpy" in imported
         assert "dataclasses" not in imported, argv
@@ -468,6 +494,20 @@ def test_namespace_serves_every_exported_name():
     namespace: dict = {}
     exec("from heun_su11 import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(heun_su11.__all__)
+    # A fresh interpreter lists every name before its first use, and serves
+    # each from the module _HOMES names.
+    code = (
+        "import sys, heun_su11 as h\n"
+        "listed = dir(h)\n"
+        "for name, home in h._HOMES.items():\n"
+        "    assert name in listed, name\n"
+        "    obj = getattr(h, name)\n"
+        "    assert obj.__module__ == 'heun_su11.' + home, name\n"
+        "    assert getattr(sys.modules[obj.__module__], name) is obj, name\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_namespace_refuses_unknown_names():

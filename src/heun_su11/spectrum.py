@@ -11,10 +11,11 @@ ascending series sum_m b_m z^(p0+m): a SeriesSolution on all of z > 0.
 
 solve_spectrum takes the eigenvalues from numpy (symmetric or dense, by the
 sign of the off-diagonal products) and every eigenvector from one twisted
-factorization of T - q.  The tests hold an independent oracle, a 50-digit
-Sturm count of the eigenvalues of T below a point, and with it certify
-every eigenvalue the solver returns within 1e-10 on each sub-grid whose
-off-diagonal products are not negative.
+factorization of T - q.  The tests hold an independent oracle, an exact
+Sturm count, on integers, of the eigenvalues of T below a point, and with
+it certify every eigenvalue the solver returns within 1e-10 (relative
+1e-13 at large a) on each sub-grid whose off-diagonal products are not
+negative.
 
 A SpectralResult holds the solver's arrays of each sub-grid; its EigenPairs
 are built from them on each read.  Its JSON form is written from the

@@ -1,15 +1,15 @@
 """Independent oracles used by tests: eigenvalues of finite-ladder
 matrices, and the term-by-term value of a sum of powers of z.
 
-The Sturm count of a tridiagonal T at x is the number of eigenvalues below
-x: the number of negative pivots of the LDL^T factorization of T - x, whose
-recurrence d_i = (T_ii - x) - T_(i,i-1) T_(i-1,i) / d_(i-1) needs only the
-diagonal and the off-diagonal products (Demmel, Applied Numerical Linear
-Algebra, sec. 5.3.4).  It runs in 50-digit mpmath arithmetic on the float
-entries, with no library eigensolver.  By Sylvester's law of inertia the
-count holds when T is similar to a symmetric matrix, that is when no
-off-diagonal product is negative; any other matrix is refused with
-ValueError.
+The eigenvalue oracle is exact, on Python integers.  Every float is a
+dyadic rational, so integer_form writes a tridiagonal T's entries and
+points x as integers at one binary scale, and continuant gives the leading
+minors of T - x, D_i = (T_ii - x) D_(i-1) - T_(i,i-1) T_(i-1,i) D_(i-2).
+The Sturm count at x, the number of eigenvalues below x, is the number of
+sign changes along them, a zero minor keeping the sign before it (Demmel,
+Applied Numerical Linear Algebra, sec. 5.3.4).  By Sylvester's law of
+inertia it holds when no off-diagonal product is negative, T then being
+similar to a symmetric matrix; any other matrix is refused with ValueError.
 
 check_eigenvalues certifies a solver's eigenvalues with two counts each:
 the k-th sorted value q_k must have exactly k eigenvalues below q_k - tol
@@ -43,60 +43,73 @@ be at least that of the dropped terms' shares of the scale, scale_terms.
 """
 
 import math
+import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Tuple
-
-import mpmath
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from heun_su11.heun_core import HeunParameters, make_parameters
 from heun_su11.monomials import MonomialSum
 from heun_su11.spectrum import TridiagonalMatrix
 
-DIGITS = 50
+
+def dyadic_integers(values: Iterable) -> Tuple[List[int], int]:
+    """(values times s, s), s the least power of two making each value an integer."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max((d for _, d in ratios), default=1)
+    return [n * (scale // d) for n, d in ratios], scale
+
+
+def integer_form(matrix: TridiagonalMatrix, points: Sequence = ()):
+    """(diagonal, lower, upper, points) as integers at one binary scale."""
+    n = len(matrix.diagonal)
+    ints, _ = dyadic_integers([*matrix.diagonal, *matrix.lower, *matrix.upper, *points])
+    lower, upper = ints[n:2 * n - 1], ints[2 * n - 1:3 * n - 2]
+    if any(lo * up < 0 for lo, up in zip(lower, upper)):
+        raise ValueError("a negative off-diagonal product: the eigenvalues need not be real")
+    return ints[:n], lower, upper, ints[3 * n - 2:]
+
+
+def continuant(diagonal, lower, upper, x) -> List[int]:
+    """The leading minors D_0..D_n of T - x, for integer T and x."""
+    minors = [0, 1]
+    for d, lo, up in zip(diagonal, [0, *lower], [0, *upper]):
+        minors.append((d - x) * minors[-1] - lo * up * minors[-2])
+    return minors[1:]
+
+
+def sign_changes(minors: List[int]) -> int:
+    signs = [m > 0 for m in minors if m]
+    return sum(map(operator.ne, signs, signs[1:]))
+
+
+def sturm_counts(matrix: TridiagonalMatrix, points: Sequence) -> List[int]:
+    """The number of eigenvalues of matrix below each point, a float or a
+    dyadic Fraction.  A zero product splits T into blocks whose counts add."""
+    diagonal, lower, upper, points = integer_form(matrix, points)
+    cuts = [0, *(i + 1 for i, b in enumerate(map(operator.mul, lower, upper)) if not b),
+            len(diagonal)]
+    return [sum(sign_changes(continuant(diagonal[i:j], lower[i:j - 1], upper[i:j - 1], x))
+                for i, j in zip(cuts, cuts[1:])) for x in points]
 
 
 def sturm_counter(matrix: TridiagonalMatrix) -> Callable[[object], int]:
-    """count(x): the number of eigenvalues of matrix below x (a float or an
-    mpf)."""
-    with mpmath.workdps(DIGITS):
-        diagonal = [mpmath.mpf(d) for d in matrix.diagonal]
-        # A product of two doubles is exact at 50 digits; the leading 0
-        # makes the first pivot d_0 - x.
-        products = [mpmath.mpf(0)] + [
-            mpmath.mpf(lo) * mpmath.mpf(up) for lo, up in zip(matrix.lower, matrix.upper)
-        ]
-    if any(b < 0 for b in products):
-        raise ValueError("a negative off-diagonal product: the eigenvalues need not be real")
-
-    def count(x) -> int:
-        with mpmath.workdps(DIGITS):
-            x = mpmath.mpf(x)
-            negatives, pivot = 0, mpmath.mpf(1)
-            for d, b in zip(diagonal, products):
-                pivot = d - x - b / pivot
-                if pivot == 0:
-                    # x is an eigenvalue of a leading block; a negligible
-                    # shift of x down keeps counting eigenvalues below x.
-                    pivot = mpmath.eps
-                negatives += pivot < 0
-            return negatives
-
-    return count
+    """count(x): the number of eigenvalues of matrix below x."""
+    integer_form(matrix)  # refuses a matrix the count does not hold for
+    return lambda x: sturm_counts(matrix, (x,))[0]
 
 
 def check_eigenvalues(matrix: TridiagonalMatrix, qs: Sequence[float], tol: float = 1e-10) -> None:
     """Assert that qs are the eigenvalues of matrix, each within tol."""
-    count = sturm_counter(matrix)
     qs = sorted(qs)
+    counts = sturm_counts(matrix, [Fraction(q) + s * Fraction(tol) for q in qs for s in (-1, 1)])
     n = len(matrix.diagonal)
     assert len(qs) == n, f"{len(qs)} values for dimension {n}"
-    with mpmath.workdps(DIGITS):
-        for k, q in enumerate(qs):
-            below, above = count(mpmath.mpf(q) - tol), count(mpmath.mpf(q) + tol)
-            assert (below, above) == (k, k + 1), (
-                f"q_{k} = {q!r}: {below} eigenvalues below q - {tol:g} and {above} "
-                f"below q + {tol:g}, expected {k} and {k + 1}"
-            )
+    for k, q in enumerate(qs):
+        below, above = counts[2 * k:2 * k + 2]
+        assert (below, above) == (k, k + 1), (
+            f"q_{k} = {q!r}: {below} eigenvalues below q - {tol:g} and {above} "
+            f"below q + {tol:g}, expected {k} and {k + 1}"
+        )
 
 
 def m1_image(params: HeunParameters) -> HeunParameters:
@@ -147,11 +160,9 @@ def evaluate_by_terms(sol, z: float):
 
 
 def exact_magnitude(values: Iterable[float]) -> Fraction:
-    """The exact sum of |x| over the finite floats x, each a multiple of
-    2^-1074."""
-    scale = 1 << 1074
-    return Fraction(sum(abs(n) * (scale // d) for n, d in map(float.as_integer_ratio, values)),
-                    scale)
+    """The exact sum of |x| over the finite floats x."""
+    ints, scale = dyadic_integers(values)
+    return Fraction(sum(map(abs, ints)), scale)
 
 
 def scale_terms(coeffs, terms: Iterable[Tuple[float, float]], z: float):

@@ -1,7 +1,9 @@
 """No module of the package imports a name that it neither uses nor exports,
 none imports dataclasses, the algebra modules and the CLI import nothing
 from monomials, and the package's __init__ imports none of its modules: its
-name table _HOMES lists the literal __all__, name for name.
+name table _HOMES lists the literal __all__, name for name.  No module of
+the package or of the tests imports a package from outside the standard
+library but numpy and pytest.
 
 Written with the standard library's ast module alone, so it runs wherever
 the rest of the suite does.  A name counts as used when it appears as a
@@ -10,11 +12,14 @@ when the module lists it in __all__.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).parents[1] / "src" / "heun_su11"
+ROOT = Path(__file__).parents[1]
+SRC = ROOT / "src" / "heun_su11"
+TESTS = ROOT / "tests"
 
 
 def imported_names(tree):
@@ -63,6 +68,38 @@ def imported_modules(tree):
     modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                for alias in node.names]
     return modules + [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+
+
+def foreign_packages(tree):
+    """The top-level packages the module imports absolutely that are neither
+    in the standard library, nor the package or a test module, nor numpy or
+    pytest."""
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and not node.level]
+    known = {"heun_su11", "numpy", "pytest", *(p.stem for p in TESTS.glob("*.py"))}
+    return {m.split(".")[0] for m in modules} - set(sys.stdlib_module_names) - known
+
+
+@pytest.mark.parametrize("path", sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]),
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_module_imports_a_foreign_package(path):
+    # The test oracles are exact on Python integers, so the suite needs no
+    # third-party package but numpy and pytest.
+    assert foreign_packages(ast.parse(path.read_text(encoding="utf-8"))) == set()
+
+
+def test_the_check_sees_a_foreign_package():
+    source = (
+        "import numpy.linalg, json\n"
+        "from . import jsonio\n"
+        "from .errors import UsageError\n"
+        "from scipy import linalg\n"
+        "def f():\n"
+        "    import sympy.core\n"
+    )
+    assert foreign_packages(ast.parse(source)) == {"scipy", "sympy"}
 
 
 @pytest.mark.parametrize("name", ["heun_core.py", "su11_algebra.py", "cli.py"])

@@ -374,10 +374,15 @@ def spectrum_of(n, gamma, a, delta):
 
 
 def assert_prints_as_plain(result):
+    """The eigenpairs print as the plain records, at the top level and nested
+    one level deeper.  The reference writes the records once: at depth d
+    each line after the first gains 2 * d spaces of indent."""
     eigenpairs = result.to_json_list()
     doc = {"eigenpairs": eigenpairs, "nested": {"eigenpairs": eigenpairs}}
-    plain = plain_eigenpairs(result)
-    assert canonical_dumps(doc) == reference_dumps({"eigenpairs": plain, "nested": {"eigenpairs": plain}})
+    plain = reference_dumps(plain_eigenpairs(result))
+    top, nested = (plain.replace("\n", "\n" + "  " * depth) for depth in (1, 2))
+    expected = f'{{\n  "eigenpairs": {top},\n  "nested": {{\n    "eigenpairs": {nested}\n  }}\n}}'
+    assert canonical_dumps(doc) == expected
 
 
 def test_eigenpairs_print_as_their_per_coefficient_records():

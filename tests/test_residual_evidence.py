@@ -9,7 +9,7 @@ threshold of 1e-8 unchanged:
   accepts;
 - wrong answers (q or one coefficient moved) still score above the
   threshold;
-- the plain float sum of the terms agrees with a 50-digit evaluation of the
+- the plain float sum of the terms agrees with the exact value of the
   same float inputs to within 8 * (number of monomials) * 2^-53 of the
   scale, so no compensated summation is needed;
 - the powers that the residual's power matrix and evaluate_series skip as
@@ -18,8 +18,10 @@ threshold of 1e-8 unchanged:
 """
 
 import math
+from fractions import Fraction
+from itertools import accumulate
+from operator import mul, sub
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ from heun_su11.series_engine import ASCENDING, DESCENDING, _live_terms, series_s
 from heun_su11.spectrum import build_matrix, solve_spectrum
 from heun_su11.su11_algebra import decompose, rebuild_coefficients
 from heun_su11.verifier import default_sample_points, residual_for_coefficients
-from oracle import sturm_counter, terms
+from oracle import continuant, dyadic_integers, integer_form, sturm_counts, terms
 
 THRESHOLD = 1e-8
 UNIT_ROUNDOFF = 2.0**-53
@@ -64,84 +66,59 @@ def test_correct_complex_pairs_score_near_epsilon(n):
     assert max(pair.residual for pair in pairs) <= 1e-10
 
 
-def continuant(diag, products, x):
-    """det(T - x) from its leading minors, D_i = (T_ii - x) D_(i-1) -
-    T_(i,i-1) T_(i-1,i) D_(i-2); products[0] is 0."""
-    before, det = mpmath.mpf(0), mpmath.mpf(1)
-    for d, b in zip(diag, products):
-        before, det = det, (d - x) * det - b * before
-    return det
-
-
 def illinois_root(f, lo, hi, tol):
-    """The one sign change of f in [lo, hi], to a bracket at most tol wide.
+    """A point within tol/2 of the one sign change of f in [lo, hi].
 
     Regula falsi whose endpoint kept twice in a row has its f value halved,
     so both ends converge superlinearly (the Illinois method, Dowell and
     Jarratt, BIT 11, 1971).  Each point is kept at least tol/2 inside the
     bracket, so once the secant has found the root the next step closes
-    the bracket on it, and every step shrinks it by tol/2 at least.
+    the bracket on it, and every step shrinks it by tol/2 at least.  Points
+    and values are integers, so each step rounds down.
     """
     f_lo, f_hi = f(lo), f(hi)
     assert (f_lo < 0) != (f_hi < 0)
     kept = None
     while hi - lo > tol:
-        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        x = min(max(x, lo + tol / 2), hi - tol / 2)
+        x = min(max(hi - f_hi * (hi - lo) // (f_hi - f_lo), lo + tol // 2), hi - tol // 2)
         fx = f(x)
         if fx == 0:
-            return x, x
+            return x
         if (fx < 0) == (f_lo < 0):
-            lo, f_lo = x, fx
-            if kept == "lo":
-                f_hi /= 2
+            lo, f_lo, f_hi = x, fx, f_hi // 2 if kept == "lo" else f_hi
             kept = "lo"
         else:
-            hi, f_hi = x, fx
-            if kept == "hi":
-                f_lo /= 2
+            hi, f_hi, f_lo = x, fx, f_lo // 2 if kept == "hi" else f_lo
             kept = "hi"
-    return lo, hi
+    return (lo + hi) // 2
 
 
 def reference_eigenvector(matrix, q_float, width, k):
-    """The eigenvector of the float matrix at the eigenvalue within width of
-    q_float, in 50-digit arithmetic.  The Sturm count
-    isolates the eigenvalue in q_float +- width, where det(T - x) changes
-    sign once; Illinois steps on that determinant narrow the bracket to
-    1e-48 relative width, in about 5 evaluations where bisection took 126.
-    Then one inverse-iteration solve (T - q) x = e_k by Gaussian
-    elimination.  k is the peak of the float eigenvector.  A start vector of
-    all ones would leave the other eigenvectors in x at about 1e-50 of the
-    peak, which swamps the smallest components (1e-57 at a=4, n=128); from
-    e_k the result matched a 90-digit run."""
-    count = sturm_counter(matrix)
-    with mpmath.workdps(50):
-        diag = [mpmath.mpf(d) for d in matrix.diagonal]
-        lower = [mpmath.mpf(x) for x in matrix.lower]
-        upper = [mpmath.mpf(x) for x in matrix.upper]
-        lo, hi = mpmath.mpf(q_float) - width, mpmath.mpf(q_float) + width
-        below = count(lo)
-        assert count(hi) == below + 1
-        products = [mpmath.mpf(0)] + [b * c for b, c in zip(lower, upper)]
-        lo, hi = illinois_root(lambda x: continuant(diag, products, x), lo, hi,
-                               mpmath.mpf(10) ** -48 * max(1, abs(lo)))
-        q = (lo + hi) / 2
-        pivots = [d - q for d in diag]
-        rhs = [mpmath.mpf(int(i == k)) for i in range(len(diag))]
-        for i in range(1, len(diag)):
-            factor = lower[i - 1] / pivots[i - 1]
-            pivots[i] -= factor * upper[i - 1]
-            rhs[i] -= factor * rhs[i - 1]
-        x = [rhs[-1] / pivots[-1]]
-        for i in range(len(diag) - 2, -1, -1):
-            x.insert(0, (rhs[i] - upper[i] * x[0]) / pivots[i])
-        return x
+    """Column k of adj(T - q) = det(T - q) (T - q)^-1, exact integers at one
+    scale, for the eigenvalue q of the float matrix within width of q_float:
+    the Sturm count isolates it, and Illinois steps on det(T - x) narrow the
+    bracket to 2^-160 (7e-49) relative width.  k is the peak of the float
+    eigenvector: from a start vector of all ones the other eigenvectors
+    would stay in x at about 1e-50 of the peak, which swamps the smallest
+    components (1e-57 at a=4, n=128)."""
+    lo, hi = Fraction(q_float) - Fraction(width), Fraction(q_float) + Fraction(width)
+    assert sub(*sturm_counts(matrix, (hi, lo))) == 1
+    tol = Fraction(max(1, round(abs(lo))), 1 << 160)
+    diag, lower, upper, (lo, hi, tol) = integer_form(matrix, (lo, hi, tol))
+    q = illinois_root(lambda x: continuant(diag, lower, upper, x)[-1], lo, hi, tol)
+    leading = continuant(diag, lower, upper, q)
+    trailing = continuant(diag[::-1], upper[::-1], lower[::-1], q)[::-1]
+    # Entry i: the product of -T_(m,m+1) over i <= m < k, or of -T_(m+1,m)
+    # over k <= m < i, times leading[min(i, k)] and trailing[max(i, k) + 1].
+    above = [*accumulate((-u for u in reversed(upper[:k])), mul, initial=1)][::-1]
+    below = [*accumulate((-l for l in lower[k:]), mul, initial=1)][1:]
+    return ([f * leading[i] * trailing[k + 1] for i, f in enumerate(above)]
+            + [g * leading[k] * trailing[i + 1] for i, g in enumerate(below, k + 1)])
 
 
 def test_eigenvector_components_match_high_precision_reference():
     """Every component of every even eigenvector at a=4, n=128, relative to
-    its own size, against the 50-digit reference."""
+    its own size, against the exact reference."""
     n, a = 128, 4.0
     mu = -(n - 1) / 2.0
     dec = decompose(make_parameters(0.5, -0.5, mu, mu + 0.5, a, 0.0))
@@ -156,9 +133,8 @@ def test_eigenvector_components_match_high_precision_reference():
         vec = pair.eigenfunction.coefficients
         k = max(range(len(vec)), key=lambda i: abs(vec[i]))
         x = reference_eigenvector(matrix, pair.q, width, k)
-        with mpmath.workdps(50):
-            ref = [xi * vec[k] / x[k] for xi in x]
-            worst = max(abs((v - r) / r) for v, r in zip(vec, ref))
+        v, _ = dyadic_integers(vec)  # |v_i - r_i| / |r_i|, r = x v_k / x_k
+        worst = max(abs(vi * x[k] - xi * v[k]) / abs(xi * v[k]) for vi, xi in zip(v, x))
         assert worst <= 1e-9
 
 
@@ -187,29 +163,42 @@ def test_mutated_pairs_are_caught(a, n, rel):
         assert report.max_relative_residual > THRESHOLD
 
 
-def exact_numerator(coeffs, y, z):
-    """|f1 y'' + f2 y' + f3 y| at z in 50-digit arithmetic, from the same
-    float inputs the verifier sees."""
-    with mpmath.workdps(50):
-        a = [mpmath.mpf(v) for v in coeffs]
-        z = mpmath.mpf(z)
-        total = mpmath.mpf(0)
-        for p, c in terms(y):
-            p, c = mpmath.mpf(p), mpmath.mpmathify(c)
-            up = a[0] * p * (p - 1) + a[3] * p + a[6]
-            same = a[1] * p * (p - 1) + a[4] * p + a[7]
-            down = a[2] * p * (p - 1) + a[5] * p
-            total += c * z**p * (up * z + same + down / z)
-        return abs(total)
+def exact_numerators(coeffs, y, samples):
+    """Fractions lo <= |f1 y'' + f2 y' + f3 y| <= hi at each z in samples, for
+    real y: z^(p0 - 1), p0 the least exponent, times a polynomial whose exact
+    coefficients are formed once, summed by Horner's rule on integers.  lo
+    and hi differ where p0 is a half-integer: math.isqrt brackets sqrt(z)."""
+    a0, a1, a2, a3, a4, a5, a6, a7 = map(Fraction, coeffs)
+    p0 = min(map(Fraction, y.exponents))
+    rows = [Fraction(0)] * (len(y.exponents) + 2)
+    for p, c in terms(y):
+        p, c = Fraction(p), Fraction(c)
+        e = int(p - p0)
+        assert e == p - p0
+        rows[e] += c * (a2 * p * (p - 1) + a5 * p)
+        rows[e + 1] += c * (a1 * p * (p - 1) + a4 * p + a7)
+        rows[e + 2] += c * (a0 * p * (p - 1) + a3 * p + a6)
+    rows, scale = dyadic_integers(rows)
+    whole, half = divmod(p0 - 1, 1)
+    assert half in (0, 0.5)
+    for z in samples:
+        num, den = float(z).as_integer_ratio()
+        shift = den.bit_length() - 1
+        total = 0
+        for e, row in enumerate(reversed(rows)):
+            total = total * num + (row << shift * e)
+        value = abs(Fraction(total, scale << shift * (len(rows) - 1))) * Fraction(z) ** whole
+        root, unit = (math.isqrt(num << shift + 400), 1 << shift + 200) if half else (1, 1)
+        yield value * Fraction(root, unit), value * Fraction(root + bool(half), unit)
 
 
 def assert_plain_sum_is_sound(coeffs, y, samples):
     report = residual_for_coefficients(coeffs, y, samples)
     bound = 8 * len(y.coeffs) * UNIT_ROUNDOFF
-    for z, residual, scale in zip(samples, report.residuals, report.scales):
-        with mpmath.workdps(50):
-            error = abs(mpmath.mpf(residual) * scale - exact_numerator(coeffs, y, z))
-        assert error <= bound * scale
+    brackets = exact_numerators(coeffs, y, samples)
+    for (lo, hi), residual, scale in zip(brackets, report.residuals, report.scales):
+        computed = Fraction(residual) * Fraction(scale)
+        assert max(abs(computed - lo), abs(computed - hi)) <= bound * scale
 
 
 def test_plain_sum_matches_high_precision_on_ladder():

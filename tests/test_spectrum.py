@@ -236,6 +236,14 @@ def test_sturm_count_simple_matrices():
     check_eigenvalues(two, [-1.0, 1.0], tol=1e-12)
     one = TridiagonalMatrix((0.5,), (0.75,), (), ())
     check_eigenvalues(one, [0.75], tol=1e-14)
+    # The 2x2 leading minor is exactly 0 at x = 0 and x = 2; the eigenvalues
+    # are about -0.247, 1.445 and 2.802.
+    three = TridiagonalMatrix((0.0, 1.0, 2.0), (1.0, 1.0, 2.0), (1.0, 1.0), (1.0, 1.0))
+    assert [sturm_counter(three)(x) for x in (0.0, 2.0)] == [1, 2]
+    # A zero product splits the matrix: past the zero minor at x = 0 every
+    # minor is 0, and the block (-1) still counts.
+    split = TridiagonalMatrix((0.0, 1.0), (0.0, -1.0), (1.0,), (0.0,))
+    assert [sturm_counter(split)(x) for x in (-1.0, 0.0, 0.5)] == [0, 1, 2]
 
 
 def test_sturm_count_example1_quarter():
@@ -249,21 +257,26 @@ def test_sturm_count_refuses_negative_products():
         sturm_counter(matrices[0])
 
 
-@pytest.mark.parametrize("a", [0.25, 2.0, 4.0])
-@pytest.mark.parametrize("gamma", [0.5, 1.5])
-@pytest.mark.parametrize("n", [2, 3, 6, 11, 16, 32, 64, 128])
-def test_solver_agrees_with_oracle(a, gamma, n):
+# At large a the tolerance is relative: an absolute 1e-10 is below the ulp
+# of q there (q_0 is about -4.0e9 at n = 128, a = 1e6, with an ulp of 4.8e-7).
+@pytest.mark.parametrize("n, gamma, a", [
+    *((n, gamma, a) for n in (2, 3, 6, 11, 16, 32, 64, 128) for gamma in (0.5, 1.5)
+      for a in (0.25, 2.0, 4.0)),
+    *((n, gamma, a) for n in (16, 128) for gamma in (0.5, 1.5) for a in (64.0, 1e6)),
+])
+def test_solver_agrees_with_oracle(n, gamma, a):
     params = ladder_params(n, gamma, a, q=0.0)
     dec = decompose(params)
     rep = finite_rep(dec)
     assert rep.n == n
     split = split_even_odd(rep)
     result = solve_spectrum(dec, rep)
+    tol = 1e-10 if a <= 4.0 else 1e-13 * max(1.0, *(abs(pair.q) for pair in result.pairs))
     for parity, grid in (("even", split.even), ("odd", split.odd)):
         if not grid.size:
             continue
         solved = [pair.q for pair in result.pairs if pair.parity == parity]
-        check_eigenvalues(build_matrix(dec, grid), solved, tol=1e-10)
+        check_eigenvalues(build_matrix(dec, grid), solved, tol=tol)
 
 
 @pytest.mark.parametrize("n, a", [(128, 2.0), (32, -3.0)])

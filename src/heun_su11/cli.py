@@ -10,10 +10,15 @@ that its rounding moves q (at alpha = -63.5, beta = -63, a = 1e6, q = 0.7
 the pipe prints q = 0.70000004768371582); series --q Q on a saved
 decomposition solves and prints it at Q, as the direct run with --q Q does.
 JSON goes to stdout or --json FILE; spectrum and series also take --csv FILE
-for sampled (z, value) plot data.  verify re-scores a document through the
+for sampled (z, value) plot data.  verify scores a spectrum document's
+eigenpairs exactly, in coefficient space on Python integers
+(heun_core.exact_residuals), with no sample point and no numpy, and
+refuses one whose residuals pass but whose pairs cannot be a whole
+spectrum: an exponent set with fewer or more pairs than exponents, or with
+two identical pairs.  It re-scores a series document through the sampled
 call that scored it when it was emitted, so it reproduces the emitted
-residuals bit for bit, and derives a series' domain from the document's a2
-rather than reading it.  Exit codes: 0 success, 1 validation failure
+residual bit for bit, and derives the series' domain from the document's
+a2 rather than reading it.  Exit codes: 0 success, 1 validation failure
 (including a spectrum, series or verify document with a residual over the
 threshold, which is still emitted), 2 numerical failure, 64 usage error.
 """
@@ -34,6 +39,7 @@ from .errors import NumericalError, UsageError, ValidationError
 from .heun_core import (
     CanonicalCoefficients,
     HeunParameters,
+    exact_residuals,
     lame_parameters,
     make_parameters,
     require_finite,
@@ -215,13 +221,14 @@ def _cause(exponents, coefficients, q, residual: float) -> str:
 
 def _gate(residuals: list, candidates, samples, threshold: float, series: bool = False) -> int:
     """The exit code of spectrum, series and verify for the residuals of the
-    eigenpairs, or of the one series, scored on samples: 1, with the cause
-    on stderr, when no sample is left or a residual is over the threshold
-    or NaN; else 0.  candidates yields each residual's (exponents,
-    coefficients, q), which only a failure's cause reads."""
+    eigenpairs, or of the one series, scored on samples (None for verify's
+    exact scores, which take none): 1, with the cause on stderr, when no
+    sample is left or a residual is over the threshold or NaN; else 0.
+    candidates yields each residual's (exponents, coefficients, q), which
+    only a failure's cause reads."""
     failed = sum(not r <= threshold for r in residuals)
     overflow = "overflows the float range, although {} coefficients and q are finite"
-    if not samples:
+    if samples is not None and not samples:
         what = "the series" if series else "the eigenpairs"
         cause = f"no sample point is left to check {what} on: {samples.cause}"
     elif not failed:
@@ -334,10 +341,27 @@ def _cmd_series(args) -> int:
 def _score_series(coeffs: CanonicalCoefficients, sol) -> tuple:
     """A SeriesSolution's residual and its candidate, each in a list, and
     the samples that scored it."""
-    from .verifier import solution_samples, worst_by_exponents
+    from .verifier import solution_samples, worst_residuals
     samples = solution_samples(coeffs.a2, sol.domain)
-    candidates = [(sol.exponent_list, sol.coefficients, sol.q)]
-    return worst_by_exponents(coeffs, candidates, samples), candidates, samples
+    residual = worst_residuals(coeffs, sol.exponents, sol.coefficient_array[:, None], [sol.q],
+                               samples)
+    return residual.tolist(), [(sol.exponents, sol.coefficients, sol.q)], samples
+
+
+def _check_exponent_sets(candidates) -> None:
+    """Refuse eigenpairs that cannot be a whole spectrum: an exponent set
+    must list as many pairs as it has exponents, no two of them identical."""
+    sets: dict = {}
+    for exponents, values, q in candidates:
+        sets.setdefault(tuple(exponents), []).append((q, *values))
+    for exponents, pairs in sets.items():
+        shown = [_num_str(p) for p in exponents]
+        name = "{" + ", ".join(shown if len(shown) <= 4 else [*shown[:2], "...", shown[-1]]) + "}"
+        if len(pairs) != len(exponents):
+            raise ValidationError(f"the exponent set {name} needs {len(exponents)} eigenpairs, "
+                                  f"one per exponent; the document lists {len(pairs)}")
+        if len(set(pairs)) < len(pairs):
+            raise ValidationError(f"the exponent set {name} lists two identical eigenpairs")
 
 
 def _cmd_verify(args) -> int:
@@ -350,7 +374,6 @@ def _cmd_verify(args) -> int:
     coeffs = CanonicalCoefficients.from_json_dict(
         _require_object(doc["ode_coefficients"], "ode_coefficients"))
     if "eigenpairs" in doc:
-        from .verifier import solution_samples, worst_by_exponents
         pairs = doc["eigenpairs"]
         if not pairs:
             raise ValidationError("solution document lists no eigenpairs")
@@ -360,8 +383,8 @@ def _cmd_verify(args) -> int:
              jsonio.as_number(pair["q"]))
             for pair in pairs
         ]
-        samples = solution_samples(coeffs.a2)
-        residuals = worst_by_exponents(coeffs, candidates, samples)
+        samples = None  # scored exactly, in coefficient space
+        residuals = exact_residuals(coeffs, candidates)
         results = [
             {"q": q, "parity": pair.get("parity"), "max_relative_residual": residual}
             for pair, (_, _, q), residual in zip(pairs, candidates, residuals)
@@ -382,6 +405,8 @@ def _cmd_verify(args) -> int:
         raise ValidationError("solution document has neither eigenpairs nor series")
     # Written so that a NaN residual would fail too; non-finite input scores inf.
     passed = all(r <= args.threshold for r in residuals)
+    if passed and "eigenpairs" in doc:
+        _check_exponent_sets(candidates)
     _emit_json(
         {
             "max_relative_residual": max(residuals),

@@ -262,8 +262,7 @@ def solve_spectrum(dec: Su11Decomposition, rep: RepresentationDescriptor) -> Spe
     positive.  Each pair carries the relative residual of its eigenfunction
     in the original equation with the accessory set to that eigenvalue.
     Every eigenfunction of a parity lives on the same exponents, so one
-    worst_residuals call scores them all, the call verify repeats on the
-    printed document.
+    worst_residuals call scores them all.
     """
     if rep.rep_class is not RepresentationClass.FINITE_DIMENSIONAL:
         raise ValidationError(

@@ -18,18 +18,19 @@ compensated summation is needed.  A sample whose terms all vanish scores 0;
 a non-finite sum or scale scores inf, and the worst over the samples is inf
 for the zero function or an empty sample set.
 
-The verifier owns the two scoring rules.  solution_samples, the one sample
-rule, maps a solution's domain to its samples.  residual_block, the one
-block scorer, scores the candidates' coefficients as given, zeros included;
-worst_residuals takes the block's dtype from the coefficients and q
-together.  P candidates that share one exponent set (the eigenfunctions of
-one parity sub-grid) share one power matrix z^p and one stacked matrix
+The verifier owns the two sampled scoring rules.  solution_samples, the one
+sample rule, maps a solution's domain to its samples.  residual_block, the
+one block scorer, scores the candidates' coefficients as given, zeros
+included; worst_residuals takes the block's dtype from the coefficients and
+q together.  P candidates that share one exponent set (the eigenfunctions
+of one parity sub-grid) share one power matrix z^p and one stacked matrix
 product, which numpy runs as one gemm per candidate.  A column's bits depend
 on the block's dtype: a real column in a complex block is summed in complex
 arithmetic and may differ in the last bits from the same column scored as a
 float.  spectrum scores its output through worst_residuals, and series and
-verify through worst_by_exponents, the same call on the same block, so
-verify reproduces the emitter's residuals bit for bit.
+verify score a series through the same call on the same one-column block,
+so verify reproduces a series' residual bit for bit.  verify scores a
+spectrum's eigenpairs without samples, by heun_core.exact_residuals.
 residual_for_coefficients, the single-solution report, is the one-column
 case of residual_block on a MonomialSum as given, so on a series'
 as_monomial_sum it finds the worst residual that series and verify print.
@@ -221,23 +222,6 @@ def worst_residuals(coeffs: CanonicalCoefficients, exponents: np.ndarray, block:
     a7 = np.where(q.imag != 0.0, -q, -q.real)
     residuals, _ = residual_block(coeffs, exponents, block, a7, z_samples)
     return _worst(residuals, block)
-
-
-def worst_by_exponents(coeffs: CanonicalCoefficients, candidates: list, z_samples) -> list:
-    """Worst residual of each candidate (exponents, coefficients, q), given
-    as Python numbers: one worst_residuals call per exponent set, on a block
-    of every coefficient of its candidates, so the pairs of a printed parity
-    sub-grid score as solve_spectrum scored them."""
-    groups: dict = {}
-    for i, (exponents, values, q) in enumerate(candidates):
-        groups.setdefault(tuple(exponents), []).append((i, values, q))
-    worst = [0.0] * len(candidates)
-    for exponents, members in groups.items():
-        indices, rows, q = zip(*members)
-        scored = worst_residuals(coeffs, np.array(exponents), np.array(rows).T, q, z_samples)
-        for i, residual in zip(indices, scored.tolist()):
-            worst[i] = residual
-    return worst
 
 
 def residual_for_coefficients(coeffs: CanonicalCoefficients, solution: MonomialSum,

@@ -35,6 +35,15 @@ sum summed as its real and imaginary parts apart.  evaluate_by_terms
 applies it to a SeriesSolution; the value of the package's one evaluator,
 evaluate_series, must equal it bit for bit.
 
+coefficient_residual is the reference for verify's exact score of an
+eigenpair: (L - q) y as a finite sum of powers, kept in a dict by each
+power's Fraction exponent, with the power's sum of term magnitudes beside
+it; every factor and value is written as an integer by dyadic_integers.  A
+complex number's modulus is bracketed by math.isqrt to 2^-200, so the
+reference is a pair of Fractions around max_k |r_k| / s_k, one Fraction
+when every number is real.  check_exact_scores holds verify's printed
+scores of a spectrum document against it.
+
 exact_magnitude is the exact sum of the magnitudes of some floats, as a
 Fraction: the soundness oracle of evaluate_series' cut, whose bound D on
 the dropped live terms must be at least the exact sum of their computed
@@ -44,18 +53,24 @@ be at least that of the dropped terms' shares of the scale, scale_terms.
 
 import math
 import operator
+from collections import defaultdict
 from fractions import Fraction
 from typing import Callable, Iterable, List, Sequence, Tuple
 
-from heun_su11.heun_core import HeunParameters, make_parameters
+from heun_su11.heun_core import CanonicalCoefficients, HeunParameters, make_parameters
+from heun_su11.jsonio import as_number
 from heun_su11.monomials import MonomialSum
 from heun_su11.spectrum import TridiagonalMatrix
 
 
 def dyadic_integers(values: Iterable) -> Tuple[List[int], int]:
-    """(values times s, s), s the least power of two making each value an integer."""
+    """(values times s, s), s the largest denominator of the values (floats or
+    Fractions), which must be a multiple of every other: for floats and
+    dyadic Fractions, the least power of two making each value an integer."""
     ratios = [v.as_integer_ratio() for v in values]
     scale = max((d for _, d in ratios), default=1)
+    if any(scale % d for _, d in ratios):
+        raise ValueError(f"the denominators of {values!r} do not all divide {scale}")
     return [n * (scale // d) for n, d in ratios], scale
 
 
@@ -177,3 +192,67 @@ def scale_terms(coeffs, terms: Iterable[Tuple[float, float]], z: float):
         same = (a1 * pp + a4 * ap + a7) * c
         down = (a2 * pp + a5 * ap) * c
         yield (z * up + same + down / z) * abs(z**p)
+
+
+def modulus_bracket(re, im) -> Tuple[Fraction, Fraction]:
+    """lo <= |re + i im| <= hi for rationals re and im, equal when im is 0,
+    else 2^-200 apart relative to the modulus."""
+    if not im:
+        return abs(re), abs(re)
+    n, d = Fraction(re * re + im * im).as_integer_ratio()
+    root = math.isqrt(n * d << 400)
+    return Fraction(root, d << 200), Fraction(root + 1, d << 200)
+
+
+def coefficient_residual(coeffs, exponents, values, q) -> Tuple[Fraction, Fraction]:
+    """Fractions lo <= max_k |r_k| / s_k <= hi for the candidate sum of
+    values[m] z^exponents[m] with a7 = -q: r_k sums every term a_i f_i(p) c
+    (and -q c) that lands on z^k, s_k their magnitudes; a power whose terms
+    all vanish counts 0.  lo == hi when q and the values are real.  The
+    terms' factors and -q share one scale and the values another, which
+    both r_k and s_k carry, so the sums run on integers."""
+    a0, a1, a2, a3, a4, a5, a6 = map(Fraction, coeffs[:7])
+    q = complex(q)
+    factors = []  # per exponent: the signed sums and the magnitude sums on z^(p+1), z^p, z^(p-1)
+    for p in map(Fraction, exponents):
+        pp = p * (p - 1)
+        by_power = ((a0 * pp, a3 * p, a6), (a1 * pp, a4 * p), (a2 * pp, a5 * p))
+        factors += [*map(sum, by_power), *(sum(map(abs, terms)) for terms in by_power)]
+    factors, _ = dyadic_integers([*factors, -q.real, -q.imag])
+    *factors, qr, qi = factors
+    parts, _ = dyadic_integers([x for c in map(complex, values) for x in (c.real, c.imag)])
+    q_lo, q_hi = modulus_bracket(qr, qi)
+    sums = defaultdict(lambda: [0] * 4)  # k -> [re, im, s_lo, s_hi]
+    for m, p in enumerate(map(Fraction, exponents)):
+        cr, ci = parts[2 * m:2 * m + 2]
+        c_lo, c_hi = modulus_bracket(cr, ci)
+        signed, sizes = factors[6 * m:6 * m + 3], factors[6 * m + 3:6 * m + 6]
+        for k, u, size in zip((p + 1, p, p - 1), signed, sizes):
+            total = sums[k]
+            total[0] += u * cr
+            total[1] += u * ci
+            total[2] += size * c_lo
+            total[3] += size * c_hi
+        total = sums[p]  # the term a7 c = -q c
+        total[0] += qr * cr - qi * ci
+        total[1] += qr * ci + qi * cr
+        total[2] += q_lo * c_lo
+        total[3] += q_hi * c_hi
+    lo = hi = Fraction(0)
+    for re, im, s_lo, s_hi in sums.values():
+        if s_hi:
+            r_lo, r_hi = modulus_bracket(re, im)
+            lo, hi = max(lo, Fraction(r_lo) / s_hi), max(hi, Fraction(r_hi) / s_lo)
+    return lo, hi
+
+
+def check_exact_scores(doc: dict, scores: Sequence[float]) -> None:
+    """Assert that each score of a spectrum document's eigenpairs is at least
+    the pair's exact residual and at most 2^-50 relative above it."""
+    coeffs = CanonicalCoefficients.from_json_dict(doc["ode_coefficients"])
+    assert len(scores) == len(doc["eigenpairs"])
+    for score, pair in zip(scores, doc["eigenpairs"]):
+        exponents, values = ([as_number(t[key]) for t in pair["coefficients"]]
+                             for key in ("exponent", "value"))
+        lo, hi = coefficient_residual(coeffs, exponents, values, as_number(pair["q"]))
+        assert hi <= Fraction(score) <= lo * (1 + Fraction(1, 2**50)), (score, float(lo))

@@ -4,16 +4,17 @@ import math
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from heun_su11 import cli
+from heun_su11 import cli, heun_core
 from heun_su11 import series_engine as series_module
 from heun_su11 import spectrum as spectrum_module
 from heun_su11 import verifier as verifier_module
 from heun_su11 import RepresentationClass, classify, decompose, make_parameters, solve_spectrum
 from heun_su11.cli import main
-from oracle import series_terms, sum_by_terms
+from oracle import check_exact_scores, series_terms, sum_by_terms
 
 
 def run_json(capsys, argv):
@@ -633,11 +634,11 @@ def spectrum_then_verify(argv, capsys, monkeypatch):
     return spectrum_rc, json.loads(text), rc, json.loads(capsys.readouterr().out)
 
 
-def test_verify_reproduces_every_emitted_residual(capsys, monkeypatch):
-    """verify re-scores each sub-grid through the emitter's own call, so every
-    result equals the printed residual, also for the real pairs of a sub-grid
-    with complex eigenvalues, which the emitter scores in complex arithmetic.
-    Both commands gate at the same threshold, so they exit alike."""
+def test_verify_scores_every_emitted_pair_exactly(capsys, monkeypatch):
+    """verify scores each pair exactly in coefficient space, also the real
+    pairs of a sub-grid with complex eigenvalues.  On these ladders it exits
+    as spectrum does: 0, except at a = -0.5, n = 128, where both exit 1
+    (the exact score is 4.8e-7, ROADMAP item 2)."""
     rng = random.Random(8)
     cases = [(-3.0, 32, 0.5), (2.0, 2, 0.5), (-0.5, 128, 1.5)]
     for _ in range(10):
@@ -649,8 +650,7 @@ def test_verify_reproduces_every_emitted_residual(capsys, monkeypatch):
             ladder_argv(n, gamma, a), capsys, monkeypatch)
         pairs = doc["eigenpairs"]
         assert len(pairs) == n and rc == spectrum_rc and report["passed"] is (rc == 0)
-        assert [r["max_relative_residual"] for r in report["results"]] == [
-            pair["residual"] for pair in pairs]
+        check_exact_scores(doc, [r["max_relative_residual"] for r in report["results"]])
         for parity in ("even", "odd"):
             real = {pair["q"]["im"] == 0.0 for pair in pairs
                     if pair["parity"] == parity and isinstance(pair["q"], dict)}
@@ -659,9 +659,10 @@ def test_verify_reproduces_every_emitted_residual(capsys, monkeypatch):
     assert seen_mixed and seen_zero_q
 
 
-def test_planted_zero_coefficient_scores_alike_in_spectrum_and_verify(capsys, monkeypatch):
-    """An exact zero in an eigenvector is a zero term for both commands; with
-    31 or more exponents, dropping it changes the gemm's order of summation."""
+def test_a_planted_zero_coefficient_is_scored_exactly(capsys, monkeypatch):
+    """An exact zero in an eigenvector is a zero term: spectrum's samples and
+    verify's exact sums both fail the two planted pairs, and verify scores
+    every pair, zero terms included, as the exact reference does."""
     normalize = spectrum_module._normalize_rows
 
     def plant_zero(rows):
@@ -670,36 +671,79 @@ def test_planted_zero_coefficient_scores_alike_in_spectrum_and_verify(capsys, mo
         return rows
 
     monkeypatch.setattr(spectrum_module, "_normalize_rows", plant_zero)
-    _, doc, _, report = spectrum_then_verify(ladder_argv(96, 0.5, 2.0), capsys, monkeypatch)
+    spectrum_rc, doc, rc, report = spectrum_then_verify(
+        ladder_argv(96, 0.5, 2.0), capsys, monkeypatch)
+    assert spectrum_rc == rc == 1
     pairs = doc["eigenpairs"]
     planted = [i for i, pair in enumerate(pairs)
                if 0.0 in [t["value"] for t in pair["coefficients"]]]
     assert len(planted) == 2 and len(pairs[planted[0]]["coefficients"]) >= 31
-    assert [r["max_relative_residual"] for r in report["results"]] == [
-        pair["residual"] for pair in pairs]
+    scores = [r["max_relative_residual"] for r in report["results"]]
+    assert [i for i, score in enumerate(scores) if score > 1e-8] == planted
+    check_exact_scores(doc, scores)
 
 
 def test_verify_scores_each_parity_with_one_call(capsys, monkeypatch):
+    """One exact_residuals call scores the whole document, and it builds the
+    rows of each exponent once, 64 per parity at n = 128, not once per pair;
+    the sampled scorer is not called."""
     main(ladder_argv(128, 0.5, 4.0))
     text = capsys.readouterr().out
-    kernel = verifier_module.residual_block
-    columns = []
+    calls, exponents = [], []
+    score, rows = cli.exact_residuals, heun_core.canonical_rows
 
-    def counting(coeffs, exponents, block, a7, z_samples):
-        columns.append(block.shape[1])
-        return kernel(coeffs, exponents, block, a7, z_samples)
+    def counting(coeffs, candidates):
+        calls.append(len(candidates))
+        return score(coeffs, candidates)
 
-    monkeypatch.setattr(verifier_module, "residual_block", counting)
+    def counting_rows(coeffs, p):
+        exponents.append(p)
+        return rows(coeffs, p)
+
+    def sampled(*args):
+        raise AssertionError("verify called the sampled scorer")
+
+    monkeypatch.setattr(cli, "exact_residuals", counting)
+    monkeypatch.setattr(heun_core, "canonical_rows", counting_rows)
+    monkeypatch.setattr(verifier_module, "residual_block", sampled)
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     assert main(["verify", "--solution", "-"]) == 0
     capsys.readouterr()
-    assert columns == [64, 64]
+    assert calls == [128]
+    assert sorted(exponents) == [Fraction(k, 2) for k in range(128)]
+
+
+SET_EDITS = {
+    "three-copies": (["--preset", "example1", "--a", "4"], lambda pairs: [pairs[0]] * 3,
+                     "the exponent set {0, 1} needs 2 eigenpairs, one per exponent; the "
+                     "document lists 3"),
+    "first-only": (["--preset", "example1", "--a", "4"], lambda pairs: pairs[:1],
+                   "the exponent set {0, 1} needs 2 eigenpairs, one per exponent; the "
+                   "document lists 1"),
+    "identical": (ladder_argv(10, 0.5, 2.0)[1:], lambda pairs: [pairs[0], *pairs[:4], *pairs[5:]],
+                  "the exponent set {0, 1, ..., 4} lists two identical eigenpairs"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SET_EDITS))
+def test_verify_refuses_pairs_that_cannot_be_the_whole_spectrum(case, capsys, monkeypatch):
+    """Each pair of these documents scores at rounding level, but an exponent
+    set must list one pair per exponent, no two identical; verify names the
+    set, prints no report and exits 1."""
+    argv, edit, line = SET_EDITS[case]
+    assert main(["spectrum", *argv]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["eigenpairs"] = edit(doc["eigenpairs"])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(["verify", "--solution", "-"]) == 1
+    assert capsys.readouterr() == ("", f"heun-su11: {line}\n")
 
 
 def vacuous(doc):
-    """Documents that carry no solution to check, or no sample point to check
-    it on: with a = a2 in [0, 1e-6] every default sample of (0, a) lies at 0
-    or within 1e-6 of a."""
+    """Documents that carry no solution to check, or whose q = 123 is wrong at
+    an a = a2 in [0, 1e-6], where every default sample of (0, a) lies at 0 or
+    within 1e-6 of a: verify's exact sums take no sample, so they still
+    score those pairs, over the threshold."""
     no_terms = json.loads(json.dumps(doc))
     for pair in no_terms["eigenpairs"]:
         pair.update(coefficients=[], q=123.0)
@@ -728,7 +772,11 @@ def test_verify_fails_documents_without_a_solution(case, capsys, monkeypatch):
     if out:
         report = json.loads(out)
         assert report["passed"] is False
-        assert all(r["max_relative_residual"] is None for r in report["results"])
+        scores = [r["max_relative_residual"] for r in report["results"]]
+        if case.startswith("no-samples"):
+            assert all(score > 1e-8 for score in scores)
+        else:
+            assert scores == [None] * len(scores)
 
 
 @pytest.mark.parametrize("option", [["--csv", "plot.csv"], ["--samples", "5"]],
@@ -796,15 +844,26 @@ EMITTER_CAUSES = {
     "eigenpairs-overflowed": ["spectrum", "--preset", "example1", "--a", "1e308"],
     "series-overflowed": ["series", "--preset", "example1", "--a", "1e300", "--q", "0.3",
                           "--rep", "nd", "--kmax", "1"],
+    "eigenpairs-over-threshold": ladder_argv(128, 0.5, 1e-5),
 }
 
 
 @pytest.mark.parametrize("case", sorted(EMITTER_CAUSES))
 def test_verify_names_the_cause_the_emitter_named(case, capsys, monkeypatch):
+    """verify fails a series document for the cause its emitter named.  An
+    eigenpairs document fails its emitter on the samples: none is left at
+    a = 1e-7, the sums pass the largest float at a = 1e308, and at a = 1e-5
+    (n = 128) 5 pairs score over 1e-8 there.  verify's exact sums take no
+    sample and round nothing, and pass each honest pair, at most 5.4e-10."""
     assert main(EMITTER_CAUSES[case]) == 1
     emitted = capsys.readouterr()
     [line] = emitted.err.splitlines()
     monkeypatch.setattr(sys, "stdin", io.StringIO(emitted.out))
+    if case.startswith("eigenpairs"):
+        assert main(["verify", "--solution", "-"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and json.loads(captured.out)["max_relative_residual"] < 6e-10
+        return
     assert main(["verify", "--solution", "-"]) == 1
     captured = capsys.readouterr()
     assert json.loads(captured.out)["passed"] is False
@@ -837,7 +896,12 @@ def test_an_overflowed_residual_names_its_cause(capsys, monkeypatch):
     doc = json.loads(captured.out)
     odd = doc["eigenpairs"][2]
     assert (odd["parity"], odd["q"], odd["residual"]) == ("odd", 2.5e307, None)
-    # A pair with a wrong q, or a null coefficient or q, fails for its own cause.
+    # verify's sums are exact integers, which do not overflow: it passes the
+    # document, and a pair with a wrong q, or a null coefficient or q, fails
+    # for its own cause alone.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(captured.out))
+    assert main(["verify", "--solution", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"][2]["max_relative_residual"] < 1e-15
     null = {"coefficients": [{"exponent": 0, "value": None}]}
     null_exponent = {"coefficients": [{"exponent": None, "value": 1.0}]}
     for pair, change, cause in ((0, {"q": 0.0}, "a residual over 1e-08"),
@@ -848,7 +912,7 @@ def test_an_overflowed_residual_names_its_cause(capsys, monkeypatch):
         forged["eigenpairs"][pair].update(change)
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(forged)))
         assert main(["verify", "--solution", "-"]) == 1
-        assert capsys.readouterr().err == f"heun-su11: 1 of 3 eigenpairs have {cause}; {overflowed}\n"
+        assert capsys.readouterr().err == f"heun-su11: 1 of 3 eigenpairs have {cause}\n"
     assert main(["series", "--preset", "example1", "--a", "1e300", "--q", "0.3", "--rep", "nd",
                  "--kmax", "1"]) == 1
     captured = capsys.readouterr()
@@ -876,14 +940,16 @@ def _null_p0_and_b3(series):
 # Forged documents whose failing candidates mix causes: the command that
 # prints the document, an edit of eigenpair i (or of the series, i None),
 # and the one line verify prints.  The zero function scores inf, but its
-# coefficients are all zero, so it is not an overflow.
+# coefficients are all zero, so it is not an overflow.  The odd pair of the
+# a = 1e308 document overflows the emitter's samples, but verify's exact
+# sums pass it.
 MIXED_CAUSES = {
     "eigenpairs-zero-null-overflowed": (
         ["spectrum", "--preset", "example1", "--a", "1e308"],
         [(0, _zero_values),
          (1, lambda pair: pair.update(coefficients=[{"exponent": None, "value": None}]))],
         "1 of 3 eigenpairs have non-finite exponents; 1 of 3 eigenpairs have a residual over "
-        "1e-08; 1 of 3 eigenpairs have a residual that " + OVERFLOWED.format("their")),
+        "1e-08"),
     "eigenpairs-q-exponent-null-q": (
         ["spectrum", "--preset", "example1", "--a", "4"],
         [(0, lambda pair: pair.update(q=pair["q"] + 1)), (1, _null_first_exponent),

@@ -143,6 +143,9 @@ def test_second_order_action_parts_sum_to_action():
             a[2] * f1 + a[5] * f2,
         )
         assert canonical_rows(c, float(p)) == tuple(map(float, expected))
+        # The same arithmetic on exact numbers stays exact.
+        exact = canonical_rows(CanonicalCoefficients(*a), p)
+        assert exact == expected and all(isinstance(row, Fraction) for row in exact)
 
 
 def test_coefficients_json_roundtrip():

@@ -15,9 +15,20 @@ threshold of 1e-8 unchanged:
 - the powers that the residual's power matrix and evaluate_series skip as
   underflowed are exactly 0.0, over both series sample domains and past
   them, so skipping them changes no bit.
+
+verify scores a spectrum document exactly, in coefficient space, not at
+samples.  That changes how the check measures, so the evidence is here too:
+a pair forged in the null space of the sampled map, which the samples
+score at rounding level, fails it; the benchmark's two planted answers
+fail it; and on drawn honest ladders every printed score lies between the
+exact residual and 2^-50 above it.
 """
 
+import io
+import json
 import math
+import random
+import sys
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul, sub
@@ -25,14 +36,27 @@ from operator import mul, sub
 import numpy as np
 import pytest
 
-from heun_su11.heun_core import canonical_coefficients, make_parameters
-from heun_su11.monomials import UNDERFLOW_LOG2
+from heun_su11.cli import main
+from heun_su11.heun_core import (
+    CanonicalCoefficients,
+    canonical_coefficients,
+    canonical_rows,
+    make_parameters,
+)
+from heun_su11.monomials import UNDERFLOW_LOG2, MonomialSum
 from heun_su11.representations import RepresentationClass, classify, split_even_odd
 from heun_su11.series_engine import ASCENDING, DESCENDING, _live_terms, series_solution
 from heun_su11.spectrum import build_matrix, solve_spectrum
 from heun_su11.su11_algebra import decompose, rebuild_coefficients
 from heun_su11.verifier import default_sample_points, residual_for_coefficients
-from oracle import continuant, dyadic_integers, integer_form, sturm_counts, terms
+from oracle import (
+    check_exact_scores,
+    continuant,
+    dyadic_integers,
+    integer_form,
+    sturm_counts,
+    terms,
+)
 
 THRESHOLD = 1e-8
 UNIT_ROUNDOFF = 2.0**-53
@@ -201,13 +225,22 @@ def assert_plain_sum_is_sound(coeffs, y, samples):
         assert max(abs(computed - lo), abs(computed - hi)) <= bound * scale
 
 
+def moved(q):
+    """q moved as test_mutated_pairs_are_caught moves it.  A candidate's
+    numerator is then far above rounding, so it pins the reference's scale,
+    where a correct candidate's numerator, itself at rounding level, would
+    let a reference off by a factor pass."""
+    return q + 1e-6 * max(1.0, abs(q))
+
+
 def test_plain_sum_matches_high_precision_on_ladder():
     coeffs, pairs = ladder(32, 2.0)
     samples = default_sample_points(2.0)
     for pair in pairs:
-        assert_plain_sum_is_sound(
-            coeffs.with_accessory(pair.q), pair.eigenfunction.as_monomial_sum(), samples
-        )
+        for q in (pair.q, moved(pair.q)):
+            assert_plain_sum_is_sound(
+                coeffs.with_accessory(q), pair.eigenfunction.as_monomial_sum(), samples
+            )
 
 
 def test_plain_sum_matches_high_precision_on_long_series():
@@ -219,7 +252,9 @@ def test_plain_sum_matches_high_precision_on_long_series():
     sol = series_solution(dec, ladder_rep, "even", 0.3, 1000)
     # The sample domain verify uses for an ascending series.
     samples = default_sample_points(2.0, domain=(0.0, 0.5 * sol.domain[1]))
-    assert_plain_sum_is_sound(canonical_coefficients(params), sol.as_monomial_sum(), samples)
+    coeffs = canonical_coefficients(params)
+    for q in (0.3, moved(0.3)):
+        assert_plain_sum_is_sound(coeffs.with_accessory(q), sol.as_monomial_sum(), samples)
 
 
 # Edges of the series domains: min(1, |a|) ascending, max(1, |a|) descending.
@@ -271,3 +306,94 @@ def test_evaluate_series_skips_only_exact_zeros():
             assert not any(map(z.__pow__, exponents))
             skipped += len(exponents)
     assert skipped > 10**6
+
+
+def run(argv, capsys, monkeypatch, stdin=""):
+    """(exit code, stdout) of heun-su11 argv with stdin."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    rc = main(argv)
+    return rc, capsys.readouterr().out
+
+
+def ladder_argv(n, gamma, a, delta=-0.5):
+    """spectrum flags for the finite ladder of length n."""
+    mu = {0.5: 0.0, 1.5: 0.5}[gamma] - (n - 1) / 2.0
+    return ["spectrum", "--gamma", repr(gamma), "--delta", repr(delta), "--alpha", repr(mu),
+            "--beta", repr(mu + 0.5), "--a", repr(a)]
+
+
+def verify_scores(doc, capsys, monkeypatch):
+    """verify's exit code and per-pair scores on the document."""
+    rc, out = run(["verify", "--solution", "-"], capsys, monkeypatch, json.dumps(doc))
+    return rc, [r["max_relative_residual"] for r in json.loads(out)["results"]]
+
+
+def test_verify_fails_a_pair_forged_in_the_null_space_of_the_samples(capsys, monkeypatch):
+    """n = 128, a = 2: the middle even pair plus a null vector of its map
+    from 64 coefficients to the residual's numerator at the 25 samples,
+    scaled to 0.1 max|c|.  The samples score it at rounding level; its exact
+    residual is 0.56."""
+    _, out = run(ladder_argv(128, 0.5, 2.0), capsys, monkeypatch)
+    doc = json.loads(out)
+    coeffs = CanonicalCoefficients.from_json_dict(doc["ode_coefficients"])
+    even = [i for i, pair in enumerate(doc["eigenpairs"]) if pair["parity"] == "even"]
+    i = even[len(even) // 2]
+    pair = doc["eigenpairs"][i]
+    p = np.array([t["exponent"] for t in pair["coefficients"]], dtype=float)
+    c = np.array([t["value"] for t in pair["coefficients"]])
+    z = np.array(default_sample_points(coeffs.a2))
+    up, same, down = np.array([canonical_rows(coeffs.with_accessory(pair["q"]), x) for x in p]).T
+    sampled_map = z[:, None] ** p * (up * z[:, None] + same + down / z[:, None])
+    null = np.linalg.svd(sampled_map)[2][-1]
+    forged = c + 0.1 * np.abs(c).max() * null / np.abs(null).max()
+    y = MonomialSum(tuple(p.tolist()), tuple(forged.tolist()))
+    sampled = residual_for_coefficients(coeffs.with_accessory(pair["q"]), y, tuple(z.tolist()))
+    assert sampled.max_relative_residual <= 1e-14
+    for term, value in zip(pair["coefficients"], forged.tolist()):
+        term["value"] = value
+    rc, scores = verify_scores(doc, capsys, monkeypatch)
+    assert rc == 1
+    assert [j for j, score in enumerate(scores) if score > THRESHOLD] == [i]
+    assert scores[i] > 0.1
+
+
+# The benchmark's plants (bench/check.py): q moved by 1e-6, relative to |q|
+# when |q| > 1, and the largest coefficient of the first multi-term pair
+# scaled by 1 + 1e-6.
+PLANTED_DOCUMENTS = {
+    "example1": ["spectrum", "--preset", "example1"],
+    "n=16": ladder_argv(16, 0.5, 2.0),
+    "n=32": ladder_argv(32, 0.5, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", list(PLANTED_DOCUMENTS))
+def test_verify_fails_the_benchmarks_planted_answers(name, capsys, monkeypatch):
+    _, out = run(PLANTED_DOCUMENTS[name], capsys, monkeypatch)
+    planted_q, planted_c = json.loads(out), json.loads(out)
+    pair = planted_q["eigenpairs"][0]
+    pair["q"] += 1e-6 * max(1.0, abs(pair["q"]))
+    pair = next(p for p in planted_c["eigenpairs"] if len(p["coefficients"]) > 1)
+    term = max(pair["coefficients"], key=lambda t: abs(t["value"]))
+    term["value"] *= 1.0 + 1e-6
+    for doc in (planted_q, planted_c):
+        rc, scores = verify_scores(doc, capsys, monkeypatch)
+        assert rc == 1 and max(scores) > 1e-7
+
+
+@pytest.mark.sweep
+def test_verify_scores_drawn_spectra_exactly(seed, capsys, monkeypatch):
+    """Honest spectrum documents at drawn a and delta, as the M1 sweep draws
+    a (log-uniform in [1e-5, 3] with n up to 128, and in [-3, -0.5] with n
+    up to 32), both gammas: verify passes every pair, and each printed score
+    is at least the exact residual and at most 2^-50 relative above it."""
+    rng = random.Random(f"exact-verify-sweep-{seed}")
+    for gamma in (0.5, 1.5):
+        for sign, lo, hi, top in ((1.0, 1e-5, 3.0, 128), (-1.0, 0.5, 3.0, 32)):
+            a = sign * math.exp(rng.uniform(math.log(lo), math.log(hi)))
+            argv = ladder_argv(rng.randint(1, top), gamma, a, round(rng.uniform(-1.0, 1.0), 6))
+            _, out = run(argv, capsys, monkeypatch)
+            doc = json.loads(out)
+            rc, scores = verify_scores(doc, capsys, monkeypatch)
+            assert rc == 0, argv
+            check_exact_scores(doc, scores)

@@ -201,7 +201,7 @@ def test_the_library_scores_a_series_as_the_cli_does():
     # Over series_long's grid (each preset at its own a, both ladders and
     # parities, K = 60 and 1000, q drawn as at seed 1): ode_residual on
     # as_monomial_sum finds bit for bit the worst residual that series and
-    # verify get from worst_by_exponents, inf for the overflowed series too,
+    # verify get from cli._score_series, inf for the overflowed series too,
     # and the sum reuses the series' cached exponents.
     rng = random.Random("series_long-1")
     overflowed = 0

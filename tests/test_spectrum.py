@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from heun_su11.series_engine import evaluate_series
 from heun_su11.spectrum import TridiagonalMatrix, build_matrix, solve_spectrum
 from heun_su11.su11_algebra import decompose, rebuild_coefficients
 from heun_su11.verifier import default_sample_points, residual_block, residual_for_coefficients
-from oracle import check_eigenvalues, m1_image, m3_image, sturm_counter, terms
+from oracle import check_eigenvalues, dyadic_integers, m1_image, m3_image, sturm_counter, terms
 
 
 def example1(a, q=0.0):
@@ -246,6 +247,17 @@ def test_sturm_count_simple_matrices():
     assert [sturm_counter(split)(x) for x in (-1.0, 0.0, 0.5)] == [0, 1, 2]
 
 
+def test_dyadic_integers_refuses_a_denominator_its_scale_does_not_hold():
+    # 2^55, the denominator of 0.1, is the largest here, and 10^12 does not
+    # divide it: 10^-12 would be written as 36028 / 2^55.
+    with pytest.raises(ValueError, match="do not all divide"):
+        dyadic_integers([0.1, Fraction(10) ** -12])
+    # So is a probe at 10^-12 beside the entries of a ladder at a = 0.3.
+    with pytest.raises(ValueError, match="do not all divide"):
+        sturm_counter(matrices_for(example1(0.3))[0])(Fraction(10) ** -12)
+    assert dyadic_integers([0.75, Fraction(-3, 8), 2]) == ([6, -3, 16], 8)
+
+
 def test_sturm_count_example1_quarter():
     matrices = matrices_for(example1(0.25))
     check_eigenvalues(matrices[0], [-0.25, 0.25])
@@ -435,16 +447,24 @@ CLI = ["-m", "heun_su11"]
 # numpy and the package modules that import it.
 NUMERIC = {"numpy", "heun_su11.monomials", "heun_su11.verifier", "heun_su11.series_engine",
            "heun_su11.spectrum"}
+GOLDEN = Path(__file__).parent / "golden"
+# name -> (arguments, stdin): the scalar subcommands on the presets, the
+# rejected input, and verify on the spectrum documents the benchmark pipes.
+SCALAR_RUNS = {
+    **{f"{command}-{preset}": ([command, "--preset", preset], "")
+       for preset in ("example1", "example2", "lame")
+       for command in ("decompose", "classify", "check-algebra")},
+    "rejected-decompose": (REJECTED, ""),
+    **{f"verify-spectrum-{name}": (["verify", "--solution", "-"],
+                                   (GOLDEN / f"spectrum-{name}.out").read_text(encoding="utf-8"))
+       for name in ("example1", "example2", "lame", "n32-a2")},
+}
 
 
-@pytest.mark.parametrize("argv", [
-    *([command, "--preset", preset]
-      for preset in ("example1", "example2", "lame")
-      for command in ("decompose", "classify", "check-algebra")),
-    REJECTED,
-], ids=lambda argv: "rejected-decompose" if argv is REJECTED else "-".join(argv[::2]))
-def test_scalar_commands_leave_numpy_out(argv):
-    returncode, imported = imported_modules([*CLI, *argv])
+@pytest.mark.parametrize("name", list(SCALAR_RUNS))
+def test_scalar_commands_leave_numpy_out(name):
+    argv, stdin = SCALAR_RUNS[name]
+    returncode, imported = imported_modules([*CLI, *argv], stdin)
     assert returncode == (1 if argv is REJECTED else 0)
     assert "heun_su11.cli" in imported
     assert not NUMERIC & imported
@@ -484,11 +504,12 @@ def test_spectrum_loads_series_engine_only_to_write_csv(tmp_path):
 
 def test_numeric_commands_leave_dataclasses_out():
     # The records are NamedTuples, so no subcommand pays for the dataclass
-    # machinery at start-up; the scalar ones are checked above.
-    spectrum = ["spectrum", "--preset", "example1"]
-    document = subprocess.run([sys.executable, *CLI, *spectrum], env=SRC_ENV,
+    # machinery at start-up; the scalar ones, and verify on a spectrum
+    # document, are checked above.  verify loads numpy for a series.
+    series = ["series", "--preset", "lame", "--q", "0.3"]
+    document = subprocess.run([sys.executable, *CLI, *series], env=SRC_ENV,
                               capture_output=True, text=True, check=True).stdout
-    runs = [(spectrum, ""), (["series", "--preset", "lame", "--q", "0.3"], ""),
+    runs = [(["spectrum", "--preset", "example1"], ""), (series, ""),
             (["verify", "--solution", "-"], document)]
     for argv, stdin in runs:
         returncode, imported = imported_modules([*CLI, *argv], stdin)

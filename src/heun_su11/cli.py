@@ -15,12 +15,15 @@ eigenpairs exactly, in coefficient space on Python integers
 (heun_core.exact_residuals), with no sample point and no numpy, and
 refuses one whose residuals pass but whose pairs cannot be a whole
 spectrum: an exponent set with fewer or more pairs than exponents, or with
-two identical pairs.  It re-scores a series document through the sampled
-call that scored it when it was emitted, so it reproduces the emitted
-residual bit for bit, and derives the series' domain from the document's
-a2 rather than reading it.  Exit codes: 0 success, 1 validation failure
-(including a spectrum, series or verify document with a residual over the
-threshold, which is still emitted), 2 numerical failure, 64 usage error.
+two identical pairs.  series and verify score a series by one rule,
+heun_core.series_residual: its recurrence rows exactly, and its two
+truncation rows by their share of the scale at the samples, with no numpy
+in verify; verify derives the series' domain from the document's a2
+rather than reading it.  verify loads neither the algebra nor the
+representations, which only the solving subcommands import.  Exit codes:
+0 success, 1 validation failure (including a spectrum, series or verify
+document with a residual over the threshold, which is still emitted), 2
+numerical failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -32,27 +35,29 @@ import math
 import re
 import sys
 from collections import Counter
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import jsonio
 from .errors import NumericalError, UsageError, ValidationError
 from .heun_core import (
+    ASCENDING,
+    CONDITION_TOL,
+    DEFAULT_SAMPLE_COUNT,
     CanonicalCoefficients,
     HeunParameters,
+    SeriesRecord,
+    chebyshev_points,
+    convergence_domain,
     exact_residuals,
     lame_parameters,
     make_parameters,
     require_finite,
+    series_residual,
+    solution_samples,
 )
-from .representations import RepresentationClass, classify
-from .su11_algebra import (
-    CONDITION_TOL,
-    Su11Decomposition,
-    algebra_identity_check,
-    decompose,
-    rebuild_coefficients,
-    reconstruction_check,
-)
+
+if TYPE_CHECKING:
+    from .su11_algebra import Su11Decomposition
 
 PRESETS = {
     "example1": {"gamma": 0.5, "delta": -0.5, "alpha": -1.0, "beta": -0.5, "a": 2.0, "q": 0.0},
@@ -166,6 +171,7 @@ def _refuse_parameters(args, reason: str, keep: Sequence[str] = ()) -> None:
 def _resolve_decomposition(args, keep: Sequence[str] = ()) -> Su11Decomposition:
     """The saved decomposition, else the decomposition of the parameters; keep
     names the parameter flags the command still reads beside --decomposition."""
+    from .su11_algebra import Su11Decomposition
     if getattr(args, "decomposition", None):
         _refuse_parameters(args, "--decomposition fixes the operator", keep)
         return Su11Decomposition.from_json_dict(_read_json(args.decomposition, "--decomposition"))
@@ -174,6 +180,7 @@ def _resolve_decomposition(args, keep: Sequence[str] = ()) -> Su11Decomposition:
 
 def _decompose(args, params: HeunParameters) -> Su11Decomposition:
     """decompose at --tolerance, CONDITION_TOL when it is not given."""
+    from .su11_algebra import decompose
     return decompose(params, CONDITION_TOL if args.tolerance is None else args.tolerance)
 
 
@@ -225,9 +232,11 @@ def _gate(residuals: list, candidates, samples, threshold: float, series: bool =
     exact scores, which take none): 1, with the cause on stderr, when no
     sample is left or a residual is over the threshold or NaN; else 0.
     candidates yields each residual's (exponents, coefficients, q), which
-    only a failure's cause reads."""
+    only a failure's cause reads.  A finite series' score cannot overflow
+    (its rows are exact, its share a part of one sum over another), so a
+    failing series is named by its non-finite coefficients, its non-finite
+    p0 or its residual."""
     failed = sum(not r <= threshold for r in residuals)
-    overflow = "overflows the float range, although {} coefficients and q are finite"
     if samples is not None and not samples:
         what = "the series" if series else "the eigenpairs"
         cause = f"no sample point is left to check {what} on: {samples.cause}"
@@ -237,21 +246,20 @@ def _gate(residuals: list, candidates, samples, threshold: float, series: bool =
         counts = Counter(_cause(*candidate, r) for candidate, r in zip(candidates, residuals)
                          if not r <= threshold)
         said = {"residual": f"a residual over {threshold:g}",
-                "overflow": "a residual that " + overflow.format("their")}
+                "overflow": "a residual that overflows the float range, although their "
+                            "coefficients and q are finite"}
         cause = "; ".join(
             f"{counts[c]} of {len(residuals)} eigenpairs have {said.get(c, c)}"
             for c in ("non-finite exponents", "non-finite coefficients or q", "residual", "overflow")
             if counts[c])
     else:
-        [(exponents, coefficients, q)], [residual] = list(candidates), residuals
+        [(exponents, coefficients, _)], [residual] = list(candidates), residuals
         if (first := _first_nonfinite(coefficients)) is not None:
             cause = (f"the series has non-finite coefficients from b_{first} on, so its "
                      f"residual {residual:.3g} is over {threshold:g}")
         elif _first_nonfinite(exponents) is not None:
             cause = (f"the series base exponent p0 is not finite, so its residual "
                      f"{residual:.3g} is over {threshold:g}")
-        elif _cause(exponents, coefficients, q, residual) == "overflow":
-            cause = "the series residual " + overflow.format("its")
         else:
             cause = f"the series residual {residual:.3g} is over {threshold:g}"
     print(f"heun-su11: {cause}", file=sys.stderr)
@@ -265,14 +273,16 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .representations import classify
     dec = _resolve_decomposition(args)
     _emit_json([rep.to_json_dict() for rep in classify(dec)], args)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
+    from .representations import RepresentationClass, classify
     from .spectrum import solve_spectrum
-    from .verifier import solution_samples
+    from .su11_algebra import rebuild_coefficients
     dec = _resolve_decomposition(args)
     finite = [r for r in classify(dec) if r.rep_class is RepresentationClass.FINITE_DIMENSIONAL]
     if not finite:
@@ -301,8 +311,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    from .series_engine import ASCENDING, series_solution
-    from .verifier import chebyshev_points
+    from .representations import RepresentationClass, classify
+    from .series_engine import series_solution
+    from .su11_algebra import rebuild_coefficients
     if getattr(args, "decomposition", None):
         dec = _resolve_decomposition(args, keep=("q",))
         if args.q is None:
@@ -338,14 +349,11 @@ def _cmd_series(args) -> int:
     return _gate(*_score_series(coeffs, sol), RESIDUAL_THRESHOLD, series=True)
 
 
-def _score_series(coeffs: CanonicalCoefficients, sol) -> tuple:
-    """A SeriesSolution's residual and its candidate, each in a list, and
-    the samples that scored it."""
-    from .verifier import solution_samples, worst_residuals
+def _score_series(coeffs: CanonicalCoefficients, sol: SeriesRecord) -> tuple:
+    """A series record's score and its candidate, each in a list, and the
+    samples that scored its truncation rows."""
     samples = solution_samples(coeffs.a2, sol.domain)
-    residual = worst_residuals(coeffs, sol.exponents, sol.coefficient_array[:, None], [sol.q],
-                               samples)
-    return residual.tolist(), [(sol.exponents, sol.coefficients, sol.q)], samples
+    return [series_residual(coeffs, sol, samples)], [((sol.p0,), sol.coefficients, sol.q)], samples
 
 
 def _check_exponent_sets(candidates) -> None:
@@ -390,8 +398,7 @@ def _cmd_verify(args) -> int:
             for pair, (_, _, q), residual in zip(pairs, candidates, residuals)
         ]
     elif "series" in doc:
-        from .series_engine import SeriesSolution, convergence_domain
-        sol = SeriesSolution.from_json_dict(doc["series"])
+        sol = SeriesRecord.from_json_dict(doc["series"])
         domain = convergence_domain(coeffs.a2, sol.direction)
         if sol.domain != domain:
             raise ValidationError(f"series domain {list(sol.domain)} is not the convergence "
@@ -420,6 +427,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check_algebra(args) -> int:
+    from .su11_algebra import algebra_identity_check, reconstruction_check
     exponents = [-3.0 + 0.5 * i for i in range(13)]
     doc: dict = {}
     failed = False
@@ -478,8 +486,8 @@ def _build_parser() -> _Parser:
     output_parent.add_argument("--json", metavar="FILE", help="write JSON here instead of stdout")
     csv_parent = _Parser(add_help=False)
     csv_parent.add_argument("--csv", metavar="FILE", help="write sampled (z,value) plot data")
-    csv_parent.add_argument("--samples", type=_positive_int, default=25,
-                            help="CSV points per block (default 25)")
+    csv_parent.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLE_COUNT,
+                            help=f"CSV points per block (default {DEFAULT_SAMPLE_COUNT})")
 
     parser = _Parser(prog="heun-su11", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -20,13 +20,12 @@ import math
 from functools import cached_property
 from itertools import repeat
 from operator import mul
-from typing import List, Mapping, NamedTuple, Tuple
+from typing import List, NamedTuple
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .heun_core import require_finite
-from .jsonio import as_number
+from .heun_core import ASCENDING, DESCENDING, SeriesRecord, convergence_domain, require_finite
 from .monomials import CUT_MIN_LIVE, UNDERFLOW_LOG2, MonomialSum, log2_majorant, tail_cut_at
 from .representations import (
     RepresentationClass,
@@ -38,36 +37,16 @@ from .su11_algebra import Su11Decomposition
 DEFAULT_TRUNCATION = 60
 BOUNDARY_TOL = 1e-9
 
-ASCENDING = "ascending"
-DESCENDING = "descending"
 
-
-class _SeriesFields(NamedTuple):
-    p0: float
-    direction: str
-    parity: str
-    q: complex
-    coefficients: Tuple[complex, ...]
-    domain: Tuple[float, float]
-
-
-class SeriesSolution(_SeriesFields):
+class SeriesSolution(SeriesRecord):
     """Truncated series y = sum_m coefficients[m] * z^(p0 +/- m); a finite
     eigenfunction is a terminating ascending one on (0, inf), maybe complex.
-    A subclass of its fields, so that it has a __dict__ to cache what
-    depends on the series alone, for evaluate_series and the residual: its
-    exponents as an array and as a list, its coefficients as an array, the
-    log2 of its edge, its tail majorant and its non-finite tail.  Equality
-    ignores the cache, and a pickle keeps it, so it holds no memoryview."""
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coefficients) - 1
-
-    @property
-    def step(self) -> int:
-        """+1 ascending, -1 descending: z^(p0 + step*m) is term m."""
-        return 1 if self.direction == ASCENDING else -1
+    A subclass of heun_core.SeriesRecord, which reads and writes its JSON,
+    so that it has a __dict__ to cache what depends on the series alone,
+    for evaluate_series and the sampled residual: its exponents as an array
+    and as a list, its coefficients as an array, the log2 of its edge, its
+    tail majorant and its non-finite tail.  Equality ignores the cache, and
+    a pickle keeps it, so it holds no memoryview."""
 
     @cached_property
     def log2_edge(self):
@@ -119,37 +98,6 @@ class SeriesSolution(_SeriesFields):
         """The cached exponents and coefficient arrays, zeros included."""
         return MonomialSum(self.exponents, self.coefficient_array)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p0": self.p0,
-            "direction": self.direction,
-            "parity": self.parity,
-            "q": self.q,
-            "K": self.truncation,
-            "coefficients": list(self.coefficients),
-            "domain": list(self.domain),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "SeriesSolution":
-        lo, hi = doc["domain"]
-        if doc["direction"] not in (ASCENDING, DESCENDING):
-            raise ValidationError(f"series direction {doc['direction']!r} is neither "
-                                  f"{ASCENDING!r} nor {DESCENDING!r}")
-        if doc["parity"] not in ("even", "odd"):
-            raise ValidationError(f"series parity {doc['parity']!r} is neither 'even' nor 'odd'")
-        if as_number(doc["K"]) != len(doc["coefficients"]) - 1:
-            raise ValidationError(f"series K={doc['K']!r} does not match its "
-                                  f"{len(doc['coefficients'])} coefficients")
-        return cls(
-            p0=float(as_number(doc["p0"])),
-            direction=doc["direction"],
-            parity=doc["parity"],
-            q=float(as_number(doc["q"])),
-            coefficients=tuple(float(as_number(b)) for b in doc["coefficients"]),
-            domain=(float(as_number(lo)), math.inf if hi is None else float(as_number(hi))),
-        )
-
 
 class EvaluatedSeries(NamedTuple):
     value: complex
@@ -163,20 +111,6 @@ def _direction_for(rep: RepresentationDescriptor) -> str:
     raise ValidationError(
         f"series are generated on the discrete ladders, not {rep.rep_class.value}"
     )
-
-
-def convergence_domain(a: float, direction: str) -> Tuple[float, float]:
-    """Open interval of convergence of a series with singularity location a:
-    up to the nearest other singularity.
-
-    Ascending series converge on (0, min(1,|a|)), descending ones on
-    (max(1,|a|), inf); |a| covers singularity locations off the positive
-    axis (a < 0), where the radius is still the distance to the origin.
-    series_solution states this domain and verify re-derives it.
-    """
-    if direction == ASCENDING:
-        return (0.0, min(1.0, abs(a)))
-    return (max(1.0, abs(a)), math.inf)
 
 
 def series_solution(

@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .heun_core import solution_samples
 from .jsonio import SLOT, TemplatedList
 from .representations import (
     ExponentGrid,
@@ -50,7 +51,7 @@ from .representations import (
     split_even_odd,
 )
 from .su11_algebra import Su11Decomposition, rebuild_coefficients
-from .verifier import solution_samples, worst_residuals
+from .verifier import worst_residuals
 
 if TYPE_CHECKING:
     from .series_engine import SeriesSolution

@@ -24,6 +24,7 @@ from typing import Iterable, Mapping, NamedTuple, Tuple
 
 from .errors import ValidationError
 from .heun_core import (
+    CONDITION_TOL,
     CanonicalCoefficients,
     HeunParameters,
     canonical_coefficients,
@@ -31,8 +32,6 @@ from .heun_core import (
     read_floats,
     require_finite,
 )
-
-CONDITION_TOL = 1e-9
 
 NU_BY_GAMMA = {0.5: 0.0, 1.5: 0.5}
 

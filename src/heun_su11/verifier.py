@@ -18,22 +18,20 @@ compensated summation is needed.  A sample whose terms all vanish scores 0;
 a non-finite sum or scale scores inf, and the worst over the samples is inf
 for the zero function or an empty sample set.
 
-The verifier owns the two sampled scoring rules.  solution_samples, the one
-sample rule, maps a solution's domain to its samples.  residual_block, the
-one block scorer, scores the candidates' coefficients as given, zeros
-included; worst_residuals takes the block's dtype from the coefficients and
-q together.  P candidates that share one exponent set (the eigenfunctions
-of one parity sub-grid) share one power matrix z^p and one stacked matrix
-product, which numpy runs as one gemm per candidate.  A column's bits depend
-on the block's dtype: a real column in a complex block is summed in complex
-arithmetic and may differ in the last bits from the same column scored as a
-float.  spectrum scores its output through worst_residuals, and series and
-verify score a series through the same call on the same one-column block,
-so verify reproduces a series' residual bit for bit.  verify scores a
-spectrum's eigenpairs without samples, by heun_core.exact_residuals.
-residual_for_coefficients, the single-solution report, is the one-column
-case of residual_block on a MonomialSum as given, so on a series'
-as_monomial_sum it finds the worst residual that series and verify print.
+The verifier owns the sampled block scorer, residual_block, which scores
+the candidates' coefficients as given, zeros included, at the samples of
+heun_core's one sample rule; worst_residuals takes the block's dtype from
+the coefficients and q together.  P candidates that share one exponent set
+(the eigenfunctions of one parity sub-grid) share one power matrix z^p and
+one stacked matrix product, which numpy runs as one gemm per candidate.  A
+column's bits depend on the block's dtype: a real column in a complex block
+is summed in complex arithmetic and may differ in the last bits from the
+same column scored as a float.  spectrum scores its output through
+worst_residuals.  verify scores no document here: a spectrum's eigenpairs
+and a series' recurrence rows are scored exactly, and a series' two
+truncation rows by their share at the samples, all in heun_core, without
+numpy.  residual_for_coefficients, the single-solution report, is the
+one-column case of residual_block on a MonomialSum as given.
 
 Of one long series only the terms that can move its residual are scored.
 The rule applies to a block of a single column of finite float64
@@ -47,8 +45,7 @@ W_m = |c_m| sum_i |a_i| |factor_i(p_m)|, the three rows of the scale's
 magnitudes summed, which land on z^(p_m) times z, 1 or 1/z (offset 1);
 tau = log2(E) for E a factor 2 beyond the sample nearest the domain's
 edge, so that |t - tau| >= 1 at every sample and G <= 2; and numpy's exp2
-to round D (any exp2 within an ulp keeps D a bound; this one keeps the
-bits of the residuals that series and verify print).
+to round D (any exp2 within an ulp keeps D a bound).
 One cut k per column is bisected at the sample nearest the edge: the
 shortest prefix with D there under 2^-60 of the largest term.  The prefix
 is scored by the body of the full sum, which gives num_k and scale_k, and D
@@ -69,36 +66,14 @@ from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ValidationError
-from .heun_core import CanonicalCoefficients, HeunParameters, canonical_coefficients
+from .heun_core import (
+    CanonicalCoefficients,
+    HeunParameters,
+    canonical_coefficients,
+    check_sample_points,
+    default_sample_points,
+)
 from .monomials import CUT_MIN_LIVE, MonomialSum, log2_majorant, tail_cut
-
-SINGULARITY_RADIUS = 1e-6
-DEFAULT_SAMPLE_COUNT = 25
-
-
-def chebyshev_points(lo: float, hi: float, count: int = DEFAULT_SAMPLE_COUNT) -> Tuple[float, ...]:
-    """Chebyshev-spaced interior points of (lo, hi), ascending."""
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return tuple(sorted(mid + half * math.cos(math.pi * (2 * k + 1) / (2 * count))
-                        for k in range(count)))
-
-
-_UNCLEAR = f"off the positive axis or within {SINGULARITY_RADIUS:g} of a singular point"
-
-
-def _clear(z: float, a: float) -> bool:
-    """Whether z may be a sample: positive, and at least SINGULARITY_RADIUS
-    from 1 and from a.  A NaN is not."""
-    return z > 0.0 and abs(z - 1.0) >= SINGULARITY_RADIUS and abs(z - a) >= SINGULARITY_RADIUS
-
-
-def check_sample_points(z_samples: Sequence[float], a: float) -> None:
-    """Reject the sample points that default_sample_points clips."""
-    for z in z_samples:
-        if not _clear(z, a):
-            raise ValidationError(f"sample z={z} is {_UNCLEAR}")
-
 
 class ResidualReport(NamedTuple):
     """Per-point relative residuals of the polynomial form."""
@@ -236,51 +211,6 @@ def residual_for_coefficients(coeffs: CanonicalCoefficients, solution: MonomialS
         residuals=tuple(residuals[0].tolist()),
         scales=tuple(scales[0].tolist()),
     )
-
-
-class Samples(tuple):
-    """Sample points; when none is left, cause says why."""
-
-    cause = ""
-
-
-def solution_samples(
-    a: float, domain: Tuple[float, float] = (0.0, math.inf), count: int = DEFAULT_SAMPLE_COUNT
-) -> Samples:
-    """The samples that score a solution on its domain, the one sample rule:
-    (0, min(1,|a|)) for a terminating eigenfunction on (0, inf), (0, R/2)
-    for an ascending series on (0, R) and (2R, 4R) for a descending one on
-    (R, inf), less the nodes default_sample_points clips.  From R of about
-    3e307 on, 2R + 4R, the sum that chebyshev_points forms, overflows and
-    no sample is left."""
-    lo, hi = domain
-    if lo > 0.0:
-        if 2.0 * lo + 4.0 * lo == math.inf:
-            samples = Samples()
-            samples.cause = f"the sample domain (2R, 4R) lies past the largest float at R={lo:g}"
-            return samples
-        domain = (2.0 * lo, 4.0 * lo)
-    else:
-        domain = None if hi == math.inf else (0.0, 0.5 * hi)
-    samples = Samples(default_sample_points(a, domain, count))
-    if not samples:
-        samples.cause = f"each is {_UNCLEAR}"
-    return samples
-
-
-def default_sample_points(
-    a: float, domain: Tuple[float, float] | None = None, count: int = DEFAULT_SAMPLE_COUNT
-) -> Tuple[float, ...]:
-    """Chebyshev samples in domain, less every node off the positive axis or
-    within SINGULARITY_RADIUS of 1 or a; with no domain, in (0, min(1,|a|)),
-    where a terminating eigenfunction is sampled.
-    The clip matters for a domain that straddles 1 or a, and for the
-    eigenfunction's domain (0, |a|) at small |a|: its top node lies about
-    1e-3*|a| below |a|, so from |a| = 1e-3 down the clip removes nodes near
-    a, and at a = 1e-6 or 1e-7 it removes all 25.  On that empty set the
-    worst residual of any candidate is inf."""
-    lo, hi = (0.0, min(1.0, abs(a))) if domain is None else domain
-    return tuple(z for z in chebyshev_points(lo, hi, count) if _clear(z, a))
 
 
 def ode_residual(

@@ -36,13 +36,15 @@ applies it to a SeriesSolution; the value of the package's one evaluator,
 evaluate_series, must equal it bit for bit.
 
 coefficient_residual is the reference for verify's exact score of an
-eigenpair: (L - q) y as a finite sum of powers, kept in a dict by each
-power's Fraction exponent, with the power's sum of term magnitudes beside
-it; every factor and value is written as an integer by dyadic_integers.  A
-complex number's modulus is bracketed by math.isqrt to 2^-200, so the
-reference is a pair of Fractions around max_k |r_k| / s_k, one Fraction
-when every number is real.  check_exact_scores holds verify's printed
-scores of a spectrum document against it.
+eigenpair: (L - q) y as a finite sum of powers, kept by power_sums in a
+dict by each power's Fraction exponent, with the power's sum of term
+magnitudes beside it; every factor and value is written as an integer by
+dyadic_integers.  A complex number's modulus is bracketed by math.isqrt to
+2^-200, so the reference is a pair of Fractions around max_k |r_k| / s_k,
+one Fraction when every number is real.  check_exact_scores holds verify's
+printed scores of a spectrum document against it.  series_reference is the
+exact value of verify's rule for a series, from the same sums, with each
+truncation share summed at its sample on integers.
 
 exact_magnitude is the exact sum of the magnitudes of some floats, as a
 Fraction: the soundness oracle of evaluate_series' cut, whose bound D on
@@ -204,13 +206,13 @@ def modulus_bracket(re, im) -> Tuple[Fraction, Fraction]:
     return Fraction(root, d << 200), Fraction(root + 1, d << 200)
 
 
-def coefficient_residual(coeffs, exponents, values, q) -> Tuple[Fraction, Fraction]:
-    """Fractions lo <= max_k |r_k| / s_k <= hi for the candidate sum of
-    values[m] z^exponents[m] with a7 = -q: r_k sums every term a_i f_i(p) c
-    (and -q c) that lands on z^k, s_k their magnitudes; a power whose terms
-    all vanish counts 0.  lo == hi when q and the values are real.  The
-    terms' factors and -q share one scale and the values another, which
-    both r_k and s_k carry, so the sums run on integers."""
+def power_sums(coeffs, exponents, values, q) -> dict:
+    """k -> [re r_k, im r_k, lo, hi] for the candidate sum of values[m]
+    z^exponents[m] with a7 = -q, all integers at one scale: r_k sums every
+    term a_i f_i(p) c (and -q c) that lands on z^k, and lo <= s_k <= hi
+    bracket the sum of their magnitudes, equal when q and the values are
+    real.  The terms' factors and -q share one scale and the values
+    another, which every sum carries, so the sums run on integers."""
     a0, a1, a2, a3, a4, a5, a6 = map(Fraction, coeffs[:7])
     q = complex(q)
     factors = []  # per exponent: the signed sums and the magnitude sums on z^(p+1), z^p, z^(p-1)
@@ -238,12 +240,52 @@ def coefficient_residual(coeffs, exponents, values, q) -> Tuple[Fraction, Fracti
         total[1] += qr * ci + qi * cr
         total[2] += q_lo * c_lo
         total[3] += q_hi * c_hi
+    return sums
+
+
+def coefficient_residual(coeffs, exponents, values, q) -> Tuple[Fraction, Fraction]:
+    """Fractions lo <= max_k |r_k| / s_k <= hi for the candidate sum of
+    values[m] z^exponents[m] with a7 = -q (power_sums); a power whose terms
+    all vanish counts 0.  lo == hi when q and the values are real."""
     lo = hi = Fraction(0)
-    for re, im, s_lo, s_hi in sums.values():
+    for re, im, s_lo, s_hi in power_sums(coeffs, exponents, values, q).values():
         if s_hi:
             r_lo, r_hi = modulus_bracket(re, im)
             lo, hi = max(lo, Fraction(r_lo) / s_hi), max(hi, Fraction(r_hi) / s_lo)
     return lo, hi
+
+
+def _at_sample(coefficients: Sequence[int], z: float, step: int) -> int:
+    """sum_i coefficients[i] w^i at w = z^step, times the positive integer
+    that clears its denominator, which depends on z, step and the length
+    alone: Horner's rule on integers, every power of two a shift."""
+    n, d = Fraction(z).as_integer_ratio()
+    e, top = d.bit_length() - 1, len(coefficients) - 1
+    # w = n / 2^e ascending, 2^e / n descending; both sums are multiplied by n.
+    order = reversed(coefficients) if step > 0 else coefficients
+    acc = 0
+    for i, c in enumerate(order):
+        acc = acc * n + (c << e * i)
+    return acc
+
+
+def series_reference(coeffs, series, samples: Sequence[float]) -> Fraction:
+    """The exact value of the rule verify scores a real series record by:
+    the largest |r_k| / s_k over its recurrence rows, the powers z^(p0 +
+    step j) for j = -1..K-1, plus the largest share |r_K z^(p0 + step K) +
+    r_(K+1) z^(p0 + step (K+1))| / sum_k s_k z^k over the samples, with the
+    exponents p0 + step m exact and every power of z exact."""
+    p0, step, b = Fraction(series.p0), series.step, series.coefficients
+    n = len(b)
+    sums = power_sums(coeffs, [p0 + step * m for m in range(n)], b, series.q)
+    rows = [sums.get(p0 + step * j, (0, 0, 0, 0)) for j in range(-1, n + 1)]
+    recurrence = max((Fraction(abs(re), s) for re, _, s, _ in rows[:-2] if s), default=0)
+    # Row j weighs w^(j + 1), w = z^step, against z^(p0 - step), which cancels.
+    truncation = [0] * n + [row[0] for row in rows[-2:]]
+    scale = [row[2] for row in rows]
+    share = max(Fraction(abs(_at_sample(truncation, z, step)), _at_sample(scale, z, step))
+                for z in samples)
+    return recurrence + share
 
 
 def check_exact_scores(doc: dict, scores: Sequence[float]) -> None:

@@ -11,6 +11,7 @@ import pytest
 from heun_su11 import cli, heun_core
 from heun_su11 import series_engine as series_module
 from heun_su11 import spectrum as spectrum_module
+from heun_su11 import su11_algebra as su11_module
 from heun_su11 import verifier as verifier_module
 from heun_su11 import RepresentationClass, classify, decompose, make_parameters, solve_spectrum
 from heun_su11.cli import main
@@ -224,7 +225,8 @@ def test_check_algebra_requires_mu_nu_pair(capsys):
 
 
 def test_check_algebra_numerical_failure_exit(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "algebra_identity_check", lambda mu, nu, exps: 1.0)
+    # cli imports the checks inside the handler, so it calls the patched ones.
+    monkeypatch.setattr(su11_module, "algebra_identity_check", lambda mu, nu, exps: 1.0)
     rc = main(["check-algebra", "--mu", "0.0", "--nu", "0.0"])
     captured = capsys.readouterr()
     assert rc == 2
@@ -237,7 +239,7 @@ def test_check_algebra_numerical_failure_exit(monkeypatch, capsys):
     ("reconstruction_check", ["--preset", "example1"]),
 ], ids=["commutator", "reconstruction"])
 def test_check_algebra_fails_a_nan_deviation(check, argv, monkeypatch, capsys):
-    monkeypatch.setattr(cli, check, lambda *args: math.nan)
+    monkeypatch.setattr(su11_module, check, lambda *args: math.nan)
     assert main(["check-algebra", *argv]) == 2
     assert "numerical failure" in capsys.readouterr().err
 
@@ -272,7 +274,7 @@ def test_check_algebra_fails_a_planted_decomposition(monkeypatch, capsys):
         dec = decompose(params, tol)
         return dec._replace(c1=dec.c1 + 1e-9)
 
-    monkeypatch.setattr(cli, "decompose", planted)
+    monkeypatch.setattr(su11_module, "decompose", planted)
     assert main(["check-algebra", "--preset", "example1"]) == 2
     captured = capsys.readouterr()
     assert "numerical failure" in captured.err
@@ -302,10 +304,10 @@ def test_negative_threshold_is_refused(tmp_path, capsys):
 
 
 def test_literal_defaults_match_the_library_constants():
-    # cli.py writes --samples and --kmax as literals, since importing the
-    # constants would load numpy at start-up.
+    # cli.py writes --kmax as a literal, since importing series_engine's
+    # constant would load numpy at start-up; --samples reads heun_core's.
+    from heun_su11.heun_core import DEFAULT_SAMPLE_COUNT
     from heun_su11.series_engine import DEFAULT_TRUNCATION
-    from heun_su11.verifier import DEFAULT_SAMPLE_COUNT
 
     parser = cli._build_parser()
     series = parser.parse_args(["series", "--preset", "lame"])
@@ -690,21 +692,21 @@ def test_verify_scores_each_parity_with_one_call(capsys, monkeypatch):
     main(ladder_argv(128, 0.5, 4.0))
     text = capsys.readouterr().out
     calls, exponents = [], []
-    score, rows = cli.exact_residuals, heun_core.canonical_rows
+    score, rows = cli.exact_residuals, heun_core._integer_rows
 
     def counting(coeffs, candidates):
         calls.append(len(candidates))
         return score(coeffs, candidates)
 
-    def counting_rows(coeffs, p):
-        exponents.append(p)
-        return rows(coeffs, p)
+    def counting_rows(coeffs, sizes, key, e):
+        exponents.append(Fraction(key, e))
+        return rows(coeffs, sizes, key, e)
 
     def sampled(*args):
         raise AssertionError("verify called the sampled scorer")
 
     monkeypatch.setattr(cli, "exact_residuals", counting)
-    monkeypatch.setattr(heun_core, "canonical_rows", counting_rows)
+    monkeypatch.setattr(heun_core, "_integer_rows", counting_rows)
     monkeypatch.setattr(verifier_module, "residual_block", sampled)
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     assert main(["verify", "--solution", "-"]) == 0
@@ -850,23 +852,28 @@ EMITTER_CAUSES = {
 
 @pytest.mark.parametrize("case", sorted(EMITTER_CAUSES))
 def test_verify_names_the_cause_the_emitter_named(case, capsys, monkeypatch):
-    """verify fails a series document for the cause its emitter named.  An
-    eigenpairs document fails its emitter on the samples: none is left at
-    a = 1e-7, the sums pass the largest float at a = 1e308, and at a = 1e-5
-    (n = 128) 5 pairs score over 1e-8 there.  verify's exact sums take no
-    sample and round nothing, and pass each honest pair, at most 5.4e-10."""
-    assert main(EMITTER_CAUSES[case]) == 1
+    """verify exits on a series document as its emitter did, since one rule
+    scores both, and names the same cause.  At a = 1e300 (K = 1) the
+    series' exact rows and its share pass where its sampled sums once
+    passed the largest float, so neither names a cause.  An eigenpairs
+    document fails its emitter on the samples: none is left at a = 1e-7,
+    the sums pass the largest float at a = 1e308, and at a = 1e-5 (n = 128)
+    5 pairs score over 1e-8 there.  verify's exact sums take no sample and
+    round nothing, and pass each honest pair, at most 5.4e-10."""
+    code = main(EMITTER_CAUSES[case])
     emitted = capsys.readouterr()
-    [line] = emitted.err.splitlines()
+    assert len(emitted.err.splitlines()) == code
     monkeypatch.setattr(sys, "stdin", io.StringIO(emitted.out))
     if case.startswith("eigenpairs"):
+        assert code == 1
         assert main(["verify", "--solution", "-"]) == 0
         captured = capsys.readouterr()
         assert captured.err == "" and json.loads(captured.out)["max_relative_residual"] < 6e-10
         return
-    assert main(["verify", "--solution", "-"]) == 1
+    assert code == (case != "series-overflowed")
+    assert main(["verify", "--solution", "-"]) == code
     captured = capsys.readouterr()
-    assert json.loads(captured.out)["passed"] is False
+    assert json.loads(captured.out)["passed"] is (code == 0)
     assert captured.err == emitted.err
 
 
@@ -882,7 +889,7 @@ def test_verify_names_failing_pairs_at_its_own_threshold(capsys, monkeypatch):
     assert capsys.readouterr().err == "heun-su11: 1 of 3 eigenpairs have a residual over 1e-08\n"
 
 
-OVERFLOWED = "overflows the float range, although {} coefficients and q are finite"
+OVERFLOWED = "overflows the float range, although their coefficients and q are finite"
 
 
 def test_an_overflowed_residual_names_its_cause(capsys, monkeypatch):
@@ -891,7 +898,7 @@ def test_an_overflowed_residual_names_its_cause(capsys, monkeypatch):
     # so its residual is inf.  The document is still printed, with exit 1.
     assert main(["spectrum", "--preset", "example1", "--a", "1e308"]) == 1
     captured = capsys.readouterr()
-    overflowed = "1 of 3 eigenpairs have a residual that " + OVERFLOWED.format("their")
+    overflowed = "1 of 3 eigenpairs have a residual that " + OVERFLOWED
     assert captured.err == f"heun-su11: {overflowed}\n"
     doc = json.loads(captured.out)
     odd = doc["eigenpairs"][2]
@@ -913,11 +920,17 @@ def test_an_overflowed_residual_names_its_cause(capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(forged)))
         assert main(["verify", "--solution", "-"]) == 1
         assert capsys.readouterr().err == f"heun-su11: 1 of 3 eigenpairs have {cause}\n"
+    # A series is scored by its exact rows and its truncation share, which
+    # cannot overflow: at a = 1e300 the K = 1 series, whose sampled sums
+    # pass the largest float, passes series and verify alike.
     assert main(["series", "--preset", "example1", "--a", "1e300", "--q", "0.3", "--rep", "nd",
-                 "--kmax", "1"]) == 1
+                 "--kmax", "1"]) == 0
     captured = capsys.readouterr()
     assert json.loads(captured.out)["series"]["coefficients"] == [1, 0.6]
-    assert captured.err == "heun-su11: the series residual " + OVERFLOWED.format("its") + "\n"
+    assert captured.err == ""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(captured.out))
+    assert main(["verify", "--solution", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_relative_residual"] < 1e-15
 
 
 def _zero_values(pair):

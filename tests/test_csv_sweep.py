@@ -17,12 +17,16 @@ import random
 import pytest
 
 from heun_su11.cli import PRESETS, _num_str, main
-from heun_su11.heun_core import lame_parameters, make_parameters
+from heun_su11.heun_core import (
+    chebyshev_points,
+    default_sample_points,
+    lame_parameters,
+    make_parameters,
+)
 from heun_su11.representations import RepresentationClass, classify
 from heun_su11.series_engine import ASCENDING, DESCENDING, convergence_domain, series_solution
 from heun_su11.spectrum import solve_spectrum
 from heun_su11.su11_algebra import decompose
-from heun_su11.verifier import chebyshev_points, default_sample_points
 from oracle import series_terms, sum_by_terms
 
 A_VALUES = (2.0, 4.0, 0.3, 1e-3, -3.0, -0.5, 7.7)

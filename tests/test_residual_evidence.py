@@ -22,6 +22,13 @@ a pair forged in the null space of the sampled map, which the samples
 score at rounding level, fails it; the benchmark's two planted answers
 fail it; and on drawn honest ladders every printed score lies between the
 exact residual and 2^-50 above it.
+
+series and verify score a series by its exact recurrence rows plus the
+share of its two truncation rows at the samples.  The same evidence holds
+for it: a series forged in the null space of its sampled map fails; the
+benchmark's two plants on a series fail; and on drawn series verify exits
+as series did, each score at least the exact value of the rule
+(oracle.series_reference).
 """
 
 import io
@@ -39,9 +46,11 @@ import pytest
 from heun_su11.cli import main
 from heun_su11.heun_core import (
     CanonicalCoefficients,
+    SeriesRecord,
     canonical_coefficients,
     canonical_rows,
     make_parameters,
+    solution_samples,
 )
 from heun_su11.monomials import UNDERFLOW_LOG2, MonomialSum
 from heun_su11.representations import RepresentationClass, classify, split_even_odd
@@ -54,6 +63,7 @@ from oracle import (
     continuant,
     dyadic_integers,
     integer_form,
+    series_reference,
     sturm_counts,
     terms,
 )
@@ -397,3 +407,86 @@ def test_verify_scores_drawn_spectra_exactly(seed, capsys, monkeypatch):
             rc, scores = verify_scores(doc, capsys, monkeypatch)
             assert rc == 0, argv
             check_exact_scores(doc, scores)
+
+
+SERIES = {
+    "example1-pd": ["series", "--preset", "example1", "--a", "2", "--q", "0.3"],
+    "example2-nd": ["series", "--preset", "example2", "--a", "4", "--q", "0.3", "--rep", "nd"],
+    "lame-a-3": ["series", "--preset", "lame", "--a", "-3", "--q", "0.7"],
+}
+
+
+@pytest.mark.parametrize("name", list(SERIES))
+def test_verify_fails_a_series_forged_in_the_null_space_of_the_samples(name, capsys,
+                                                                        monkeypatch):
+    """A K = 60 series plus a null vector of its map from 61 coefficients to
+    the residual's numerator at the 25 samples, scaled to 0.1 max|b|.  The
+    samples score it at rounding level; its recurrence rows do not."""
+    _, out = run(SERIES[name], capsys, monkeypatch)
+    doc = json.loads(out)
+    coeffs = CanonicalCoefficients.from_json_dict(doc["ode_coefficients"])
+    series = SeriesRecord.from_json_dict(doc["series"])
+    b = np.array(series.coefficients)
+    p = series.p0 + series.step * np.arange(len(b))
+    z = np.array(solution_samples(coeffs.a2, series.domain))
+    up, same, down = np.array([canonical_rows(coeffs, x) for x in p]).T
+    sampled_map = z[:, None] ** p * (up * z[:, None] + same + down / z[:, None])
+    null = np.linalg.svd(sampled_map)[2][-1]
+    forged = b + 0.1 * np.abs(b).max() * null / np.abs(null).max()
+    y = MonomialSum(tuple(p.tolist()), tuple(forged.tolist()))
+    sampled = residual_for_coefficients(coeffs, y, tuple(z.tolist()))
+    assert sampled.max_relative_residual <= 1e-14
+    doc["series"]["coefficients"] = forged.tolist()
+    rc, [score] = verify_scores(doc, capsys, monkeypatch)
+    assert rc == 1 and score > 0.01
+
+
+# The series the benchmark plants on: the presets at K = 80, as cli_presets
+# runs them, and the K = 1000 series of both ladders.
+PLANTED_SERIES = {
+    **{f"{preset}-k80": ["series", "--preset", preset, "--q", "0.3", "--kmax", "80"]
+       for preset in ("example1", "example2", "lame")},
+    **{f"{rep}-k1000": ["series", "--preset", "example1", "--q", "0.3", "--rep", rep,
+                        "--kmax", "1000"] for rep in ("pd", "nd")},
+}
+
+
+@pytest.mark.parametrize("name", list(PLANTED_SERIES))
+def test_verify_fails_the_benchmarks_planted_series(name, capsys, monkeypatch):
+    # bench/check.py's plants on a series: q moved by 1e-6, relative to |q|
+    # when |q| > 1, and b_1 scaled by 1 + 1e-6.
+    rc, out = run(PLANTED_SERIES[name], capsys, monkeypatch)
+    assert rc == 0
+    planted_q, planted_b = json.loads(out), json.loads(out)
+    planted_q["series"]["q"] += 1e-6 * max(1.0, abs(planted_q["series"]["q"]))
+    planted_b["series"]["coefficients"][1] *= 1.0 + 1e-6
+    for doc in (planted_q, planted_b):
+        rc, [score] = verify_scores(doc, capsys, monkeypatch)
+        assert rc == 1 and score > 1e-8
+
+
+@pytest.mark.sweep
+def test_verify_scores_drawn_series_by_the_rule(seed, capsys, monkeypatch):
+    """Series at a drawn preset, |a| log-uniform in [1e-3, 1e3] of either
+    sign, q, K in {1, 60, 1000}, ladder and parity: verify exits on the
+    printed document as series did, and each score is at least the exact
+    value of the rule; a non-finite series scores inf (null)."""
+    rng = random.Random(f"series-verify-sweep-{seed}")
+    for _ in range(6):
+        preset = rng.choice(("example1", "example2", "lame"))
+        a = rng.choice((1.0, -1.0)) * math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+        argv = ["series", "--preset", preset, "--a", repr(a),
+                "--q", repr(round(rng.uniform(-2.0, 2.0), 6)),
+                "--kmax", str(rng.choice((1, 60, 1000))), "--rep", rng.choice(("pd", "nd")),
+                "--parity", rng.choice(("even", "odd"))]
+        code, out = run(argv, capsys, monkeypatch)
+        doc = json.loads(out)
+        rc, [score] = verify_scores(doc, capsys, monkeypatch)
+        assert rc == code, argv
+        if score is None:
+            assert code == 1 and None in doc["series"]["coefficients"], argv
+            continue
+        coeffs = CanonicalCoefficients.from_json_dict(doc["ode_coefficients"])
+        series = SeriesRecord.from_json_dict(doc["series"])
+        reference = series_reference(coeffs, series, solution_samples(coeffs.a2, series.domain))
+        assert Fraction(score) >= reference, (argv, score, float(reference))

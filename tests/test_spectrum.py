@@ -448,8 +448,11 @@ CLI = ["-m", "heun_su11"]
 NUMERIC = {"numpy", "heun_su11.monomials", "heun_su11.verifier", "heun_su11.series_engine",
            "heun_su11.spectrum"}
 GOLDEN = Path(__file__).parent / "golden"
+# The modules that only the solving subcommands load.
+ALGEBRA = {"heun_su11.su11_algebra", "heun_su11.representations"}
 # name -> (arguments, stdin): the scalar subcommands on the presets, the
-# rejected input, and verify on the spectrum documents the benchmark pipes.
+# rejected input, verify on the spectrum documents the benchmark pipes, and
+# verify on each golden series document.
 SCALAR_RUNS = {
     **{f"{command}-{preset}": ([command, "--preset", preset], "")
        for preset in ("example1", "example2", "lame")
@@ -458,6 +461,9 @@ SCALAR_RUNS = {
     **{f"verify-spectrum-{name}": (["verify", "--solution", "-"],
                                    (GOLDEN / f"spectrum-{name}.out").read_text(encoding="utf-8"))
        for name in ("example1", "example2", "lame", "n32-a2")},
+    **{f"verify-series-{name}": (["verify", "--solution", "-"],
+                                 (GOLDEN / f"series-{name}.out").read_text(encoding="utf-8"))
+       for name in ("pd-k1000", "nd-k1000", "lame-a-3")},
 }
 
 
@@ -469,6 +475,8 @@ def test_scalar_commands_leave_numpy_out(name):
     assert "heun_su11.cli" in imported
     assert not NUMERIC & imported
     assert "dataclasses" not in imported
+    if argv[0] == "verify":
+        assert not ALGEBRA & imported
 
 
 def imported_modules(args, stdin=""):
@@ -504,15 +512,11 @@ def test_spectrum_loads_series_engine_only_to_write_csv(tmp_path):
 
 def test_numeric_commands_leave_dataclasses_out():
     # The records are NamedTuples, so no subcommand pays for the dataclass
-    # machinery at start-up; the scalar ones, and verify on a spectrum
-    # document, are checked above.  verify loads numpy for a series.
-    series = ["series", "--preset", "lame", "--q", "0.3"]
-    document = subprocess.run([sys.executable, *CLI, *series], env=SRC_ENV,
-                              capture_output=True, text=True, check=True).stdout
-    runs = [(["spectrum", "--preset", "example1"], ""), (series, ""),
-            (["verify", "--solution", "-"], document)]
-    for argv, stdin in runs:
-        returncode, imported = imported_modules([*CLI, *argv], stdin)
+    # machinery at start-up; the scalar ones, and verify on either kind of
+    # document, are checked above.  spectrum and series load numpy.
+    for argv in (["spectrum", "--preset", "example1"],
+                 ["series", "--preset", "lame", "--q", "0.3"]):
+        returncode, imported = imported_modules([*CLI, *argv])
         assert returncode == 0, argv
         assert "numpy" in imported
         assert "dataclasses" not in imported, argv

@@ -5,22 +5,25 @@ import numpy as np
 import pytest
 
 from heun_su11.errors import ValidationError
-from heun_su11.heun_core import canonical_coefficients, make_parameters
+from heun_su11.heun_core import (
+    DEFAULT_SAMPLE_COUNT,
+    SINGULARITY_RADIUS,
+    canonical_coefficients,
+    chebyshev_points,
+    check_sample_points,
+    default_sample_points,
+    make_parameters,
+    solution_samples,
+)
 from heun_su11.monomials import MonomialSum
 from heun_su11.representations import RepresentationClass, classify
 from heun_su11.spectrum import solve_spectrum
 from heun_su11.su11_algebra import decompose, rebuild_coefficients
 from heun_su11.verifier import (
-    DEFAULT_SAMPLE_COUNT,
-    SINGULARITY_RADIUS,
     ResidualReport,
-    chebyshev_points,
-    check_sample_points,
-    default_sample_points,
     ode_residual,
     residual_block,
     residual_for_coefficients,
-    solution_samples,
 )
 from heun_su11.series_engine import ASCENDING, DESCENDING, convergence_domain
 from oracle import monomial, terms

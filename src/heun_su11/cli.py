@@ -12,10 +12,12 @@ decomposition solves and prints it at Q, as the direct run with --q Q does.
 JSON goes to stdout or --json FILE; spectrum and series also take --csv FILE
 for sampled (z, value) plot data.  verify scores a spectrum document's
 eigenpairs exactly, in coefficient space on Python integers
-(heun_core.exact_residuals), with no sample point and no numpy, and
-refuses one whose residuals pass but whose pairs cannot be a whole
-spectrum: an exponent set with fewer or more pairs than exponents, or with
-two identical pairs.  series and verify score a series by one rule,
+(heun_core.exact_residuals), with no sample point and no numpy; spectrum
+scores them by the same sums in float64, within 2^-48 of verify's scores,
+so the two agree on every pair not that close to the threshold.  verify
+also refuses a document whose residuals pass but whose pairs cannot be a
+whole spectrum: an exponent set with fewer or more pairs than exponents,
+or with two identical pairs.  series and verify score a series by one rule,
 heun_core.series_residual: its recurrence rows exactly, and its two
 truncation rows by their share of the scale at the samples, with no numpy
 in verify; verify derives the series' domain from the document's a2
@@ -214,43 +216,38 @@ def _first_nonfinite(numbers):
     return next((k for k, b in enumerate(numbers) if not cmath.isfinite(b)), None)
 
 
-def _cause(exponents, coefficients, q, residual: float) -> str:
+def _cause(exponents, coefficients, q) -> str:
     """Why a failing candidate fails, the first that holds: "non-finite
-    exponents", "non-finite coefficients or q", "overflow" when its residual
-    is inf although it is finite and not the zero function, so its terms
-    passed the largest float, else "residual"."""
+    exponents", "non-finite coefficients or q", else "residual"."""
     if _first_nonfinite(exponents) is not None:
         return "non-finite exponents"
     if _first_nonfinite([*coefficients, q]) is not None:
         return "non-finite coefficients or q"
-    return "overflow" if residual == math.inf and any(b != 0 for b in coefficients) else "residual"
+    return "residual"
 
 
-def _gate(residuals: list, candidates, samples, threshold: float, series: bool = False) -> int:
-    """The exit code of spectrum, series and verify for the residuals of the
-    eigenpairs, or of the one series, scored on samples (None for verify's
-    exact scores, which take none): 1, with the cause on stderr, when no
-    sample is left or a residual is over the threshold or NaN; else 0.
-    candidates yields each residual's (exponents, coefficients, q), which
-    only a failure's cause reads.  A finite series' score cannot overflow
-    (its rows are exact, its share a part of one sum over another), so a
-    failing series is named by its non-finite coefficients, its non-finite
-    p0 or its residual."""
+def _gate(residuals: list, candidates, samples, threshold: float) -> int:
+    """The exit code of spectrum, series and verify: 1, with the cause on
+    stderr, when a residual is over the threshold or NaN, or when the one
+    series has no sample left (samples, those that scored its truncation
+    rows; None for eigenpairs, which take none); else 0.  candidates yields
+    each residual's (exponents, coefficients, q), which only a failure's
+    cause reads.  No finite candidate's score overflows (eigenpairs are
+    summed exactly or at one power-of-two scale, a series' share is a part
+    of one sum over another), so a failure is named by its non-finite
+    numbers or its residual."""
     failed = sum(not r <= threshold for r in residuals)
     if samples is not None and not samples:
-        what = "the series" if series else "the eigenpairs"
-        cause = f"no sample point is left to check {what} on: {samples.cause}"
+        cause = f"no sample point is left to check the series on: {samples.cause}"
     elif not failed:
         return 0
-    elif not series:
-        counts = Counter(_cause(*candidate, r) for candidate, r in zip(candidates, residuals)
+    elif samples is None:
+        counts = Counter(_cause(*candidate) for candidate, r in zip(candidates, residuals)
                          if not r <= threshold)
-        said = {"residual": f"a residual over {threshold:g}",
-                "overflow": "a residual that overflows the float range, although their "
-                            "coefficients and q are finite"}
         cause = "; ".join(
-            f"{counts[c]} of {len(residuals)} eigenpairs have {said.get(c, c)}"
-            for c in ("non-finite exponents", "non-finite coefficients or q", "residual", "overflow")
+            f"{counts[c]} of {len(residuals)} eigenpairs have "
+            + (f"a residual over {threshold:g}" if c == "residual" else c)
+            for c in ("non-finite exponents", "non-finite coefficients or q", "residual")
             if counts[c])
     else:
         [(exponents, coefficients, _)], [residual] = list(candidates), residuals
@@ -307,7 +304,7 @@ def _cmd_spectrum(args) -> int:
     residuals = [r for sub in result.subgrids for r in sub.residuals.tolist()]
     candidates = (([sub.base + m for m in range(len(row))], row, q)
                   for sub in result.subgrids for row, q in zip(sub.rows, sub.q))
-    return _gate(residuals, candidates, solution_samples(coeffs.a2), RESIDUAL_THRESHOLD)
+    return _gate(residuals, candidates, None, RESIDUAL_THRESHOLD)
 
 
 def _cmd_series(args) -> int:
@@ -346,7 +343,7 @@ def _cmd_series(args) -> int:
         if math.isfinite(points[-1]):
             comment = f"q={_num_str(sol.q)} direction={sol.direction} parity={sol.parity}"
             _write_csv_blocks(args.csv, [(comment, sol, points)])
-    return _gate(*_score_series(coeffs, sol), RESIDUAL_THRESHOLD, series=True)
+    return _gate(*_score_series(coeffs, sol), RESIDUAL_THRESHOLD)
 
 
 def _score_series(coeffs: CanonicalCoefficients, sol: SeriesRecord) -> tuple:
@@ -423,7 +420,7 @@ def _cmd_verify(args) -> int:
         },
         args,
     )
-    return _gate(residuals, candidates, samples, args.threshold, series="eigenpairs" not in doc)
+    return _gate(residuals, candidates, samples, args.threshold)
 
 
 def _cmd_check_algebra(args) -> int:

@@ -222,6 +222,15 @@ def canonical_rows(coeffs: CanonicalCoefficients, p):
     return _rows(coeffs, p * (p - 1), p, 1)
 
 
+def row_matrix(coeffs: CanonicalCoefficients) -> Tuple[Tuple[float, ...], ...]:
+    """The rows as a 3 x 3 matrix: entry (i, j) is what the factor j
+    (p(p-1), p or 1) puts on the row i (z^(p+1), z^p or z^(p-1)).  The rows
+    are linear in the factors, so column j is _rows at the unit factor j,
+    and the matrix times the factors of any p gives canonical_rows there."""
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return tuple(zip(*(_rows(coeffs, *unit) for unit in units)))
+
+
 def _integer_rows(coeffs: CanonicalCoefficients, sizes: CanonicalCoefficients, key: int, e: int):
     """The signed rows and their magnitude sums at the exponent key / e,
     times e^2, for integer coefficients and their magnitudes: integers."""
@@ -333,7 +342,8 @@ class Samples(tuple):
 def solution_samples(
     a: float, domain: Tuple[float, float] = (0.0, math.inf), count: int = DEFAULT_SAMPLE_COUNT
 ) -> Samples:
-    """The samples that score a solution on its domain, the one sample rule:
+    """The samples of a solution's domain, the one sample rule, which scores
+    a series' truncation rows and places the CSV points of a spectrum:
     (0, min(1,|a|)) for a terminating eigenfunction on (0, inf), (0, R/2)
     for an ascending series on (0, R) and (2R, 4R) for a descending one on
     (R, inf), less the nodes default_sample_points clips.  From R of about

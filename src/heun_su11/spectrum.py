@@ -8,6 +8,8 @@ diagonal: row m is the decomposition's three-term row at p_m, the series'
 row too.  Admissible accessory values are then the eigenvalues of
 T b = q b; each eigenvector b gives the solution for that q, the terminating
 ascending series sum_m b_m z^(p0+m): a SeriesSolution on all of z > 0.
+Each pair is scored in coefficient space, as verify scores it, with no
+sample point (_residuals).
 
 solve_spectrum takes the eigenvalues from numpy (symmetric or dense, by the
 sign of the off-diagonal products) and every eigenvector from one twisted
@@ -29,9 +31,10 @@ three-term rows to the eigensolve, and the twisted factorization steps
 both sweeps over prebuilt row views and tests for a zero pivot once per
 sweep.  On the benchmark's ten ladders of n up to 128 (20 sub-grids,
 26,172 printed floats), the 29 ms that solve_spectrum and canonical_dumps
-take per pass go mostly to LAPACK's eigenvalues (1.5 ms), the residual's
-per-column gemms (1.2 ms) and the %.17g digits of the printed floats
-(17.5 ms; in process, best of 40, 2-core host).
+take per pass go mostly to LAPACK's eigenvalues (1.5 ms) and the %.17g
+digits of the printed floats (17.5 ms; in process, best of 40, 2-core
+host).  The scores take 1.3 ms per pass, where the 25-sample scorer they
+replaced took 2.4 ms (best of 250).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .heun_core import solution_samples
+from .heun_core import CanonicalCoefficients, row_matrix
 from .jsonio import SLOT, TemplatedList
 from .representations import (
     ExponentGrid,
@@ -51,7 +54,6 @@ from .representations import (
     split_even_odd,
 )
 from .su11_algebra import Su11Decomposition, rebuild_coefficients
-from .verifier import worst_residuals
 
 if TYPE_CHECKING:
     from .series_engine import SeriesSolution
@@ -255,22 +257,89 @@ def _eigensolve(matrix: TridiagonalMatrix) -> Tuple[np.ndarray, np.ndarray]:
     return values, _twisted_eigenvectors(matrix, values)
 
 
+# Each term of a scaled s_k is below 2^(_TERM_LOG2 + 1), so s_k, a sum of
+# at most eight, stays below 2^1022 (_residuals).
+_TERM_LOG2 = 1018
+_LEAST = 2.0**-1074
+
+
+def _residuals(coeffs: CanonicalCoefficients, base: float, rows: np.ndarray,
+               q: np.ndarray) -> np.ndarray:
+    """The componentwise residual of each of P pairs on the exponents base,
+    base + 1, ..., in float64: heun_core.exact_residuals' max_k |r_k| / s_k
+    over the k with s_k > 0, with a7 = -q[j] for row j of rows (P x n, peak
+    magnitude 1).  The rows at each exponent are heun_core.row_matrix (with
+    a7 = 0) times the factors p(p-1), p and 1, their magnitude sums
+    |row_matrix| times the factors' magnitudes, and -q and |q| join the
+    middle ones; r and s, P x (n + 2) on z^(base - 1) to z^(base + n), are
+    three shifted products of those rows with the coefficients and with
+    their magnitudes.  The zero function and a non-finite number score inf.
+
+    Scaling.  a0..a6 and every q are first multiplied by one power of two,
+    2^t, which is exact and leaves every ratio as it is.  With powers of
+    two M > max|a_i|, |q| (the finite ones) and F > max(1, |p(p-1)|, |p|),
+    t = min(_TERM_LOG2 - log2 M - log2 F, 1023) keeps each term
+    |a_i f_i(p) c| below 2^(_TERM_LOG2 + 1), so no finite input overflows,
+    and only a term below about 2^-2000 of the largest can underflow.
+
+    Bound.  With u = 2^-53, each term of r_k meets at most six roundings
+    (its product a_i f_i, two sums in its row, the product with c, two sums
+    in r_k), and a complex one at most sqrt(2) times more (Higham, Accuracy
+    and Stability of Numerical Algorithms, sec. 3.6): the computed r_k is
+    within 10u s_k of the exact one.  Each term of s_k meets at most seven,
+    |c| and |q| included: the computed s_k is within 7.01u s_k.  The exact
+    ratio e_k is at most 1, so the computed one, after its modulus and
+    division (2u), lies within (e_k + 10u)(1 + 9.1u) - e_k < 20u of e_k.
+    Each score thus lies within 20u of the exact one, and within 2^-48 of
+    exact_residuals', which rounds the exact one up once, wherever no term
+    underflows."""
+    n = rows.shape[1]
+    matrix = np.array(row_matrix(coeffs._replace(a7=0.0)))
+    magnitudes, size_m, size_q = np.abs(rows), np.abs(matrix), np.abs(q)
+    top = max(size_m.max(), size_q.max())
+    if not math.isfinite(top):  # a non-finite number, which scores inf below
+        top = max((x for x in (*size_m.flat, *size_q.tolist()) if math.isfinite(x)), default=1.0)
+    reach = max(abs(base), abs(base + n - 1))
+    scale = 2.0 ** min(_TERM_LOG2 - math.frexp(top)[1]
+                       - math.frexp(max(1.0, reach * (reach + 1.0)))[1], 1023)
+    p = base + np.arange(n, dtype=float)
+    factors = np.array([p * (p - 1.0), p, np.ones(n)])
+    signed, sizes = (matrix * scale) @ factors, (size_m * scale) @ np.abs(factors)
+    r = np.zeros((len(q), n + 2), np.result_type(rows, q))
+    s = np.zeros((len(q), n + 2))
+    with np.errstate(invalid="ignore"):  # a non-finite number, which scores inf below
+        # The rows of p_m land on z^(p_m + 1), z^p_m and z^(p_m - 1): columns m + 2, m + 1, m.
+        r[:, 2:] = signed[0] * rows
+        r[:, 1:-1] += (signed[1] - scale * q[:, None]) * rows
+        r[:, :-2] += signed[2] * rows
+        s[:, 2:] = sizes[0] * magnitudes
+        s[:, 1:-1] += (sizes[1] + scale * size_q[:, None]) * magnitudes
+        s[:, :-2] += sizes[2] * magnitudes
+        # s_k is 0 only where each term of r_k is 0, and otherwise at least
+        # the least subnormal, so the floor changes no ratio.
+        worst = (np.abs(r) / np.maximum(s, _LEAST)).max(axis=1)
+    # A non-finite number makes some ratio NaN (inf / inf, 0 * inf or NaN
+    # itself), and so the score.
+    worst[np.isnan(worst) | ~rows.any(axis=1)] = math.inf
+    return worst
+
+
 def solve_spectrum(dec: Su11Decomposition, rep: RepresentationDescriptor) -> SpectralResult:
     """All eigenpairs of the finite ladder, even sub-grid first.
 
     Eigenvalues within a parity are sorted by (real, imag); eigenvectors are
     normalized to peak magnitude 1 with the first nonzero coefficient made
-    positive.  Each pair carries the relative residual of its eigenfunction
-    in the original equation with the accessory set to that eigenvalue.
-    Every eigenfunction of a parity lives on the same exponents, so one
-    worst_residuals call scores them all.
+    positive.  Each pair carries the residual of its eigenfunction in the
+    original equation with the accessory set to that eigenvalue, scored in
+    coefficient space with no sample point, within 2^-48 of verify's exact
+    score (_residuals).  Every eigenfunction of a parity lives on the same
+    exponents, so one _residuals call scores them all.
     """
     if rep.rep_class is not RepresentationClass.FINITE_DIMENSIONAL:
         raise ValidationError(
             f"spectra are only computed on finite ladders, not {rep.rep_class.value}"
         )
-    base_coeffs = rebuild_coefficients(dec)
-    samples = solution_samples(base_coeffs.a2)
+    coeffs = rebuild_coefficients(dec)
     split = split_even_odd(rep)
     warnings: List[str] = []
     subgrids: List[SolvedSubgrid] = []
@@ -283,8 +352,8 @@ def solve_spectrum(dec: Su11Decomposition, rep: RepresentationDescriptor) -> Spe
         values = values[order]
         rows = _normalize_rows(vectors.T[order])
         base = matrix.exponents[0].item()
-        worst = worst_residuals(base_coeffs, base + np.arange(len(values)), rows.T, values, samples)
-        subgrids.append(SolvedSubgrid(parity, base, values, rows, worst))
+        subgrids.append(SolvedSubgrid(parity, base, values, rows,
+                                      _residuals(coeffs, base, rows, values)))
         if np.iscomplexobj(values):
             warnings.append(
                 f"complex eigenvalues on the {parity} sub-grid; the "

@@ -19,19 +19,18 @@ a non-finite sum or scale scores inf, and the worst over the samples is inf
 for the zero function or an empty sample set.
 
 The verifier owns the sampled block scorer, residual_block, which scores
-the candidates' coefficients as given, zeros included, at the samples of
-heun_core's one sample rule; worst_residuals takes the block's dtype from
-the coefficients and q together.  P candidates that share one exponent set
-(the eigenfunctions of one parity sub-grid) share one power matrix z^p and
-one stacked matrix product, which numpy runs as one gemm per candidate.  A
-column's bits depend on the block's dtype: a real column in a complex block
-is summed in complex arithmetic and may differ in the last bits from the
-same column scored as a float.  spectrum scores its output through
-worst_residuals.  verify scores no document here: a spectrum's eigenpairs
-and a series' recurrence rows are scored exactly, and a series' two
-truncation rows by their share at the samples, all in heun_core, without
-numpy.  residual_for_coefficients, the single-solution report, is the
-one-column case of residual_block on a MonomialSum as given.
+the candidates' coefficients as given, zeros included, at the given
+samples.  P candidates that share one exponent set (the eigenfunctions of
+one parity sub-grid) share one power matrix z^p and one stacked matrix
+product, which numpy runs as one gemm per candidate.  A column's bits
+depend on the block's dtype: a real column in a complex block is summed in
+complex arithmetic and may differ in the last bits from the same column
+scored as a float.  No subcommand scores here: spectrum scores its
+eigenpairs in coefficient space (spectrum._residuals), verify scores them
+and a series' recurrence rows exactly, and both score a series' two
+truncation rows by their share at the samples, all without this module.
+residual_for_coefficients, the single-solution report, is the one-column
+case of residual_block on a MonomialSum as given.
 
 Of one long series only the terms that can move its residual are scored.
 The rule applies to a block of a single column of finite float64
@@ -185,18 +184,6 @@ def _worst(residuals: np.ndarray, block: np.ndarray) -> np.ndarray:
     worst = residuals.max(axis=1, initial=0.0)
     worst[~np.any(np.asarray(block) != 0.0, axis=0) | (residuals.shape[1] == 0)] = math.inf
     return worst
-
-
-def worst_residuals(coeffs: CanonicalCoefficients, exponents: np.ndarray, block: np.ndarray,
-                    q: np.ndarray, z_samples: Sequence[float]) -> np.ndarray:
-    """Worst residual over the samples of each column of the block, scored
-    with the accessory q[j]: a7 = -q, kept real for a real q as with_accessory
-    keeps it.  The block and q share one dtype, complex when either is."""
-    dtype = np.result_type(np.asarray(block), np.asarray(q))
-    block, q = np.asarray(block, dtype), np.asarray(q, dtype)
-    a7 = np.where(q.imag != 0.0, -q, -q.real)
-    residuals, _ = residual_block(coeffs, exponents, block, a7, z_samples)
-    return _worst(residuals, block)
 
 
 def residual_for_coefficients(coeffs: CanonicalCoefficients, solution: MonomialSum,

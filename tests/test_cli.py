@@ -797,13 +797,17 @@ def test_options_a_subcommand_ignores_are_usage_errors(argv, option, tmp_path, m
     assert not (tmp_path / "plot.csv").exists()
 
 
-def test_spectrum_with_no_surviving_sample_exits_1(capsys):
-    # Every Chebyshev node of (0, 1e-7) lies within the singularity radius of a.
-    assert main(["spectrum", "--preset", "example1", "--a", "1e-7"]) == 1
+def test_spectrum_where_no_sample_would_survive_exits_0(capsys, monkeypatch):
+    # Every Chebyshev node of (0, 1e-7) lies within the singularity radius of
+    # a, but spectrum scores in coefficient space and takes no sample: the
+    # document passes, with finite residuals, as verify passes it.
+    assert main(["spectrum", "--preset", "example1", "--a", "1e-7"]) == 0
     captured = capsys.readouterr()
-    assert [pair["residual"] for pair in json.loads(captured.out)["eigenpairs"]] == [None] * 3
-    assert captured.err == ("heun-su11: no sample point is left to check the eigenpairs on: "
-                            "each is off the positive axis or within 1e-06 of a singular point\n")
+    assert captured.err == ""
+    residuals = [pair["residual"] for pair in json.loads(captured.out)["eigenpairs"]]
+    assert len(residuals) == 3 and max(residuals) < 1e-15
+    monkeypatch.setattr(sys, "stdin", io.StringIO(captured.out))
+    assert main(["verify", "--solution", "-"]) == 0
 
 
 def test_ascending_series_with_no_surviving_sample_exits_1(capsys):
@@ -852,29 +856,31 @@ EMITTER_CAUSES = {
 
 @pytest.mark.parametrize("case", sorted(EMITTER_CAUSES))
 def test_verify_names_the_cause_the_emitter_named(case, capsys, monkeypatch):
-    """verify exits on a series document as its emitter did, since one rule
-    scores both, and names the same cause.  At a = 1e300 (K = 1) the
-    series' exact rows and its share pass where its sampled sums once
-    passed the largest float, so neither names a cause.  An eigenpairs
-    document fails its emitter on the samples: none is left at a = 1e-7,
-    the sums pass the largest float at a = 1e308, and at a = 1e-5 (n = 128)
-    5 pairs score over 1e-8 there.  verify's exact sums take no sample and
-    round nothing, and pass each honest pair, at most 5.4e-10."""
+    """verify exits on a document as its emitter did and names the same
+    cause.  A series is scored by one rule in both.  At a = 1e300 (K = 1)
+    the series' exact rows and its share pass where its sampled sums once
+    passed the largest float, so neither names a cause.  Eigenpairs are
+    scored in coefficient space by both, with no sample, so the eigenpairs
+    documents that once failed spectrum's samples pass both: at a = 1e-7,
+    where no sample is left, at a = 1e308, where the sampled sums passed the
+    largest float, and at a = 1e-5 (n = 128), where 5 pairs scored over
+    1e-8 at the samples.  Each printed residual lies within 2^-48 of
+    verify's exact score, at most 5.4e-10."""
     code = main(EMITTER_CAUSES[case])
     emitted = capsys.readouterr()
     assert len(emitted.err.splitlines()) == code
+    assert code == (case.startswith("series") and case != "series-overflowed")
     monkeypatch.setattr(sys, "stdin", io.StringIO(emitted.out))
-    if case.startswith("eigenpairs"):
-        assert code == 1
-        assert main(["verify", "--solution", "-"]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == "" and json.loads(captured.out)["max_relative_residual"] < 6e-10
-        return
-    assert code == (case != "series-overflowed")
     assert main(["verify", "--solution", "-"]) == code
     captured = capsys.readouterr()
-    assert json.loads(captured.out)["passed"] is (code == 0)
+    report = json.loads(captured.out)
+    assert report["passed"] is (code == 0)
     assert captured.err == emitted.err
+    if case.startswith("eigenpairs"):
+        residuals = [pair["residual"] for pair in json.loads(emitted.out)["eigenpairs"]]
+        scores = [r["max_relative_residual"] for r in report["results"]]
+        assert max(scores) < 6e-10
+        assert all(abs(r - s) <= 2.0**-48 for r, s in zip(residuals, scores))
 
 
 def test_verify_names_failing_pairs_at_its_own_threshold(capsys, monkeypatch):
@@ -889,23 +895,19 @@ def test_verify_names_failing_pairs_at_its_own_threshold(capsys, monkeypatch):
     assert capsys.readouterr().err == "heun-su11: 1 of 3 eigenpairs have a residual over 1e-08\n"
 
 
-OVERFLOWED = "overflows the float range, although their coefficients and q are finite"
-
-
 def test_an_overflowed_residual_names_its_cause(capsys, monkeypatch):
-    # At a = 1e308 the odd pair, z^0.5 with q = 2.5e307, is finite, but its
-    # terms in the polynomial form pass the largest float at every sample,
-    # so its residual is inf.  The document is still printed, with exit 1.
-    assert main(["spectrum", "--preset", "example1", "--a", "1e308"]) == 1
+    # At a = 1e308 the odd pair, z^0.5 with q = 2.5e307, is finite, and its
+    # terms in the polynomial form passed the largest float at every sample.
+    # spectrum scores in coefficient space at one power-of-two scale, so no
+    # residual overflows: the document passes, and verify's exact sums pass
+    # it too.  A pair with a wrong q, or a null coefficient, exponent or q,
+    # fails for its own cause alone.
+    assert main(["spectrum", "--preset", "example1", "--a", "1e308"]) == 0
     captured = capsys.readouterr()
-    overflowed = "1 of 3 eigenpairs have a residual that " + OVERFLOWED
-    assert captured.err == f"heun-su11: {overflowed}\n"
+    assert captured.err == ""
     doc = json.loads(captured.out)
     odd = doc["eigenpairs"][2]
-    assert (odd["parity"], odd["q"], odd["residual"]) == ("odd", 2.5e307, None)
-    # verify's sums are exact integers, which do not overflow: it passes the
-    # document, and a pair with a wrong q, or a null coefficient or q, fails
-    # for its own cause alone.
+    assert (odd["parity"], odd["q"]) == ("odd", 2.5e307) and odd["residual"] < 1e-15
     monkeypatch.setattr(sys, "stdin", io.StringIO(captured.out))
     assert main(["verify", "--solution", "-"]) == 0
     assert json.loads(capsys.readouterr().out)["results"][2]["max_relative_residual"] < 1e-15
@@ -953,9 +955,8 @@ def _null_p0_and_b3(series):
 # Forged documents whose failing candidates mix causes: the command that
 # prints the document, an edit of eigenpair i (or of the series, i None),
 # and the one line verify prints.  The zero function scores inf, but its
-# coefficients are all zero, so it is not an overflow.  The odd pair of the
-# a = 1e308 document overflows the emitter's samples, but verify's exact
-# sums pass it.
+# coefficients are all zero.  The a = 1e308 document passes spectrum and
+# verify, so only the forged pairs fail.
 MIXED_CAUSES = {
     "eigenpairs-zero-null-overflowed": (
         ["spectrum", "--preset", "example1", "--a", "1e308"],
@@ -1196,14 +1197,17 @@ def test_series_csv_names_non_finite_coefficients(tmp_path, capsys):
         "# q=0.010851 direction=descending parity=even", "z,value"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["series", "--preset", "example1", "--a", "1e308", "--rep", "nd", "--q", "0.3"],
-    ["spectrum", "--preset", "example1", "--a", "1e308"],
+@pytest.mark.parametrize("argv, code", [
+    (["series", "--preset", "example1", "--a", "1e308", "--rep", "nd", "--q", "0.3"], 1),
+    (["spectrum", "--preset", "example1", "--a", "1e308"], 0),
 ], ids=["series", "spectrum"])
-def test_huge_a_prints_only_the_tool_message(argv):
+def test_huge_a_prints_only_the_tool_message(argv, code):
     # The ladder rows overflow at |a| = 1e308; numpy must not warn about it.
+    # The series has no sample left and says so in one line; the spectrum's
+    # pairs, scored in coefficient space, pass, and it prints nothing.
     proc = subprocess.run([sys.executable, "-m", "heun_su11", *argv],
                           capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 1
-    [line] = proc.stderr.splitlines()
-    assert line.startswith("heun-su11: ") and "Warning" not in line
+    assert proc.returncode == code
+    lines = proc.stderr.splitlines()
+    assert len(lines) == code
+    assert all(line.startswith("heun-su11: ") and "Warning" not in line for line in lines)

@@ -11,6 +11,7 @@ from heun_su11.heun_core import (
     canonical_rows,
     lame_parameters,
     make_parameters,
+    row_matrix,
 )
 
 EXAMPLE1 = dict(gamma=0.5, delta=-0.5, alpha=-1.0, beta=-0.5, a=2.0, q=0.0)
@@ -146,6 +147,9 @@ def test_second_order_action_parts_sum_to_action():
         # The same arithmetic on exact numbers stays exact.
         exact = canonical_rows(CanonicalCoefficients(*a), p)
         assert exact == expected and all(isinstance(row, Fraction) for row in exact)
+        # row_matrix times the factors gives the same rows, exactly.
+        matrix = row_matrix(CanonicalCoefficients(*a))
+        assert tuple(sum(m * f for m, f in zip(row, (f1, f2, 1))) for row in matrix) == expected
 
 
 def test_coefficients_json_roundtrip():

@@ -39,6 +39,7 @@ import sys
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul, sub
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ from heun_su11.heun_core import (
     SeriesRecord,
     canonical_coefficients,
     canonical_rows,
+    exact_residuals,
     make_parameters,
     solution_samples,
 )
@@ -181,12 +183,18 @@ MUTATIONS = [(a, n, 1e-6) for a in (2.0, 4.0, -3.0) for n in range(3, 17)] + [
 
 @pytest.mark.parametrize("a,n,rel", MUTATIONS)
 def test_mutated_pairs_are_caught(a, n, rel):
+    """The emitter passes a pair exactly when verify's exact score does (at
+    a = 2, n = 6 one pair scores 1 in both, NOISE_PAIR), and a moved q or
+    coefficient fails every multi-term pair at the samples."""
     coeffs, pairs = ladder(n, a)
     samples = default_sample_points(a)
     multi_term = [pair for pair in pairs if len(pair.eigenfunction.coefficients) > 1]
     assert multi_term
     for pair in multi_term:
-        assert pair.residual <= THRESHOLD
+        series = pair.eigenfunction
+        exponents = [series.p0 + m for m in range(len(series.coefficients))]
+        [exact] = exact_residuals(coeffs, [(exponents, series.coefficients, pair.q)])
+        assert (pair.residual <= THRESHOLD) == (exact <= THRESHOLD)
         y = pair.eigenfunction.as_monomial_sum()
         moved_q = pair.q + rel * max(1.0, abs(pair.q))
         report = residual_for_coefficients(coeffs.with_accessory(moved_q), y, samples)
@@ -407,6 +415,81 @@ def test_verify_scores_drawn_spectra_exactly(seed, capsys, monkeypatch):
             rc, scores = verify_scores(doc, capsys, monkeypatch)
             assert rc == 0, argv
             check_exact_scores(doc, scores)
+
+
+# 2^-48 bounds |spectrum's float64 score - verify's exact one| (spectrum._residuals).
+FLOAT_TO_EXACT = 2.0**-48
+
+
+def assert_spectrum_agrees_with_verify(argv, capsys, monkeypatch):
+    """Run spectrum with argv and verify on its document; assert that both
+    exit alike and that each printed residual lies within FLOAT_TO_EXACT
+    of verify's exact score; return the exit code and the document."""
+    rc, out = run(argv, capsys, monkeypatch)
+    doc = json.loads(out)
+    verdict, scores = verify_scores(doc, capsys, monkeypatch)
+    residuals = [pair["residual"] for pair in doc["eigenpairs"]]
+    assert rc == verdict, argv
+    assert all(abs(r - s) <= FLOAT_TO_EXACT for r, s in zip(residuals, scores)), argv
+    return rc, doc
+
+
+# Documents that spectrum once scored at 25 samples and verify exactly, with
+# different verdicts, and verify's verdict, which spectrum now shares.
+DISAGREED = {
+    "n6-a2": (ladder_argv(6, 0.5, 2.0), 1),
+    **{f"delta-1.5-a{a:g}": (ladder_argv(5, 0.5, a, delta=-1.5), 1)
+       for a in (0.5, 2.0, 3.0, 4.0, 1000.0)},
+    "n128-a1e6": (ladder_argv(128, 0.5, 1e6), 1),
+    "example1-a1e-7": (["spectrum", "--preset", "example1", "--a", "1e-7"], 0),
+    "example1-a1e308": (["spectrum", "--preset", "example1", "--a", "1e308"], 0),
+    "n128-a1e-5": (ladder_argv(128, 0.5, 1e-5), 0),
+}
+# The failing pair at a = 2, n = 6: its true q and middle coefficient are 0,
+# and row z^0 holds only -q c_0 and a5 c_1, the rounding noise of both, so
+# the componentwise score of that row is exactly 1, in spectrum and verify.
+NOISE_PAIR = {"q": -2.85288813758595e-16, "coefficients": [1, 1.5849378542144169e-16,
+                                                           -0.8333333333333334]}
+
+
+@pytest.mark.parametrize("name", list(DISAGREED))
+def test_spectrum_exits_as_verify_judges_its_document(name, capsys, monkeypatch):
+    argv, verdict = DISAGREED[name]
+    rc, doc = assert_spectrum_agrees_with_verify(argv, capsys, monkeypatch)
+    assert rc == verdict
+    if name == "n6-a2":
+        failing = [pair for pair in doc["eigenpairs"] if pair["residual"] > THRESHOLD]
+        assert [(pair["q"], [t["value"] for t in pair["coefficients"]], pair["residual"])
+                for pair in failing] == [(*NOISE_PAIR.values(), 1)]
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "lame", "n32-a2", "n32-a-3",
+                                  "n128-a4"])
+def test_golden_spectrum_residuals_lie_within_the_bound_of_verify(name):
+    """The float64 score of every pair of each spectrum fixture, against the
+    exact score of its verify fixture."""
+    golden = Path(__file__).parent / "golden"
+    pairs = json.loads((golden / f"spectrum-{name}.out").read_text(encoding="utf-8"))["eigenpairs"]
+    results = json.loads((golden / f"verify-{name}.out").read_text(encoding="utf-8"))["results"]
+    assert len(pairs) == len(results)
+    for pair, result in zip(pairs, results):
+        assert abs(pair["residual"] - result["max_relative_residual"]) <= FLOAT_TO_EXACT
+
+
+# gamma, a, delta and n = 1..40 of the agreement grid; a seed takes every
+# eighth ladder, from its own offset, so any eight consecutive seeds cover it.
+AGREEMENT_GRID = [(gamma, a, delta, n) for gamma in (0.5, 1.5)
+                  for a in (0.25, 2.0, 3.0, 4.0, 10.0, 1e3, -3.0)
+                  for delta in (-1.5, -0.5, -0.47, 0.3) for n in range(1, 41)]
+
+
+@pytest.mark.sweep
+def test_spectrum_agrees_with_verify_on_the_grid(seed, capsys, monkeypatch):
+    """On each ladder of the grid, spectrum exits 1 exactly when verify
+    fails its document, and each printed residual lies within
+    FLOAT_TO_EXACT of verify's exact score."""
+    for gamma, a, delta, n in AGREEMENT_GRID[seed % 8::8]:
+        assert_spectrum_agrees_with_verify(ladder_argv(n, gamma, a, delta), capsys, monkeypatch)
 
 
 SERIES = {

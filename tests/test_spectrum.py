@@ -24,6 +24,7 @@ from heun_su11.representations import (
     classify,
     split_even_odd,
 )
+from heun_su11 import heun_core
 from heun_su11 import spectrum as spectrum_module
 from heun_su11 import verifier as verifier_module
 from heun_su11.series_engine import evaluate_series
@@ -504,6 +505,13 @@ def test_each_name_loads_only_its_home_module_and_its_imports(code, modules):
     assert package_modules(["-c", code]) == modules
 
 
+def test_spectrum_leaves_the_sampled_scorer_out():
+    # spectrum scores in coefficient space: it loads neither the sampled
+    # scorer nor the monomial sums it works on.
+    loaded = package_modules([*CLI, "spectrum", "--preset", "example1"])
+    assert "spectrum" in loaded and not {"verifier", "monomials"} & loaded
+
+
 def test_spectrum_loads_series_engine_only_to_write_csv(tmp_path):
     argv = [*CLI, "spectrum", "--preset", "example1"]
     assert "series_engine" not in package_modules(argv)
@@ -645,7 +653,8 @@ def sweep_cases(count, seed):
 
 def test_block_residual_equals_one_column_call():
     # The n=128 ladder at a=1e6 has 102 exact-zero coefficients, which the
-    # one-column call scores as the block does.
+    # one-column call scores as the block does.  Each pair's own residual,
+    # scored in coefficient space, is its one-column _residuals call too.
     seen_complex = seen_zero_q = seen_zeros = 0
     for a, n, delta in sweep_cases(12, seed=2024) + [(1e6, 128, -0.5)]:
         for coeffs, exponents, block, a7, samples, own in parity_blocks(a, n, delta):
@@ -657,7 +666,9 @@ def test_block_residual_equals_one_column_call():
                 report = residual_for_coefficients(coeffs.with_accessory(pair.q), y, samples)
                 assert bits(residuals[j]) == bits(report.residuals)
                 assert bits(scales[j]) == bits(report.scales)
-                assert pair.residual == report.max_relative_residual
+                [alone] = spectrum_module._residuals(
+                    coeffs, exponents[0].item(), block[:, j:j + 1].T, np.array([pair.q], block.dtype))
+                assert pair.residual == alone
                 seen_complex += isinstance(pair.q, complex)
                 seen_zero_q += pair.q == 0.0 and pair.residual == 0.0
     assert seen_complex and seen_zero_q and seen_zeros >= 102
@@ -680,19 +691,57 @@ def test_block_columns_score_as_they_would_alone():
 
 
 def test_solve_spectrum_scores_each_parity_with_one_call(monkeypatch):
+    """One _residuals call per parity sub-grid scores all of its pairs, and
+    the sampled scorer is not called."""
     calls = []
+    score = spectrum_module._residuals
 
-    def counting(coeffs, exponents, block, a7, z_samples):
-        calls.append(block.shape)
-        return residual_block(coeffs, exponents, block, a7, z_samples)
+    def counting(coeffs, base, rows, q):
+        calls.append(rows.shape)
+        return score(coeffs, base, rows, q)
 
-    monkeypatch.setattr(verifier_module, "residual_block", counting)
+    def sampled(*args):
+        raise AssertionError("solve_spectrum called the sampled scorer")
+
+    monkeypatch.setattr(spectrum_module, "_residuals", counting)
+    monkeypatch.setattr(verifier_module, "residual_block", sampled)
     for n, parities in ((1, 1), (2, 2), (33, 2), (128, 2)):
         calls.clear()
         dec = decompose(ladder_params(n, 0.5, 2.0, delta=-0.5))
         result = solve_spectrum(dec, finite_rep(dec))
         assert len(calls) == parities
-        assert sum(cols for _, cols in calls) == len(result.pairs) == n
+        assert sum(count for count, _ in calls) == len(result.pairs) == n
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_residuals_score_the_zero_function_and_non_finite_pairs_inf(dtype):
+    """Each pair is scored on its own row: a zero row, a NaN or infinite
+    coefficient and a NaN or infinite q score inf, without a warning, and
+    leave the other pairs' scores as they were, bit for bit."""
+    dec = decompose(ladder_params(16, 0.5, 2.0, delta=-0.47))
+    coeffs = rebuild_coefficients(dec)
+    sub = solve_spectrum(dec, finite_rep(dec)).subgrids[0]
+    rows, q = sub.rows.astype(dtype), sub.q.astype(dtype)
+    honest = spectrum_module._residuals(coeffs, sub.base, rows, q)
+    assert honest.max() < 1e-14
+    rows[1], rows[2, 3], rows[3, 0] = 0.0, math.nan, math.inf
+    q[4], q[5] = math.nan, -math.inf
+    got = spectrum_module._residuals(coeffs, sub.base, rows, q)
+    assert got[1:6].tolist() == [math.inf] * 5
+    assert bits(got[[0, 6, 7]]) == bits(honest[[0, 6, 7]])
+
+
+def test_solve_spectrum_computes_no_sample_point(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_spectrum computed sample points")
+
+    # Every sample rule takes its nodes from heun_core.chebyshev_points.
+    monkeypatch.setattr(heun_core, "chebyshev_points", refuse)
+    for a in (2.0, -3.0, 1e-7, 1e308):
+        dec = decompose(example1(a))
+        assert len(solve_spectrum(dec, finite_rep(dec)).pairs) == 3
+    dec = decompose(ladder_params(128, 1.5, 4.0))
+    assert max(pair.residual for pair in solve_spectrum(dec, finite_rep(dec)).pairs) < 1e-12
 
 
 def test_planted_coefficient_fails_its_column_alone():

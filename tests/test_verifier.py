@@ -59,7 +59,7 @@ def test_constant_solution_scores_zero():
 
 def test_zero_candidate_scores_zero():
     # The zero function solves every equation and so proves nothing: its
-    # worst residual is inf, as in worst_residuals.
+    # worst residual is inf.
     params = make_parameters(a=2.0, **EXAMPLE1)
     for zero in (MonomialSum.from_terms([]), MonomialSum.from_terms([(0.0, 0.0), (1.0, 0j)])):
         assert ode_residual(params, zero).max_relative_residual == math.inf

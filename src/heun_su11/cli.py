@@ -43,7 +43,6 @@ from . import jsonio
 from .errors import NumericalError, UsageError, ValidationError
 from .heun_core import (
     ASCENDING,
-    CONDITION_TOL,
     DEFAULT_SAMPLE_COUNT,
     CanonicalCoefficients,
     HeunParameters,
@@ -163,8 +162,8 @@ def _resolve_parameters(args) -> HeunParameters:
 
 
 def _refuse_parameters(args, reason: str, keep: Sequence[str] = ()) -> None:
-    """Usage error for any parameter source or --tolerance that reason leaves unused."""
-    given = [f"--{k}" for k in ("preset", "params", *PARAM_KEYS, "tolerance")
+    """Usage error for any parameter source that reason leaves unused."""
+    given = [f"--{k}" for k in ("preset", "params", *PARAM_KEYS)
              if k not in keep and getattr(args, k, None) is not None]
     if given:
         raise UsageError(f"{reason}; remove {given}")
@@ -173,17 +172,11 @@ def _refuse_parameters(args, reason: str, keep: Sequence[str] = ()) -> None:
 def _resolve_decomposition(args, keep: Sequence[str] = ()) -> Su11Decomposition:
     """The saved decomposition, else the decomposition of the parameters; keep
     names the parameter flags the command still reads beside --decomposition."""
-    from .su11_algebra import Su11Decomposition
+    from .su11_algebra import Su11Decomposition, decompose
     if getattr(args, "decomposition", None):
         _refuse_parameters(args, "--decomposition fixes the operator", keep)
         return Su11Decomposition.from_json_dict(_read_json(args.decomposition, "--decomposition"))
-    return _decompose(args, _resolve_parameters(args))
-
-
-def _decompose(args, params: HeunParameters) -> Su11Decomposition:
-    """decompose at --tolerance, CONDITION_TOL when it is not given."""
-    from .su11_algebra import decompose
-    return decompose(params, CONDITION_TOL if args.tolerance is None else args.tolerance)
+    return decompose(_resolve_parameters(args))
 
 
 def _write_csv_blocks(path: str, blocks) -> None:
@@ -264,7 +257,8 @@ def _gate(residuals: list, candidates, samples, threshold: float) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    dec = _decompose(args, _resolve_parameters(args))
+    from .su11_algebra import decompose
+    dec = decompose(_resolve_parameters(args))
     _emit_json(dec.to_json_dict(), args)
     return 0
 
@@ -302,15 +296,18 @@ def _cmd_spectrum(args) -> int:
             for pair in result.pairs
         ))
     residuals = [r for sub in result.subgrids for r in sub.residuals.tolist()]
-    candidates = (([sub.base + m for m in range(len(row))], row, q)
-                  for sub in result.subgrids for row, q in zip(sub.rows, sub.q))
+    candidates = [([sub.base + m for m in range(len(row))], row, q)
+                  for sub in result.subgrids for row, q in zip(sub.rows.tolist(), sub.q.tolist())]
+    # As verify does: a passing document must still be a whole spectrum.
+    if all(r <= RESIDUAL_THRESHOLD for r in residuals):
+        _check_exponent_sets(candidates)
     return _gate(residuals, candidates, None, RESIDUAL_THRESHOLD)
 
 
 def _cmd_series(args) -> int:
     from .representations import RepresentationClass, classify
     from .series_engine import series_solution
-    from .su11_algebra import rebuild_coefficients
+    from .su11_algebra import decompose, rebuild_coefficients
     if getattr(args, "decomposition", None):
         dec = _resolve_decomposition(args, keep=("q",))
         if args.q is None:
@@ -319,7 +316,7 @@ def _cmd_series(args) -> int:
             q, dec = args.q, dec.with_accessory(args.q)
     else:
         params = _resolve_parameters(args)
-        dec = _decompose(args, params)
+        dec = decompose(params)
         q = params.q
     wanted = (
         RepresentationClass.POSITIVE_DISCRETE
@@ -424,7 +421,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check_algebra(args) -> int:
-    from .su11_algebra import algebra_identity_check, reconstruction_check
+    from .su11_algebra import algebra_identity_check, decompose, reconstruction_check
     exponents = [-3.0 + 0.5 * i for i in range(13)]
     doc: dict = {}
     failed = False
@@ -436,7 +433,7 @@ def _cmd_check_algebra(args) -> int:
         require_finite(mu=mu, nu=nu)
     else:
         params = _resolve_parameters(args)
-        dec = _decompose(args, params)
+        dec = decompose(params)
         mu, nu = dec.mu, dec.nu
         recon = reconstruction_check(params, dec, exponents)
         doc["max_reconstruction_deviation"] = recon
@@ -468,11 +465,6 @@ def _build_parser() -> _Parser:
     for name in ("gamma", "delta", "epsilon", "alpha", "beta", "q", "rho"):
         group.add_argument(f"--{name}", type=float)
     group.add_argument("--a", type=float, dest="a")
-    group.add_argument(
-        "--tolerance",
-        type=float,
-        help=f"factorization-condition tolerance (default {CONDITION_TOL:g})",
-    )
 
     dec_parent = _Parser(add_help=False)
     dec_parent.add_argument(

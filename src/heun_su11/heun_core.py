@@ -61,8 +61,6 @@ from .errors import ValidationError
 from .jsonio import as_number
 
 FUCHSIAN_TOL = 1e-9
-# Default tolerance of the factorization conditions (su11_algebra.decompose).
-CONDITION_TOL = 1e-9
 SINGULARITY_RADIUS = 1e-6
 DEFAULT_SAMPLE_COUNT = 25
 

@@ -204,7 +204,8 @@ def _twisted_eigenvectors(matrix: TridiagonalMatrix, values: np.ndarray) -> np.n
     shifted = np.asarray(matrix.diagonal)[:, None] - values
     lower = np.asarray(matrix.lower)[:, None]
     upper = np.asarray(matrix.upper)[:, None]
-    products = lower * upper
+    with np.errstate(over="ignore"):  # an inf product fails the residual, not a warning
+        products = lower * upper
     # Row i holds D+_i and D-_(n-1-i), so one step moves both sweeps.
     def both(x):
         return np.concatenate((x, x[::-1]), axis=1).reshape(len(x), 2, x.shape[1])
@@ -240,7 +241,8 @@ def _eigensolve(matrix: TridiagonalMatrix) -> Tuple[np.ndarray, np.ndarray]:
     dense = np.diag(matrix.diagonal)
     # Every (n + 1)-th entry from n on is the sub-diagonal, from 1 on the super-diagonal.
     flat = dense.reshape(-1)
-    products = np.asarray(matrix.lower) * np.asarray(matrix.upper)
+    with np.errstate(over="ignore"):  # as in build_matrix: huge |a| fails later, not here
+        products = np.asarray(matrix.lower) * np.asarray(matrix.upper)
     try:
         if np.all(products > 0.0):
             # eigvalsh reads only the lower triangle.

@@ -24,13 +24,11 @@ from typing import Iterable, Mapping, NamedTuple, Tuple
 
 from .errors import ValidationError
 from .heun_core import (
-    CONDITION_TOL,
     CanonicalCoefficients,
     HeunParameters,
     canonical_coefficients,
     canonical_rows,
     read_floats,
-    require_finite,
 )
 
 NU_BY_GAMMA = {0.5: 0.0, 1.5: 0.5}
@@ -58,9 +56,10 @@ def casimir_value(mu: float, nu: float) -> float:
 class FactorizabilityReport(NamedTuple):
     """Outcome of the two factorization conditions.
 
-    failures lists reason codes: "exponent_gap" when |alpha-beta| is not 1/2,
-    "gamma" when gamma is neither 1/2 nor 3/2; deviations give the distance
-    to the nearest admissible value.
+    failures lists reason codes: "exponent_gap" when |alpha-beta| is not 1/2
+    to the rounding of alpha and beta, "gamma" when gamma is neither 1/2 nor
+    3/2; deviations give the distance to the nearest admissible value, and
+    gap_bound the rounding bound ulp(alpha) + ulp(beta) the gap is held to.
     """
 
     accepted: bool
@@ -69,6 +68,7 @@ class FactorizabilityReport(NamedTuple):
     gamma: float
     gap_deviation: float
     gamma_deviation: float
+    gap_bound: float
 
     def describe(self) -> str:
         if self.accepted:
@@ -77,7 +77,8 @@ class FactorizabilityReport(NamedTuple):
         if "exponent_gap" in self.failures:
             parts.append(
                 f"|alpha-beta|={self.exponent_gap:.12g} is off 1/2 "
-                f"by {self.gap_deviation:.3e}"
+                f"by {self.gap_deviation:.3e}, over the rounding bound "
+                f"{self.gap_bound:.3e} of alpha and beta"
             )
         if "gamma" in self.failures:
             parts.append(
@@ -87,20 +88,26 @@ class FactorizabilityReport(NamedTuple):
         return "not factorizable: " + "; ".join(parts)
 
 
-def check_factorizable(
-    params: HeunParameters, tol: float = CONDITION_TOL
-) -> FactorizabilityReport:
-    """Test |alpha-beta| = 1/2 and gamma in {1/2, 3/2}, each within tol."""
-    require_finite(tol=tol)
-    if tol < 0.0:
-        raise ValidationError(f"tolerance must not be negative: tol={tol!r}")
+def check_factorizable(params: HeunParameters) -> FactorizabilityReport:
+    """Test the paper's conditions on the inputs alone: gamma is exactly 1/2
+    or 3/2 (every decimal denoting either parses to exactly that float), and
+    |alpha-beta| is 1/2 to within ulp(alpha) + ulp(beta).
+
+    That bound is the rounding of the inputs: where the decimals given differ
+    by exactly 1/2, the float gap is within E = (ulp(alpha) + ulp(beta))/2 of
+    1/2, and the subtraction (a gap below 1) adds at most 2^-54, so at most 2E
+    in all where E >= 2^-54.  Otherwise both inputs lie below 1/2 and the
+    larger in [1/4, 1/2), whose ulp is 2^-54, and the gap rounds to 1/2 or
+    one such ulp below it.  The rebuilt a6 then differs from alpha*beta by
+    about a quarter of the gap's deviation.
+    """
     gap = abs(params.alpha - params.beta)
     gap_dev = abs(gap - 0.5)
-    gamma_dev = min(abs(params.gamma - g) for g in NU_BY_GAMMA)
+    gap_bound = math.ulp(params.alpha) + math.ulp(params.beta)
     failures = []
-    if not gap_dev <= tol:
+    if not gap_dev <= gap_bound:
         failures.append("exponent_gap")
-    if not gamma_dev <= tol:
+    if params.gamma not in NU_BY_GAMMA:
         failures.append("gamma")
     return FactorizabilityReport(
         accepted=not failures,
@@ -108,7 +115,8 @@ def check_factorizable(
         exponent_gap=gap,
         gamma=params.gamma,
         gap_deviation=gap_dev,
-        gamma_deviation=gamma_dev,
+        gamma_deviation=min(abs(params.gamma - g) for g in NU_BY_GAMMA),
+        gap_bound=gap_bound,
     )
 
 
@@ -175,19 +183,18 @@ class Su11Decomposition(NamedTuple):
         return dec
 
 
-def decompose(params: HeunParameters, tol: float = CONDITION_TOL) -> Su11Decomposition:
+def decompose(params: HeunParameters) -> Su11Decomposition:
     """Decompose a validated parameter set; rejects non-factorizable input.
 
-    check_factorizable is the one gate.  nu belongs to the admissible gamma
-    it matched, 3/2 when both are within tol (possible only for tol >= 1/2);
-    mu comes from a3 = (a0/2)(3+4mu), c0 from q (with_accessory), and the
-    other c's from the other a's.
+    check_factorizable is the one gate.  nu belongs to gamma, which it
+    accepts only at exactly 1/2 or 3/2; mu comes from a3 = (a0/2)(3+4mu),
+    c0 from q (with_accessory), and the other c's from the other a's.
     """
-    report = check_factorizable(params, tol)
+    report = check_factorizable(params)
     if not report.accepted:
         raise ValidationError(report.describe())
     coeffs = canonical_coefficients(params)
-    nu = NU_BY_GAMMA[1.5 if abs(params.gamma - 1.5) <= tol else 0.5]
+    nu = NU_BY_GAMMA[params.gamma]
     mu = (2.0 * coeffs.a3 / coeffs.a0 - 3.0) / 4.0
     c_plus = coeffs.a0 / 4.0
     c_minus = coeffs.a2 / 4.0

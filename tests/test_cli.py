@@ -95,18 +95,22 @@ def test_parameters_beside_decomposition_are_usage_errors(command, extra, tmp_pa
 @pytest.mark.parametrize("value", ["1e-3", "nan"])
 @pytest.mark.parametrize("command", ["classify", "spectrum", "series"])
 def test_tolerance_beside_decomposition_is_a_usage_error(command, value, tmp_path, capsys):
+    # The factorization conditions have no tolerance option.
     dec_path = str(tmp_path / "dec.json")
     assert main(["decompose", "--preset", "example1", "--json", dec_path]) == 0
     assert main([command, "--decomposition", dec_path, "--tolerance", value]) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "remove ['--tolerance']" in captured.err
+    assert f"unrecognized arguments: --tolerance {value}" in captured.err
 
 
-def test_tolerance_beside_parameters_is_accepted(capsys):
-    rc, doc = run_json(capsys, ["spectrum", "--preset", "example1", "--tolerance", "1e-3"])
-    assert rc == 0
-    assert doc == run_json(capsys, ["spectrum", "--preset", "example1"])[1]
+def test_tolerance_is_not_an_option(capsys):
+    assert main(["decompose", "--preset", "example1", "--tolerance", "1e-3"]) == 64
+    assert capsys.readouterr().out == ""
+    for command in ("decompose", "classify", "spectrum", "series", "verify", "check-algebra"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--tolerance" not in capsys.readouterr().out
 
 
 def test_classify_lists_representations(capsys):
@@ -270,8 +274,8 @@ def test_check_algebra_passes_exact_inputs_with_large_terms(argv, capsys):
 
 
 def test_check_algebra_fails_a_planted_decomposition(monkeypatch, capsys):
-    def planted(params, tol):
-        dec = decompose(params, tol)
+    def planted(params):
+        dec = decompose(params)
         return dec._replace(c1=dec.c1 + 1e-9)
 
     monkeypatch.setattr(su11_module, "decompose", planted)
@@ -279,13 +283,6 @@ def test_check_algebra_fails_a_planted_decomposition(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "numerical failure" in captured.err
     assert json.loads(captured.out)["max_reconstruction_deviation"] > cli.RECONSTRUCTION_THRESHOLD
-
-
-def test_negative_tolerance_is_refused(capsys):
-    assert main(["decompose", "--preset", "example1", "--tolerance", "-1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "tolerance must not be negative: tol=-1.0" in captured.err
 
 
 def test_negative_threshold_is_refused(tmp_path, capsys):
@@ -396,14 +393,12 @@ OVERFLOWED_SERIES_DOC = {
         (["series", *EXAMPLE1_FLAGS, "--a", "2", "--q", "nan"], None),
         (["series", "--decomposition", "-", "--q", "nan"], EXAMPLE1_DECOMPOSITION),
         (["spectrum", "--decomposition", "-"], {**EXAMPLE1_DECOMPOSITION, "c1": math.nan}),
-        (["decompose", "--gamma", "0.9", "--delta", "-0.5", "--alpha", "-1", "--beta", "-0.3",
-          "--a", "2", "--tolerance", "inf"], None),
         (["verify", "--solution", "-", "--threshold", "inf"], OVERFLOWED_SERIES_DOC),
         (["check-algebra", "--mu", "nan", "--nu", "0"], None),
         (["check-algebra", "--mu", "inf", "--nu", "0"], None),
         (["check-algebra", "--mu", "0", "--nu=-inf"], None),
     ],
-    ids=["delta", "alpha", "a", "rho", "q", "decomposition-q", "decomposition-c1", "tolerance",
+    ids=["delta", "alpha", "a", "rho", "q", "decomposition-q", "decomposition-c1",
          "threshold", "check-algebra-mu-nan", "check-algebra-mu-inf", "check-algebra-nu-inf"],
 )
 def test_non_finite_input_exits_1(argv, stdin, capsys, monkeypatch):
@@ -495,15 +490,36 @@ def test_verify_reads_null_as_nan(capsys, monkeypatch):
 ], ids=["gamma", "exponent-gap"])
 def test_zero_tolerance_accepts_exact_input(argv, capsys):
     # gamma and |alpha-beta| are exact here; a5/a2 and a6, rounded, are not.
-    rc, doc = run_json(capsys, ["decompose", *argv, "--tolerance", "0"])
-    assert (rc, doc) == (0, run_json(capsys, ["decompose", *argv])[1])
+    params = make_parameters(q=0.0, **{flag[2:]: float(v) for flag, v in zip(argv[::2], argv[1::2])})
+    report = su11_module.check_factorizable(params)
+    assert (report.gap_deviation, report.gamma_deviation) == (0.0, 0.0)
+    assert run_json(capsys, ["decompose", *argv]) == (0, decompose(params).to_json_dict())
 
 
-def test_tolerance_flag_controls_acceptance(capsys):
-    near = ["decompose", "--preset", "example1", "--gamma", "0.5000000001"]
-    assert main(near) == 0
-    assert main(near + ["--tolerance", "1e-11"]) == 1
-    capsys.readouterr()
+GATE_FLAGS = ["--delta", "-0.5", "--alpha", "-7.5", "--a", "3"]
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["spectrum", *GATE_FLAGS, "--gamma", "0.5000000001", "--beta", "-7"],
+     "heun-su11: not factorizable: gamma=0.5000000001 is off {1/2, 3/2} by 1.000e-10\n"),
+    (["spectrum", *GATE_FLAGS, "--gamma", "0.5", "--beta", "-6.9999999999"],
+     "heun-su11: not factorizable: |alpha-beta|=0.5000000001 is off 1/2 by 1.000e-10, "
+     "over the rounding bound 1.776e-15 of alpha and beta\n"),
+    (["series", "--gamma", "0.5", "--delta", "-0.5", "--alpha", "-16.4", "--beta", "-15.9",
+      "--a", "3", "--q", "0.2"], ""),
+], ids=["gamma-off-1e-10", "beta-off-1e-10", "decimal-gap"])
+def test_factorization_gate_decides_from_the_inputs(argv, err, capsys, monkeypatch):
+    # gamma is 1/2 or 3/2 exactly; |alpha-beta| is 1/2 to the rounding of
+    # alpha and beta, so -16.4 and -15.9, whose float gap is 1/2 + 1.8e-15,
+    # pass, and the document verifies.
+    rc = main(argv)
+    out, got = capsys.readouterr()
+    assert (rc, got) == (1 if err else 0, err)
+    if err:
+        assert out == ""
+    else:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        assert main(["verify", "--solution", "-"]) == 0
 
 
 def test_params_file_and_stdin(tmp_path, monkeypatch, capsys):
@@ -1200,14 +1216,21 @@ def test_series_csv_names_non_finite_coefficients(tmp_path, capsys):
 @pytest.mark.parametrize("argv, code", [
     (["series", "--preset", "example1", "--a", "1e308", "--rep", "nd", "--q", "0.3"], 1),
     (["spectrum", "--preset", "example1", "--a", "1e308"], 0),
-], ids=["series", "spectrum"])
+    (["spectrum", "--gamma", "0.5", "--delta", "-0.5", "--alpha", "-63.5", "--beta", "-63",
+      "--a", "1e308"], 2),
+    (["spectrum", "--gamma", "1.5", "--delta", "-0.5", "--alpha", "-2", "--beta", "-1.5",
+      "--a", "1.7e308"], 2),
+], ids=["series", "spectrum", "spectrum-n128", "spectrum-gamma-1.5"])
 def test_huge_a_prints_only_the_tool_message(argv, code):
     # The ladder rows overflow at |a| = 1e308; numpy must not warn about it.
     # The series has no sample left and says so in one line; the spectrum's
-    # pairs, scored in coefficient space, pass, and it prints nothing.
+    # pairs, scored in coefficient space, pass, and it prints nothing.  Where
+    # the off-diagonal products overflow too, the eigensolver does not
+    # converge: one numerical-failure line, exit 2.
     proc = subprocess.run([sys.executable, "-m", "heun_su11", *argv],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == code
     lines = proc.stderr.splitlines()
-    assert len(lines) == code
-    assert all(line.startswith("heun-su11: ") and "Warning" not in line for line in lines)
+    assert len(lines) == (code > 0)
+    prefix = "heun-su11: numerical failure: " if code == 2 else "heun-su11: "
+    assert all(line.startswith(prefix) and "Warning" not in line for line in lines)

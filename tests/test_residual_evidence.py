@@ -423,19 +423,30 @@ FLOAT_TO_EXACT = 2.0**-48
 
 def assert_spectrum_agrees_with_verify(argv, capsys, monkeypatch):
     """Run spectrum with argv and verify on its document; assert that both
-    exit alike and that each printed residual lies within FLOAT_TO_EXACT
-    of verify's exact score; return the exit code and the document."""
-    rc, out = run(argv, capsys, monkeypatch)
+    exit alike, that each printed residual lies within FLOAT_TO_EXACT of
+    verify's exact score, and that where verify refuses the document
+    unscored (an exponent set that cannot be a whole spectrum) spectrum
+    names the same cause; return the exit code and the document."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    rc = main(argv)
+    out, spectrum_err = capsys.readouterr()
     doc = json.loads(out)
-    verdict, scores = verify_scores(doc, capsys, monkeypatch)
-    residuals = [pair["residual"] for pair in doc["eigenpairs"]]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+    verdict = main(["verify", "--solution", "-"])
+    report, verify_err = capsys.readouterr()
     assert rc == verdict, argv
+    if not report:
+        assert spectrum_err == verify_err, argv
+        return rc, doc
+    scores = [r["max_relative_residual"] for r in json.loads(report)["results"]]
+    residuals = [pair["residual"] for pair in doc["eigenpairs"]]
     assert all(abs(r - s) <= FLOAT_TO_EXACT for r, s in zip(residuals, scores)), argv
     return rc, doc
 
 
-# Documents that spectrum once scored at 25 samples and verify exactly, with
-# different verdicts, and verify's verdict, which spectrum now shares.
+# Documents that spectrum once scored at 25 samples and verify exactly, or
+# whose exponent sets only verify checked, with different verdicts, and
+# verify's verdict, which spectrum now shares.
 DISAGREED = {
     "n6-a2": (ladder_argv(6, 0.5, 2.0), 1),
     **{f"delta-1.5-a{a:g}": (ladder_argv(5, 0.5, a, delta=-1.5), 1)
@@ -443,6 +454,7 @@ DISAGREED = {
     "n128-a1e6": (ladder_argv(128, 0.5, 1e6), 1),
     "example1-a1e-7": (["spectrum", "--preset", "example1", "--a", "1e-7"], 0),
     "example1-a1e308": (["spectrum", "--preset", "example1", "--a", "1e308"], 0),
+    "example2-a1e308": (["spectrum", "--preset", "example2", "--a", "1e308"], 1),
     "n128-a1e-5": (ladder_argv(128, 0.5, 1e-5), 0),
 }
 # The failing pair at a = 2, n = 6: its true q and middle coefficient are 0,

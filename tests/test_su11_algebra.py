@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from heun_su11 import su11_algebra
 from heun_su11.cli import PRESETS, RECONSTRUCTION_THRESHOLD
 from heun_su11.heun_core import canonical_coefficients, lame_parameters, make_parameters
 from heun_su11.su11_algebra import (
+    NU_BY_GAMMA,
     Su11Decomposition,
     algebra_identity_check,
     casimir_value,
@@ -98,12 +100,6 @@ def test_check_factorizable_reports_both_failures():
     assert check_factorizable(make_parameters(**EXAMPLE1)).describe() == "factorizable"
 
 
-@pytest.mark.parametrize("tol", [-1.0, -1e-300])
-def test_check_factorizable_refuses_a_negative_tolerance(tol):
-    with pytest.raises(ValidationError, match=f"tolerance must not be negative: tol={tol!r}"):
-        check_factorizable(make_parameters(**EXAMPLE1), tol)
-
-
 def test_check_factorizable_single_failures():
     only_gamma = make_parameters(gamma=1.0, delta=0.5, alpha=0.0, beta=0.5, a=2.0, q=0.0)
     assert check_factorizable(only_gamma).failures == ("gamma",)
@@ -138,15 +134,16 @@ def test_decompose_lame():
 def test_decompose_rejects_with_report():
     p = make_parameters(gamma=1.0, delta=1.0, alpha=1.0, beta=1.0, a=2.0, q=0.0)
     with pytest.raises(ValidationError, match=r"^not factorizable: \|alpha-beta\|=0 is off 1/2 by "
-                       r"5\.000e-01; gamma=1 is off \{1/2, 3/2\} by 5\.000e-01$"):
+                       r"5\.000e-01, over the rounding bound 4\.441e-16 of alpha and beta; "
+                       r"gamma=1 is off \{1/2, 3/2\} by 5\.000e-01$"):
         decompose(p)
     assert set(check_factorizable(p).failures) == {"exponent_gap", "gamma"}
 
 
 def test_zero_tolerance_accepts_every_exactly_factorizable_input():
-    # check_factorizable is the one gate: at tolerance 0 it accepts every
-    # gamma of exactly 1/2 or 3/2 with beta - alpha == 0.5 in floats, and the
-    # decomposition is the one the default tolerance gives.
+    # check_factorizable is the one gate: it accepts every gamma of exactly
+    # 1/2 or 3/2 with beta - alpha == 0.5 in floats at zero deviation, and
+    # nu follows gamma.
     rng = random.Random(1409)
     for _ in range(3000):
         alpha = rng.uniform(-3.0, 3.0)
@@ -155,9 +152,40 @@ def test_zero_tolerance_accepts_every_exactly_factorizable_input():
         gamma = rng.choice([0.5, 1.5])
         a = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)
         p = make_parameters(gamma, rng.uniform(-2.0, 2.0), alpha, beta, a, rng.uniform(-5.0, 5.0))
-        dec = decompose(p, 0.0)
-        assert dec == decompose(p)
+        report = check_factorizable(p)
+        assert (report.gap_deviation, report.gamma_deviation) == (0.0, 0.0)
+        dec = decompose(p)
         assert dec.nu == (0.5 if gamma == 1.5 else 0.0)
+
+
+@pytest.mark.sweep
+def test_gate_accepts_decimal_half_gaps_and_refuses_what_rounding_cannot_explain(seed):
+    # Decimal alpha with 0-9 fractional digits, |alpha| up to 1e8, and beta =
+    # alpha +/- 1/2 written as a decimal: each float is the decimal rounded,
+    # so the float gap is not always 1/2, yet every draw is factorizable.  The
+    # gate still refuses gamma one ulp off 1/2 or 3/2, and beta moved by four
+    # times the rounding bound.
+    rng = random.Random(seed)
+    inexact = 0
+    for _ in range(5000):
+        digits = rng.randint(0, 9)
+        alpha = Decimal(rng.randrange(10 ** rng.randint(1, 8 + digits))).scaleb(-digits)
+        alpha *= rng.choice((-1, 1))
+        beta = alpha + rng.choice((Decimal("-0.5"), Decimal("0.5")))
+        gamma = rng.choice(("0.5", "1.5"))
+        params = make_parameters(float(gamma), -0.5, float(format(alpha, "f")),
+                                 float(format(beta, "f")), 2.0, 0.3)
+        dec = decompose(params)
+        assert dec.nu == NU_BY_GAMMA[params.gamma]
+        inexact += check_factorizable(params).gap_deviation > 0.0
+        for g in (0.5, 1.5):
+            for off in (math.nextafter(g, -math.inf), math.nextafter(g, math.inf)):
+                assert check_factorizable(params._replace(gamma=off)).failures == ("gamma",)
+        moved = 4.0 * (math.ulp(params.alpha) + math.ulp(params.beta))
+        for beta_off in (params.beta - moved, params.beta + moved):
+            report = check_factorizable(params._replace(beta=beta_off))
+            assert report.failures == ("exponent_gap",), report
+    assert inexact > 0
 
 
 def test_rebuild_roundtrip_random():

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: decompose, classify, spectrum, series, verify, check-algebra.
-Parameters come from flags, a JSON file (--params), or a named preset;
+Parameters come from flags and a JSON file (--params) or a preset, not both;
 spectrum/classify/series can instead start from a saved decomposition
 (--decomposition FILE, or - for stdin), and everything they emit is derived
 from the decomposition alone, so piping `decompose` into them reproduces the
@@ -460,8 +460,9 @@ def _cmd_check_algebra(args) -> int:
 def _build_parser() -> _Parser:
     params_parent = _Parser(add_help=False)
     group = params_parent.add_argument_group("parameters")
-    group.add_argument("--preset", choices=sorted(PRESETS))
-    group.add_argument("--params", metavar="FILE", help="JSON parameter file (- for stdin)")
+    source = group.add_mutually_exclusive_group()
+    source.add_argument("--preset", choices=sorted(PRESETS))
+    source.add_argument("--params", metavar="FILE", help="JSON parameter file (- for stdin)")
     for name in ("gamma", "delta", "epsilon", "alpha", "beta", "q", "rho"):
         group.add_argument(f"--{name}", type=float)
     group.add_argument("--a", type=float, dest="a")

@@ -3,8 +3,8 @@ one certified tail rule for long sums of them.
 
 A MonomialSum holds the sum of coeffs[j] * z**exponents[j] as two
 sequences, in their given order and zeros included:
-verifier.residual_for_coefficients hands both to residual_block as they
-are, and SeriesSolution.as_monomial_sum writes its cached exponents and
+verifier.residual_for_coefficients scores both as they are, and
+SeriesSolution.as_monomial_sum writes its cached exponents and
 coefficient arrays.  It has no arithmetic, since the operators act one
 monomial at a time (heun_core.canonical_rows, su11_algebra.quadratic_rows);
 series_engine.evaluate_series is the one evaluator.

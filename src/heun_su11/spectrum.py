@@ -231,26 +231,35 @@ def _twisted_eigenvectors(matrix: TridiagonalMatrix, values: np.ndarray) -> np.n
     return np.cumprod(up, axis=0)[::-1] * np.cumprod(down, axis=0)
 
 
-def _eigensolve(matrix: TridiagonalMatrix) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and column eigenvectors of the tridiagonal matrix T.
+def _eigensolve(matrix: TridiagonalMatrix, parity: str,
+                a: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and column eigenvectors of the tridiagonal matrix T of
+    the parity sub-grid at a.
 
     With every off-diagonal product positive, T is similar to a symmetric
     matrix with off-diagonal sqrt(lower * upper); otherwise dense QR is used.
+    A dense matrix with an entry beyond float64, as T has at huge |a|, is
+    refused before LAPACK sees it.
     """
     n = len(matrix.diagonal)
     dense = np.diag(matrix.diagonal)
     # Every (n + 1)-th entry from n on is the sub-diagonal, from 1 on the super-diagonal.
     flat = dense.reshape(-1)
-    with np.errstate(over="ignore"):  # as in build_matrix: huge |a| fails later, not here
+    with np.errstate(over="ignore"):  # as in build_matrix: an overflow is refused below
         products = np.asarray(matrix.lower) * np.asarray(matrix.upper)
+    symmetric = np.all(products > 0.0)
+    if symmetric:
+        # eigvalsh reads only the lower triangle.
+        flat[n::n + 1] = np.sqrt(products)
+    else:
+        flat[n::n + 1] = matrix.lower
+        flat[1::n + 1] = matrix.upper
+    if not np.isfinite(dense).all():
+        raise NumericalError(f"the matrix of the {parity} sub-grid overflows float64 at a={a!r}")
     try:
-        if np.all(products > 0.0):
-            # eigvalsh reads only the lower triangle.
-            flat[n::n + 1] = np.sqrt(products)
+        if symmetric:
             values = np.linalg.eigvalsh(dense)
         else:
-            flat[n::n + 1] = matrix.lower
-            flat[1::n + 1] = matrix.upper
             values = np.linalg.eigvals(dense)
             if np.all(values.imag == 0.0):
                 values = values.real
@@ -349,7 +358,7 @@ def solve_spectrum(dec: Su11Decomposition, rep: RepresentationDescriptor) -> Spe
         if grid.size == 0:
             continue
         matrix = build_matrix(dec, grid)
-        values, vectors = _eigensolve(matrix)
+        values, vectors = _eigensolve(matrix, parity, coeffs.a2)
         order = np.lexsort((values.imag, values.real))
         values = values[order]
         rows = _normalize_rows(vectors.T[order])

@@ -541,6 +541,21 @@ def test_params_file_rejections(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["decompose", "classify", "spectrum", "series",
+                                     "check-algebra"])
+def test_params_file_and_preset_together_are_a_usage_error(command, tmp_path, capsys):
+    """A JSON file or a named preset, not both: the pair is refused, in
+    either order, rather than one silently dropped."""
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(cli.PRESETS["example1"] | {"a": 2.0}))
+    assert main([command, "--params", str(path), "--preset", "lame"]) == 64
+    assert capsys.readouterr() == ("", "heun-su11: usage error: argument --preset: not "
+                                       "allowed with argument --params\n")
+    assert main([command, "--preset", "lame", "--params", str(path)]) == 64
+    assert capsys.readouterr().err == ("heun-su11: usage error: argument --params: not "
+                                       "allowed with argument --preset\n")
+
+
 EXAMPLE1_PARAMS = dict(gamma=0.5, delta=-0.5, alpha=-1.0, beta=-0.5, a=2.0, q=0.0)
 
 
@@ -723,7 +738,7 @@ def test_verify_scores_each_parity_with_one_call(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "exact_residuals", counting)
     monkeypatch.setattr(heun_core, "_integer_rows", counting_rows)
-    monkeypatch.setattr(verifier_module, "residual_block", sampled)
+    monkeypatch.setattr(verifier_module, "residual_for_coefficients", sampled)
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     assert main(["verify", "--solution", "-"]) == 0
     capsys.readouterr()
@@ -1213,24 +1228,35 @@ def test_series_csv_names_non_finite_coefficients(tmp_path, capsys):
         "# q=0.010851 direction=descending parity=even", "z,value"]
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["series", "--preset", "example1", "--a", "1e308", "--rep", "nd", "--q", "0.3"], 1),
-    (["spectrum", "--preset", "example1", "--a", "1e308"], 0),
+OVERFLOWED_EVEN = "heun-su11: numerical failure: the matrix of the even sub-grid overflows float64 at "
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["series", "--preset", "example1", "--a", "1e308", "--rep", "nd", "--q", "0.3"], 1, None),
+    (["spectrum", "--preset", "example1", "--a", "1e308"], 0, None),
     (["spectrum", "--gamma", "0.5", "--delta", "-0.5", "--alpha", "-63.5", "--beta", "-63",
-      "--a", "1e308"], 2),
+      "--a", "1e308"], 2, OVERFLOWED_EVEN + "a=1e+308"),
+    (["spectrum", "--gamma", "0.5", "--delta", "-0.5", "--alpha", "-7.5", "--beta", "-7",
+      "--a", "1e308"], 2, OVERFLOWED_EVEN + "a=1e+308"),
+    (["spectrum", "--gamma", "0.5", "--delta", "-0.5", "--alpha", "-2.5", "--beta", "-2",
+      "--a", "1e308"], 2, OVERFLOWED_EVEN + "a=1e+308"),
     (["spectrum", "--gamma", "1.5", "--delta", "-0.5", "--alpha", "-2", "--beta", "-1.5",
-      "--a", "1.7e308"], 2),
-], ids=["series", "spectrum", "spectrum-n128", "spectrum-gamma-1.5"])
-def test_huge_a_prints_only_the_tool_message(argv, code):
+      "--a", "1.7e308"], 2, OVERFLOWED_EVEN + "a=1.7e+308"),
+], ids=["series", "spectrum", "spectrum-n128", "spectrum-n16", "spectrum-n6",
+        "spectrum-gamma-1.5"])
+def test_huge_a_prints_only_the_tool_message(argv, code, line):
     # The ladder rows overflow at |a| = 1e308; numpy must not warn about it.
     # The series has no sample left and says so in one line; the spectrum's
     # pairs, scored in coefficient space, pass, and it prints nothing.  Where
-    # the off-diagonal products overflow too, the eigensolver does not
-    # converge: one numerical-failure line, exit 2.
+    # build_matrix's diagonal and super-diagonal overflow to inf, the
+    # eigensolver refuses the matrix before LAPACK sees it and names the
+    # overflow: one numerical-failure line, exit 2.
     proc = subprocess.run([sys.executable, "-m", "heun_su11", *argv],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == code
     lines = proc.stderr.splitlines()
     assert len(lines) == (code > 0)
+    if line is not None:
+        assert lines == [line]
     prefix = "heun-su11: numerical failure: " if code == 2 else "heun-su11: "
     assert all(line.startswith(prefix) and "Warning" not in line for line in lines)

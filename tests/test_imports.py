@@ -1,7 +1,9 @@
 """No module of the package imports a name that it neither uses nor exports,
 none imports dataclasses, the algebra modules and the CLI import nothing
-from monomials, and the package's __init__ imports none of its modules: its
-name table _HOMES lists the literal __all__, name for name.  No module of
+from monomials, no module imports verifier, and the package's __init__
+imports none of its modules: its name table _HOMES lists the literal
+__all__, name for name, and homes only ode_residual and ResidualReport in
+verifier.  No module of
 the package or of the tests imports a package from outside the standard
 library but numpy and pytest.
 
@@ -108,6 +110,40 @@ def test_algebra_and_cli_import_nothing_from_monomials(name):
     # scalars; a MonomialSum is only the residual's container.
     tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
     assert not {"monomials", "heun_su11.monomials"} & set(imported_modules(tree))
+
+
+def imports_verifier(tree):
+    """Whether the module imports verifier, or a name from it, anywhere."""
+    paths = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            paths += [node.module or "", *(f"{node.module}.{alias.name}" for alias in node.names)]
+    return any("verifier" in path.split(".") for path in paths)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_verifier(path):
+    # No subcommand scores at sample points through verifier; only the
+    # library's ode_residual and ResidualReport live there, which __init__
+    # names in _HOMES.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not imports_verifier(tree)
+    if path.name == "__init__.py":
+        homes = assigned_literal(tree, "_HOMES")
+        assert sorted(k for k, v in homes.items() if v == "verifier") == [
+            "ResidualReport", "ode_residual"]
+
+
+@pytest.mark.parametrize("source", [
+    "from .verifier import ode_residual\n",
+    "from . import jsonio, verifier\n",
+    "import heun_su11.verifier\n",
+    "def f():\n    from heun_su11 import verifier\n",
+])
+def test_the_check_sees_a_verifier_import(source):
+    assert imports_verifier(ast.parse(source))
+    assert not imports_verifier(ast.parse("from .spectrum import verifier_like\n"))
 
 
 def test_the_check_sees_an_unused_import():

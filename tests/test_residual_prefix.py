@@ -1,6 +1,6 @@
 """The residual of one long series scores a certified prefix of its terms.
 
-residual_block keeps the leading k terms of a single long real column when
+residual_for_coefficients keeps the leading k terms of one long real sum when
 a majorant bounds the rest by D, at most 2^-50 of the prefix's scale at every
 sample, and reports (num_k + D) / scale_k rounded up.  These tests fix what
 that rule must keep:
@@ -9,9 +9,9 @@ that rule must keep:
   at every sample, the reported residual is never below the full sum's
   beyond 2^-40, and both pass or fail the 1e-8 threshold alike;
 - a wrong coefficient inside the prefix, or a wrong q, still fails;
-- an overflowed series scores inf with NaN scales, as the full sum does,
-  without a power matrix, and the exit gate still names its cause;
-- the spectrum's blocks never take the rule;
+- an overflowed series scores inf with NaN scales without a power matrix,
+  and the exit gate still names its cause;
+- the spectrum's eigenfunctions never take the rule;
 - series and verify, which score a series by its exact rows, never score
   it below the library's sampled residual, and reach the same verdict.
 """
@@ -36,7 +36,7 @@ from heun_su11.representations import RepresentationClass, classify
 from heun_su11.series_engine import series_solution
 from heun_su11.spectrum import solve_spectrum
 from heun_su11.su11_algebra import decompose, rebuild_coefficients
-from heun_su11.verifier import ode_residual, residual_block, residual_for_coefficients
+from heun_su11.verifier import ode_residual, residual_for_coefficients
 from oracle import exact_magnitude, scale_terms, terms
 
 POS = RepresentationClass.POSITIVE_DISCRETE
@@ -149,13 +149,10 @@ OVERFLOWED = [("example2", 4.0, "even"), ("example2", 4.0, "odd"),
 @pytest.mark.parametrize("preset, a, parity", OVERFLOWED)
 def test_an_overflowed_series_scores_inf_with_nan_scales(preset, a, parity, monkeypatch, capsys):
     # The four overflowed K=1000 descending series of the benchmark: each
-    # scores inf with a NaN scale at every sample, as the full sum of a
-    # two-column block scores the same column (whose NaNs may carry either
-    # sign), computes no power, and the series command still names the
-    # non-finite coefficients.
+    # scores inf with a NaN scale at every sample, computes no power, and
+    # the series command still names the non-finite coefficients.
     params, sol = preset_case(preset, a, 0.3, NEG, parity, 1000)
     first = next(m for m, b in enumerate(sol.coefficients) if not math.isfinite(b))
-    coeffs = canonical_coefficients(params)
     y = sol.as_monomial_sum()
     samples = solution_samples(a, sol.domain)
     powers = record_powers(monkeypatch)
@@ -163,11 +160,6 @@ def test_an_overflowed_series_scores_inf_with_nan_scales(preset, a, parity, monk
     assert powers == []
     assert report.max_relative_residual == math.inf
     assert set(report.residuals) == {math.inf} and all(map(math.isnan, report.scales))
-    c = np.array(y.coeffs)
-    block = np.stack([c, c], axis=1)
-    residuals, scales = residual_block(coeffs, y.exponents, block, [coeffs.a7] * 2, samples)
-    assert np.array(report.residuals).tobytes() == residuals[0].tobytes()
-    assert np.isnan(scales[0]).all()
     argv = ["series", "--preset", preset, "--a", str(a), "--q", "0.3", "--rep", "nd",
             "--parity", parity, "--kmax", "1000"]
     assert main(argv) == 1
@@ -178,10 +170,10 @@ def test_an_overflowed_series_scores_inf_with_nan_scales(preset, a, parity, monk
 @pytest.mark.parametrize("seed", [1, 2])
 def test_spectrum_ladders_keep_the_full_sum(seed, monkeypatch):
     # The benchmark's finite ladders (n up to 128, a = 2, 4 and -3, delta
-    # drawn from the seed): no sub-grid block and no one-pair report takes
-    # the prefix rule, so every spectrum residual is the full sum's.
+    # drawn from the seed): no pair's report takes the prefix rule, so every
+    # spectrum residual is the full sum's.
     def refuse(*args, **kwargs):
-        raise AssertionError("a spectrum block took the prefix rule")
+        raise AssertionError("a spectrum pair took the prefix rule")
 
     monkeypatch.setattr(verifier, "tail_cut", refuse)
     rng = random.Random(f"spectrum_ladders-{seed}")

@@ -30,7 +30,8 @@ from heun_su11 import verifier as verifier_module
 from heun_su11.series_engine import evaluate_series
 from heun_su11.spectrum import TridiagonalMatrix, build_matrix, solve_spectrum
 from heun_su11.su11_algebra import decompose, rebuild_coefficients
-from heun_su11.verifier import default_sample_points, residual_block, residual_for_coefficients
+from heun_su11.monomials import MonomialSum
+from heun_su11.verifier import default_sample_points, residual_for_coefficients
 from oracle import check_eigenvalues, dyadic_integers, m1_image, m3_image, sturm_counter, terms
 
 
@@ -301,9 +302,9 @@ def test_solver_solves_the_matrix_build_matrix_returns(n, a, monkeypatch):
     solved = []
     eigensolve = spectrum_module._eigensolve
 
-    def recording(matrix):
+    def recording(matrix, *where):
         solved.append(matrix)
-        return eigensolve(matrix)
+        return eigensolve(matrix, *where)
 
     monkeypatch.setattr(spectrum_module, "_eigensolve", recording)
     solve_spectrum(dec, rep)
@@ -349,7 +350,26 @@ def test_eigensolver_failure_is_wrapped(monkeypatch, solver, upper):
     # one the dense route
     matrix = TridiagonalMatrix((0.0, 1.0), (0.0, 0.0), (0.5,), (upper,))
     with pytest.raises(NumericalError, match="^did not converge$"):
-        spectrum_module._eigensolve(matrix)
+        spectrum_module._eigensolve(matrix, "even", 2.0)
+
+
+@pytest.mark.parametrize("matrix", [
+    TridiagonalMatrix((0.0, 1.0), (math.inf, 0.0), (0.5,), (2.0,)),
+    TridiagonalMatrix((0.0, 1.0), (0.0, 0.0), (0.5,), (-math.inf,)),
+    TridiagonalMatrix((0.0, 1.0), (0.0, 0.0), (1e200,), (1e200,)),
+], ids=["inf-diagonal", "inf-upper", "product-overflow"])
+def test_an_overflowed_matrix_is_refused_before_lapack(monkeypatch, matrix):
+    """An inf entry, or an off-diagonal product that overflows on the
+    symmetric route, is named as an overflow of that sub-grid at that a,
+    and neither LAPACK solver runs."""
+    def boom(_):
+        raise AssertionError("LAPACK was handed a non-finite matrix")
+
+    monkeypatch.setattr(spectrum_module.np.linalg, "eigvalsh", boom)
+    monkeypatch.setattr(spectrum_module.np.linalg, "eigvals", boom)
+    with pytest.raises(NumericalError) as caught:
+        spectrum_module._eigensolve(matrix, "odd", 1e308)
+    assert str(caught.value) == "the matrix of the odd sub-grid overflows float64 at a=1e+308"
 
 
 EIGEN_CASES = {
@@ -363,7 +383,7 @@ EIGEN_CASES = {
 @pytest.mark.parametrize("case", sorted(EIGEN_CASES))
 def test_eigenvectors_satisfy_t_v_equals_q_v(case):
     matrix = EIGEN_CASES[case]
-    values, vectors = spectrum_module._eigensolve(matrix)
+    values, vectors = spectrum_module._eigensolve(matrix, "even", 2.0)
     assert np.iscomplexobj(values) == (case == "complex")
     assert np.all(np.isfinite(vectors))
     dense = dense_of(matrix)
@@ -397,7 +417,7 @@ def twisted_eigenvectors_reference(matrix, values):
 
 
 def _solver_values(matrix):
-    return matrix, spectrum_module._eigensolve(matrix)[0]
+    return matrix, spectrum_module._eigensolve(matrix, "even", 2.0)[0]
 
 
 TWISTED_CASES = {
@@ -624,8 +644,8 @@ def bits(values):
 
 
 def parity_blocks(a, n, delta, gamma=0.5):
-    """(coefficients, exponents, block, a7 per column, samples, pairs) for each
-    non-empty parity sub-grid of a solved ladder."""
+    """(coefficients, exponents, block, samples, pairs) for each non-empty
+    parity sub-grid of a solved ladder."""
     dec = decompose(ladder_params(n, gamma, a, delta=delta))
     pairs = solve_spectrum(dec, finite_rep(dec)).pairs
     coeffs = rebuild_coefficients(dec)
@@ -636,8 +656,7 @@ def parity_blocks(a, n, delta, gamma=0.5):
             poly = own[0].eigenfunction
             exponents = poly.p0 + np.arange(len(poly.coefficients))
             block = np.array([pair.eigenfunction.coefficients for pair in own]).T
-            a7 = [coeffs.with_accessory(pair.q).a7 for pair in own]
-            yield coeffs, exponents, block, a7, samples, own
+            yield coeffs, exponents, block, samples, own
 
 
 def sweep_cases(count, seed):
@@ -652,42 +671,20 @@ def sweep_cases(count, seed):
 
 
 def test_block_residual_equals_one_column_call():
-    # The n=128 ladder at a=1e6 has 102 exact-zero coefficients, which the
-    # one-column call scores as the block does.  Each pair's own residual,
-    # scored in coefficient space, is its one-column _residuals call too.
+    """Each pair's own residual, scored in coefficient space in its parity's
+    block, is its one-column _residuals call.  The n=128 ladder at a=1e6
+    has 102 exact-zero coefficients."""
     seen_complex = seen_zero_q = seen_zeros = 0
     for a, n, delta in sweep_cases(12, seed=2024) + [(1e6, 128, -0.5)]:
-        for coeffs, exponents, block, a7, samples, own in parity_blocks(a, n, delta):
-            residuals, scales = residual_block(coeffs, exponents, block, a7, samples)
+        for coeffs, exponents, block, _samples, own in parity_blocks(a, n, delta):
             seen_zeros += int(np.sum(block == 0.0))
             for j, pair in enumerate(own):
-                y = pair.eigenfunction.as_monomial_sum()
-                assert len(y.coeffs) == len(pair.eigenfunction.coefficients)
-                report = residual_for_coefficients(coeffs.with_accessory(pair.q), y, samples)
-                assert bits(residuals[j]) == bits(report.residuals)
-                assert bits(scales[j]) == bits(report.scales)
                 [alone] = spectrum_module._residuals(
                     coeffs, exponents[0].item(), block[:, j:j + 1].T, np.array([pair.q], block.dtype))
                 assert pair.residual == alone
                 seen_complex += isinstance(pair.q, complex)
                 seen_zero_q += pair.q == 0.0 and pair.residual == 0.0
     assert seen_complex and seen_zero_q and seen_zeros >= 102
-
-
-def test_block_columns_score_as_they_would_alone():
-    """Also with an exact zero coefficient, which the block keeps, as the
-    one-column call does.  The eigenvectors of these ladders have no zero
-    entry."""
-    for a, n, delta in sweep_cases(6, seed=7):
-        for coeffs, exponents, block, a7, samples, _own in parity_blocks(a, n, delta):
-            planted = block.copy()
-            planted[np.argmin(np.abs(planted[:, 0])), 0] = 0.0
-            residuals, scales = residual_block(coeffs, exponents, planted, a7, samples)
-            for j in range(planted.shape[1]):
-                alone, alone_scales = residual_block(
-                    coeffs, exponents, planted[:, j:j + 1], a7[j:j + 1], samples)
-                assert bits(residuals[j]) == bits(alone[0])
-                assert bits(scales[j]) == bits(alone_scales[0])
 
 
 def test_solve_spectrum_scores_each_parity_with_one_call(monkeypatch):
@@ -704,7 +701,7 @@ def test_solve_spectrum_scores_each_parity_with_one_call(monkeypatch):
         raise AssertionError("solve_spectrum called the sampled scorer")
 
     monkeypatch.setattr(spectrum_module, "_residuals", counting)
-    monkeypatch.setattr(verifier_module, "residual_block", sampled)
+    monkeypatch.setattr(verifier_module, "residual_for_coefficients", sampled)
     for n, parities in ((1, 1), (2, 2), (33, 2), (128, 2)):
         calls.clear()
         dec = decompose(ladder_params(n, 0.5, 2.0, delta=-0.5))
@@ -745,19 +742,22 @@ def test_solve_spectrum_computes_no_sample_point(monkeypatch):
 
 
 def test_planted_coefficient_fails_its_column_alone():
+    """The sampled scorer fails a pair with one coefficient off by 1e-6, and
+    its untouched siblings still pass."""
     rng = random.Random(11)
     for _ in range(8):
         a, n = rng.choice((2.0, 4.0, -3.0)), rng.randint(4, 16)
-        for coeffs, exponents, block, a7, samples, _own in parity_blocks(a, n, rng.uniform(-0.55, -0.45)):
-            multi_term = [j for j in range(block.shape[1]) if np.count_nonzero(block[:, j]) > 1]
+        for coeffs, _exponents, _block, samples, own in parity_blocks(a, n, rng.uniform(-0.55, -0.45)):
+            sums = [pair.eigenfunction.as_monomial_sum() for pair in own]
+            multi_term = [j for j, y in enumerate(sums) if np.count_nonzero(y.coeffs) > 1]
             j = rng.choice(multi_term)
-            planted = block.copy()
-            planted[np.argmax(np.abs(planted[:, j])), j] *= 1.0 + 1e-6
-            before, _ = residual_block(coeffs, exponents, block, a7, samples)
-            after, _ = residual_block(coeffs, exponents, planted, a7, samples)
-            assert before[j].max() <= 1e-10 < 1e-8 < after[j].max()
-            others = [k for k in range(block.shape[1]) if k != j]
-            assert bits(after[others].ravel()) == bits(before[others].ravel())
+            planted = np.array(sums[j].coeffs)
+            planted[np.argmax(np.abs(planted))] *= 1.0 + 1e-6
+            worst = [residual_for_coefficients(coeffs.with_accessory(pair.q), y, samples)
+                     .max_relative_residual for pair, y in zip(own, sums)]
+            after = residual_for_coefficients(coeffs.with_accessory(own[j].q),
+                                              MonomialSum(sums[j].exponents, planted), samples)
+            assert max(worst) <= 1e-10 < 1e-8 < after.max_relative_residual
 
 
 # M1 distances, over max(1, max|q|), at delta = -1/2: at most 6.0e-15 for

@@ -22,7 +22,6 @@ from heun_su11.su11_algebra import decompose, rebuild_coefficients
 from heun_su11.verifier import (
     ResidualReport,
     ode_residual,
-    residual_block,
     residual_for_coefficients,
 )
 from heun_su11.series_engine import ASCENDING, DESCENDING, convergence_domain
@@ -183,10 +182,12 @@ def test_explicit_sample_points_are_used():
     assert report.sample_points == (0.25, 0.5)
 
 
-def test_residual_for_coefficients_is_residual_block_on_the_same_column():
-    """The one-column report is residual_block run on the sum's coefficients
-    as given: explicit 0.0 and 0j entries are zero terms, and a 0j makes
-    the column complex."""
+def test_explicit_zero_coefficients_are_zero_terms():
+    """The report scores a sum's coefficients as given: explicit 0.0, -0.0
+    and 0j entries are zero terms, which leave the scales as they are, bit
+    for bit.  Real zeros leave the residuals so too; a 0j makes the column
+    complex, summed in complex arithmetic, which moves a residual by no more
+    than its rounding."""
     dec = decompose(make_parameters(0.5, -0.5, -3.5, -3.0, 2.0, 0.0))
     finite = [r for r in classify(dec) if r.rep_class is RepresentationClass.FINITE_DIMENSIONAL]
     coeffs = rebuild_coefficients(dec)
@@ -199,14 +200,15 @@ def test_residual_for_coefficients_is_residual_block_on_the_same_column():
         padded = MonomialSum.from_terms(
             [(p0 + 0.5, 0j), *given[:1], (p0 + 1.5, 0.0), *given[1:], (p0 + len(given), 0j)])
         real_zeros = MonomialSum.from_terms([*given, (p0 + 1.5, 0.0), (p0 - 1.0, -0.0)])
-        for candidate in (y, padded, real_zeros):
-            column = np.array(candidate.coeffs)
-            p = np.array(candidate.exponents, float)
-            want, want_scales = residual_block(c, p, column[:, None], [c.a7], samples)
+        want = residual_for_coefficients(c, y, samples)
+        assert want.max_relative_residual < 1e-14
+        for candidate, rounded in ((padded, True), (real_zeros, False)):
             report = residual_for_coefficients(c, candidate, samples)
-            assert np.array(report.residuals).tobytes() == want[0].tobytes()
-            assert np.array(report.scales).tobytes() == want_scales[0].tobytes()
+            assert np.array(report.scales).tobytes() == np.array(want.scales).tobytes()
+            atol = 2.0**-50 if rounded else 0.0
+            assert np.allclose(report.residuals, want.residuals, rtol=0.0, atol=atol)
         assert np.array(padded.coeffs).dtype == complex
+        assert np.array(real_zeros.coeffs).dtype == float
 
 
 OLD_SAMPLE_DOMAINS = {
